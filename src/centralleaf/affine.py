@@ -186,10 +186,6 @@ def omega_and_word(x: AffineElement) -> Tuple[AffineElement, Tuple[int, ...]]:
     return result
 
 
-def is_length_zero(x: AffineElement) -> bool:
-    return length(x) == 0
-
-
 def bruhat_leq(x: AffineElement, y: AffineElement) -> bool:
     """Bruhat order on the extended affine Weyl group.
 

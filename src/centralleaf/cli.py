@@ -266,7 +266,8 @@ def _emit(spec: JobSpec, artifact: str):
         sys.stdout.write(artifact)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
+    """The CLI parser; with ``defaults=False`` it only records typed flags."""
     parser = argparse.ArgumentParser(
         prog="centralleaf",
         description="Exact invariants of sigma-conjugacy classes: Newton "
@@ -274,74 +275,87 @@ def build_parser() -> argparse.ArgumentParser:
                     "lattice censuses, Witt/display self checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def arg(sp, *flags, default=None, **kwargs):
+        sp.add_argument(*flags, **kwargs,
+                        default=default if defaults else argparse.SUPPRESS)
+
     def common(sp):
-        sp.add_argument("--spec", help="job specification JSON file")
-        sp.add_argument("--output", help="write the artifact to this path")
-        sp.add_argument("--format", choices=["csv", "structured-text"],
-                        default="csv")
+        arg(sp, "--spec", help="job specification JSON file")
+        arg(sp, "--output", help="write the artifact to this path")
+        arg(sp, "--format", choices=["csv", "structured-text"], default="csv")
 
     sp = sub.add_parser("report", help="leaf report for elements")
     common(sp)
-    sp.add_argument("--group")
-    sp.add_argument("--element", action="append", default=[])
+    arg(sp, "--group")
+    arg(sp, "--element", action="append", default=[])
 
     sp = sub.add_parser("classes", help="sigma-conjugacy class census")
     common(sp)
-    sp.add_argument("--group")
-    sp.add_argument("--cap", type=int, default=1)
-    sp.add_argument("--conj-cap", type=int, dest="conj_cap")
-    sp.add_argument("--bound", type=int)
+    arg(sp, "--group")
+    arg(sp, "--cap", type=int, default=1)
+    arg(sp, "--conj-cap", type=int, dest="conj_cap")
+    arg(sp, "--bound", type=int)
 
     sp = sub.add_parser("adm", help="admissible set of a cocharacter")
     common(sp)
-    sp.add_argument("--group")
-    sp.add_argument("--mu")
-    sp.add_argument("--level", choices=["iwahori", "hyperspecial"],
-                    default="iwahori")
+    arg(sp, "--group")
+    arg(sp, "--mu")
+    arg(sp, "--level", choices=["iwahori", "hyperspecial"], default="iwahori")
 
     sp = sub.add_parser("adlv", help="lattice census of X(b; mu)")
     common(sp)
-    sp.add_argument("--group")
-    sp.add_argument("--element", action="append", default=[])
-    sp.add_argument("--matrix")
-    sp.add_argument("--mu")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--depth", type=int, default=1)
+    arg(sp, "--group")
+    arg(sp, "--element", action="append", default=[])
+    arg(sp, "--matrix")
+    arg(sp, "--mu")
+    arg(sp, "--p", type=int, default=2)
+    arg(sp, "--depth", type=int, default=1)
 
     sp = sub.add_parser("witt-selfcheck", help="Witt/display invariant suite")
     common(sp)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--length", type=int, default=3)
-    sp.add_argument("--coeff-exponent", type=int, dest="coeff_exponent",
-                    default=5)
-    sp.add_argument("--count", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
+    arg(sp, "--p", type=int, default=2)
+    arg(sp, "--length", type=int, default=3)
+    arg(sp, "--coeff-exponent", type=int, dest="coeff_exponent", default=5)
+    arg(sp, "--count", type=int, default=500)
+    arg(sp, "--seed", type=int, default=0)
 
     sp = sub.add_parser("crosscheck", help="dimension formula cross check")
     common(sp)
-    sp.add_argument("--group")
-    sp.add_argument("--cap", type=int, default=2)
-    sp.add_argument("--bound", type=int)
+    arg(sp, "--group")
+    arg(sp, "--cap", type=int, default=2)
+    arg(sp, "--bound", type=int)
 
     return parser
 
 
-def spec_from_args(argv=None) -> JobSpec:
-    args = build_parser().parse_args(argv)
-    doc = {}
-    if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc.setdefault("command", args.command)
-    else:
-        doc["command"] = args.command
-    for key, value in vars(args).items():
+def _given(args: dict):
+    """(job-spec key, value) of the parsed options that carry a value."""
+    for key, value in args.items():
         if key in ("spec", "command") or value in (None, []):
             continue
-        if key == "element":
-            doc.setdefault("elements", list(value))
-        else:
-            doc.setdefault(key, value)
+        yield ("elements", list(value)) if key == "element" else (key, value)
+
+
+def spec_from_args(argv=None) -> JobSpec:
+    """Job spec from the command line: explicit flags beat the --spec file,
+    which beats the parser's defaults; a spec naming another command than
+    the typed subcommand is refused."""
+    typed = vars(build_parser(defaults=False).parse_args(argv))
+    defaults = vars(build_parser().parse_args(argv))
+    command = typed["command"]
+    doc = {}
+    if typed.get("spec"):
+        with open(typed["spec"], "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigurationError("job spec must be a JSON object")
+        if doc.get("command", command) != command:
+            raise ConfigurationError(
+                f"job spec is for {doc['command']!r}, not {command!r}")
+    doc["command"] = command
+    doc.update(_given(typed))
+    for key, value in _given(defaults):
+        doc.setdefault(key, value)
     return _spec_from_document(doc)
 
 

@@ -107,17 +107,6 @@ def monomial_compose(a: MonomialIsocrystal, b: MonomialIsocrystal) -> MonomialIs
     return MonomialIsocrystal(a.size, perm, exps)
 
 
-def monomial_power(m: MonomialIsocrystal, k: int) -> MonomialIsocrystal:
-    result = monomial_identity(m.size)
-    for _ in range(k):
-        result = monomial_compose(result, m)
-    return result
-
-
-def monomial_is_diagonal(m: MonomialIsocrystal) -> bool:
-    return m.permutation == tuple(range(m.size))
-
-
 def restriction_of_scalars(m: MonomialIsocrystal) -> MonomialIsocrystal:
     """Expand a sigma^r-twisted datum of size n to a plain datum of size n*r.
 
@@ -661,7 +650,7 @@ def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
     piece_matrices = tuple(
         linalg.freeze([[col[i] for col in pieces[s]] for i in range(n)])
         for s in slopes_desc)
-    if det_val == INF_SENTINEL or det_val >= margin // 2:
+    if det_val is None or det_val >= margin // 2:
         return None
     if det_val > 0:
         return SlopeDivisibilityReport(
@@ -684,9 +673,6 @@ def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
         True, slopes, r0, piece_matrices,
         f"lattice splits into isoclinic summands with invertible normalised "
         f"Frobenius (p-adic certificates at precision {margin})")
-
-
-INF_SENTINEL = linalg.INFINITY
 
 
 def _approx_piece_invertible(t: Matrix, basis, slope: int, p: int,
@@ -780,7 +766,7 @@ def _orbit_return_steps(u: Matrix, p: int) -> Optional[int]:
     bound = max(bound, 1)
     power = u
     for k in range(1, bound + 1):
-        if all(linalg.valuation(x, p) >= 0 for row in power for x in row):
+        if all(Fraction(x).denominator % p != 0 for row in power for x in row):
             return k
         power = linalg.mat_mul(power, u)
     if bound >= _ORBIT_HARD_CAP:
@@ -824,6 +810,8 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
     piece_matrices = tuple(
         linalg.freeze([[col[i] for col in pieces_by_slope[s]] for i in range(n)])
         for s in ordered)
+    if det_val is None:
+        raise ConsistencyError("slope pieces of distinct slopes are dependent")
     if det_val != 0:
         return SlopeDivisibilityReport(
             False, slopes, None, piece_matrices,

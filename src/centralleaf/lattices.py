@@ -5,6 +5,12 @@ rescaling L' = p^N L, a sublattice of Lambda containing p^{2N} Lambda,
 presented by the canonical column Hermite form of a basis.  Membership in
 the Deligne-Lusztig set at hyperspecial level is the exact condition
 inv(L, b sigma(L)) = mu for minuscule mu.
+
+The check is integer-only: p^{2N} times the inverse of the Hermite basis
+is integral, so every transition map is an integer matrix divided by a
+known power of p, and inv is read off its p-adic elementary-divisor
+exponents (``linalg.elementary_divisor_exponents``); no Smith form and no
+rational inverse is computed per lattice.
 """
 
 from __future__ import annotations
@@ -12,12 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .errors import (BudgetExceededError, PreconditionError,
-                     SingularInputError)
+from .errors import BudgetExceededError, PreconditionError
 from .isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                          SlopeDivisibilityReport, is_completely_slope_divisible,
                          restriction_of_scalars)
@@ -39,12 +43,7 @@ class LatticeModel:
         scaled = 1
         for i in range(self.n):
             scaled *= self.basis[i][i]
-        return int(linalg.valuation(scaled, self.p)) - self.n * self.depth
-
-    def unscaled_columns(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        scale = Fraction(1, self.p ** self.depth)
-        return tuple(tuple(self.basis[i][j] * scale for i in range(self.n))
-                     for j in range(self.n))
+        return linalg.valuation(scaled, self.p) - self.n * self.depth
 
 
 _ENUM_BUDGET = 2_000_000
@@ -123,6 +122,30 @@ def lattice_from_columns(columns: Sequence[Sequence[int]], n: int, p: int,
     return LatticeModel(n, p, depth, linalg.hnf_columns(rows))
 
 
+def _scaled_inverse(model: LatticeModel) -> List[List[int]]:
+    """p^{2N} B^-1 for the Hermite basis B of a model, by back-substitution.
+
+    Integral because the rescaled lattice contains p^{2N} Lambda; a basis
+    that is not upper triangular or misses that containment is refused.
+    """
+    b, n = model.basis, model.n
+    q = model.p ** (2 * model.depth)
+    if any(b[i][j] for i in range(n) for j in range(i)) or \
+            any(b[i][i] <= 0 for i in range(n)):
+        raise PreconditionError("lattice basis is not in Hermite form")
+    inv = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, -1, -1):
+            acc = (q if i == j else 0) - sum(b[i][k] * inv[k][j]
+                                             for k in range(i + 1, j + 1))
+            quot, rem = divmod(acc, b[i][i])
+            if rem:
+                raise PreconditionError(
+                    "lattice model does not contain p^{2N} Lambda")
+            inv[i][j] = quot
+    return inv
+
+
 def relative_position(l1: LatticeModel, l2: LatticeModel) -> Tuple[int, ...]:
     """Elementary-divisor exponents (decreasing) of the transition map.
 
@@ -131,28 +154,14 @@ def relative_position(l1: LatticeModel, l2: LatticeModel) -> Tuple[int, ...]:
     """
     if (l1.n, l1.p, l1.depth) != (l2.n, l2.p, l2.depth):
         raise PreconditionError("lattice models are not comparable")
-    transition = linalg.mat_mul(linalg.mat_inv(l1.basis),
-                                tuple(tuple(Fraction(x) for x in row)
-                                      for row in l2.basis))
-    return _invariant_exponents(transition, l1.p)
+    transition = linalg.mat_mul(_scaled_inverse(l1), l2.basis)
+    return _invariant_exponents(transition, l1.p, 2 * l1.depth)
 
 
-def _invariant_exponents(transition, p: int) -> Tuple[int, ...]:
-    n = len(transition)
-    # clear all denominators; the non-p part of the scale is a p-adic unit
-    # and drops out of the valuations below
-    den = 1
-    for row in transition:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    scale_val = int(linalg.valuation(den, p))
-    ints = [[int(x * den) for x in row] for row in transition]
-    factors = linalg.invariant_factors_int(ints)
-    if len(factors) != n:
-        raise SingularInputError("transition map is singular")
-    exps = sorted((int(linalg.valuation(f, p)) - scale_val for f in factors),
-                  reverse=True)
-    return tuple(exps)
+def _invariant_exponents(transition, p: int, shift: int) -> Tuple[int, ...]:
+    """inv of the transition map transition / p^shift (integer entries)."""
+    return tuple(e - shift
+                 for e in linalg.elementary_divisor_exponents(transition, p))
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +220,26 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int,
     if n > 3 and depth > 1:
         raise BudgetExceededError(
             "expanded datum needs depth 1 within the budget", partial=None)
-    matrix = expanded.rational_matrix(p)
     lattices = enumerate_lattices(n, p, depth, max_nodes=max_nodes,
                                   _allow_big=n == 4)
+    # b carries row j of a basis to row perm[j], scaled by p^e_j; p^c b is
+    # integral, and the transition B^-1 b B is X / p^shift with X integral
+    perm = expanded.permutation
+    c = max(0, -min(expanded.exponents))
+    scales = [p ** (c + e) for e in expanded.exponents]
+    shift = 2 * depth + c
+    den = p ** shift
     points = []
     for model in lattices:
-        image_cols = linalg.mat_mul(matrix,
-                                    tuple(tuple(Fraction(x) for x in row)
-                                          for row in model.basis))
-        transition = linalg.mat_mul(linalg.mat_inv(model.basis), image_cols)
-        inv = _invariant_exponents(transition, p)
+        image = [None] * n
+        for j, row in enumerate(model.basis):
+            image[perm[j]] = [scales[j] * x for x in row]
+        transition = linalg.mat_mul(_scaled_inverse(model), image)
+        inv = _invariant_exponents(transition, p, shift)
         if inv != mu_eff:
             continue
-        sd = is_completely_slope_divisible(RationalIsocrystal(transition, p))
+        certificate = RationalIsocrystal(
+            tuple(tuple(Fraction(x, den) for x in row) for row in transition), p)
+        sd = is_completely_slope_divisible(certificate)
         points.append(ADLVPoint(model, inv, model.det_valuation(), sd))
     return ADLVCensus(tuple(points), mu_eff, p, depth, len(lattices))

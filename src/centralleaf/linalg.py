@@ -1,8 +1,11 @@
 """Exact linear algebra helpers: rational elimination, normal forms, valuations.
 
-Matrices are tuples of row tuples with int or Fraction entries.  Integer
-normal forms (Smith, Hermite) are delegated to sympy; everything rational
-is eliminated by hand with Fraction arithmetic so no floats ever appear.
+Matrices are tuples of row tuples with int or Fraction entries.  The
+p-adic elementary-divisor exponents of an integer matrix (all the ADLV
+census reads per lattice) are computed here with integer row operations
+only; full Smith and Hermite forms with their transforms are still
+delegated to sympy.  Everything rational is eliminated by hand with
+Fraction arithmetic, so no floats ever appear.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .errors import SingularInputError
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
-
-INFINITY = float("inf")
 
 
 def freeze(rows) -> Matrix:
@@ -146,29 +147,6 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> Optional[tup
     return tuple(aug[i][k] for i in range(row))
 
 
-def in_column_span(columns: Sequence[Sequence], target: Sequence) -> bool:
-    """Whether target lies in the Q-span of the columns (any rank)."""
-    if not columns:
-        return all(x == 0 for x in target)
-    n = len(columns[0])
-    work = [[Fraction(c[i]) for c in columns] + [Fraction(target[i])] for i in range(n)]
-    k = len(columns)
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, n) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [x * inv for x in work[row]]
-        for r in range(n):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        row += 1
-    return all(work[r][k] == 0 for r in range(row, n))
-
-
 def charpoly(m: Matrix) -> Tuple[Fraction, ...]:
     """Monic characteristic polynomial coefficients (c_0, ..., c_n), c_n = 1."""
     sym = SymMatrix([[x for x in row] for row in m])
@@ -178,10 +156,10 @@ def charpoly(m: Matrix) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def valuation(x, p: int):
-    """p-adic valuation of a rational; INFINITY for zero."""
+def valuation(x, p: int) -> Optional[int]:
+    """p-adic valuation of a rational; None for zero."""
     if x == 0:
-        return INFINITY
+        return None
     frac = Fraction(x)
     num, den = frac.numerator, frac.denominator
     v = 0
@@ -226,6 +204,51 @@ def smith_full(rows) -> Tuple[Tuple[int, ...], Matrix, Matrix]:
     smat = freeze(tuple(int(x) for x in row) for row in s.to_Matrix().tolist())
     tmat = freeze(tuple(int(x) for x in row) for row in t.to_Matrix().tolist())
     return divisors, smat, tmat
+
+
+def elementary_divisor_exponents(rows, p: int) -> Tuple[int, ...]:
+    """p-adic elementary-divisor exponents of a nonsingular integer matrix.
+
+    Over Z_p the matrix is equivalent to diag(p^e_1, ..., p^e_n); returns
+    the e_i in decreasing order.  Each step pivots on an entry of least
+    valuation and clears the pivot's column with row operations that scale
+    rows only by p-adic units.  The pivot row's other entries then have at
+    least the pivot's valuation, so column operations would clear them
+    without touching the rest: the pivot's row and column are dropped.
+    Raises SingularInputError when the matrix is singular.
+    """
+    work = [list(map(int, r)) for r in rows]
+    exps = []
+    while work:
+        best_v = best_i = best_j = None
+        for i, row in enumerate(work):
+            for j, x in enumerate(row):
+                if x == 0:
+                    continue
+                v = 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                if best_v is None or v < best_v:
+                    best_v, best_i, best_j = v, i, j
+                    if v == 0:
+                        break
+            if best_v == 0:
+                break
+        if best_v is None:
+            raise SingularInputError("matrix is singular")
+        pivot_row = work.pop(best_i)
+        scale = p ** best_v
+        unit = pivot_row[best_j] // scale
+        rest = [x for j, x in enumerate(pivot_row) if j != best_j]
+        for i, row in enumerate(work):
+            factor = row[best_j] // scale
+            others = [x for j, x in enumerate(row) if j != best_j]
+            if factor:
+                others = [unit * x - factor * y for x, y in zip(others, rest)]
+            work[i] = others
+        exps.append(best_v)
+    return tuple(sorted(exps, reverse=True))
 
 
 def invariant_factors_int(rows) -> Tuple[int, ...]:

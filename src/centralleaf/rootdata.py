@@ -226,9 +226,6 @@ class CoinvariantLattice:
         tors = tuple(int(x) % d for x, d in zip(image[self.free_rank:], self.torsion))
         return free, tors
 
-    def images_equal(self, u, v) -> bool:
-        return self.project(u) == self.project(v)
-
 
 def present_quotient(rank: int, relation_columns) -> CoinvariantLattice:
     """Present Z^rank modulo the integer span of the given columns."""

@@ -1,16 +1,18 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from centralleaf import linalg
+from centralleaf import lattices, linalg
 from centralleaf.affine import enumerate_elements, rep_lift
 from centralleaf.errors import BudgetExceededError, PreconditionError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     is_completely_slope_divisible)
-from centralleaf.lattices import (adlv_points, enumerate_lattices,
-                                  lattice_from_columns, relative_position)
+from centralleaf.lattices import (LatticeModel, adlv_points,
+                                  enumerate_lattices, lattice_from_columns,
+                                  relative_position)
 from centralleaf.leaves import neutral_acceptable
 from centralleaf.rootdata import build_classical
 
@@ -180,3 +182,62 @@ def test_mazur_consistency_grid_small():
             flagged.append(x)  # depth escalation needed, never a theorem
     assert not flagged or all(
         not adlv_points(rep_lift(x), (1, 0), 2, 2).nonempty for x in flagged)
+
+
+def sympy_relative_position(l1_basis, image_basis, p):
+    """Oracle inv(L1, L2) from the rational transition B1^-1 B2 and sympy's
+    invariant factors; shares no code with the census check."""
+    transition = linalg.mat_mul(linalg.mat_inv(l1_basis), image_basis)
+    den = 1
+    for row in transition:
+        for x in row:
+            den = lcm(den, F(x).denominator)
+    ints = [[int(x * den) for x in row] for row in transition]
+    shift = linalg.valuation(den, p)
+    return tuple(sorted((linalg.valuation(f, p) - shift
+                         for f in linalg.invariant_factors_int(ints)),
+                        reverse=True))
+
+
+def test_every_census_check_matches_sympy_oracle(monkeypatch):
+    # GL2 depth-1 grid: every lattice's exponents, not only the matches
+    recorded = []
+    check = lattices._invariant_exponents
+
+    def record(*args):
+        recorded.append(check(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(lattices, "_invariant_exponents", record)
+    for x in enumerate_elements(GL2, 2, 2):
+        b = rep_lift(x)
+        for p in (2, 3):
+            recorded.clear()
+            census = adlv_points(b, (1, 0), p, 1)
+            models = enumerate_lattices(2, p, 1)
+            assert len(recorded) == len(models) == census.lattice_count
+            matrix = b.rational_matrix(p)
+            expected = [sympy_relative_position(
+                m.basis, linalg.mat_mul(matrix, m.basis), p) for m in models]
+            assert recorded == expected, (x, p)
+            assert [pt.lattice for pt in census.points] == \
+                [m for m, inv in zip(models, expected) if inv == (1, 0)]
+
+
+def test_relative_position_matches_sympy_oracle():
+    models = enumerate_lattices(2, 2, 2)
+    rng = random.Random(31)
+    for _ in range(200):
+        l1, l2 = rng.choice(models), rng.choice(models)
+        assert relative_position(l1, l2) == \
+            sympy_relative_position(l1.basis, l2.basis, 2)
+
+
+def test_relative_position_refuses_non_hermite_models():
+    std = _std()
+    lower = LatticeModel(2, 2, 1, ((2, 0), (1, 2)))
+    with pytest.raises(PreconditionError):
+        relative_position(lower, std)
+    missing = LatticeModel(2, 2, 1, ((3, 0), (0, 2)))  # 4 Lambda not inside
+    with pytest.raises(PreconditionError):
+        relative_position(missing, std)

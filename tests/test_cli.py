@@ -151,3 +151,33 @@ def test_element_doc_tolerant_parse():
     assert x2.translation == (0, 1)
     with pytest.raises(Exception):
         serialize.element_from_doc(GL2, "{lambda:[1,0],w:s,extra:1}")
+
+
+def test_explicit_flag_beats_spec_beats_default(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "crosscheck", "group": "GL2",
+                                "format": "structured-text", "cap": 1}),
+                    encoding="utf-8")
+    from_spec = cli.spec_from_args(["crosscheck", "--spec", str(path)])
+    assert (from_spec.format, from_spec.cap) == ("structured-text", 1)
+    typed = cli.spec_from_args(["crosscheck", "--spec", str(path),
+                                "--format", "csv", "--cap", "2"])
+    assert (typed.format, typed.cap) == ("csv", 2)
+    # with neither a flag nor a spec entry the parser's default applies
+    assert cli.spec_from_args(["crosscheck", "--group", "GL2"]).cap == 2
+
+
+def test_spec_command_mismatch_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "adm", "group": "GL2", "mu": "1,0"}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, ["report", "--spec", str(path),
+                                      "--format", "structured-text"])
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert "'adm'" in err and "'report'" in err
+    code, out, _ = run_cli(capsys, ["adm", "--spec", str(path),
+                                    "--format", "structured-text"])
+    assert code == 0 and json.loads(out)
+    path.write_text("[1, 2]", encoding="utf-8")
+    code, _, err = run_cli(capsys, ["adm", "--spec", str(path)])
+    assert code == cli.EXIT_VALIDATION and "JSON object" in err
