@@ -16,10 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
-
-from sympy import QQ, Poly, Symbol, factor_list, Rational
 
 from . import linalg
 from .errors import (ConfigurationError, DatumMismatchError, ConsistencyError,
@@ -318,21 +316,17 @@ def _csd_monomial(m: MonomialIsocrystal) -> SlopeDivisibilityReport:
         "equation certifies the slope grading")
 
 
-def _saturate_columns(cols: Sequence[Sequence[int]]) -> List[tuple]:
-    """Saturation in Z^n of the lattice spanned by integer columns."""
+def _saturate_columns(cols: Sequence[Sequence]) -> List[tuple]:
+    """Basis of the saturation in Z^n (Q-span intersected with Z^n) of
+    rational columns: the first columns of S^-1 for S*A*T = D."""
     n = len(cols[0])
-    k = len(cols)
-    rows = [[int(c[i]) for c in cols] for i in range(n)]
-    divisors, s = linalg.smith_with_transform(rows)
-    rank = sum(1 for d in divisors if d != 0)
-    if rank != k:
+    dens = [lcm(*(Fraction(x).denominator for x in c)) for c in cols]
+    rows = [[int(c[i] * d) for c, d in zip(cols, dens)] for i in range(n)]
+    divisors, s, _t = linalg.smith_full(rows)
+    if sum(1 for d in divisors if d != 0) != len(cols):
         raise ConsistencyError("saturation input not of full column rank")
     s_inv = linalg.mat_inv(s)
-    out = []
-    for j in range(k):
-        col = tuple(int(s_inv[i][j]) for i in range(n))
-        out.append(col)
-    return out
+    return [tuple(int(s_inv[i][j]) for i in range(n)) for j in range(len(cols))]
 
 
 def _restricted_matrix(t: Matrix, basis_cols: Sequence[Sequence]) -> Optional[Matrix]:
@@ -351,14 +345,8 @@ def _rational_slope_pieces(t: Matrix, p: int, expected: dict) -> Optional[dict]:
     """Slope pieces via exact factorisation over Q, when every irreducible
     factor of the characteristic polynomial is isoclinic.  Returns
     {slope: saturated basis columns} or None when a factor mixes slopes."""
-    x = Symbol("x")
-    coeffs = linalg.charpoly(t)
-    poly = Poly(sum(Rational(c.numerator, c.denominator) * x ** i
-                    for i, c in enumerate(coeffs)), x, domain=QQ)
-    _, factors = factor_list(poly)
     grouped = {}
-    for factor, mult in factors:
-        fc = [Fraction(c.p, c.q) for c in reversed(Poly(factor, x).all_coeffs())]
+    for fc, mult in linalg.factor_over_q(linalg.charpoly(t)):
         fslopes = set(newton_polygon_slopes(fc, p))
         if len(fslopes) != 1:
             return None
@@ -377,25 +365,12 @@ def _rational_slope_pieces(t: Matrix, p: int, expected: dict) -> Optional[dict]:
     if set(grouped) != set(expected):
         raise ConsistencyError("factor slopes disagree with polygon slopes")
     pieces = {}
-    n = len(t)
     for slope, gcoeffs in grouped.items():
         # kernel of g(T) over Q, intersected with Z^n (saturated basis)
-        g_of_t = _poly_of_matrix(gcoeffs, t)
-        kernel = _rational_kernel(g_of_t)
+        kernel = linalg.kernel(_poly_of_matrix(gcoeffs, t))
         if len(kernel) != expected[slope]:
             raise ConsistencyError("kernel dimension disagrees with multiplicity")
-        # scale rational kernel vectors to primitive integer vectors
-        int_cols = []
-        for vec in kernel:
-            den = 1
-            for entry in vec:
-                den = lcm(den, Fraction(entry).denominator)
-            ints = [int(entry * den) for entry in vec]
-            content = 0
-            for value in ints:
-                content = gcd(content, value)
-            int_cols.append(tuple(v // content for v in ints))
-        pieces[slope] = _saturate_columns(int_cols)
+        pieces[slope] = _saturate_columns(kernel)
     return pieces
 
 
@@ -408,37 +383,6 @@ def _poly_of_matrix(coeffs: Sequence[Fraction], t: Matrix) -> Matrix:
         if c != 0:
             result = linalg.mat_add(result, linalg.mat_scale(c, power))
     return result
-
-
-def _rational_kernel(m: Matrix) -> List[tuple]:
-    """Basis of ker(m) over Q by Gaussian elimination."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    work = [[Fraction(x) for x in row] for row in m]
-    pivots = {}
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, nrows) if work[r][col] != 0), None)
-        if pr is None:
-            continue
-        work[row], work[pr] = work[pr], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [x * inv for x in work[row]]
-        for r in range(nrows):
-            if r != row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        pivots[col] = row
-        row += 1
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -work[pr][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 _HENSEL_SCHEDULE = (6, 12, 24, 48)
@@ -621,8 +565,7 @@ def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
         approx_window = prec - len(fac) * omega + den_val
         if approx_window <= 4:
             return None
-        factor_vals = [linalg.valuation(f, p)
-                       for f in linalg.invariant_factors_int(scaled)]
+        factor_vals = linalg.local_exponents(scaled, p)
         # the last expected[slope] invariant factors are the kernel directions;
         # at finite precision they show up as junk of huge valuation
         genuine = factor_vals[:n - expected[slope]]
@@ -698,7 +641,7 @@ def _approx_piece_invertible(t: Matrix, basis, slope: int, p: int,
         images.append([int(x * den) * dinv % q for x in scaled])
     x_cols = []
     for img in images:
-        sol = _solve_mod_q(basis, img, p, window)
+        sol = linalg.solve_mod(basis, img, q)
         if sol is None:
             # the true pieces are T-stable, so inexpressibility can only be
             # a precision artifact; retry at the next schedule step
@@ -707,30 +650,6 @@ def _approx_piece_invertible(t: Matrix, basis, slope: int, p: int,
     detx = linalg.det(linalg.freeze([[x_cols[j][i] for j in range(m)]
                                      for i in range(m)]))
     return int(detx) % p != 0
-
-
-def _solve_mod_q(basis, target, p: int, window: int):
-    """Solve basis * x = target mod p^window with integer x, or None."""
-    n = len(basis[0])
-    m = len(basis)
-    q = p ** window
-    rows = [[basis[j][i] for j in range(m)] for i in range(n)]
-    dmat, smat, tmat = linalg.smith_full(rows)
-    rhs = [sum(smat[i][k] * target[k] for k in range(n)) % q for i in range(n)]
-    y = []
-    for i in range(m):
-        di = dmat[i] if i < len(dmat) else 0
-        if di == 0:
-            return None
-        dval = int(linalg.valuation(di, p))
-        unit = di // p ** dval
-        if rhs[i] % p ** dval != 0:
-            return None
-        y.append((rhs[i] // p ** dval) * pow(unit % q, -1, q) % q)
-    for i in range(m, n):
-        if rhs[i] % q != 0:
-            return None
-    return [sum(tmat[i][k] * y[k] for k in range(m)) % q for i in range(m)]
 
 
 def _orbit_return_steps(u: Matrix, p: int) -> Optional[int]:
@@ -751,8 +670,7 @@ def _orbit_return_steps(u: Matrix, p: int) -> Optional[int]:
         for x in c:
             den = lcm(den, Fraction(x).denominator)
     int_rows = [[int(c[i] * den) for c in cols] for i in range(m)]
-    hull = linalg.hnf_columns(int_rows)
-    det_val = sum(linalg.valuation(hull[i][i], p) for i in range(m))
+    det_val = sum(linalg.local_exponents(int_rows, p))
     index_exp = m * linalg.valuation(den, p) - det_val
     if index_exp < 0:
         raise ConsistencyError("lattice hull has negative index exponent")

@@ -1,23 +1,22 @@
-"""Exact linear algebra helpers: rational elimination, normal forms, valuations.
+"""Exact linear algebra: elimination, integer normal forms, valuations.
 
-Matrices are tuples of row tuples with int or Fraction entries.  The
-p-adic elementary-divisor exponents of an integer matrix (all the ADLV
-census reads per lattice) are computed here with integer row operations
-only; full Smith and Hermite forms with their transforms are still
-delegated to sympy.  Everything rational is eliminated by hand with
-Fraction arithmetic, so no floats ever appear.
+Matrices are tuples of row tuples with int or Fraction entries; no floats
+ever appear.  Everything rational goes through one Gauss-Jordan routine
+(``det``, ``mat_inv``, ``solve_columns``, ``kernel``).  The p-adic
+elementary-divisor exponents (all the ADLV census reads per lattice) come
+from integer row operations that scale rows only by p-adic units.  Smith
+and Hermite forms with their transforms are computed with integer row and
+column operations (H. Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, section 2.4), characteristic polynomials by Berkowitz's
+division-free algorithm.  sympy is used for one job only, factorisation
+over Q, and is imported on the first call of ``factor_over_q``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
-
-from sympy import Matrix as SymMatrix
-from sympy import ZZ
-from sympy.matrices.normalforms import hermite_normal_form
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import invariant_factors, smith_normal_decomp
+from math import lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import SingularInputError
 
@@ -70,46 +69,60 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+# ---------------------------------------------------------------------------
+# elimination over Q
+
+def _gauss_jordan(rows, width: Optional[int] = None):
+    """Gauss-Jordan elimination over Q, pivoting in the first ``width`` columns.
+
+    Returns (reduced, pivots, determinant): the reduced row echelon form as lists of
+    Fractions (pivot entries 1, the rest of each pivot column 0; columns past
+    ``width`` are carried along), the pivot columns in order, and the
+    determinant of the leading square block (0 when the rows have no pivot
+    each).
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(work)
+    if width is None:
+        width = len(work[0]) if work else 0
+    pivots = []
+    determinant = Fraction(1)
+    for col in range(width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if work[i][col] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            determinant = -determinant
+        determinant *= work[r][col]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    if len(pivots) < nrows:
+        determinant = Fraction(0)
+    return work, pivots, determinant
+
+
 def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        result *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * result
+    """Determinant over Q."""
+    return _gauss_jordan(m)[2]
 
 
 def mat_inv(m: Matrix) -> Matrix:
     """Exact inverse over Q; raises SingularInputError when singular."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularInputError("matrix is singular over Q")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return freeze(row[n:] for row in aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    reduced, pivots, _ = _gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise SingularInputError("matrix is singular over Q")
+    return freeze(row[n:] for row in reduced)
 
 
 def solve_columns(columns: Sequence[Sequence], target: Sequence) -> Optional[tuple]:
@@ -121,40 +134,79 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> Optional[tup
     """
     if not columns:
         return () if all(x == 0 for x in target) else None
-    n = len(columns[0])
     k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularInputError("dependent columns in solve_columns")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(row)
-        row += 1
-    # Rows below the pivot block must vanish for consistency.
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    return tuple(aug[i][k] for i in range(row))
+    aug = [[c[i] for c in columns] + [t] for i, t in enumerate(target)]
+    reduced, pivots, _ = _gauss_jordan(aug, k)
+    if len(pivots) < k:
+        raise SingularInputError("dependent columns in solve_columns")
+    if any(row[k] != 0 for row in reduced[k:]):
+        return None
+    return tuple(row[k] for row in reduced[:k])
 
+
+def kernel(m: Matrix) -> List[Vector]:
+    """Basis of the right kernel of m over Q, one vector per free column."""
+    reduced, pivots, _ = _gauss_jordan(m)
+    ncols = len(m[0]) if m else 0
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in enumerate(pivots):
+            vec[pc] = -reduced[row][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# polynomials
 
 def charpoly(m: Matrix) -> Tuple[Fraction, ...]:
-    """Monic characteristic polynomial coefficients (c_0, ..., c_n), c_n = 1."""
-    sym = SymMatrix([[x for x in row] for row in m])
-    poly = sym.charpoly()
-    coeffs = poly.all_coeffs()  # leading first
-    out = [Fraction(c.p, c.q) for c in reversed(coeffs)]
-    return tuple(out)
+    """Monic characteristic polynomial coefficients (c_0, ..., c_n), c_n = 1.
 
+    Berkowitz's division-free algorithm runs on the integer matrix d*M
+    (d the common denominator); the coefficient of x^i is then rescaled
+    by d^(n-i).
+    """
+    n = len(m)
+    d = lcm(*(Fraction(x).denominator for row in m for x in row)) if n else 1
+    a = [[int(Fraction(x) * d) for x in row] for row in m]
+    # charpoly of the trailing block a[k:, k:], leading coefficient first
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        size = n - k
+        row = a[k][k + 1:]
+        vec = [a[i][k] for i in range(k + 1, n)]
+        column = [1, -a[k][k]]
+        for step in range(size - 1):
+            column.append(-sum(x * y for x, y in zip(row, vec)))
+            if step < size - 2:
+                vec = [sum(x * y for x, y in zip(a[i][k + 1:], vec))
+                       for i in range(k + 1, n)]
+        poly = [sum(column[i - j] * poly[j] for j in range(min(i, size - 1) + 1))
+                for i in range(size + 1)]
+    return tuple(Fraction(c, d ** i) for i, c in enumerate(poly))[::-1]
+
+
+def factor_over_q(coeffs: Sequence[Fraction]) -> List[Tuple[Tuple[Fraction, ...], int]]:
+    """Irreducible factors over Q of sum_i coeffs[i] x^i, with multiplicities.
+
+    Each factor comes as its coefficient tuple, constant term first (sympy's
+    primitive integer normalisation).  The one place sympy is used.
+    """
+    from sympy import QQ, Poly, Rational, Symbol, factor_list
+
+    x = Symbol("x")
+    poly = Poly(sum(Rational(c.numerator, c.denominator) * x ** i
+                    for i, c in enumerate(map(Fraction, coeffs))), x, domain=QQ)
+    return [(tuple(Fraction(c.p, c.q) for c in reversed(Poly(f, x).all_coeffs())), mult)
+            for f, mult in factor_list(poly)[1]]
+
+
+# ---------------------------------------------------------------------------
+# valuations and p-local exponents
 
 def valuation(x, p: int) -> Optional[int]:
     """p-adic valuation of a rational; None for zero."""
@@ -172,50 +224,16 @@ def valuation(x, p: int) -> Optional[int]:
     return v
 
 
-def smith_with_transform(rows) -> Tuple[Tuple[int, ...], Matrix]:
-    """Smith form of an integer matrix plus the left transform.
+def local_exponents(rows, p: int) -> Tuple[int, ...]:
+    """p-adic valuations of the nonzero elementary divisors of an integer
+    matrix, in ascending (divisibility) order; one per unit of rank.
 
-    Returns (divisors, S) with S*A*T diagonal; ``divisors`` has one entry
-    per row of A (zeros padded when rank deficient).
-    """
-    a = [list(map(int, r)) for r in rows]
-    nrows = len(a)
-    if nrows == 0 or len(a[0]) == 0 or all(x == 0 for r in a for x in r):
-        return (0,) * nrows, identity(nrows)
-    dm = DomainMatrix.from_Matrix(SymMatrix(a)).convert_to(ZZ)
-    d, s, _t = smith_normal_decomp(dm)
-    dmat = d.to_Matrix().tolist()
-    smat = freeze(tuple(int(x) for x in row) for row in s.to_Matrix().tolist())
-    divisors = []
-    ncols = len(a[0])
-    for i in range(nrows):
-        divisors.append(abs(int(dmat[i][i])) if i < ncols else 0)
-    return tuple(divisors), smat
-
-
-def smith_full(rows) -> Tuple[Tuple[int, ...], Matrix, Matrix]:
-    """Smith decomposition S*A*T = diag(divisors): returns (divisors, S, T)."""
-    a = [list(map(int, r)) for r in rows]
-    nrows, ncols = len(a), len(a[0])
-    dm = DomainMatrix.from_Matrix(SymMatrix(a)).convert_to(ZZ)
-    d, s, t = smith_normal_decomp(dm)
-    dmat = d.to_Matrix().tolist()
-    divisors = tuple(abs(int(dmat[i][i])) for i in range(min(nrows, ncols)))
-    smat = freeze(tuple(int(x) for x in row) for row in s.to_Matrix().tolist())
-    tmat = freeze(tuple(int(x) for x in row) for row in t.to_Matrix().tolist())
-    return divisors, smat, tmat
-
-
-def elementary_divisor_exponents(rows, p: int) -> Tuple[int, ...]:
-    """p-adic elementary-divisor exponents of a nonsingular integer matrix.
-
-    Over Z_p the matrix is equivalent to diag(p^e_1, ..., p^e_n); returns
-    the e_i in decreasing order.  Each step pivots on an entry of least
-    valuation and clears the pivot's column with row operations that scale
-    rows only by p-adic units.  The pivot row's other entries then have at
-    least the pivot's valuation, so column operations would clear them
-    without touching the rest: the pivot's row and column are dropped.
-    Raises SingularInputError when the matrix is singular.
+    Each step pivots on an entry of least valuation and clears the pivot's
+    column with row operations that scale rows only by p-adic units.  The
+    pivot row's other entries then have at least the pivot's valuation, so
+    column operations would clear them without touching the rest: the
+    pivot's row and column are dropped.  The loop stops when the remaining
+    block is zero.
     """
     work = [list(map(int, r)) for r in rows]
     exps = []
@@ -236,7 +254,7 @@ def elementary_divisor_exponents(rows, p: int) -> Tuple[int, ...]:
             if best_v == 0:
                 break
         if best_v is None:
-            raise SingularInputError("matrix is singular")
+            break
         pivot_row = work.pop(best_i)
         scale = p ** best_v
         unit = pivot_row[best_j] // scale
@@ -248,28 +266,121 @@ def elementary_divisor_exponents(rows, p: int) -> Tuple[int, ...]:
                 others = [unit * x - factor * y for x, y in zip(others, rest)]
             work[i] = others
         exps.append(best_v)
-    return tuple(sorted(exps, reverse=True))
+    return tuple(sorted(exps))
 
 
-def invariant_factors_int(rows) -> Tuple[int, ...]:
-    """Nonzero invariant factors of an integer matrix, divisibility order."""
-    dm = DomainMatrix.from_Matrix(SymMatrix([list(map(int, r)) for r in rows]))
-    dm = dm.convert_to(ZZ)
-    return tuple(abs(int(f)) for f in invariant_factors(dm))
+def elementary_divisor_exponents(rows, p: int) -> Tuple[int, ...]:
+    """p-adic elementary-divisor exponents of a nonsingular integer matrix.
+
+    Over Z_p the matrix is equivalent to diag(p^e_1, ..., p^e_n); returns
+    the e_i in decreasing order (see ``local_exponents``).  Raises
+    SingularInputError when the matrix is singular.
+    """
+    exps = local_exponents(rows, p)
+    if len(exps) < len(rows):
+        raise SingularInputError("matrix is singular")
+    return exps[::-1]
+
+
+# ---------------------------------------------------------------------------
+# integer normal forms
+
+def smith_full(rows) -> Tuple[Tuple[int, ...], Matrix, Matrix]:
+    """Smith decomposition S*A*T = diag(divisors) of an integer matrix.
+
+    Returns (divisors, S, T): S and T unimodular, ``divisors`` the
+    min(rows, columns) nonnegative invariant factors in divisibility order,
+    zeros last.
+    """
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    s = [list(r) for r in identity(m)]
+    t = [list(r) for r in identity(n)]
+
+    def add_row(i, k, q):  # row_i -= q * row_k
+        if not q:
+            return
+        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        s[i] = [x - q * y for x, y in zip(s[i], s[k])]
+
+    def add_col(j, k, q):  # col_j -= q * col_k
+        if not q:
+            return
+        for r in a + t:
+            r[j] -= q * r[k]
+
+    def swap(d, i, j):  # bring entry (i, j) to (d, d)
+        a[d], a[i] = a[i], a[d]
+        s[d], s[i] = s[i], s[d]
+        for r in a + t:
+            r[d], r[j] = r[j], r[d]
+
+    divisors = []
+    for d in range(min(m, n)):
+        entries = [(abs(a[i][j]), i, j) for i in range(d, m) for j in range(d, n)
+                   if a[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        swap(d, i, j)
+        while True:
+            for i in range(d + 1, m):
+                add_row(i, d, a[i][d] // a[d][d])
+            for j in range(d + 1, n):
+                add_col(j, d, a[d][j] // a[d][d])
+            rest = [(abs(a[i][d]), i, d) for i in range(d + 1, m) if a[i][d]]
+            rest += [(abs(a[d][j]), d, j) for j in range(d + 1, n) if a[d][j]]
+            if rest:
+                # remainders are smaller than the pivot: move the least in
+                _, i, j = min(rest)
+                swap(d, i, j)
+                continue
+            bad = next((i for i in range(d + 1, m) for j in range(d + 1, n)
+                        if a[i][j] % a[d][d]), None)
+            if bad is None:
+                break
+            add_row(d, bad, -1)
+        if a[d][d] < 0:
+            a[d] = [-x for x in a[d]]
+            s[d] = [-x for x in s[d]]
+        divisors.append(a[d][d])
+    divisors += [0] * (min(m, n) - len(divisors))
+    return tuple(divisors), freeze(s), freeze(t)
 
 
 def hnf_columns(rows) -> Matrix:
     """Canonical column-span Hermite form of an integer matrix.
 
     Upper triangular n x n with positive pivots and off-diagonal entries
-    reduced into [0, pivot) within each row; requires full row rank.
+    reduced into [0, pivot) within each row; requires full row rank.  Rows
+    are processed from the bottom, each by a Euclidean reduction among the
+    generators not yet used as a pivot.
     """
-    h = hermite_normal_form(SymMatrix([list(map(int, r)) for r in rows]))
-    out = freeze(tuple(int(x) for x in row) for row in h.tolist())
     n = len(rows)
-    if len(out) != n or len(out[0]) != n:
-        raise SingularInputError("lattice generators do not have full rank")
-    return out
+    pool = [list(map(int, c)) for c in zip(*rows)]
+    h = [None] * n
+    for i in range(n - 1, -1, -1):
+        while True:
+            live = [c for c in pool if c[i]]
+            if len(live) <= 1:
+                break
+            pivot = min(live, key=lambda c: abs(c[i]))
+            for c in live:
+                if c is not pivot:
+                    q = c[i] // pivot[i]
+                    c[:] = [x - q * y for x, y in zip(c, pivot)]
+        if not live:
+            raise SingularInputError("lattice generators do not have full rank")
+        pivot = live[0]
+        pool.remove(pivot)
+        h[i] = pivot if pivot[i] > 0 else [-x for x in pivot]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            q = h[j][i] // h[i][i]
+            if q:
+                h[j] = [x - q * y for x, y in zip(h[j], h[i])]
+    return transpose(h)
 
 
 def triangular_membership(h: Matrix, v: Sequence[int]) -> bool:
@@ -288,28 +399,36 @@ def triangular_membership(h: Matrix, v: Sequence[int]) -> bool:
 def kernel_mod_prime_power(rows, p: int, k: int) -> Matrix:
     """Basis (columns) of the lattice {v : A v == 0 mod p^k}, containing p^k Z^m.
 
-    Computed through an exact Smith decomposition of A; the result is the
-    honest integer lattice, encoded by an m x m column matrix.
+    With S*A*T = D, v = T y lies in the lattice exactly when d_j y_j is
+    divisible by p^k for every j; the result is the Hermite form of the
+    scaled columns of T together with p^k Z^m.
     """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a[0])
-    dm = DomainMatrix.from_Matrix(SymMatrix(a)).convert_to(ZZ)
-    d, _s, t = smith_normal_decomp(dm)
-    dmat = d.to_Matrix().tolist()
-    tmat = [[int(x) for x in row] for row in t.to_Matrix().tolist()]
+    divisors, _s, t = smith_full(rows)
+    m = len(t)
     q = p ** k
-    scale = []
-    for j in range(m):
-        dj = int(dmat[j][j]) if j < len(dmat) else 0
-        if dj == 0:
-            scale.append(1)
-        else:
-            e = 0
-            dj = abs(dj)
-            while dj % p == 0:
-                dj //= p
-                e += 1
-            scale.append(p ** max(0, k - e))
-    cols = [[tmat[i][j] * scale[j] for i in range(m)] for j in range(m)]
-    cols += [[q if i == j else 0 for i in range(m)] for j in range(m)]
-    return hnf_columns([[col[i] for col in cols] for i in range(m)])
+    scale = [p ** max(0, k - valuation(d, p)) if d else 1 for d in divisors]
+    scale += [1] * (m - len(scale))
+    gens = [[t[i][j] * scale[j] for j in range(m)] + [q * (i == j) for j in range(m)]
+            for i in range(m)]
+    return hnf_columns(gens)
+
+
+def solve_mod(columns: Sequence[Sequence[int]], target: Sequence[int],
+              q: int) -> Optional[Tuple[int, ...]]:
+    """Integers x, reduced mod q, with sum_j x_j * columns[j] == target mod q;
+    None when there are none.
+
+    Solves [B | q I] (x, z) = target exactly through a Smith decomposition;
+    the matrix has full row rank, so every divisor is nonzero.
+    """
+    n, k = len(target), len(columns)
+    rows = [[c[i] for c in columns] + [q * (i == j) for j in range(n)]
+            for i in range(n)]
+    divisors, s, t = smith_full(rows)
+    y = []
+    for d, srow in zip(divisors, s):
+        r = sum(a * b for a, b in zip(srow, target))
+        if r % d:
+            return None
+        y.append(r // d)
+    return tuple(sum(a * b for a, b in zip(t[i], y)) % q for i in range(k))

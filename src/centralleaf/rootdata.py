@@ -232,7 +232,8 @@ def present_quotient(rank: int, relation_columns) -> CoinvariantLattice:
     if not relation_columns:
         return CoinvariantLattice(rank, (), linalg.identity(rank))
     rows = [[int(col[i]) for col in relation_columns] for i in range(rank)]
-    divisors, s = linalg.smith_with_transform(rows)
+    divisors, s, _t = linalg.smith_full(rows)
+    divisors += (0,) * (rank - len(divisors))
 
     def _normalize(row):
         # Flip so the first nonzero entry is positive: makes the GL free

@@ -474,27 +474,6 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
     return datum
 
 
-def _mod_p_rank(columns: List[List[int]], p: int, n: int) -> int:
-    work = [[c[i] % p for c in columns] for i in range(n)]
-    rank = 0
-    ncols = len(columns)
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, n) if work[r][col] % p), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = pow(work[row][col], -1, p)
-        work[row] = [x * inv % p for x in work[row]]
-        for r in range(n):
-            if r != row and work[r][col] % p:
-                f = work[r][col]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
 def display_check(d: DisplayDatum) -> DisplayReport:
     """Check the four display axioms at truncation and linearise Phi1.
 
@@ -515,9 +494,10 @@ def display_check(d: DisplayDatum) -> DisplayReport:
                                                   for i in range(n)))
         for j in range(n))
 
-    divisors = linalg.invariant_factors_int(basis)
-    quotient_free = all(dv in (1, p) for dv in divisors)
-    hodge_rank = sum(1 for dv in divisors if dv == p) if quotient_free else None
+    # basis contains p^level Z^n, so every elementary divisor is a power of p
+    exps = linalg.local_exponents(basis, p)
+    quotient_free = all(e <= 1 for e in exps)
+    hodge_rank = exps.count(1) if quotient_free else None
 
     phi_compatible = True
     witness = None
@@ -529,19 +509,17 @@ def display_check(d: DisplayDatum) -> DisplayReport:
             witness = j
             break
 
-    phi1_image = [ [d.phi1[i][j] for i in range(n)] for j in range(len(m1_cols))]
-    phi_image = [[d.phi[i][j] for i in range(n)] for j in range(n)]
-    phi1_generates = _mod_p_rank(phi1_image + phi_image, p, n) == n
+    # rank mod p of [Phi1 | Phi] is its number of p-adic unit exponents
+    images = [list(r1) + list(r) for r1, r in zip(d.phi1, d.phi)]
+    phi1_generates = linalg.local_exponents(images, p).count(0) == n
 
     psi_matrix = None
     psi_invertible = False
-    cols_as_gens = m1_cols + [tuple(p * (1 if i == j else 0) for i in range(n))
-                              for j in range(n)]
     try:
         psi_cols = []
         for j in range(n):
             target = [basis[i][j] for i in range(n)]
-            sol = _solve_int_combination(cols_as_gens, target, q)
+            sol = linalg.solve_mod(gens, target, q)
             if sol is None:
                 raise ConsistencyError("basis vector not expressible in generators")
             image = [0] * n
@@ -591,26 +569,3 @@ def display_from_doc(doc: dict) -> DisplayDatum:
                         int_matrix(doc["m1_columns"]),
                         int_matrix(doc["phi"]),
                         int_matrix(doc["phi1"]))
-
-
-def _solve_int_combination(generators, target, q: int):
-    """Solve sum x_g * generators[g] = target mod q over the integers."""
-    n = len(target)
-    m = len(generators)
-    rows = [[generators[g][i] for g in range(m)] + [q if i == j else 0 for j in range(n)]
-            for i in range(n)]
-    divisors, s, t = linalg.smith_full(rows)
-    rhs = [sum(s[i][k] * target[k] for k in range(n)) for i in range(n)]
-    total = m + n
-    y = [0] * total
-    for i in range(n):
-        dv = divisors[i] if i < len(divisors) else 0
-        if dv == 0:
-            if rhs[i] != 0:
-                return None
-            continue
-        if rhs[i] % dv != 0:
-            return None
-        y[i] = rhs[i] // dv
-    sol = [sum(t[i][k] * y[k] for k in range(min(n, total))) for i in range(total)]
-    return sol[:m]

@@ -10,6 +10,7 @@ not affect any of the checked identities.
 """
 
 import itertools
+import pathlib
 import random
 import time
 from fractions import Fraction as F
@@ -234,3 +235,18 @@ def test_criterion_7_determinism_round_trip(tmp_path):
     report = leaf_report(GL2, xs)
     row = serialize.leaf_report_row(report)
     assert serialize.leaf_report_from_row(GL2, row) == report
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def test_golden_artifacts_pinned(tmp_path):
+    # tests/golden/golden_NN.txt is the artifact of GOLDEN_SPECS[NN], written
+    # once and checked in: a change that is consistent from run to run but
+    # alters any artifact byte fails here
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == [
+        f"golden_{idx:02d}.txt" for idx in range(len(GOLDEN_SPECS))]
+    for idx, argv in enumerate(GOLDEN_SPECS):
+        path = tmp_path / f"golden_{idx:02d}.txt"
+        assert cli.main(argv + ["--output", str(path)]) == 0, argv
+        assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), argv

@@ -4,6 +4,10 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from sympy import Matrix as SymMatrix
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from centralleaf import lattices, linalg
 from centralleaf.affine import enumerate_elements, rep_lift
@@ -194,8 +198,8 @@ def sympy_relative_position(l1_basis, image_basis, p):
             den = lcm(den, F(x).denominator)
     ints = [[int(x * den) for x in row] for row in transition]
     shift = linalg.valuation(den, p)
-    return tuple(sorted((linalg.valuation(f, p) - shift
-                         for f in linalg.invariant_factors_int(ints)),
+    factors = invariant_factors(DomainMatrix.from_Matrix(SymMatrix(ints)).convert_to(ZZ))
+    return tuple(sorted((linalg.valuation(int(f), p) - shift for f in factors),
                         reverse=True))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -217,6 +218,24 @@ def test_csd_certified_false():
     assert not report.divisible
     assert "index-p^1" in report.reason
     assert not _brute_force_two_slope_split(m, 2, (2, 0))
+
+
+@pytest.mark.parametrize("p,u,v", [(2, 1, 1), (2, -1, 1), (2, 1, 5), (2, 7, -7),
+                                   (3, 1, 1), (3, -1, -1), (3, 1, 7), (3, 5, -1)])
+def test_csd_mod_pk_certified_false(p, u, v):
+    # companion matrix of x^2 + p u x + p^3 v: eigenvalues of valuation 1 and
+    # 2 differ by valuation 1, so the slope pieces span an index-p sublattice;
+    # the discriminant is not a square, so the pieces are not Q-rational
+    disc = (p * u) ** 2 - 4 * p ** 3 * v
+    assert disc < 0 or math.isqrt(disc) ** 2 != disc
+    m = ((0, -p ** 3 * v), (1, -p * u))
+    report = is_completely_slope_divisible(RationalIsocrystal(m, p))
+    assert not report.divisible
+    assert "precision" in report.reason
+    assert not _brute_force_two_slope_split(m, p, (2, 1))
+    if (p, u, v) == (2, 1, 1):
+        assert report.reason == ("the saturated slope sublattices only span an "
+                                 "index-p^1 sublattice (certified at p-adic precision 5)")
 
 
 def test_csd_irrational_slope_spaces():

@@ -1,16 +1,30 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+
+from sympy import GF, ZZ
+from sympy import Matrix as SymMatrix
+from sympy.matrices.normalforms import hermite_normal_form
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from centralleaf import linalg
 from centralleaf.errors import SingularInputError
 
 
+def sympy_invariant_factors(rows):
+    """Nonzero invariant factors of an integer matrix, computed by sympy."""
+    dm = DomainMatrix.from_Matrix(SymMatrix([list(map(int, r)) for r in rows]))
+    return tuple(abs(int(f)) for f in invariant_factors(dm.convert_to(ZZ)))
+
+
 def sympy_exponents(rows, p):
     """Oracle: valuations of sympy's invariant factors, decreasing."""
-    factors = linalg.invariant_factors_int(rows)
+    factors = sympy_invariant_factors(rows)
     assert len(factors) == len(rows)
     return tuple(sorted((linalg.valuation(f, p) for f in factors), reverse=True))
 
@@ -61,3 +75,136 @@ def test_valuation_of_zero_is_none():
     assert linalg.valuation(0, 2) is None
     assert linalg.valuation(12, 2) == 2
     assert linalg.valuation(Fraction(5, 27), 3) == -3
+
+
+# ---------------------------------------------------------------------------
+# oracles for the integer normal forms and the elimination core
+
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def int_matrices(draw, max_n=4):
+    """n x k integer matrices, n <= max_n, k <= 2n; half of them products of
+    thin factors, so rank deficiency is common."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 2 * n))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(k)] for _ in range(n)]
+    r = draw(st.integers(0, n))
+    x = [[draw(entry) for _ in range(r)] for _ in range(n)]
+    y = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    return [[sum(x[i][t] * y[t][j] for t in range(r)) for j in range(k)]
+            for i in range(n)]
+
+
+@st.composite
+def fraction_matrices(draw, max_n=5, square=True):
+    n = draw(st.integers(1, max_n))
+    k = n if square else draw(st.integers(1, max_n))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 4)))
+    return [[draw(entry) for _ in range(k)] for _ in range(n)]
+
+
+def _sym(rows):
+    return SymMatrix([[sympy.Rational(x.numerator, x.denominator)
+                       for x in map(Fraction, row)] for row in rows])
+
+
+@ORACLE_SETTINGS
+@given(int_matrices())
+def test_hnf_columns_matches_sympy(rows):
+    expected = hermite_normal_form(SymMatrix(rows))
+    if expected.shape != (len(rows), len(rows)):
+        with pytest.raises(SingularInputError):
+            linalg.hnf_columns(rows)
+    else:
+        assert linalg.hnf_columns(rows) == tuple(tuple(map(int, r)) for r in expected.tolist())
+
+
+@ORACLE_SETTINGS
+@given(int_matrices())
+def test_smith_full_matches_sympy(rows):
+    divisors, s, t = linalg.smith_full(rows)
+    dm = DomainMatrix.from_Matrix(SymMatrix(rows)).convert_to(ZZ)
+    assert divisors == tuple(abs(int(f)) for f in invariant_factors(dm))
+    assert abs(linalg.det(s)) == 1 and abs(linalg.det(t)) == 1
+    product = linalg.mat_mul(linalg.mat_mul(s, rows), t)
+    assert product == tuple(tuple(divisors[i] if i == j else 0 for j in range(len(rows[0])))
+                            for i in range(len(rows)))
+
+
+@ORACLE_SETTINGS
+@given(fraction_matrices())
+def test_charpoly_matches_sympy(rows):
+    expected = [Fraction(c.p, c.q) for c in reversed(_sym(rows).charpoly().all_coeffs())]
+    assert linalg.charpoly(rows) == tuple(expected)
+
+
+@ORACLE_SETTINGS
+@given(fraction_matrices())
+def test_det_and_inverse_match_sympy(rows):
+    sym = _sym(rows)
+    d = sym.det()
+    assert linalg.det(rows) == Fraction(d.p, d.q)
+    if d == 0:
+        with pytest.raises(SingularInputError):
+            linalg.mat_inv(rows)
+    else:
+        assert linalg.mat_inv(rows) == tuple(
+            tuple(Fraction(x.p, x.q) for x in r) for r in sym.inv().tolist())
+
+
+@ORACLE_SETTINGS
+@given(fraction_matrices(square=False))
+def test_kernel_matches_sympy(rows):
+    expected = [tuple(Fraction(x.p, x.q) for x in v) for v in _sym(rows).nullspace()]
+    assert linalg.kernel(rows) == expected
+
+
+@ORACLE_SETTINGS
+@given(int_matrices(), st.sampled_from((2, 3, 5)))
+def test_local_exponents_and_rank_mod_p_match_sympy(rows, p):
+    exps = linalg.local_exponents(rows, p)
+    factors = sympy_invariant_factors(rows)
+    assert exps == tuple(sorted(linalg.valuation(f, p) for f in factors if f))
+    rank_mod_p = DomainMatrix.from_Matrix(SymMatrix(rows)).convert_to(GF(p)).rank()
+    assert exps.count(0) == rank_mod_p
+
+
+@ORACLE_SETTINGS
+@given(int_matrices(max_n=3), st.sampled_from((2, 3)), st.integers(1, 2))
+def test_kernel_mod_prime_power_by_counting(rows, p, k):
+    # the returned columns lie in K = {v : A v == 0 mod q} and contain q Z^m;
+    # an index equal to that of K (counted by brute force) makes them span K
+    q = p ** k
+    m = len(rows[0])
+    basis = linalg.kernel_mod_prime_power(rows, p, k)
+    for j in range(m):
+        col = [basis[i][j] for i in range(m)]
+        assert all(sum(a * b for a, b in zip(r, col)) % q == 0 for r in rows)
+        assert linalg.triangular_membership(basis, [q * (i == j) for i in range(m)])
+    size = sum(1 for v in itertools.product(range(q), repeat=m)
+               if all(sum(a * b for a, b in zip(r, v)) % q == 0 for r in rows))
+    assert abs(linalg.det(basis)) * size == q ** m
+
+
+@ORACLE_SETTINGS
+@given(int_matrices(max_n=3), st.sampled_from((2, 3, 4, 9)), st.data())
+def test_solve_mod_by_search(rows, q, data):
+    columns = [tuple(r[j] for r in rows) for j in range(len(rows[0]))][:3]
+    target = data.draw(st.lists(st.integers(0, q - 1), min_size=len(rows),
+                                max_size=len(rows)))
+
+    def solves(x):
+        return all((sum(c[i] * xj for c, xj in zip(columns, x)) - target[i]) % q == 0
+                   for i in range(len(rows)))
+
+    found = linalg.solve_mod(columns, target, q)
+    exists = any(solves(x) for x in itertools.product(range(q), repeat=len(columns)))
+    assert (found is not None) == exists
+    if found is not None:
+        assert solves(found) and all(0 <= x < q for x in found)
+

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from sympy import Matrix as SymMatrix
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from centralleaf import linalg
 from centralleaf.errors import ConfigurationError, PreconditionError
 from centralleaf.rootdata import (LatticeAction, build_classical, coinvariants,
                                   datum_from_document, dominance_leq,
-                                  dominant_rep, is_dominant, parse_group_name)
+                                  dominant_rep, is_dominant, parse_group_name,
+                                  present_quotient)
 
 ALL_DATA = [build_classical("GL", 2), build_classical("GL", 3),
             build_classical("GL", 4), build_classical("SL", 3),
@@ -134,8 +139,8 @@ def test_coinvariants_rank_nullity():
     co = coinvariants(gl2, LatticeAction((swap,), 2))
     # relation image of (id - swap) has rank 1; free_rank 1 + 1 = rank 2
     relation = ((1, -1), (-1, 1))
-    divisors, _ = linalg.smith_with_transform(relation)
-    image_rank = sum(1 for d in divisors if d != 0)
+    factors = invariant_factors(DomainMatrix.from_Matrix(SymMatrix(relation)).convert_to(ZZ))
+    image_rank = sum(1 for f in factors if f != 0)
     assert co.free_rank + image_rank == gl2.cochar_rank
 
 
@@ -149,6 +154,25 @@ def test_coinvariants_projection_kills_relations():
         ge = linalg.mat_vec(swap, e)
         diff = tuple(a - b for a, b in zip(e, ge))
         assert co.project(diff) == co.project((0, 0))
+
+
+def test_present_quotient_of_classical_groups():
+    # pi_1 of the classical groups: Z through the determinant (GL) or the
+    # similitude character (GSp), trivial for the simply connected SL and Sp
+    for tag, sizes in (("GL", range(1, 7)), ("SL", range(2, 6)),
+                       ("Sp", (2, 4, 6)), ("GSp", (2, 4, 6))):
+        for n in sizes:
+            datum = build_classical(tag, n)
+            rank = datum.cochar_rank
+            pi1 = present_quotient(rank, list(datum.coroots))
+            assert pi1 == datum.pi1
+            if tag == "GL":
+                assert (pi1.free_rank, pi1.torsion, pi1.projection) == (1, (), ((1,) * rank,))
+            elif tag == "GSp":
+                assert (pi1.free_rank, pi1.torsion, pi1.projection) == (
+                    1, (), ((0,) * (rank - 1) + (1,),))
+            else:
+                assert (pi1.free_rank, pi1.torsion, pi1.projection) == (0, (), ())
 
 
 def test_coinvariants_rejects_bad_generator():
