@@ -8,7 +8,10 @@ checked by the test suite:
 * weight pairings against a Newton cocharacter.
 
 The module also decides complete slope divisibility of a lattice under a
-rational Frobenius matrix, with exact certificates in both directions.
+rational Frobenius matrix, with exact certificates in both directions.  The
+slope factors of the characteristic polynomial come from one p-adic Hensel
+lift (``_slope_factors_mod``); whether they lie in Q[x] is read off that
+lift, so no factorisation over Q is needed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -341,33 +344,50 @@ def _restricted_matrix(t: Matrix, basis_cols: Sequence[Sequence]) -> Optional[Ma
     return linalg.transpose(linalg.freeze(images))
 
 
-def _rational_slope_pieces(t: Matrix, p: int, expected: dict) -> Optional[dict]:
-    """Slope pieces via exact factorisation over Q, when every irreducible
-    factor of the characteristic polynomial is isoclinic.  Returns
-    {slope: saturated basis columns} or None when a factor mixes slopes."""
-    grouped = {}
-    for fc, mult in linalg.factor_over_q(linalg.charpoly(t)):
-        fslopes = set(newton_polygon_slopes(fc, p))
-        if len(fslopes) != 1:
-            return None
-        slope = next(iter(fslopes))
-        if slope.denominator != 1:
-            return None
-        slope = int(slope)
-        acc = grouped.setdefault(slope, [Fraction(1)])
-        for _ in range(mult):
-            acc_new = [Fraction(0)] * (len(acc) + len(fc) - 1)
-            for i, a in enumerate(acc):
-                for j, b in enumerate(fc):
-                    acc_new[i + j] += a * b
-            acc = acc_new
-            grouped[slope] = acc
-    if set(grouped) != set(expected):
-        raise ConsistencyError("factor slopes disagree with polygon slopes")
+def _rational_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
+                           coeffs: Sequence[Fraction]) -> Optional[dict]:
+    """Slope pieces when every slope factor of the characteristic polynomial
+    lies in Q[x]: {slope: saturated basis columns}, or None when one does not.
+
+    ``coeffs`` is the charpoly chi of p^shift * t, p-integral with slopes
+    >= 0.  With D the (p-prime) common denominator of its coefficients,
+    chi~(y) = D^n chi(y/D) is monic in Z[y].  A slope factor of chi~ that
+    lies in Q[y] lies in Z[y] with coefficients of absolute value at most
+    2^n ||chi~||_2 (Landau-Mignotte), so it is the symmetric residue of its
+    Hensel lift mod p^k once p^k exceeds twice that.  The candidates are
+    accepted only when each is isoclinic and their product is chi~; by the
+    uniqueness of the slope factorisation over Z_p they are then the slope
+    factors, so both answers are certified.
+    """
+    n = len(t)
+    den = lcm(*(c.denominator for c in coeffs))
+    model = [int(c * den ** (n - i)) for i, c in enumerate(coeffs)]
+    bound = 2 ** (n + 1) * (isqrt(sum(c * c for c in model)) + 1)
+    prec = next(k for k in itertools.count(1) if p ** k > bound)
+    q = p ** prec
+    candidates = {}
+    for level, fac in _slope_factors_mod(model, p, prec + n * (max(expected) + shift + 1)):
+        # fac lives in y / p^level; undo the substitution, then lift
+        cand = [c * p ** (level * (len(fac) - 1 - i)) % q for i, c in enumerate(fac)]
+        candidates[level - shift] = [c - q if 2 * c > q else c for c in cand]
+    if {s: len(c) - 1 for s, c in candidates.items()} != expected:
+        raise ConsistencyError("Hensel slope factors disagree with polygon slopes")
+    product = [1]
+    for cand in candidates.values():
+        out = [0] * (len(product) + len(cand) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(cand):
+                out[i + j] += a * b
+        product = out
+    if product != model or any(
+            set(newton_polygon_slopes(cand, p)) != {slope + shift}
+            for slope, cand in candidates.items()):
+        return None
+    # the kernel of chi~_s(D p^shift t) is the slope-s generalised eigenspace
+    scaled_t = linalg.mat_scale(den * p ** shift, t)
     pieces = {}
-    for slope, gcoeffs in grouped.items():
-        # kernel of g(T) over Q, intersected with Z^n (saturated basis)
-        kernel = linalg.kernel(_poly_of_matrix(gcoeffs, t))
+    for slope, cand in candidates.items():
+        kernel = linalg.kernel(_poly_of_matrix(cand, scaled_t))
         if len(kernel) != expected[slope]:
             raise ConsistencyError("kernel dimension disagrees with multiplicity")
         pieces[slope] = _saturate_columns(kernel)
@@ -484,7 +504,9 @@ def _hensel_split(coeffs: List[int], u: int, p: int, prec: int):
 def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
     """Factor a p-integral monic polynomial by integer slopes, mod p^prec.
 
-    Returns [(slope, coeff list mod p^prec)] covering the full degree.
+    Returns [(slope, coeff list mod p^prec)] covering the full degree; the
+    slope-k factor is in the variable y / p^k, and each of the k slope
+    levels stripped before it costs at most n digits of its precision.
     """
     q = p ** prec
 
@@ -523,20 +545,18 @@ def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
 
 
 def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
+                     shift: int, coeffs: Sequence[Fraction],
                      prec: int) -> Optional[SlopeDivisibilityReport]:
     """Decide slope divisibility when the slope subspaces are not Q-rational.
 
-    Hensel slope factorisation mod p^prec yields approximate lattice pieces;
-    answers are only returned when the deciding quantity sits strictly below
-    a conservative precision margin, otherwise None signals a retry.
+    Hensel slope factorisation mod p^prec of ``coeffs``, the charpoly of
+    p^shift * t, yields approximate lattice pieces; answers are only
+    returned when the deciding quantity sits strictly below a conservative
+    precision margin, otherwise None signals a retry.
     """
     n = len(t)
     slopes_desc = sorted(expected, reverse=True)
-    shift = -min(min(slopes_desc), 0)
-    t_shift = linalg.mat_scale(Fraction(p) ** shift, t)
-    max_level = max(slopes_desc) + shift + 1
-    prec_pad = prec + n * max_level
-    coeffs = linalg.charpoly(t_shift)
+    prec_pad = prec + n * (max(slopes_desc) + shift + 1)
     factors = _slope_factors_mod(coeffs, p, prec_pad)
     by_slope = {offset - shift: fac for offset, fac in factors}
     if set(by_slope) != set(expected):
@@ -602,16 +622,9 @@ def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
             f"sublattice (certified at p-adic precision {margin})")
 
     # invertibility on each approximate piece, one Frobenius power only
-    for slope in slopes_desc:
-        basis = pieces[slope]
-        ok = _approx_piece_invertible(t, basis, int(slope), p, margin)
-        if ok is None:
-            return None
-        if not ok:
-            return SlopeDivisibilityReport(
-                False, slopes, None, piece_matrices,
-                f"normalised Frobenius is not an automorphism of the "
-                f"slope-{Fraction(slope, r0)} summand (certified at precision {margin})")
+    if not all(_approx_piece_invertible(t, pieces[s], int(s), p, margin)
+               for s in slopes_desc):
+        return None
     return SlopeDivisibilityReport(
         True, slopes, r0, piece_matrices,
         f"lattice splits into isoclinic summands with invertible normalised "
@@ -619,11 +632,12 @@ def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
 
 
 def _approx_piece_invertible(t: Matrix, basis, slope: int, p: int,
-                             window: int) -> Optional[bool]:
-    """Whether p^-slope * T maps the approximate piece onto itself, judged
-    modulo p^window; None when the window is too small to decide."""
+                             window: int) -> bool:
+    """Whether p^-slope * T is seen to map the approximate piece onto itself
+    modulo p^window.  False certifies nothing (some power of it always
+    returns the piece, see ``_orbit_return_steps``): it only asks for a retry."""
     if window <= 2:
-        return None
+        return False
     m = len(basis)
     q = p ** window
     images = []
@@ -634,8 +648,6 @@ def _approx_piece_invertible(t: Matrix, basis, slope: int, p: int,
         for x in scaled:
             den = lcm(den, x.denominator)
         if linalg.valuation(den, p) > 0:
-            # a p-denominator in the normalised image is certified at any
-            # positive margin: the true image also leaves the integral span
             return False
         dinv = pow(den % q, -1, q)
         images.append([int(x * den) * dinv % q for x in scaled])
@@ -645,20 +657,21 @@ def _approx_piece_invertible(t: Matrix, basis, slope: int, p: int,
         if sol is None:
             # the true pieces are T-stable, so inexpressibility can only be
             # a precision artifact; retry at the next schedule step
-            return None
+            return False
         x_cols.append(sol)
     detx = linalg.det(linalg.freeze([[x_cols[j][i] for j in range(m)]
                                      for i in range(m)]))
     return int(detx) % p != 0
 
 
-def _orbit_return_steps(u: Matrix, p: int) -> Optional[int]:
-    """Least k with u^k integral at p (then u^k GL(Z_p) since det is a unit),
-    or None when provably no such k exists."""
+def _orbit_return_steps(u: Matrix, p: int) -> int:
+    """Least k with u^k integral at p (then u^k in GL(Z_p), since det u is a
+    unit).  Such a k always exists when u has slope 0."""
     m = len(u)
-    # Z_p[u]-span of the lattice: L + uL + ... + u^{m-1}L; the orbit of L
-    # under u lives among the sublattices of that span of fixed index, so a
-    # pigeonhole bound certifies non-return.
+    # Z_p[u]-span of the lattice: L + uL + ... + u^{m-1}L.  The charpoly of u
+    # is p-integral, so the span is u-stable, and the orbit of L under u
+    # lives among its sublattices of fixed index: by pigeonhole some u^k L
+    # is L, within the number of such sublattices.
     cols = []
     power = linalg.identity(m)
     for _ in range(m):
@@ -689,7 +702,7 @@ def _orbit_return_steps(u: Matrix, p: int) -> Optional[int]:
         power = linalg.mat_mul(power, u)
     if bound >= _ORBIT_HARD_CAP:
         raise InconclusiveError("orbit walk exceeded the hard cap")
-    return None
+    raise ConsistencyError("orbit of the lattice outran its sublattice count")
 
 
 def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
@@ -709,11 +722,14 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
         pieces_by_slope = {next(iter(expected)): [tuple(1 if i == j else 0 for i in range(n))
                                                   for j in range(n)]}
     else:
-        pieces_by_slope = _rational_slope_pieces(t, p, expected)
+        shift = -min(min(expected), 0)
+        coeffs = linalg.charpoly(linalg.mat_scale(Fraction(p) ** shift, t))
+        pieces_by_slope = _rational_slope_pieces(t, p, expected, shift, coeffs)
         if pieces_by_slope is None:
             # slope subspaces are not Q-rational: windowed mod-p^k decision
             for prec in _HENSEL_SCHEDULE:
-                report = _mod_pk_decision(t, p, r0, slopes, expected, prec)
+                report = _mod_pk_decision(t, p, r0, slopes, expected, shift,
+                                          coeffs, prec)
                 if report is not None:
                     return report
             raise InconclusiveError(
@@ -745,13 +761,7 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
         a = int(s)
         u = linalg.mat_scale(Fraction(1, p ** a) if a >= 0 else Fraction(p ** (-a)),
                              restricted)
-        k = _orbit_return_steps(u, p)
-        if k is None:
-            return SlopeDivisibilityReport(
-                False, slopes, None, piece_matrices,
-                f"p^(-{a}) * M^{r0} never stabilises the slope-{Fraction(s, r0)} "
-                "summand; the normalised Frobenius is unbounded on it")
-        periods.append(k)
+        periods.append(_orbit_return_steps(u, p))
     period = r0
     for k in periods:
         period = lcm(period, k * r0)
@@ -782,10 +792,10 @@ def is_completely_slope_divisible(m) -> SlopeDivisibilityReport:
 
     Monomial inputs are always divisible (cycle splitting plus the decency
     equation).  Rational inputs are decided by computing the saturated
-    lattice piece of every slope and checking that the pieces grade the
-    standard lattice with the normalised Frobenius acting invertibly; both
-    the True and False answers are certified exactly, and precision
-    exhaustion raises InconclusiveError rather than guessing.
+    lattice piece of every slope (exactly when the slope factors lie in
+    Q[x], p-adically otherwise) and checking that the pieces grade the
+    standard lattice; both the True and False answers are certified, and
+    precision exhaustion raises InconclusiveError rather than guessing.
     """
     if isinstance(m, MonomialIsocrystal):
         return _csd_monomial(m)

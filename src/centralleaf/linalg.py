@@ -8,8 +8,8 @@ from integer row operations that scale rows only by p-adic units.  Smith
 and Hermite forms with their transforms are computed with integer row and
 column operations (H. Cohen, *A Course in Computational Algebraic Number
 Theory*, GTM 138, section 2.4), characteristic polynomials by Berkowitz's
-division-free algorithm.  sympy is used for one job only, factorisation
-over Q, and is imported on the first call of ``factor_over_q``.
+division-free algorithm.  Everything is pure Python: there is no
+dependency outside the standard library.
 """
 
 from __future__ import annotations
@@ -188,21 +188,6 @@ def charpoly(m: Matrix) -> Tuple[Fraction, ...]:
         poly = [sum(column[i - j] * poly[j] for j in range(min(i, size - 1) + 1))
                 for i in range(size + 1)]
     return tuple(Fraction(c, d ** i) for i, c in enumerate(poly))[::-1]
-
-
-def factor_over_q(coeffs: Sequence[Fraction]) -> List[Tuple[Tuple[Fraction, ...], int]]:
-    """Irreducible factors over Q of sum_i coeffs[i] x^i, with multiplicities.
-
-    Each factor comes as its coefficient tuple, constant term first (sympy's
-    primitive integer normalisation).  The one place sympy is used.
-    """
-    from sympy import QQ, Poly, Rational, Symbol, factor_list
-
-    x = Symbol("x")
-    poly = Poly(sum(Rational(c.numerator, c.denominator) * x ** i
-                    for i, c in enumerate(map(Fraction, coeffs))), x, domain=QQ)
-    return [(tuple(Fraction(c.p, c.q) for c in reversed(Poly(f, x).all_coeffs())), mult)
-            for f, mult in factor_list(poly)[1]]
 
 
 # ---------------------------------------------------------------------------

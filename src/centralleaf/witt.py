@@ -478,7 +478,9 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     """Check the four display axioms at truncation and linearise Phi1.
 
     Returns a report rather than raising: each axiom gets its own flag, a
-    failing p*Phi1 = Phi comparison also reports a witness column.
+    failing p*Phi1 = Phi comparison also reports a witness column.  The
+    linearisation Psi is computed only when all four axioms hold; otherwise
+    it is reported as None and not invertible.
     """
     p, n, q = d.prime, d.rank, d.prime ** d.level
     if len(d.phi) != n or len(d.m1_columns) != n or \
@@ -513,9 +515,11 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     images = [list(r1) + list(r) for r1, r in zip(d.phi1, d.phi)]
     phi1_generates = linalg.local_exponents(images, p).count(0) == n
 
+    # off a display Psi would depend on which solution of the generator
+    # system the Smith transform returns
     psi_matrix = None
     psi_invertible = False
-    try:
+    if contains_ir and quotient_free and phi_compatible and phi1_generates:
         psi_cols = []
         for j in range(n):
             target = [basis[i][j] for i in range(n)]
@@ -534,11 +538,7 @@ def display_check(d: DisplayDatum) -> DisplayReport:
             psi_cols.append(tuple(image))
         psi_matrix = linalg.freeze([[psi_cols[j][i] for j in range(n)]
                                     for i in range(n)])
-        det = linalg.det(psi_matrix)
-        psi_invertible = int(det) % p != 0
-    except ConsistencyError:
-        psi_matrix = None
-        psi_invertible = False
+        psi_invertible = int(linalg.det(psi_matrix)) % p != 0
 
     return DisplayReport(contains_ir, quotient_free, phi_compatible,
                          phi1_generates, psi_matrix, psi_invertible,

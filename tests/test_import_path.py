@@ -1,6 +1,6 @@
-"""sympy is imported only by the factorisation over Q: importing the package
-and running jobs that never factor must leave it out of sys.modules (its
-import alone costs about 0.4 s per process)."""
+"""The package has no runtime dependency: importing it and running any job,
+slope certification over Q included, must leave sympy (a test-only oracle,
+whose import alone costs about 0.4 s per process) out of sys.modules."""
 
 import os
 import pathlib
@@ -21,7 +21,19 @@ SRC = str(pathlib.Path(centralleaf.__file__).resolve().parent.parent)
     "from centralleaf import cli; "
     "assert cli.main(['witt-selfcheck', '--p', '2', '--length', '3', '--count', '50', "
     "'--output', os.devnull]) == 0",
-], ids=["import", "adm", "witt-selfcheck"])
+    "from fractions import Fraction\n"
+    "from centralleaf.isocrystal import RationalIsocrystal, is_completely_slope_divisible\n"
+    "m = ((4, Fraction(-3, 2)), (0, 1))\n"
+    "report = is_completely_slope_divisible(RationalIsocrystal(m, 2))\n"
+    "assert not report.divisible and len(set(report.slopes)) == 2\n"
+    "assert 'precision' not in report.reason",
+    "from centralleaf import cli, serialize\n"
+    "import tempfile\n"
+    "path = os.path.join(tempfile.mkdtemp(), 'adlv.csv')\n"
+    "assert cli.main(['adlv', '--matrix', '3,0;0,1', '--mu', '1,0', '--p', '3', "
+    "'--depth', '1', '--output', path]) == 0\n"
+    "assert serialize.parse_csv(open(path).read())[1], 'no matched lattice'",
+], ids=["import", "adm", "witt-selfcheck", "certify-rational", "adlv"])
 def test_sympy_not_imported(statement):
     env = dict(os.environ, PYTHONPATH=SRC)
     code = f"import os, sys\n{statement}\nassert 'sympy' not in sys.modules, 'sympy was imported'"

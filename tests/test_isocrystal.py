@@ -1,18 +1,23 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from centralleaf import linalg
+from centralleaf import isocrystal, linalg
 from centralleaf.affine import decent_representative, enumerate_elements, newton_point
-from centralleaf.errors import (ConfigurationError, PreconditionError,
-                                SingularInputError)
+from centralleaf.errors import (ConfigurationError, InconclusiveError,
+                                PreconditionError, SingularInputError)
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     adjoint_rep, hom_rep,
                                     is_completely_slope_divisible,
-                                    monomial_from_rational, nonneg_slope_dim,
+                                    monomial_from_rational,
+                                    newton_polygon_slopes, nonneg_slope_dim,
                                     restriction_of_scalars, slopes_charpoly,
                                     slopes_monomial, slopes_via_restriction,
                                     slopes_via_weights, standard_rep,
@@ -253,6 +258,121 @@ def test_csd_single_slope_orbit_walk():
     report2 = is_completely_slope_divisible(
         RationalIsocrystal(((1, F(1, 2)), (0, 1)), 2))
     assert report2.divisible
+
+
+def test_csd_mod_pk_unit_denominator_is_not_certified_false():
+    # [[0,1/2],[2,0]] (+) companion(x^2+x+2) at p=2: the normalised Frobenius
+    # of the slope-0 piece has a 1/2 entry, yet its square returns the
+    # lattice, so a False answer here would be wrong; the mod-p^k route only
+    # tries period r0 and must give up
+    m = ((0, F(1, 2), 0, 0), (2, 0, 0, 0), (0, 0, 0, -2), (0, 0, 1, -1))
+    with pytest.raises(InconclusiveError):
+        is_completely_slope_divisible(RationalIsocrystal(m, 2))
+    # the same first summand next to diag(1, 2) is Q-rational: True, period 2
+    m2 = ((0, F(1, 2), 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
+    report = is_completely_slope_divisible(RationalIsocrystal(m2, 2))
+    assert report.divisible and report.period == 2
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sympy_slope_pieces(t, p, expected):
+    """Oracle: the slope factors as products of the Q-irreducible factors
+    (sympy ``factor_list``) of each slope, when every irreducible factor is
+    isoclinic; None when one is not.  Pieces are saturated kernels of the
+    slope factors at t."""
+    x = sympy.Symbol("x")
+    chi = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                      for c in reversed(linalg.charpoly(t))], x)
+    grouped = {}
+    for f, mult in sympy.factor_list(chi)[1]:
+        fc = [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(f, x).all_coeffs())]
+        fslopes = set(newton_polygon_slopes(fc, p))
+        if len(fslopes) != 1:
+            return None
+        slope = int(fslopes.pop())
+        for _ in range(mult):
+            grouped[slope] = _poly_mul(grouped.get(slope, [F(1)]), fc)
+    assert {s: len(g) - 1 for s, g in grouped.items()} == expected
+    return {s: isocrystal._saturate_columns(
+                linalg.kernel(isocrystal._poly_of_matrix(g, t)))
+            for s, g in grouped.items()}
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic x^n + sum_i coeffs[i] x^i."""
+    n = len(coeffs)
+    return [[(1 if i == j + 1 else 0) if j < n - 1 else -coeffs[i] for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def isoclinic_block(draw, p):
+    """Coefficients of a Q-irreducible isoclinic polynomial: x - p^a u,
+    x^2 + p^a b x + p^(2a) c with b^2 - 4c not a square (slope a), or
+    x^2 - p^(2a+1) u (slope a + 1/2); u and c are p-adic units."""
+    a = draw(st.integers(-1, 2))
+    scale = F(p) ** a
+    unit = draw(st.sampled_from((1, -1, p + 1, -p - 1, 2 * p + 1)))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return [-scale * unit]
+    if kind == 1:
+        b = draw(st.integers(-2, 2))
+        disc = b * b - 4 * unit
+        assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+        return [scale * scale * unit, scale * b]
+    return [-scale * scale * p * unit, 0]
+
+
+@st.composite
+def rational_matrices(draw, q_rational):
+    """(matrix, p): g D g^-1 with D block diagonal of isoclinic Q-irreducible
+    companions and g rational, or a random rational matrix."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    entry = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 1, 2, p)))
+    if q_rational:
+        blocks = draw(st.lists(isoclinic_block(p), min_size=2, max_size=3))
+        n = sum(map(len, blocks))
+        assume(n <= 4)
+        d = [[F(0)] * n for _ in range(n)]
+        off = 0
+        for block in blocks:
+            for i, row in enumerate(_companion(block)):
+                d[off + i][off:off + len(block)] = row
+            off += len(block)
+        g = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        assume(linalg.det(g) != 0)
+        return linalg.mat_mul(linalg.mat_mul(g, d), linalg.mat_inv(g)), p
+    n = draw(st.integers(2, 4))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(linalg.det(m) != 0)
+    return m, p
+
+
+@pytest.mark.parametrize("q_rational", [True, False], ids=["q_rational", "random"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_rational_slope_pieces_match_sympy_factorisation(q_rational, data):
+    m, p = data.draw(rational_matrices(q_rational))
+    slopes = slopes_charpoly(RationalIsocrystal(m, p))
+    r0 = math.lcm(*(s.denominator for s in slopes))
+    expected = dict(Counter(int(s * r0) for s in slopes))
+    assume(len(expected) > 1)
+    t = linalg.mat_pow(RationalIsocrystal(m, p).matrix, r0)
+    shift = -min(min(expected), 0)
+    coeffs = linalg.charpoly(linalg.mat_scale(F(p) ** shift, t))
+    oracle = sympy_slope_pieces(t, p, expected)
+    if q_rational:
+        assert oracle is not None
+    assert isocrystal._rational_slope_pieces(t, p, expected, shift, coeffs) == oracle
 
 
 def test_monomial_from_rational_round_trip():

@@ -155,6 +155,19 @@ def test_display_degenerate_failures():
     assert not report2.phi_compatible and report2.witness == 0
 
 
+def test_display_psi_only_on_passing_displays():
+    # Psi of a failing display would depend on the generator solution chosen,
+    # so it is not reported
+    base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
+    assert display_check(base).psi_invertible
+    zero = tuple(tuple(0 for _ in range(2)) for _ in range(2))
+    for broken in (dataclasses.replace(base, phi1=zero),
+                   dataclasses.replace(base, phi=zero)):
+        report = display_check(broken)
+        assert not report.passed
+        assert report.psi_matrix is None and not report.psi_invertible
+
+
 def test_display_witt_component_round_trip():
     for p in (2, 3):
         base = display_from_element(MonomialIsocrystal(2, (1, 0), (0, -1)), p)
