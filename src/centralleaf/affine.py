@@ -77,9 +77,13 @@ def compose(x: AffineElement, y: AffineElement) -> AffineElement:
     return AffineElement(datum, lam, linalg.mat_mul(x.finite, y.finite))
 
 
+def _int_inverse(m: Matrix) -> Matrix:
+    """Inverse of an integer matrix whose inverse is integral."""
+    return linalg.freeze(tuple(int(v) for v in row) for row in linalg.mat_inv(m))
+
+
 def invert(x: AffineElement) -> AffineElement:
-    w_inv = linalg.freeze(tuple(int(v) for v in row)
-                          for row in linalg.mat_inv(x.finite))
+    w_inv = _int_inverse(x.finite)
     lam = tuple(-v for v in linalg.mat_vec(w_inv, x.translation))
     return AffineElement(x.datum, lam, w_inv)
 
@@ -89,8 +93,7 @@ def sigma_apply(x: AffineElement, sigma: Optional[Matrix]) -> AffineElement:
     if sigma is None:
         return x
     datum = x.datum
-    s_inv = linalg.freeze(tuple(int(v) for v in row)
-                          for row in linalg.mat_inv(sigma))
+    s_inv = _int_inverse(sigma)
     lam = tuple(int(v) for v in linalg.mat_vec(sigma, x.translation))
     w = linalg.mat_mul(linalg.mat_mul(sigma, x.finite), s_inv)
     w = linalg.freeze(tuple(int(v) for v in row) for row in w)
@@ -317,8 +320,7 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
     datum = x.datum
     if datum.rep_weights is None:
         raise UnsupportedOperationError("no faithful representation attached")
-    w_inv = linalg.freeze(tuple(int(v) for v in row)
-                          for row in linalg.mat_inv(x.finite))
+    w_inv = _int_inverse(x.finite)
     chars_of_w_inv = datum.char_matrix(w_inv)
     perm = _weight_permutation(datum, chars_of_w_inv)
     exps = tuple(int(datum.pair(w, x.translation)) for w in datum.rep_weights)
@@ -328,8 +330,7 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
 def sigma_rep_matrix(datum: RootDatum, sigma: Optional[Matrix]) -> MonomialIsocrystal:
     if sigma is None:
         return monomial_identity(len(datum.rep_weights))
-    s_inv = linalg.freeze(tuple(int(v) for v in row)
-                          for row in linalg.mat_inv(sigma))
+    s_inv = _int_inverse(sigma)
     perm = _weight_permutation(datum, datum.char_matrix(s_inv))
     return MonomialIsocrystal(len(perm), perm, (0,) * len(perm))
 

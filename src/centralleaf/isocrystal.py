@@ -8,10 +8,13 @@ checked by the test suite:
 * weight pairings against a Newton cocharacter.
 
 The module also decides complete slope divisibility of a lattice under a
-rational Frobenius matrix, with exact certificates in both directions.  The
-slope factors of the characteristic polynomial come from one p-adic Hensel
-lift (``_slope_factors_mod``); whether they lie in Q[x] is read off that
-lift, so no factorisation over Q is needed.
+rational Frobenius matrix, with certificates in both directions.  The slope
+factors of the characteristic polynomial come from one p-adic Hensel lift
+(``_slope_factors_mod``); whether they lie in Q[x] is read off that lift, so
+no factorisation over Q is needed.  The saturated slope pieces are exact
+when they do and p-adic approximations otherwise; either way one decision
+(``_slope_report``) checks that they grade the lattice and reads the period
+off an orbit walk of the normalised Frobenius on each piece.
 """
 
 from __future__ import annotations
@@ -332,18 +335,6 @@ def _saturate_columns(cols: Sequence[Sequence]) -> List[tuple]:
     return [tuple(int(s_inv[i][j]) for i in range(n)) for j in range(len(cols))]
 
 
-def _restricted_matrix(t: Matrix, basis_cols: Sequence[Sequence]) -> Optional[Matrix]:
-    """Matrix of t on the span of basis_cols, or None when not stable."""
-    images = []
-    for col in basis_cols:
-        image = linalg.mat_vec(t, col)
-        coeffs = linalg.solve_columns(list(basis_cols), image)
-        if coeffs is None:
-            return None
-        images.append(coeffs)
-    return linalg.transpose(linalg.freeze(images))
-
-
 def _rational_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
                            coeffs: Sequence[Fraction]) -> Optional[dict]:
     """Slope pieces when every slope factor of the characteristic polynomial
@@ -544,15 +535,15 @@ def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
     return factors
 
 
-def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
-                     shift: int, coeffs: Sequence[Fraction],
-                     prec: int) -> Optional[SlopeDivisibilityReport]:
-    """Decide slope divisibility when the slope subspaces are not Q-rational.
+def _approx_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
+                         coeffs: Sequence[Fraction],
+                         prec: int) -> Optional[Tuple[dict, int]]:
+    """Approximate slope pieces when the slope subspaces are not Q-rational.
 
     Hensel slope factorisation mod p^prec of ``coeffs``, the charpoly of
-    p^shift * t, yields approximate lattice pieces; answers are only
-    returned when the deciding quantity sits strictly below a conservative
-    precision margin, otherwise None signals a retry.
+    p^shift * t, yields approximate saturated lattice pieces.  Returns
+    ({slope: basis columns}, margin), the pieces agreeing with the true ones
+    modulo p^margin, or None to retry when the margin is not above 2.
     """
     n = len(t)
     slopes_desc = sorted(expected, reverse=True)
@@ -606,103 +597,141 @@ def _mod_pk_decision(t: Matrix, p: int, r0: int, slopes, expected: dict,
         windows[slope] = kk - emax - omega - den_val
 
     margin = min(windows.values())
-    stacked_cols = [col for s in slopes_desc for col in pieces[s]]
-    stacked = linalg.freeze([[stacked_cols[j][i] for j in range(n)]
-                             for i in range(n)])
-    det_val = linalg.valuation(linalg.det(stacked), p)
-    piece_matrices = tuple(
-        linalg.freeze([[col[i] for col in pieces[s]] for i in range(n)])
-        for s in slopes_desc)
-    if det_val is None or det_val >= margin // 2:
+    if margin <= 2:
         return None
-    if det_val > 0:
-        return SlopeDivisibilityReport(
-            False, slopes, None, piece_matrices,
-            f"the saturated slope sublattices only span an index-p^{int(det_val)} "
-            f"sublattice (certified at p-adic precision {margin})")
+    return pieces, margin
 
-    # invertibility on each approximate piece, one Frobenius power only
-    if not all(_approx_piece_invertible(t, pieces[s], int(s), p, margin)
-               for s in slopes_desc):
+
+def _piece_frobenius(t: Matrix, p: int, slope: int, basis,
+                     q: Optional[int] = None):
+    """(c, x) for the piece spanned by ``basis``: u = p^-slope * t is the
+    normalised Frobenius, c the least exponent >= 0 making the images of the
+    basis under p^c * u p-integral, and x the integer matrix, in the basis,
+    of p^c * u up to a p-adic unit factor.
+
+    The basis is saturated, so that matrix is p-integral.  With q None the
+    piece is exact and x is p^c * u with its p-prime denominators cleared;
+    otherwise x is read modulo q off an approximate integer basis with
+    ``linalg.solve_mod``.  None when the images leave the span (modulo q).
+    """
+    scale = Fraction(1, p) ** slope
+    images = [[v * scale for v in linalg.mat_vec(t, col)] for col in basis]
+    c = max([0] + [-linalg.valuation(v, p) for img in images for v in img if v])
+    images = [[v * p ** c for v in img] for img in images]
+    if q is not None:
+        cols = [linalg.solve_mod(basis, [v.numerator * pow(v.denominator, -1, q) % q
+                                         for v in img], q) for img in images]
+        return None if None in cols else (c, linalg.transpose(cols))
+    cols = [linalg.solve_columns(basis, img) for img in images]
+    if None in cols:
         return None
-    return SlopeDivisibilityReport(
-        True, slopes, r0, piece_matrices,
-        f"lattice splits into isoclinic summands with invertible normalised "
-        f"Frobenius (p-adic certificates at precision {margin})")
+    den = lcm(*(v.denominator for col in cols for v in col))
+    return c, linalg.transpose([[int(v * den) for v in col] for col in cols])
 
 
-def _approx_piece_invertible(t: Matrix, basis, slope: int, p: int,
-                             window: int) -> bool:
-    """Whether p^-slope * T is seen to map the approximate piece onto itself
-    modulo p^window.  False certifies nothing (some power of it always
-    returns the piece, see ``_orbit_return_steps``): it only asks for a retry."""
-    if window <= 2:
-        return False
-    m = len(basis)
-    q = p ** window
-    images = []
-    for col in basis:
-        image = linalg.mat_vec(t, col)
-        scaled = [Fraction(x) * Fraction(1, p) ** slope for x in image]
-        den = 1
-        for x in scaled:
-            den = lcm(den, x.denominator)
-        if linalg.valuation(den, p) > 0:
-            return False
-        dinv = pow(den % q, -1, q)
-        images.append([int(x * den) * dinv % q for x in scaled])
-    x_cols = []
-    for img in images:
-        sol = linalg.solve_mod(basis, img, q)
-        if sol is None:
-            # the true pieces are T-stable, so inexpressibility can only be
-            # a precision artifact; retry at the next schedule step
-            return False
-        x_cols.append(sol)
-    detx = linalg.det(linalg.freeze([[x_cols[j][i] for j in range(m)]
-                                     for i in range(m)]))
-    return int(detx) % p != 0
-
-
-def _orbit_return_steps(u: Matrix, p: int) -> int:
-    """Least k with u^k integral at p (then u^k in GL(Z_p), since det u is a
-    unit).  Such a k always exists when u has slope 0."""
-    m = len(u)
+def _orbit_bound(x: Matrix, p: int, c: int) -> int:
+    """Pigeonhole bound for the orbit walk of the lattice under u = x / p^c,
+    for an exact integer matrix x whose charpoly has the one slope c."""
+    m = len(x)
     # Z_p[u]-span of the lattice: L + uL + ... + u^{m-1}L.  The charpoly of u
     # is p-integral, so the span is u-stable, and the orbit of L under u
     # lives among its sublattices of fixed index: by pigeonhole some u^k L
-    # is L, within the number of such sublattices.
+    # is L, within the number of such sublattices.  The columns of
+    # p^(c(m-1)-ci) x^i span p^(c(m-1)) times the span.
     cols = []
     power = linalg.identity(m)
-    for _ in range(m):
-        for j in range(m):
-            cols.append(tuple(power[i][j] for i in range(m)))
-        power = linalg.mat_mul(power, u)
-    den = 1
-    for c in cols:
-        for x in c:
-            den = lcm(den, Fraction(x).denominator)
-    int_rows = [[int(c[i] * den) for c in cols] for i in range(m)]
-    det_val = sum(linalg.local_exponents(int_rows, p))
-    index_exp = m * linalg.valuation(den, p) - det_val
+    for i in range(m):
+        cols += [[v * p ** (c * (m - 1 - i)) for v in col]
+                 for col in linalg.transpose(power)]
+        power = linalg.mat_mul(power, x)
+    index_exp = m * c * (m - 1) - sum(linalg.local_exponents(linalg.transpose(cols), p))
     if index_exp < 0:
         raise ConsistencyError("lattice hull has negative index exponent")
-    # crude subgroup-count bound for (Z/p^c)^m
+    # crude subgroup-count bound for (Z/p^index_exp)^m
     bound = 1
     for _ in range(m):
         bound *= (index_exp + 1) * p ** (index_exp * (m - 1))
         if bound > _ORBIT_HARD_CAP:
-            bound = _ORBIT_HARD_CAP
+            return _ORBIT_HARD_CAP
+    return bound
+
+
+def _orbit_return_steps(x: Matrix, p: int, c: int, steps: int,
+                        margin: Optional[int] = None) -> Optional[int]:
+    """Least k <= steps with x^k == 0 mod p^(ck) and x^k / p^(ck) invertible
+    mod p, i.e. (x / p^c)^k in GL(Z_p), for an integer matrix x that is
+    exact or, given ``margin``, known modulo p^margin; then only k with
+    ck < margin can be read off.  None when no such k is found."""
+    q = None if margin is None else p ** margin
+    power = x
+    for k in range(1, steps + 1):
+        unit = p ** (c * k)
+        if margin is not None and c * k >= margin:
             break
-    bound = max(bound, 1)
-    power = u
-    for k in range(1, bound + 1):
-        if all(Fraction(x).denominator % p != 0 for row in power for x in row):
+        if (all(v % unit == 0 for row in power for v in row)
+                and linalg.det([[v // unit for v in row] for row in power]) % p):
             return k
-        power = linalg.mat_mul(power, u)
-    if bound >= _ORBIT_HARD_CAP:
-        raise InconclusiveError("orbit walk exceeded the hard cap")
-    raise ConsistencyError("orbit of the lattice outran its sublattice count")
+        power = linalg.mat_mul(power, x)
+        if q is not None:
+            power = [[v % q for v in row] for row in power]
+    return None
+
+
+def _slope_report(t: Matrix, p: int, r0: int, slopes, pieces: dict,
+                  margin: Optional[int] = None) -> Optional[SlopeDivisibilityReport]:
+    """Decide slope divisibility from the saturated slope pieces of t = M^r0.
+
+    Exact pieces (``margin`` None) are first certified isoclinic; the answer
+    is False when the pieces do not grade the lattice, else True with the
+    period of an orbit walk of the normalised Frobenius on every piece.
+    Pieces certified modulo p^margin only yield answers that this precision
+    decides, and None asks for a retry.
+    """
+    ordered = sorted(pieces, reverse=True)
+    frobenius = {}
+    if margin is None:
+        for s in ordered:
+            frobenius[s] = _piece_frobenius(t, p, s, pieces[s])
+            if frobenius[s] is None or set(newton_polygon_slopes(
+                    linalg.charpoly(frobenius[s][1]), p)) != {frobenius[s][0]}:
+                raise ConsistencyError("rational slope pieces failed certification")
+    stacked_cols = [col for s in ordered for col in pieces[s]]
+    det_val = linalg.valuation(linalg.det(linalg.transpose(stacked_cols)), p)
+    if det_val is None and margin is None:
+        raise ConsistencyError("slope pieces of distinct slopes are dependent")
+    if det_val is None or margin is not None and det_val >= margin // 2:
+        return None
+    piece_matrices = tuple(linalg.transpose(pieces[s]) for s in ordered)
+    if det_val > 0:
+        return SlopeDivisibilityReport(
+            False, slopes, None, piece_matrices,
+            f"the saturated slope sublattices only span an index-p^{det_val} " + (
+                "sublattice, so no slope grading of the standard lattice exists"
+                if margin is None else
+                f"sublattice (certified at p-adic precision {margin})"))
+
+    if margin is not None:
+        frobenius = {s: _piece_frobenius(t, p, s, pieces[s], p ** margin)
+                     for s in ordered}
+        if None in frobenius.values():
+            return None
+    period = r0
+    for c, x in frobenius.values():
+        steps = _orbit_bound(x, p, c) if margin is None else margin
+        k = _orbit_return_steps(x, p, c, steps, margin)
+        if k is None and margin is not None:
+            return None
+        if k is None:
+            raise (InconclusiveError("orbit walk exceeded the hard cap")
+                   if steps >= _ORBIT_HARD_CAP else
+                   ConsistencyError("orbit of the lattice outran its sublattice count"))
+        period = lcm(period, k * r0)
+    return SlopeDivisibilityReport(
+        True, slopes, period, piece_matrices,
+        "standard lattice splits into saturated isoclinic summands with the "
+        "normalised Frobenius power acting invertibly on each" if margin is None else
+        f"lattice splits into isoclinic summands with invertible normalised "
+        f"Frobenius (p-adic certificates at precision {margin})")
 
 
 def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
@@ -716,75 +745,23 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
         if a.denominator != 1:
             raise ConsistencyError("scaled slope is not integral")
         expected[int(a)] = expected.get(int(a), 0) + 1
-    n = len(m.matrix)
 
     if len(expected) == 1:
-        pieces_by_slope = {next(iter(expected)): [tuple(1 if i == j else 0 for i in range(n))
-                                                  for j in range(n)]}
-    else:
-        shift = -min(min(expected), 0)
-        coeffs = linalg.charpoly(linalg.mat_scale(Fraction(p) ** shift, t))
-        pieces_by_slope = _rational_slope_pieces(t, p, expected, shift, coeffs)
-        if pieces_by_slope is None:
-            # slope subspaces are not Q-rational: windowed mod-p^k decision
-            for prec in _HENSEL_SCHEDULE:
-                report = _mod_pk_decision(t, p, r0, slopes, expected, shift,
-                                          coeffs, prec)
-                if report is not None:
-                    return report
-            raise InconclusiveError(
-                "slope pieces could not be certified within the precision schedule")
-        if not _certify_pieces(t, p, pieces_by_slope, expected):
-            raise ConsistencyError("rational slope pieces failed certification")
-
-    ordered = sorted(pieces_by_slope, reverse=True)
-    stacked_cols = [col for s in ordered for col in pieces_by_slope[s]]
-    stacked = [[stacked_cols[j][i] for j in range(n)] for i in range(n)]
-    det_val = linalg.valuation(linalg.det(linalg.freeze(stacked)), p)
-    piece_matrices = tuple(
-        linalg.freeze([[col[i] for col in pieces_by_slope[s]] for i in range(n)])
-        for s in ordered)
-    if det_val is None:
-        raise ConsistencyError("slope pieces of distinct slopes are dependent")
-    if det_val != 0:
-        return SlopeDivisibilityReport(
-            False, slopes, None, piece_matrices,
-            f"the saturated slope sublattices only span an index-p^{det_val} "
-            "sublattice, so no slope grading of the standard lattice exists")
-
-    periods = []
-    for s in ordered:
-        basis = pieces_by_slope[s]
-        restricted = _restricted_matrix(t, basis)
-        if restricted is None:
-            raise ConsistencyError("certified piece stopped being stable")
-        a = int(s)
-        u = linalg.mat_scale(Fraction(1, p ** a) if a >= 0 else Fraction(p ** (-a)),
-                             restricted)
-        periods.append(_orbit_return_steps(u, p))
-    period = r0
-    for k in periods:
-        period = lcm(period, k * r0)
-    return SlopeDivisibilityReport(
-        True, slopes, period, piece_matrices,
-        "standard lattice splits into saturated isoclinic summands with the "
-        "normalised Frobenius power acting invertibly on each")
-
-
-def _certify_pieces(t: Matrix, p: int, pieces: dict, expected: dict) -> bool:
-    """Exact certification that each candidate is the saturated slope piece."""
-    for slope, cols in pieces.items():
-        if len(cols) != expected[slope]:
-            return False
-        restricted = _restricted_matrix(t, cols)
-        if restricted is None:
-            return False
-        coeffs = linalg.charpoly(restricted)
-        if coeffs[0] == 0:
-            return False
-        if set(newton_polygon_slopes(coeffs, p)) != {Fraction(slope)}:
-            return False
-    return True
+        return _slope_report(t, p, r0, slopes,
+                             {next(iter(expected)): list(linalg.identity(len(t)))})
+    shift = -min(min(expected), 0)
+    coeffs = linalg.charpoly(linalg.mat_scale(Fraction(p) ** shift, t))
+    pieces = _rational_slope_pieces(t, p, expected, shift, coeffs)
+    if pieces is not None:
+        return _slope_report(t, p, r0, slopes, pieces)
+    # slope subspaces are not Q-rational: windowed mod-p^k decision
+    for prec in _HENSEL_SCHEDULE:
+        approx = _approx_slope_pieces(t, p, expected, shift, coeffs, prec)
+        report = approx and _slope_report(t, p, r0, slopes, *approx)
+        if report is not None:
+            return report
+    raise InconclusiveError(
+        "slope pieces could not be certified within the precision schedule")
 
 
 def is_completely_slope_divisible(m) -> SlopeDivisibilityReport:
@@ -793,9 +770,12 @@ def is_completely_slope_divisible(m) -> SlopeDivisibilityReport:
     Monomial inputs are always divisible (cycle splitting plus the decency
     equation).  Rational inputs are decided by computing the saturated
     lattice piece of every slope (exactly when the slope factors lie in
-    Q[x], p-adically otherwise) and checking that the pieces grade the
-    standard lattice; both the True and False answers are certified, and
-    precision exhaustion raises InconclusiveError rather than guessing.
+    Q[x], p-adically otherwise), checking that the pieces grade the
+    standard lattice and walking the orbit of each piece under the
+    normalised Frobenius for the period.  Both the True and False answers
+    are certified; InconclusiveError means only that a budget ran out: the
+    precision schedule before the p-adic pieces decided the answer, or the
+    orbit walk's hard cap.
     """
     if isinstance(m, MonomialIsocrystal):
         return _csd_monomial(m)

@@ -65,20 +65,8 @@ def leaf_report(datum: RootDatum, x: AffineElement,
 def mu_average(datum: RootDatum, mu, sigma=None) -> Tuple[Fraction, ...]:
     """Average of mu over the sigma-orbit; mu itself for trivial sigma."""
     mu = tuple(Fraction(v) for v in mu)
-    if sigma is None:
-        return mu
     ident = linalg.identity(datum.cochar_rank)
-    total = list(mu)
-    power = sigma
-    count = 1
-    while not linalg.mat_eq(power, ident):
-        moved = linalg.mat_vec(power, mu)
-        total = [a + b for a, b in zip(total, moved)]
-        power = linalg.mat_mul(power, sigma)
-        count += 1
-        if count > 10_000:
-            raise PreconditionError("sigma does not have finite order")
-    return tuple(Fraction(t, count) for t in total)
+    return newton_point(AffineElement(datum, mu, ident), sigma).vector
 
 
 def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,

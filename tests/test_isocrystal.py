@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from centralleaf import isocrystal, linalg
 from centralleaf.affine import decent_representative, enumerate_elements, newton_point
-from centralleaf.errors import (ConfigurationError, InconclusiveError,
-                                PreconditionError, SingularInputError)
+from centralleaf.errors import (ConfigurationError, PreconditionError,
+                                SingularInputError)
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     adjoint_rep, hom_rep,
                                     is_completely_slope_divisible,
@@ -263,11 +264,12 @@ def test_csd_single_slope_orbit_walk():
 def test_csd_mod_pk_unit_denominator_is_not_certified_false():
     # [[0,1/2],[2,0]] (+) companion(x^2+x+2) at p=2: the normalised Frobenius
     # of the slope-0 piece has a 1/2 entry, yet its square returns the
-    # lattice, so a False answer here would be wrong; the mod-p^k route only
-    # tries period r0 and must give up
+    # lattice, so a False answer here would be wrong; the orbit walk on the
+    # approximate pieces finds the period 2
     m = ((0, F(1, 2), 0, 0), (2, 0, 0, 0), (0, 0, 0, -2), (0, 0, 1, -1))
-    with pytest.raises(InconclusiveError):
-        is_completely_slope_divisible(RationalIsocrystal(m, 2))
+    report = is_completely_slope_divisible(RationalIsocrystal(m, 2))
+    assert report.divisible and report.period == 2
+    assert "precision" in report.reason
     # the same first summand next to diag(1, 2) is Q-rational: True, period 2
     m2 = ((0, F(1, 2), 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
     report = is_completely_slope_divisible(RationalIsocrystal(m2, 2))
@@ -373,6 +375,61 @@ def test_rational_slope_pieces_match_sympy_factorisation(q_rational, data):
     if q_rational:
         assert oracle is not None
     assert isocrystal._rational_slope_pieces(t, p, expected, shift, coeffs) == oracle
+
+
+def _slope_zero_blocks(p):
+    """Slope-0 blocks with the number of steps after which their normalised
+    Frobenius first returns the lattice: 2, p, 3 and 1."""
+    q = F(1, p)
+    return (([[0, q], [p, 0]], 2), ([[1, q], [0, 1]], p),
+            ([[0, 0, 1], [p, 0, 0], [0, q, 0]], 3), ([[-1]], 1))
+
+
+@st.composite
+def split_or_glued(draw):
+    """(T, p, period): T = g (B0 (+) p^s B1) g^-1 with slope-0 blocks B0, B1
+    and g in GL_n(Z), whose known answer is True with the lcm of the block
+    periods; or the same composed with an index-p gluing of the two pieces,
+    with no known answer (period -1)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    (b0, k0), (b1, k1) = draw(st.lists(st.sampled_from(_slope_zero_blocks(p)),
+                                       min_size=2, max_size=2))
+    s = draw(st.integers(1, 2))
+    n0, n = len(b0), len(b0) + len(b1)
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n0):
+        d[i][:n0] = b0[i]
+    for i in range(n - n0):
+        d[n0 + i][n0:] = [p ** s * v for v in b1[i]]
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    period = math.lcm(k0, k1)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n0 - 1)), draw(st.integers(n0, n - 1))
+        g = linalg.mat_mul(g, [[p if (a, b) == (j, j) else int(a == b or (a, b) == (i, j))
+                                for b in range(n)] for a in range(n)])
+        period = -1
+    return linalg.mat_mul(linalg.mat_mul(g, d), linalg.mat_inv(g)), p, period
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=split_or_glued())
+def test_mod_pk_route_agrees_with_exact_route(case):
+    # the slope pieces of these inputs are Q-rational; hiding that forces the
+    # mod-p^k route, which must reach the exact route's answer and period
+    m, p, period = case
+    iso = RationalIsocrystal(m, p)
+    exact = is_completely_slope_divisible(iso)
+    assert "precision" not in exact.reason
+    if period > 0:
+        assert exact.divisible and exact.period == period
+    with mock.patch.object(isocrystal, "_rational_slope_pieces", lambda *args: None):
+        approx = is_completely_slope_divisible(iso)
+    assert "precision" in approx.reason
+    assert (approx.divisible, approx.period) == (exact.divisible, exact.period)
 
 
 def test_monomial_from_rational_round_trip():
