@@ -138,14 +138,8 @@ def affine_generators(datum: RootDatum) -> Tuple[AffineElement, ...]:
     for component in datum.components:
         theta = datum.highest_root(component)
         theta_check = datum.coroot_of(theta)
-        n = datum.cochar_rank
-        refl = []
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            refl.append(tuple(e[i] - datum.pair(theta, e) * theta_check[i]
-                              for i in range(n)))
-        mat = linalg.freeze(tuple(refl[j][i] for j in range(n)) for i in range(n))
-        gens.append(AffineElement(datum, tuple(theta_check), mat))
+        gens.append(AffineElement(datum, tuple(theta_check),
+                                  datum._reflection_matrix(theta, theta_check)))
     gens = tuple(gens)
     setattr(datum, "_affine_gens", gens)
     return gens

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
-from . import serialize
+from . import linalg, serialize
 from .affine import (enumerate_elements, enumerate_sigma_classes, length,
                      rep_lift)
 from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
@@ -242,6 +242,8 @@ def run(spec: JobSpec) -> int:
             raise ConfigurationError(f"unknown command {spec.command!r}")
         if spec.format not in ("csv", "structured-text"):
             raise ConfigurationError(f"unknown format {spec.format!r}")
+        if spec.command in ("adlv", "witt-selfcheck"):
+            linalg.require_prime(spec.p)
         artifact, code = _COMMANDS[spec.command](spec)
     except (ConfigurationError, PreconditionError, DatumMismatchError,
             UnsupportedOperationError, SingularInputError,

@@ -50,40 +50,25 @@ _ENUM_BUDGET = 2_000_000
 
 
 def enumerate_lattices(n: int, p: int, depth: int,
-                       max_nodes: int = _ENUM_BUDGET,
-                       _allow_big: bool = False) -> Tuple[LatticeModel, ...]:
+                       max_nodes: int = _ENUM_BUDGET) -> Tuple[LatticeModel, ...]:
     """All lattices L with p^depth Lambda <= L <= p^-depth Lambda.
 
     Generates canonical Hermite forms column by column, pruning by the
     containment p^{2 depth} Lambda <= L as soon as a column is fixed; one
-    output per lattice, sorted.  Budget guards: p in {2, 3}, n <= 3 (4 via
-    the internal restriction-of-scalars path), depth <= 2.
+    output per lattice, sorted.  p must be a prime and n, depth at least 1;
+    the only limit on the size of the census is the node budget, whose
+    overrun raises BudgetExceededError with the lattices found so far.
     """
-    if p not in (2, 3):
-        raise PreconditionError("only p in {2, 3} is within the budget")
-    if depth < 1 or depth > 2:
-        raise PreconditionError("depth must be 1 or 2")
-    cap = 4 if _allow_big else 3
-    if not 1 <= n <= cap:
-        raise PreconditionError(f"n must be between 1 and {cap}")
+    linalg.require_prime(p)
+    if n < 1 or depth < 1:
+        raise PreconditionError("n and depth must be at least 1")
     q = p ** (2 * depth)
     divisors = [p ** a for a in range(2 * depth + 1)]
+    # q e_j, cut to the rows 0..j that column j reaches
+    targets = [(0,) * j + (q,) for j in range(n)]
     nodes = 0
     results: List[LatticeModel] = []
     columns: List[List[int]] = []
-
-    def contains_q_ej(j: int) -> bool:
-        # triangular solve of q e_j against columns 0..j
-        x = [0] * (j + 1)
-        if q % columns[j][j] != 0:
-            return False
-        x[j] = q // columns[j][j]
-        for i in range(j - 1, -1, -1):
-            acc = sum(columns[k][i] * x[k] for k in range(i + 1, j + 1))
-            if acc % columns[i][i] != 0:
-                return False
-            x[i] = -acc // columns[i][i]
-        return True
 
     def recurse(j: int):
         nonlocal nodes
@@ -104,7 +89,7 @@ def enumerate_lattices(n: int, p: int, depth: int,
                     col[i] = v
                 col[j] = d
                 columns.append(col)
-                if contains_q_ej(j):
+                if linalg.solve_triangular(columns, targets[j]) is not None:
                     recurse(j + 1)
                 columns.pop()
 
@@ -122,7 +107,7 @@ def lattice_from_columns(columns: Sequence[Sequence[int]], n: int, p: int,
     return LatticeModel(n, p, depth, linalg.hnf_columns(rows))
 
 
-def _scaled_inverse(model: LatticeModel) -> List[List[int]]:
+def _scaled_inverse(model: LatticeModel) -> Matrix:
     """p^{2N} B^-1 for the Hermite basis B of a model, by back-substitution.
 
     Integral because the rescaled lattice contains p^{2N} Lambda; a basis
@@ -133,17 +118,15 @@ def _scaled_inverse(model: LatticeModel) -> List[List[int]]:
     if any(b[i][j] for i in range(n) for j in range(i)) or \
             any(b[i][i] <= 0 for i in range(n)):
         raise PreconditionError("lattice basis is not in Hermite form")
-    inv = [[0] * n for _ in range(n)]
+    columns = linalg.transpose(b)
+    inverse = []
     for j in range(n):
-        for i in range(j, -1, -1):
-            acc = (q if i == j else 0) - sum(b[i][k] * inv[k][j]
-                                             for k in range(i + 1, j + 1))
-            quot, rem = divmod(acc, b[i][i])
-            if rem:
-                raise PreconditionError(
-                    "lattice model does not contain p^{2N} Lambda")
-            inv[i][j] = quot
-    return inv
+        x = linalg.solve_triangular(columns, (0,) * j + (q,))
+        if x is None:
+            raise PreconditionError(
+                "lattice model does not contain p^{2N} Lambda")
+        inverse.append(x + (0,) * (n - 1 - j))
+    return linalg.transpose(inverse)
 
 
 def relative_position(l1: LatticeModel, l2: LatticeModel) -> Tuple[int, ...]:
@@ -192,15 +175,16 @@ def _is_minuscule(mu: Sequence[int]) -> bool:
     return max(mu) - min(mu) <= 1
 
 
-def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int,
-                max_nodes: int = _ENUM_BUDGET) -> ADLVCensus:
+def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     """Depth-bounded census of X(b; mu) at hyperspecial level for GL_n.
 
     Lattices L at the given depth with inv(L, b sigma(L)) = mu, each with
     its determinant-valuation (Kottwitz) invariant and a complete-slope-
     divisibility certificate for the module (L, b sigma).  Twisted data
-    (frobenius_power r = 2) are expanded by restriction of scalars, with mu
-    repeated blockwise.  Nonemptiness here is a one-sided certificate:
+    (frobenius_power r > 1) are expanded by restriction of scalars, with mu
+    repeated blockwise.  p must be a prime; the only limit on the census is
+    the node budget of ``enumerate_lattices``, whose overrun raises
+    BudgetExceededError.  Nonemptiness here is a one-sided certificate:
     emptiness at this depth proves nothing about larger depths.
     """
     mu = tuple(int(v) for v in mu)
@@ -209,19 +193,12 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int,
     if not _is_minuscule(mu):
         raise PreconditionError("only minuscule mu is enumerated")
     r = b.frobenius_power
-    if r > 2:
-        raise BudgetExceededError("restriction of scalars is limited to r <= 2",
-                                  partial=None)
     expanded = restriction_of_scalars(b)
     n = expanded.size
     if len(mu) != b.size:
         raise PreconditionError("mu has the wrong length for the datum")
     mu_eff = tuple(sorted(mu * r, reverse=True))
-    if n > 3 and depth > 1:
-        raise BudgetExceededError(
-            "expanded datum needs depth 1 within the budget", partial=None)
-    lattices = enumerate_lattices(n, p, depth, max_nodes=max_nodes,
-                                  _allow_big=n == 4)
+    lattices = enumerate_lattices(n, p, depth)
     # b carries row j of a basis to row perm[j], scaled by p^e_j; p^c b is
     # integral, and the transition B^-1 b B is X / p^shift with X integral
     perm = expanded.permutation

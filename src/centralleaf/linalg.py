@@ -15,10 +15,10 @@ dependency outside the standard library.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import SingularInputError
+from .errors import PreconditionError, SingularInputError
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -209,6 +209,13 @@ def valuation(x, p: int) -> Optional[int]:
     return v
 
 
+def require_prime(p) -> None:
+    """Raise PreconditionError unless p is a prime (an int, by trial division)."""
+    if not isinstance(p, int) or p < 2 or \
+            any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise PreconditionError(f"p must be a prime, got {p!r}")
+
+
 def local_exponents(rows, p: int) -> Tuple[int, ...]:
     """p-adic valuations of the nonzero elementary divisors of an integer
     matrix, in ascending (divisibility) order; one per unit of rank.
@@ -368,17 +375,27 @@ def hnf_columns(rows) -> Matrix:
     return transpose(h)
 
 
-def triangular_membership(h: Matrix, v: Sequence[int]) -> bool:
-    """Whether integer vector v lies in the column span of upper-triangular h."""
-    n = len(h)
-    residue = list(map(int, v))
-    for i in range(n - 1, -1, -1):
-        if residue[i] % h[i][i] != 0:
-            return False
-        q = residue[i] // h[i][i]
-        for r in range(i + 1):
-            residue[r] -= q * h[r][i]
-    return True
+def solve_triangular(columns: Sequence[Sequence[int]],
+                     target: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """Integers x with sum_j x_j * columns[j] == target, by back-substitution;
+    None when there are none.
+
+    The columns are upper triangular (columns[j][i] == 0 for i > j) with
+    nonzero diagonal.  Only the leading len(target) columns and rows are
+    read: for a target supported on those rows, every later coordinate of
+    the solution is 0.
+    """
+    k = len(target)
+    x = [0] * k
+    for i in range(k - 1, -1, -1):
+        acc = target[i]
+        for j in range(i + 1, k):
+            acc -= columns[j][i] * x[j]
+        pivot = columns[i][i]
+        if acc % pivot:
+            return None
+        x[i] = acc // pivot
+    return tuple(x)
 
 
 def kernel_mod_prime_power(rows, p: int, k: int) -> Matrix:

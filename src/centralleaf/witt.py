@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -313,10 +314,13 @@ def witt_verschiebung(a: WittVector) -> WittVector:
 
 def witt_ghost(a: WittVector) -> tuple:
     """Ghost components w_i = sum p^j a_j^{p^(i-j)}, evaluated in the ring."""
-    xs = [_pvar(a.length, i) for i in range(a.length)]
-    out = []
-    for i in range(a.length):
-        out.append(_eval_poly(_ghost(a.prime, xs, i), list(a.components), a.ring))
+    ring, p = a.ring, a.prime
+    powers, out = [], []
+    for comp in a.components:
+        # a_j^{p^(i-j)} for j <= i
+        powers = [reduce(ring.mul, (x,) * p) for x in powers] + [comp]
+        out.append(reduce(ring.add, (ring.mul(ring.from_int(p ** j), x)
+                                     for j, x in enumerate(powers))))
     return tuple(out)
 
 
@@ -491,9 +495,10 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     padded = gens + [tuple(q * (1 if i == j else 0) for i in range(n)) for j in range(n)]
     basis = linalg.hnf_columns([[col[i] for col in padded] for i in range(n)])
 
+    basis_cols = linalg.transpose(basis)
     contains_ir = all(
-        linalg.triangular_membership(basis, tuple(p * (1 if i == j else 0)
-                                                  for i in range(n)))
+        linalg.solve_triangular(basis_cols, tuple(p * (1 if i == j else 0)
+                                                  for i in range(n))) is not None
         for j in range(n))
 
     # basis contains p^level Z^n, so every elementary divisor is a power of p

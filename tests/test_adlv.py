@@ -45,12 +45,49 @@ def subgroup_count_oracle(n, p, big_n):
                 for gens in itertools.combinations_with_replacement(elems, n)})
 
 
+def gaussian_binomial(n, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def birkhoff_subgroup_count(n, p, big_n):
+    """Closed-form count of the subgroups of (Z/p^{2N})^n (Birkhoff; L. M.
+    Butler, Mem. AMS 539, 1994): a sum over subgroup types mu inside
+    lambda = (2N)^n of prod_i p^{mu'_{i+1} (lambda'_i - mu'_i)} *
+    [lambda'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p, with conjugate
+    partitions mu' (2N parts, each at most n) and lambda'_i = n."""
+    total = 0
+    for conj in itertools.combinations_with_replacement(range(n, -1, -1),
+                                                        2 * big_n):
+        mu = conj + (0,)
+        term = 1
+        for i in range(2 * big_n):
+            term *= p ** (mu[i + 1] * (n - mu[i])) * gaussian_binomial(
+                n - mu[i + 1], mu[i] - mu[i + 1], p)
+        total += term
+    return total
+
+
 def test_lattice_counts_against_oracle():
     assert len(enumerate_lattices(2, 2, 1)) == 15
     assert len(enumerate_lattices(1, 2, 1)) == 3
     assert len(enumerate_lattices(1, 3, 1)) == 3
     for (n, p, big_n) in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)):
         assert len(enumerate_lattices(n, p, big_n)) == subgroup_count_oracle(n, p, big_n)
+
+
+def test_lattice_counts_against_closed_form():
+    for (n, p, big_n), count in (((2, 5, 2), 1169), ((2, 2, 3), 367),
+                                 ((4, 2, 1), 1983)):
+        assert birkhoff_subgroup_count(n, p, big_n) == count
+        assert len(enumerate_lattices(n, p, big_n)) == count
+    for (n, p, big_n) in ((1, 7, 3), (2, 3, 1), (3, 2, 1), (2, 2, 2),
+                          (3, 5, 1)):
+        assert len(enumerate_lattices(n, p, big_n)) == \
+            birkhoff_subgroup_count(n, p, big_n)
 
 
 def test_lattice_models_canonical():
@@ -64,12 +101,20 @@ def test_lattice_models_canonical():
 
 
 def test_budget_guards():
-    with pytest.raises(PreconditionError):
-        enumerate_lattices(5, 2, 1)
-    with pytest.raises(PreconditionError):
-        enumerate_lattices(2, 5, 1)
-    with pytest.raises(BudgetExceededError):
+    # only the node budget limits a census; p must be a prime
+    assert len(enumerate_lattices(2, 5, 1)) == 45
+    assert len(enumerate_lattices(5, 2, 1)) == birkhoff_subgroup_count(5, 2, 1)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(PreconditionError):
+            enumerate_lattices(2, p, 1)
+    for n, depth in ((0, 1), (2, 0)):
+        with pytest.raises(PreconditionError):
+            enumerate_lattices(n, 2, depth)
+    with pytest.raises(BudgetExceededError) as info:
         enumerate_lattices(3, 3, 2, max_nodes=50)
+    partial = info.value.partial
+    full = set(enumerate_lattices(3, 3, 2))
+    assert partial and all(m in full for m in partial)
 
 
 def _std(p=2, depth=1):
@@ -215,7 +260,7 @@ def test_every_census_check_matches_sympy_oracle(monkeypatch):
     monkeypatch.setattr(lattices, "_invariant_exponents", record)
     for x in enumerate_elements(GL2, 2, 2):
         b = rep_lift(x)
-        for p in (2, 3):
+        for p in (2, 3, 5):
             recorded.clear()
             census = adlv_points(b, (1, 0), p, 1)
             models = enumerate_lattices(2, p, 1)

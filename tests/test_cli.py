@@ -47,13 +47,13 @@ def test_witt_selfcheck_example(capsys):
 
 
 def test_adlv_command(capsys):
-    code, out, _ = run_cli(capsys, [
-        "adlv", "--matrix", "0,1;2,0", "--mu", "1,0", "--p", "2",
-        "--depth", "1"])
-    assert code == 0
-    header, rows = serialize.parse_csv(out)
-    assert list(header) == list(serialize.ADLV_HEADER)
-    assert rows and all(r[3] == "true" for r in rows)
+    for matrix, p in (("0,1;2,0", "2"), ("0,1;5,0", "5")):
+        code, out, _ = run_cli(capsys, [
+            "adlv", "--matrix", matrix, "--mu", "1,0", "--p", p, "--depth", "1"])
+        assert code == 0
+        header, rows = serialize.parse_csv(out)
+        assert list(header) == list(serialize.ADLV_HEADER)
+        assert rows and all(r[3] == "true" for r in rows)
 
 
 def test_crosscheck_command(capsys):
@@ -69,6 +69,12 @@ def test_validation_exit_code(capsys):
     code2, _, _ = run_cli(capsys, ["report", "--group", "E9",
                                    "--element", "{lambda:[1,0],w:s}"])
     assert code2 == 1
+    # p must be a prime: these used to hang, raise ZeroDivisionError or exit 2
+    for p in ("0", "1", "4"):
+        for argv in (["adlv", "--matrix", "0,1;2,0", "--mu", "1,0"],
+                     ["witt-selfcheck", "--length", "2", "--count", "1"]):
+            code, out, err = run_cli(capsys, argv + ["--p", p])
+            assert code == 1 and err.startswith("error:") and not out
 
 
 def test_budget_exit_code(capsys):

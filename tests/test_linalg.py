@@ -182,13 +182,32 @@ def test_kernel_mod_prime_power_by_counting(rows, p, k):
     q = p ** k
     m = len(rows[0])
     basis = linalg.kernel_mod_prime_power(rows, p, k)
-    for j in range(m):
-        col = [basis[i][j] for i in range(m)]
+    columns = linalg.transpose(basis)
+    for j, col in enumerate(columns):
         assert all(sum(a * b for a, b in zip(r, col)) % q == 0 for r in rows)
-        assert linalg.triangular_membership(basis, [q * (i == j) for i in range(m)])
+        assert linalg.solve_triangular(columns, [q * (i == j) for i in range(m)]) \
+            is not None
     size = sum(1 for v in itertools.product(range(q), repeat=m)
                if all(sum(a * b for a, b in zip(r, v)) % q == 0 for r in rows))
     assert abs(linalg.det(basis)) * size == q ** m
+
+
+@ORACLE_SETTINGS
+@given(st.integers(1, 4), st.data())
+def test_solve_triangular_matches_rational_solve(n, data):
+    # upper-triangular columns; the target reaches the leading k rows only
+    pivot = st.integers(-9, 9).filter(bool)
+    columns = [[data.draw(st.integers(-9, 9)) if i < j else
+                data.draw(pivot) if i == j else 0 for i in range(n)]
+               for j in range(n)]
+    k = data.draw(st.integers(1, n))
+    target = data.draw(st.lists(st.integers(-60, 60), min_size=k, max_size=k))
+    exact = linalg.solve_columns([col[:k] for col in columns[:k]], target)
+    found = linalg.solve_triangular(columns, target)
+    if all(x.denominator == 1 for x in exact):
+        assert found == tuple(int(x) for x in exact)
+    else:
+        assert found is None
 
 
 @ORACLE_SETTINGS
