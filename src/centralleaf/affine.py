@@ -4,6 +4,16 @@ sigma-conjugacy, Newton and Kottwitz maps, decent lifts, admissible sets.
 Elements are pairs (translation, finite part) with the finite part stored
 as an integer matrix on the cocharacter lattice; the composition law is
 (l1, w1)(l2, w2) = (l1 + w1 l2, w1 w2).  All computations are exact.
+
+The finite parts are coded by a per-datum ``_WeylTable``: indices into
+``datum.weyl_elements`` with a product table filled on demand, inverses,
+the sigma action on indices, and for each w the positive roots alpha with
+w^-1 alpha < 0.  The group law, inverse, sigma action, length and Newton
+point read the table; the sigma-class sweep runs on (translation, index)
+pairs without building elements.  ``enumerate_elements`` skips a
+translation before the Weyl loop when sum_{alpha > 0} |<alpha, lambda>|
+- |Phi+| exceeds the length cap: each length term |<alpha, lambda> - e|
+with e in {0, 1} is at least |<alpha, lambda>| - 1.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -32,6 +43,79 @@ class AffineElement:
 
     def __repr__(self):
         return f"AffineElement(lambda={self.translation}, w={self.finite})"
+
+
+class _WeylTable:
+    """The finite Weyl group of one datum, coded by indices into
+    ``datum.weyl_elements``."""
+
+    def __init__(self, datum: RootDatum):
+        self.elements = datum.weyl_elements
+        self.index = {w: i for i, w in enumerate(self.elements)}
+        self._products: List[Optional[List[Optional[int]]]] = [None] * len(self.elements)
+        ident = linalg.identity(datum.cochar_rank)
+        self.inverse = tuple(self.index[_power_inverse(w, ident)]
+                             for w in self.elements)
+        # <alpha, lam> = row . lam for each positive root alpha
+        pairing_t = linalg.transpose(datum.pairing)
+        self.root_rows = tuple(linalg.mat_vec(pairing_t, alpha)
+                               for alpha in datum.positive_roots)
+        # 1 where w^-1 alpha < 0: the row of alpha o w is row . w
+        positive = set(self.root_rows)
+        self.flips = tuple(
+            tuple(0 if row in positive else 1
+                  for row in linalg.mat_mul(self.root_rows, w))
+            for w in self.elements)
+        self._sigma_actions: Dict[Optional[Matrix], Tuple[int, ...]] = {
+            None: tuple(range(len(self.elements)))}
+
+    def code(self, w: Matrix) -> int:
+        try:
+            return self.index[w]
+        except KeyError:
+            raise PreconditionError("finite part is not a Weyl group element") from None
+
+    def mul(self, i: int, j: int) -> int:
+        row = self._products[i]
+        if row is None:
+            row = self._products[i] = [None] * len(self.elements)
+        k = row[j]
+        if k is None:
+            k = row[j] = self.index[linalg.mat_mul(self.elements[i], self.elements[j])]
+        return k
+
+    def pairings(self, lam) -> Tuple[int, ...]:
+        return tuple(sum(c * v for c, v in zip(row, lam)) for row in self.root_rows)
+
+    def sigma_action(self, sigma: Optional[Matrix]) -> Tuple[int, ...]:
+        """The index of sigma w sigma^-1 for each index w."""
+        sigma = None if sigma is None else linalg.freeze(sigma)
+        action = self._sigma_actions.get(sigma)
+        if action is None:
+            s_inv = linalg.mat_inv(sigma)
+            # Fraction entries hash like ints, so a non-integral conjugate misses
+            images = [self.index.get(linalg.mat_mul(linalg.mat_mul(sigma, w), s_inv))
+                      for w in self.elements]
+            if None in images:
+                raise ConfigurationError("sigma does not normalise the Weyl group")
+            action = self._sigma_actions[sigma] = tuple(images)
+        return action
+
+
+def _power_inverse(w: Matrix, ident: Matrix) -> Matrix:
+    """w^-1 as the last power of w before the identity."""
+    prev, cur = ident, w
+    while cur != ident:
+        prev, cur = cur, linalg.mat_mul(cur, w)
+    return prev
+
+
+def _weyl_table(datum: RootDatum) -> _WeylTable:
+    table = getattr(datum, "_weyl_table", None)
+    if table is None:
+        table = _WeylTable(datum)
+        setattr(datum, "_weyl_table", table)
+    return table
 
 
 def identity_element(datum: RootDatum) -> AffineElement:
@@ -72,18 +156,16 @@ def _same_datum(*xs: AffineElement):
 
 def compose(x: AffineElement, y: AffineElement) -> AffineElement:
     datum = _same_datum(x, y)
+    table = _weyl_table(datum)
     lam = tuple(a + b for a, b in zip(x.translation,
                                       linalg.mat_vec(x.finite, y.translation)))
-    return AffineElement(datum, lam, linalg.mat_mul(x.finite, y.finite))
-
-
-def _int_inverse(m: Matrix) -> Matrix:
-    """Inverse of an integer matrix whose inverse is integral."""
-    return linalg.freeze(tuple(int(v) for v in row) for row in linalg.mat_inv(m))
+    w = table.mul(table.code(x.finite), table.code(y.finite))
+    return AffineElement(datum, lam, table.elements[w])
 
 
 def invert(x: AffineElement) -> AffineElement:
-    w_inv = _int_inverse(x.finite)
+    table = _weyl_table(x.datum)
+    w_inv = table.elements[table.inverse[table.code(x.finite)]]
     lam = tuple(-v for v in linalg.mat_vec(w_inv, x.translation))
     return AffineElement(x.datum, lam, w_inv)
 
@@ -92,14 +174,10 @@ def sigma_apply(x: AffineElement, sigma: Optional[Matrix]) -> AffineElement:
     """Apply the lattice automorphism sigma: (l, w) -> (s l, s w s^-1)."""
     if sigma is None:
         return x
-    datum = x.datum
-    s_inv = _int_inverse(sigma)
+    table = _weyl_table(x.datum)
+    w = table.sigma_action(sigma)[table.code(x.finite)]
     lam = tuple(int(v) for v in linalg.mat_vec(sigma, x.translation))
-    w = linalg.mat_mul(linalg.mat_mul(sigma, x.finite), s_inv)
-    w = linalg.freeze(tuple(int(v) for v in row) for row in w)
-    if not datum.is_weyl(w):
-        raise ConfigurationError("sigma does not normalise the Weyl group")
-    return AffineElement(datum, lam, w)
+    return AffineElement(x.datum, lam, table.elements[w])
 
 
 def sigma_conjugate(g: AffineElement, x: AffineElement,
@@ -113,19 +191,11 @@ def sigma_conjugate(g: AffineElement, x: AffineElement,
 # length and reduced words
 
 def length(x: AffineElement) -> int:
-    """Iwahori-Matsumoto length on the extended affine Weyl group."""
-    datum = x.datum
-    total = 0
-    w_chars = datum.char_matrix(x.finite)
-    positive = set(datum.positive_roots)
-    for alpha in datum.positive_roots:
-        w_inv_alpha = tuple(int(v) for v in linalg.mat_vec(w_chars, alpha))
-        pairing = datum.pair(alpha, x.translation)
-        if w_inv_alpha in positive:
-            total += abs(pairing)
-        else:
-            total += abs(pairing - 1)
-    return total
+    """Iwahori-Matsumoto length on the extended affine Weyl group:
+    the sum over alpha > 0 of |<alpha, lambda>|, less one where w^-1 alpha < 0."""
+    table = _weyl_table(x.datum)
+    flips = table.flips[table.code(x.finite)]
+    return sum(abs(p - f) for p, f in zip(table.pairings(x.translation), flips))
 
 
 def affine_generators(datum: RootDatum) -> Tuple[AffineElement, ...]:
@@ -255,15 +325,23 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     """Newton cocharacter of x: the average of the (w sigma)-orbit of the
     translation part over the minimal period r with (w sigma)^r = 1."""
     datum = x.datum
-    w_sigma = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
+    table = _weyl_table(datum)
+    action = table.sigma_action(sigma)
+    w = table.code(x.finite)
     ident = linalg.identity(datum.cochar_rank)
+    w_sigma = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
+    # (w sigma)^r = a sigma^r with a = w sigma(w) ... sigma^(r-1)(w) in W
+    a, conj, s_power = w, w, ident if sigma is None else linalg.freeze(sigma)
     total = list(x.translation)
-    power = w_sigma
+    moved = x.translation
     r = 1
-    while not linalg.mat_eq(power, ident):
-        moved = linalg.mat_vec(power, x.translation)
-        total = [a + b for a, b in zip(total, moved)]
-        power = linalg.mat_mul(power, w_sigma)
+    while s_power != table.elements[table.inverse[a]]:
+        moved = linalg.mat_vec(w_sigma, moved)
+        total = [u + v for u, v in zip(total, moved)]
+        conj = action[conj]
+        a = table.mul(a, conj)
+        if sigma is not None:
+            s_power = linalg.mat_mul(s_power, sigma)
         r += 1
         if r > _SIGMA_ORDER_CAP:
             raise PreconditionError("w*sigma does not have finite order on X_*")
@@ -314,7 +392,8 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
     datum = x.datum
     if datum.rep_weights is None:
         raise UnsupportedOperationError("no faithful representation attached")
-    w_inv = _int_inverse(x.finite)
+    table = _weyl_table(datum)
+    w_inv = table.elements[table.inverse[table.code(x.finite)]]
     chars_of_w_inv = datum.char_matrix(w_inv)
     perm = _weight_permutation(datum, chars_of_w_inv)
     exps = tuple(int(datum.pair(w, x.translation)) for w in datum.rep_weights)
@@ -324,7 +403,7 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
 def sigma_rep_matrix(datum: RootDatum, sigma: Optional[Matrix]) -> MonomialIsocrystal:
     if sigma is None:
         return monomial_identity(len(datum.rep_weights))
-    s_inv = _int_inverse(sigma)
+    s_inv = linalg.freeze(tuple(int(v) for v in row) for row in linalg.mat_inv(sigma))
     perm = _weight_permutation(datum, datum.char_matrix(s_inv))
     return MonomialIsocrystal(len(perm), perm, (0,) * len(perm))
 
@@ -407,18 +486,25 @@ def admissible_set(datum: RootDatum, mu, level: str = "iwahori"):
 def enumerate_elements(datum: RootDatum, max_length: int,
                        coord_bound) -> List[AffineElement]:
     """All elements of length <= max_length whose translation coordinates
-    lie in the window; coord_bound is an int b for [-b, b] or a (lo, hi) pair."""
+    lie in the window; coord_bound is an int b for [-b, b] or a (lo, hi) pair.
+
+    A translation is skipped before the Weyl loop when its pairings alone
+    force every length above max_length (see the module docstring)."""
     if isinstance(coord_bound, int):
         lo, hi = -coord_bound, coord_bound
     else:
         lo, hi = coord_bound
+    table = _weyl_table(datum)
+    reach = max_length + len(table.root_rows)
     out = []
     span = range(lo, hi + 1)
     for lam in itertools.product(span, repeat=datum.cochar_rank):
-        for w in datum.weyl_elements:
-            x = AffineElement(datum, lam, w)
-            if length(x) <= max_length:
-                out.append(x)
+        pairs = table.pairings(lam)
+        if sum(map(abs, pairs)) > reach:
+            continue
+        for w, flips in zip(table.elements, table.flips):
+            if sum(abs(p - f) for p, f in zip(pairs, flips)) <= max_length:
+                out.append(AffineElement(datum, lam, w))
     return out
 
 
@@ -470,7 +556,11 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
             f"{len(elements)} elements x {len(conjugators)} conjugators "
             f"exceeds the budget of {budget}",
             partial=singleton)
-    index = {x: i for i, x in enumerate(elements)}
+    table = _weyl_table(datum)
+    action = table.sigma_action(sigma)
+    # the sweep runs on (translation, Weyl index) pairs
+    coded = [(x.translation, table.code(x.finite)) for x in elements]
+    index = {c: i for i, c in enumerate(coded)}
     parent = list(range(len(elements)))
 
     def find(i):
@@ -484,16 +574,30 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
+    # y = g x sigma(g)^-1 = (l_g + w_g l_x + (w_g w_x) mu_h, w_g w_x w_h)
+    # with sigma(g)^-1 = (mu_h, w_h); per w_g: (w_g w_x, w_g l_x) for each x
+    left: Dict[int, List[Tuple[int, Vector]]] = {}
     for g in conjugators:
-        g_inv_sigma = invert(sigma_apply(g, sigma))
-        for x in elements:
-            y = compose(compose(g, x), g_inv_sigma)
-            j = index.get(y)
+        wg = table.code(g.finite)
+        row = left.get(wg)
+        if row is None:
+            w_matrix = table.elements[wg]
+            row = left[wg] = [(table.mul(wg, wx), linalg.mat_vec(w_matrix, lam))
+                              for lam, wx in coded]
+        wh = table.inverse[action[wg]]
+        s_lam = g.translation if sigma is None else linalg.mat_vec(sigma, g.translation)
+        mu_h = tuple(-v for v in linalg.mat_vec(table.elements[wh], s_lam))
+        # per w = w_g w_x: (l_g + w mu_h, w w_h)
+        tail = [(tuple(map(add, g.translation, linalg.mat_vec(w, mu_h))),
+                 table.mul(k, wh)) for k, w in enumerate(table.elements)]
+        for i, (wgx, moved) in enumerate(row):
+            shift, wy = tail[wgx]
+            j = index.get((tuple(map(add, shift, moved)), wy))
             if j is not None:
-                union(index[x], j)
+                union(i, j)
 
     groups: Dict[int, List[AffineElement]] = {}
-    for x, i in index.items():
+    for i, x in enumerate(elements):
         groups.setdefault(find(i), []).append(x)
     blocks = tuple(sorted((tuple(sorted(block, key=_sort_key))
                            for block in groups.values()),

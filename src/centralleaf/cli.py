@@ -62,12 +62,23 @@ class JobSpec:
         return {f.name for f in fields(JobSpec)}
 
 
+_INT_KEYS = ("p", "depth", "cap", "conj_cap", "bound", "length",
+             "coeff_exponent", "count", "seed")
+_OPTIONAL_KEYS = ("conj_cap", "bound")
+
+
 def _spec_from_document(doc: dict) -> JobSpec:
     unknown = set(doc) - JobSpec.known_keys()
     if unknown:
         raise ConfigurationError(f"unknown job-spec keys: {sorted(unknown)}")
     if "command" not in doc:
         raise ConfigurationError("job spec needs a 'command'")
+    for key in _INT_KEYS:
+        if key not in doc or (doc[key] is None and key in _OPTIONAL_KEYS):
+            continue
+        if type(doc[key]) is not int:  # bool is an int subclass
+            raise ConfigurationError(
+                f"job-spec value {key!r} must be an integer, not {doc[key]!r}")
     return JobSpec(**doc)
 
 

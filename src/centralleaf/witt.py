@@ -8,7 +8,7 @@ are asserted integral and cached.  No tables are hard coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -140,10 +140,10 @@ class ZModRing:
 
     p: int
     k: int
+    modulus: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.k
+    def __post_init__(self):
+        object.__setattr__(self, "modulus", self.p ** self.k)
 
     def from_int(self, n: int) -> int:
         return n % self.modulus
@@ -175,10 +175,10 @@ class NilpotentPolyRing:
     p: int
     k: int
     truncations: Tuple[int, ...]
+    modulus: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.k
+    def __post_init__(self):
+        object.__setattr__(self, "modulus", self.p ** self.k)
 
     def _norm(self, mapping) -> tuple:
         items = []

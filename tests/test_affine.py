@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centralleaf import linalg
 from centralleaf.affine import (AffineElement, admissible_set, bruhat_leq,
@@ -12,8 +16,8 @@ from centralleaf.affine import (AffineElement, admissible_set, bruhat_leq,
                                 newton_point, omega_and_word, rep_lift,
                                 sigma_apply, sigma_conjugate, simple_element,
                                 translation_element)
-from centralleaf.errors import (BudgetExceededError, DatumMismatchError,
-                                PreconditionError)
+from centralleaf.errors import (BudgetExceededError, ConfigurationError,
+                                DatumMismatchError, PreconditionError)
 from centralleaf.isocrystal import slopes_monomial
 from centralleaf.rootdata import build_classical, dominant_rep, is_dominant
 
@@ -323,3 +327,132 @@ def test_sigma_classes_with_twist():
     assert partition.block_of(t100) == partition.block_of(t010)
     nu = newton_point(t100, sigma)
     assert nu.dominant == (F(1, 3),) * 3
+
+
+# ---------------------------------------------------------------------------
+# the coded group law against the matrix formulas
+
+def _matrix_inverse(m):
+    return linalg.freeze(tuple(int(v) for v in row) for row in linalg.mat_inv(m))
+
+
+def matrix_compose(x, y):
+    lam = tuple(a + b for a, b in zip(x.translation,
+                                      linalg.mat_vec(x.finite, y.translation)))
+    return AffineElement(x.datum, lam, linalg.mat_mul(x.finite, y.finite))
+
+
+def matrix_invert(x):
+    w_inv = _matrix_inverse(x.finite)
+    return AffineElement(x.datum, tuple(-v for v in linalg.mat_vec(w_inv, x.translation)),
+                         w_inv)
+
+
+def matrix_sigma_apply(x, sigma):
+    w = linalg.mat_mul(linalg.mat_mul(sigma, x.finite), _matrix_inverse(sigma))
+    return AffineElement(x.datum, linalg.mat_vec(sigma, x.translation), w)
+
+
+def matrix_length(x):
+    datum = x.datum
+    w_chars = datum.char_matrix(x.finite)
+    positive = set(datum.positive_roots)
+    total = 0
+    for alpha in datum.positive_roots:
+        pairing = datum.pair(alpha, x.translation)
+        if linalg.mat_vec(w_chars, alpha) in positive:
+            total += abs(pairing)
+        else:
+            total += abs(pairing - 1)
+    return total
+
+
+def matrix_newton_vector(x, sigma):
+    w_sigma = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
+    ident = linalg.identity(x.datum.cochar_rank)
+    power, total, r = w_sigma, list(x.translation), 1
+    while power != ident:
+        total = [a + b for a, b in zip(total, linalg.mat_vec(power, x.translation))]
+        power = linalg.mat_mul(power, w_sigma)
+        r += 1
+    return tuple(F(t, r) for t in total), r
+
+
+GL4 = build_classical("GL", 4)
+# (name, datum, sigma): sigma = None, the coordinate rotation of GL3, and
+# lambda -> -w0 lambda on GL4
+LAW_CASES = [
+    ("GL2", GL2, None), ("GL3", GL3, None), ("GL4", GL4, None),
+    ("SL3", build_classical("SL", 3), None), ("Sp4", SP4, None),
+    ("GSp4", build_classical("GSp", 4), None), ("GL3 rotation", GL3, rotation3()),
+    ("GL4 dual", GL4, tuple(tuple(-1 if i + j == 3 else 0 for j in range(4))
+                            for i in range(4))),
+]
+
+
+@st.composite
+def affine_elements(draw, datum):
+    lam = tuple(draw(st.integers(-3, 3)) for _ in range(datum.cochar_rank))
+    return AffineElement(datum, lam, draw(st.sampled_from(datum.weyl_elements)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LAW_CASES), st.data())
+def test_coded_law_matches_matrix_law(case, data):
+    _, datum, sigma = case
+    x = data.draw(affine_elements(datum))
+    y = data.draw(affine_elements(datum))
+    assert compose(x, y) == matrix_compose(x, y)
+    assert invert(x) == matrix_invert(x)
+    assert length(x) == matrix_length(x)
+    nu = newton_point(x, sigma)
+    assert (nu.vector, nu.period) == matrix_newton_vector(x, sigma)
+    if sigma is not None:
+        assert sigma_apply(x, sigma) == matrix_sigma_apply(x, sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LAW_CASES), st.integers(0, 4), st.integers(0, 2),
+       st.booleans())
+def test_pruned_enumeration_matches_box_scan(case, cap, bound, shifted):
+    _, datum, _ = case
+    rank = datum.cochar_rank
+    if rank > 3:
+        bound = min(bound, 1)
+    lo, hi = (-bound, bound + 1) if shifted else (-bound, bound)
+    box = itertools.product(range(lo, hi + 1), repeat=rank)
+    expected = [AffineElement(datum, lam, w) for lam in box
+                for w in datum.weyl_elements
+                if matrix_length(AffineElement(datum, lam, w)) <= cap]
+    got = enumerate_elements(datum, cap, (lo, hi) if shifted else bound)
+    assert got == expected
+
+
+def test_sigma_not_normalising_weyl_group_is_refused():
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ConfigurationError):
+        sigma_apply(s(GL3), shear)
+    with pytest.raises(ConfigurationError):
+        enumerate_sigma_classes(GL3, 0, sigma=shear, coord_bound=1)
+
+
+def _partition_digest(partition):
+    """sha256 of the partition: each block's element keys sorted, then the
+    blocks sorted."""
+    blocks = sorted(sorted(json.dumps([list(x.translation), [list(r) for r in x.finite]],
+                                      separators=(",", ":")) for x in block)
+                    for block in partition.blocks)
+    return hashlib.sha256(json.dumps(blocks, separators=(",", ":")).encode()).hexdigest()
+
+
+# Pinned from the matrix implementation of the group law and sweep: windows
+# the benchmark's classes workload does not cover.
+@pytest.mark.parametrize("tag, n, cap, blocks, digest", [
+    ("GL", 3, 2, 75, "a95ef95a40b20621df7a7722d1893fe1982f9bd1e2404842379161fbb9d0a8f3"),
+    ("GSp", 4, 2, 41, "83a36098f8d3419e65436e94aea44fd2a5e8b9d90b4be55fdceda854976780c1"),
+    ("GL", 4, 1, 50, "295b8a6847e547420fbceb9b2066f06070f4ea434cf9fe98cc5805992b5e72cb"),
+], ids=["GL3-cap2", "GSp4-cap2", "GL4-cap1"])
+def test_sigma_class_partition_pins(tag, n, cap, blocks, digest):
+    partition = enumerate_sigma_classes(build_classical(tag, n), cap)
+    assert len(partition.blocks) == blocks
+    assert _partition_digest(partition) == digest

@@ -103,6 +103,22 @@ def test_spec_file(tmp_path, capsys):
     assert code == 0 and "1/2,1/2" in out
 
 
+def test_spec_values_must_be_integers(tmp_path, capsys):
+    # these used to end in a TypeError traceback instead of an error line
+    path = tmp_path / "job.json"
+    for doc in ({"command": "classes", "group": "GL2", "cap": "1"},
+                {"command": "adlv", "matrix": "0,1;2,0", "mu": "1,0", "depth": "1"},
+                {"command": "witt-selfcheck", "length": 2, "count": True},
+                {"command": "crosscheck", "group": "GL2", "cap": None}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, [doc["command"], "--spec", str(path)])
+        assert code == 1 and err.startswith("error:") and not out
+    path.write_text(json.dumps({"command": "classes", "group": "GL2", "cap": 1,
+                                "bound": None}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["classes", "--spec", str(path)])
+    assert code == 0 and out
+
+
 def test_unknown_spec_keys_rejected(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "report", "grp": "GL2"}),
