@@ -64,7 +64,16 @@ class JobSpec:
 
 _INT_KEYS = ("p", "depth", "cap", "conj_cap", "bound", "length",
              "coeff_exponent", "count", "seed")
-_OPTIONAL_KEYS = ("conj_cap", "bound")
+_STR_KEYS = ("mu", "matrix", "level", "format", "output")
+# job-spec key -> (what its value must be, the check); bool is an int subclass
+_VALUE_TYPES = {
+    **{key: ("an integer", lambda v: type(v) is int) for key in _INT_KEYS},
+    **{key: ("a string", lambda v: isinstance(v, str)) for key in _STR_KEYS},
+    "group": ("a string or an object", lambda v: isinstance(v, (str, dict))),
+    "elements": ("a list of strings or objects",
+                 lambda v: isinstance(v, list) and all(isinstance(e, (str, dict)) for e in v)),
+}
+_OPTIONAL_KEYS = ("conj_cap", "bound", "group", "matrix", "mu", "output")
 
 
 def _spec_from_document(doc: dict) -> JobSpec:
@@ -73,12 +82,11 @@ def _spec_from_document(doc: dict) -> JobSpec:
         raise ConfigurationError(f"unknown job-spec keys: {sorted(unknown)}")
     if "command" not in doc:
         raise ConfigurationError("job spec needs a 'command'")
-    for key in _INT_KEYS:
+    for key, (kind, check) in _VALUE_TYPES.items():
         if key not in doc or (doc[key] is None and key in _OPTIONAL_KEYS):
             continue
-        if type(doc[key]) is not int:  # bool is an int subclass
-            raise ConfigurationError(
-                f"job-spec value {key!r} must be an integer, not {doc[key]!r}")
+        if not check(doc[key]):
+            raise ConfigurationError(f"job-spec value {key!r} must be {kind}, not {doc[key]!r}")
     return JobSpec(**doc)
 
 

@@ -15,6 +15,13 @@ no factorisation over Q is needed.  The saturated slope pieces are exact
 when they do and p-adic approximations otherwise; either way one decision
 (``_slope_report``) checks that they grade the lattice and reads the period
 off an orbit walk of the normalised Frobenius on each piece.
+
+The certificate runs on Python ints: M = a/d is cleared of denominators
+once, t = a^r0 is carried over the denominator t_den = d^r0 (r0 the least
+common denominator of the slopes), the pieces are kernels of integer
+polynomials in t, and the coordinates of a piece's images are read off the
+unimodular transform that saturates it.  Fractions remain only in the
+input and in the report's slopes.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -295,13 +302,6 @@ class SlopeDivisibilityReport:
         return self.divisible
 
 
-def _lcm_denominators(slopes) -> int:
-    out = 1
-    for s in slopes:
-        out = lcm(out, Fraction(s).denominator)
-    return out
-
-
 def _csd_monomial(m: MonomialIsocrystal) -> SlopeDivisibilityReport:
     slopes = slopes_monomial(m)
     period = 1
@@ -322,26 +322,35 @@ def _csd_monomial(m: MonomialIsocrystal) -> SlopeDivisibilityReport:
         "equation certifies the slope grading")
 
 
-def _saturate_columns(cols: Sequence[Sequence]) -> List[tuple]:
+def _saturate_columns(cols: Sequence[Sequence]) -> Tuple[List[tuple], Matrix]:
     """Basis of the saturation in Z^n (Q-span intersected with Z^n) of
-    rational columns: the first columns of S^-1 for S*A*T = D."""
-    n = len(cols[0])
-    dens = [lcm(*(Fraction(x).denominator for x in c)) for c in cols]
-    rows = [[int(c[i] * d) for c, d in zip(cols, dens)] for i in range(n)]
-    divisors, s, _t = linalg.smith_full(rows)
+    rational columns, and a unimodular s with s * basis the leading columns
+    of the identity: s carries a vector of the span to its coordinates in
+    the basis, followed by zeros.
+
+    With S*A*T = D for the integer columns A, the basis is the first
+    columns of S^-1, and A*T = S^-1 * D gives them over the integers: the
+    columns of A*T divided by the divisors.
+    """
+    rows = [[x.numerator * (d // x.denominator) for x in c]
+            for c, d in zip(cols, (lcm(*(x.denominator for x in c)) for c in cols))]
+    rows = linalg.transpose(rows)
+    divisors, s, t = linalg.smith_full(rows)
     if sum(1 for d in divisors if d != 0) != len(cols):
         raise ConsistencyError("saturation input not of full column rank")
-    s_inv = linalg.mat_inv(s)
-    return [tuple(int(s_inv[i][j]) for i in range(n)) for j in range(len(cols))]
+    spans = linalg.transpose(linalg.mat_mul(rows, t))
+    return [tuple(x // d for x in col) for col, d in zip(spans, divisors)], s
 
 
-def _rational_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
+def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: int,
                            coeffs: Sequence[Fraction]) -> Optional[dict]:
     """Slope pieces when every slope factor of the characteristic polynomial
-    lies in Q[x]: {slope: saturated basis columns}, or None when one does not.
+    lies in Q[x]: {slope: (saturated basis columns, s)} as returned by
+    ``_saturate_columns``, or None when one does not.
 
-    ``coeffs`` is the charpoly chi of p^shift * t, p-integral with slopes
-    >= 0.  With D the (p-prime) common denominator of its coefficients,
+    ``t`` is an integer matrix and t / t_den = M^r0.  ``coeffs`` is the
+    charpoly chi of p^shift * t / t_den, p-integral with slopes >= 0.  With
+    D the (p-prime) common denominator of its coefficients,
     chi~(y) = D^n chi(y/D) is monic in Z[y].  A slope factor of chi~ that
     lies in Q[y] lies in Z[y] with coefficients of absolute value at most
     2^n ||chi~||_2 (Landau-Mignotte), so it is the symmetric residue of its
@@ -352,7 +361,7 @@ def _rational_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
     """
     n = len(t)
     den = lcm(*(c.denominator for c in coeffs))
-    model = [int(c * den ** (n - i)) for i, c in enumerate(coeffs)]
+    model = [c.numerator * (den ** (n - i) // c.denominator) for i, c in enumerate(coeffs)]
     bound = 2 ** (n + 1) * (isqrt(sum(c * c for c in model)) + 1)
     prec = next(k for k in itertools.count(1) if p ** k > bound)
     q = p ** prec
@@ -374,26 +383,32 @@ def _rational_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
             set(newton_polygon_slopes(cand, p)) != {slope + shift}
             for slope, cand in candidates.items()):
         return None
-    # the kernel of chi~_s(D p^shift t) is the slope-s generalised eigenspace
-    scaled_t = linalg.mat_scale(den * p ** shift, t)
+    # the kernel of chi~_s(D p^shift t / t_den) is the slope-s generalised
+    # eigenspace; an integer multiple of that matrix has the same kernel
+    g = gcd(den * p ** shift, t_den)
     pieces = {}
     for slope, cand in candidates.items():
-        kernel = linalg.kernel(_poly_of_matrix(cand, scaled_t))
+        kernel = linalg.kernel(_poly_of_matrix(cand, t, den * p ** shift // g, t_den // g))
         if len(kernel) != expected[slope]:
             raise ConsistencyError("kernel dimension disagrees with multiplicity")
         pieces[slope] = _saturate_columns(kernel)
     return pieces
 
 
-def _poly_of_matrix(coeffs: Sequence[Fraction], t: Matrix) -> Matrix:
+def _poly_of_matrix(coeffs: Sequence[int], t: Matrix, num: int, den: int) -> Matrix:
+    """den^k * f(num/den * t) for an integer matrix t and an integer
+    polynomial f of degree k (constant term first), by Horner's rule."""
     n = len(t)
-    result = linalg.mat_scale(coeffs[0], linalg.identity(n))
-    power = linalg.identity(n)
-    for c in coeffs[1:]:
-        power = linalg.mat_mul(power, t)
-        if c != 0:
-            result = linalg.mat_add(result, linalg.mat_scale(c, power))
-    return result
+    lead, *rest = reversed(coeffs)
+    step = linalg.mat_scale(num, t)
+    result = [[lead * (i == j) for j in range(n)] for i in range(n)]
+    for k, c in enumerate(rest, 1):
+        # the first product is by the scalar matrix lead * I
+        product = linalg.mat_scale(lead, step) if k == 1 else linalg.mat_mul(result, step)
+        result = [list(row) for row in product]
+        for i in range(n):
+            result[i][i] += c * den ** k
+    return linalg.freeze(result)
 
 
 _HENSEL_SCHEDULE = (6, 12, 24, 48)
@@ -535,17 +550,20 @@ def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
     return factors
 
 
-def _approx_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
+def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: int,
                          coeffs: Sequence[Fraction],
                          prec: int) -> Optional[Tuple[dict, int]]:
     """Approximate slope pieces when the slope subspaces are not Q-rational.
 
     Hensel slope factorisation mod p^prec of ``coeffs``, the charpoly of
-    p^shift * t, yields approximate saturated lattice pieces.  Returns
-    ({slope: basis columns}, margin), the pieces agreeing with the true ones
-    modulo p^margin, or None to retry when the margin is not above 2.
+    p^shift * t / t_den, yields approximate saturated lattice pieces.
+    Returns ({slope: (basis columns, s)}, margin), the pieces agreeing with
+    the true ones modulo p^margin, or None to retry when the margin is not
+    above 2.
     """
     n = len(t)
+    t_val = linalg.valuation(t_den, p)
+    least = min(linalg.valuation(x, p) for row in t for x in row if x)
     slopes_desc = sorted(expected, reverse=True)
     prec_pad = prec + n * (max(slopes_desc) + shift + 1)
     factors = _slope_factors_mod(coeffs, p, prec_pad)
@@ -559,18 +577,16 @@ def _approx_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
     windows = {}
     for slope in slopes_desc:
         fac = by_slope[slope]
-        # factors live in the substituted variable y = x / p^slope
-        scaled_t = linalg.mat_scale(Fraction(1, p) ** int(slope), t)
-        omega = max((-linalg.valuation(x, p) for row in scaled_t for x in row
-                     if x != 0), default=0)
-        omega = max(int(omega), 0)
-        e_mat = _poly_of_matrix([Fraction(c) for c in fac], scaled_t)
-        den = 1
-        for row in e_mat:
-            for x in row:
-                den = lcm(den, Fraction(x).denominator)
-        scaled = [[int(x * den) for x in row] for row in e_mat]
-        den_val = int(linalg.valuation(den, p))
+        # factors live in the substituted variable y = x / p^slope, so the
+        # slope-s factor is taken at u = p^-slope t / t_den, whose entries have
+        # p-denominators up to p^omega; fac(u) = h / u_den^deg
+        omega = max(t_val + slope - least, 0)
+        u_den = t_den * p ** max(slope, 0)
+        h = _poly_of_matrix(fac, t, p ** max(-slope, 0), u_den)
+        common = gcd(u_den ** (len(fac) - 1), *(x for row in h for x in row))
+        # fac(u) with its denominators cleared: the least integer multiple
+        scaled = [[x // common for x in row] for row in h]
+        den_val = linalg.valuation(u_den ** (len(fac) - 1) // common, p)
         # entries of `scaled` approximate the true matrix with error
         # valuation at least `approx_window`
         approx_window = prec - len(fac) * omega + den_val
@@ -602,31 +618,38 @@ def _approx_slope_pieces(t: Matrix, p: int, expected: dict, shift: int,
     return pieces, margin
 
 
-def _piece_frobenius(t: Matrix, p: int, slope: int, basis,
+def _piece_frobenius(t: Matrix, t_den: int, p: int, slope: int, piece,
                      q: Optional[int] = None):
-    """(c, x) for the piece spanned by ``basis``: u = p^-slope * t is the
-    normalised Frobenius, c the least exponent >= 0 making the images of the
-    basis under p^c * u p-integral, and x the integer matrix, in the basis,
-    of p^c * u up to a p-adic unit factor.
+    """(c, x) for the piece (basis, s) of ``_saturate_columns``: u =
+    p^-slope * t / t_den is the normalised Frobenius, c the least exponent
+    >= 0 making the images of the basis under p^c * u p-integral, and x the
+    integer matrix, in the basis, of p^c * u up to a p-adic unit factor.
 
-    The basis is saturated, so that matrix is p-integral.  With q None the
-    piece is exact and x is p^c * u with its p-prime denominators cleared;
-    otherwise x is read modulo q off an approximate integer basis with
-    ``linalg.solve_mod``.  None when the images leave the span (modulo q).
+    s carries the images to their coordinates, all at once.  The basis is
+    saturated, so that matrix is p-integral.  With q None the piece is exact
+    and x is p^c * u with its p-prime denominators cleared; otherwise the
+    basis is approximate and x is read modulo q.  None when the images leave
+    the span (modulo q).
     """
-    scale = Fraction(1, p) ** slope
-    images = [[v * scale for v in linalg.mat_vec(t, col)] for col in basis]
-    c = max([0] + [-linalg.valuation(v, p) for img in images for v in img if v])
-    images = [[v * p ** c for v in img] for img in images]
-    if q is not None:
-        cols = [linalg.solve_mod(basis, [v.numerator * pow(v.denominator, -1, q) % q
-                                         for v in img], q) for img in images]
-        return None if None in cols else (c, linalg.transpose(cols))
-    cols = [linalg.solve_columns(basis, img) for img in images]
-    if None in cols:
+    basis, s = piece
+    k = len(basis)
+    images = linalg.mat_mul(t, linalg.transpose(basis))
+    excess = linalg.valuation(t_den, p) + slope
+    c = max([0] + [excess - linalg.valuation(v, p) for row in images for v in row if v])
+    # p^c * u * basis = images * num / den, with the p-part of den dividing
+    # every entry of images * num
+    num, den = p ** max(c - slope, 0), t_den * p ** max(slope - c, 0)
+    coords = [[v * num for v in row] for row in linalg.mat_mul(s, images)]
+    if q is None:
+        common = gcd(den, *(v for row in coords for v in row))
+        coords = [[v // common for v in row] for row in coords]
+    else:
+        p_part = p ** linalg.valuation(den, p)
+        unit = pow(den // p_part, -1, q)
+        coords = [[v // p_part * unit % q for v in row] for row in coords]
+    if any(v for row in coords[k:] for v in row):
         return None
-    den = lcm(*(v.denominator for col in cols for v in col))
-    return c, linalg.transpose([[int(v * den) for v in col] for col in cols])
+    return c, linalg.freeze(coords[:k])
 
 
 def _orbit_bound(x: Matrix, p: int, c: int) -> int:
@@ -677,9 +700,10 @@ def _orbit_return_steps(x: Matrix, p: int, c: int, steps: int,
     return None
 
 
-def _slope_report(t: Matrix, p: int, r0: int, slopes, pieces: dict,
+def _slope_report(t: Matrix, t_den: int, p: int, r0: int, slopes, pieces: dict,
                   margin: Optional[int] = None) -> Optional[SlopeDivisibilityReport]:
-    """Decide slope divisibility from the saturated slope pieces of t = M^r0.
+    """Decide slope divisibility from the saturated slope pieces of
+    t / t_den = M^r0, t an integer matrix.
 
     Exact pieces (``margin`` None) are first certified isoclinic; the answer
     is False when the pieces do not grade the lattice, else True with the
@@ -691,17 +715,17 @@ def _slope_report(t: Matrix, p: int, r0: int, slopes, pieces: dict,
     frobenius = {}
     if margin is None:
         for s in ordered:
-            frobenius[s] = _piece_frobenius(t, p, s, pieces[s])
+            frobenius[s] = _piece_frobenius(t, t_den, p, s, pieces[s])
             if frobenius[s] is None or set(newton_polygon_slopes(
                     linalg.charpoly(frobenius[s][1]), p)) != {frobenius[s][0]}:
                 raise ConsistencyError("rational slope pieces failed certification")
-    stacked_cols = [col for s in ordered for col in pieces[s]]
+    stacked_cols = [col for s in ordered for col in pieces[s][0]]
     det_val = linalg.valuation(linalg.det(linalg.transpose(stacked_cols)), p)
     if det_val is None and margin is None:
         raise ConsistencyError("slope pieces of distinct slopes are dependent")
     if det_val is None or margin is not None and det_val >= margin // 2:
         return None
-    piece_matrices = tuple(linalg.transpose(pieces[s]) for s in ordered)
+    piece_matrices = tuple(linalg.transpose(pieces[s][0]) for s in ordered)
     if det_val > 0:
         return SlopeDivisibilityReport(
             False, slopes, None, piece_matrices,
@@ -711,7 +735,7 @@ def _slope_report(t: Matrix, p: int, r0: int, slopes, pieces: dict,
                 f"sublattice (certified at p-adic precision {margin})"))
 
     if margin is not None:
-        frobenius = {s: _piece_frobenius(t, p, s, pieces[s], p ** margin)
+        frobenius = {s: _piece_frobenius(t, t_den, p, s, pieces[s], p ** margin)
                      for s in ordered}
         if None in frobenius.values():
             return None
@@ -737,27 +761,32 @@ def _slope_report(t: Matrix, p: int, r0: int, slopes, pieces: dict,
 def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
     p = m.prime
     slopes = slopes_charpoly(m)
-    r0 = _lcm_denominators(slopes)
-    t = linalg.mat_pow(m.matrix, r0)
+    r0 = lcm(*(s.denominator for s in slopes))
     expected = {}
     for s in slopes:
-        a = s * r0
-        if a.denominator != 1:
-            raise ConsistencyError("scaled slope is not integral")
-        expected[int(a)] = expected.get(int(a), 0) + 1
+        scaled = s.numerator * (r0 // s.denominator)
+        expected[scaled] = expected.get(scaled, 0) + 1
+    # M = a / d with a integral; from here on t / t_den = M^r0
+    d = lcm(*(x.denominator for row in m.matrix for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.matrix]
+    t, t_den = linalg.mat_pow(a, r0), d ** r0
+    n = len(t)
 
     if len(expected) == 1:
-        return _slope_report(t, p, r0, slopes,
-                             {next(iter(expected)): list(linalg.identity(len(t)))})
+        identity = linalg.identity(n)
+        return _slope_report(t, t_den, p, r0, slopes,
+                             {next(iter(expected)): (list(identity), identity)})
     shift = -min(min(expected), 0)
-    coeffs = linalg.charpoly(linalg.mat_scale(Fraction(p) ** shift, t))
-    pieces = _rational_slope_pieces(t, p, expected, shift, coeffs)
+    # the charpoly of p^shift * t / t_den
+    coeffs = tuple(Fraction(c.numerator * p ** (shift * (n - i)), t_den ** (n - i))
+                   for i, c in enumerate(linalg.charpoly(t)))
+    pieces = _rational_slope_pieces(t, t_den, p, expected, shift, coeffs)
     if pieces is not None:
-        return _slope_report(t, p, r0, slopes, pieces)
+        return _slope_report(t, t_den, p, r0, slopes, pieces)
     # slope subspaces are not Q-rational: windowed mod-p^k decision
     for prec in _HENSEL_SCHEDULE:
-        approx = _approx_slope_pieces(t, p, expected, shift, coeffs, prec)
-        report = approx and _slope_report(t, p, r0, slopes, *approx)
+        approx = _approx_slope_pieces(t, t_den, p, expected, shift, coeffs, prec)
+        report = approx and _slope_report(t, t_den, p, r0, slopes, *approx)
         if report is not None:
             return report
     raise InconclusiveError(

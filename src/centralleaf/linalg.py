@@ -2,20 +2,23 @@
 
 Matrices are tuples of row tuples with int or Fraction entries; no floats
 ever appear.  Everything rational goes through one Gauss-Jordan routine
-(``det``, ``mat_inv``, ``solve_columns``, ``kernel``).  The p-adic
-elementary-divisor exponents (all the ADLV census reads per lattice) come
-from integer row operations that scale rows only by p-adic units.  Smith
-and Hermite forms with their transforms are computed with integer row and
-column operations (H. Cohen, *A Course in Computational Algebraic Number
-Theory*, GTM 138, section 2.4), characteristic polynomials by Berkowitz's
-division-free algorithm.  Everything is pure Python: there is no
-dependency outside the standard library.
+(``det``, ``mat_inv``, ``solve_columns``, ``kernel``).  It clears rational
+input of denominators once, eliminates fraction-free on Python ints
+(Bareiss) and divides once at the end, so Fractions appear only in its
+results.  The p-adic elementary-divisor exponents (all the ADLV census
+reads per lattice) come from integer row operations that scale rows only
+by p-adic units.  Smith and Hermite forms with their transforms are
+computed with integer row and column operations (H. Cohen, *A Course in
+Computational Algebraic Number Theory*, GTM 138, section 2.4),
+characteristic polynomials by Berkowitz's division-free algorithm on the
+integer matrix d*M, rescaled once.  Everything is pure Python: there is
+no dependency outside the standard library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SingularInputError
@@ -54,15 +57,19 @@ def mat_scale(c, m: Matrix) -> Matrix:
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:
-    n = len(m)
-    result = identity(n)
-    base = m
-    while k:
+    """m^k by binary powering: no product with the identity, and no square
+    past the highest set bit of k."""
+    if k == 0:
+        return identity(len(m))
+    base = freeze(m)
+    result = None
+    while True:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = base if result is None else mat_mul(result, base)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = mat_mul(base, base)
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -77,37 +84,55 @@ def _gauss_jordan(rows, width: Optional[int] = None):
 
     Returns (reduced, pivots, determinant): the reduced row echelon form as lists of
     Fractions (pivot entries 1, the rest of each pivot column 0; columns past
-    ``width`` are carried along), the pivot columns in order, and the
-    determinant of the leading square block (0 when the rows have no pivot
-    each).
+    ``width`` are carried along; rows without a pivot hold what is left of
+    them after the pivot rows are subtracted), the pivot columns in order,
+    and the determinant of the leading square block (0 when the rows have
+    no pivot each).
+
+    The elimination is fraction-free (E. H. Bareiss, *Math. Comp.* 22,
+    1968): each row is cleared of denominators once, and a pivot w replaces
+    every other row R by (w R - R[col] P) / w_prev, with P the pivot row
+    and w_prev the previous pivot (1 at the start).  The division is exact,
+    and after each step every row is the current pivot times the row the
+    same step over Q would hold (a row without a pivot also times its
+    denominator), so one division at the end gives the rows over Q.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
+    work, scales = [], []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
     nrows = len(work)
     if width is None:
         width = len(work[0]) if work else 0
     pivots = []
-    determinant = Fraction(1)
+    sign, last = 1, 1
     for col in range(width):
         r = len(pivots)
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if work[i][col] != 0), None)
+        pr = next((i for i in range(r, nrows) if work[i][col]), None)
         if pr is None:
             continue
         if pr != r:
             work[r], work[pr] = work[pr], work[r]
-            determinant = -determinant
-        determinant *= work[r][col]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
+            scales[r], scales[pr] = scales[pr], scales[r]
+            sign = -sign
+        prow = work[r]
+        w = prow[col]
         for i in range(nrows):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            f = work[i][col]
+            if i == r or not f and w == last:
+                continue
+            work[i] = [(w * x - f * y) // last for x, y in zip(work[i], prow)]
+        last = w
         pivots.append(col)
-    if len(pivots) < nrows:
-        determinant = Fraction(0)
-    return work, pivots, determinant
+    rank = len(pivots)
+    reduced = [[Fraction(x, last * (1 if i < rank else scales[i])) for x in row]
+               for i, row in enumerate(work)]
+    if rank < nrows:
+        return reduced, pivots, Fraction(0)
+    return reduced, pivots, Fraction(sign * last, prod(scales))
 
 
 def det(m: Matrix) -> Fraction:
@@ -171,8 +196,8 @@ def charpoly(m: Matrix) -> Tuple[Fraction, ...]:
     by d^(n-i).
     """
     n = len(m)
-    d = lcm(*(Fraction(x).denominator for row in m for x in row)) if n else 1
-    a = [[int(Fraction(x) * d) for x in row] for row in m]
+    d = lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
     # charpoly of the trailing block a[k:, k:], leading coefficient first
     poly = [1]
     for k in range(n - 1, -1, -1):
@@ -197,8 +222,7 @@ def valuation(x, p: int) -> Optional[int]:
     """p-adic valuation of a rational; None for zero."""
     if x == 0:
         return None
-    frac = Fraction(x)
-    num, den = frac.numerator, frac.denominator
+    num, den = x.numerator, x.denominator
     v = 0
     while num % p == 0:
         num //= p

@@ -119,6 +119,28 @@ def test_spec_values_must_be_integers(tmp_path, capsys):
     assert code == 0 and out
 
 
+def test_spec_values_must_have_their_types(tmp_path, capsys):
+    # these used to end in a ValueError, a JSONDecodeError and an
+    # AttributeError traceback instead of an error line
+    path = tmp_path / "job.json"
+    for doc in ({"command": "adm", "group": "GL2", "mu": [1, 0]},
+                {"command": "report", "group": "GL2", "elements": "{lambda:[1,0],w:s}"},
+                {"command": "adlv", "matrix": [[0, 1], [2, 0]], "mu": "1,0", "p": 2},
+                {"command": "adm", "group": "GL2", "mu": "1,0", "level": None},
+                {"command": "report", "group": ["GL2"], "elements": ["{lambda:[1,0],w:s}"]},
+                {"command": "report", "group": "GL2", "elements": [[1, 0]]},
+                {"command": "classes", "group": "GL2", "format": 1},
+                {"command": "classes", "group": "GL2", "output": 0}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, [doc["command"], "--spec", str(path)])
+        assert code == 1 and err.startswith("error:") and not out, doc
+    path.write_text(json.dumps({"command": "report", "group": {"group": "GL", "n": 2},
+                                "elements": [{"lambda": [1, 0], "w": "s"}],
+                                "output": None}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["report", "--spec", str(path)])
+    assert code == 0 and out
+
+
 def test_unknown_spec_keys_rejected(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "report", "grp": "GL2"}),

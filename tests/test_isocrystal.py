@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -11,7 +13,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from centralleaf import isocrystal, linalg
-from centralleaf.affine import decent_representative, enumerate_elements, newton_point
+from centralleaf.affine import (decent_representative, enumerate_elements,
+                                newton_point, rep_lift)
 from centralleaf.errors import (ConfigurationError, PreconditionError,
                                 SingularInputError)
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
@@ -23,7 +26,9 @@ from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     slopes_monomial, slopes_via_restriction,
                                     slopes_via_weights, standard_rep,
                                     tensor_rep)
+from centralleaf.lattices import adlv_points
 from centralleaf.rootdata import build_classical
+from centralleaf.serialize import element_from_doc
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -302,9 +307,19 @@ def sympy_slope_pieces(t, p, expected):
         for _ in range(mult):
             grouped[slope] = _poly_mul(grouped.get(slope, [F(1)]), fc)
     assert {s: len(g) - 1 for s, g in grouped.items()} == expected
-    return {s: isocrystal._saturate_columns(
-                linalg.kernel(isocrystal._poly_of_matrix(g, t)))
+    return {s: isocrystal._saturate_columns(linalg.kernel(_fraction_poly_of_matrix(g, t)))
             for s, g in grouped.items()}
+
+
+def _fraction_poly_of_matrix(coeffs, t):
+    """sum_i coeffs[i] * t^i over Q, by powers of t."""
+    n = len(t)
+    result = linalg.mat_scale(coeffs[0], linalg.identity(n))
+    power = linalg.identity(n)
+    for c in coeffs[1:]:
+        power = linalg.mat_mul(power, t)
+        result = linalg.mat_add(result, linalg.mat_scale(c, power))
+    return result
 
 
 def _companion(coeffs):
@@ -374,7 +389,11 @@ def test_rational_slope_pieces_match_sympy_factorisation(q_rational, data):
     oracle = sympy_slope_pieces(t, p, expected)
     if q_rational:
         assert oracle is not None
-    assert isocrystal._rational_slope_pieces(t, p, expected, shift, coeffs) == oracle
+    # the library takes t as an integer matrix over a denominator
+    t_den = math.lcm(*(x.denominator for row in t for x in row))
+    t_int = [[int(x * t_den) for x in row] for row in t]
+    assert isocrystal._rational_slope_pieces(t_int, t_den, p, expected, shift,
+                                             coeffs) == oracle
 
 
 def _slope_zero_blocks(p):
@@ -430,6 +449,30 @@ def test_mod_pk_route_agrees_with_exact_route(case):
         approx = is_completely_slope_divisible(iso)
     assert "precision" in approx.reason
     assert (approx.divisible, approx.period) == (exact.divisible, exact.period)
+
+
+def _census_certificate_digest(censuses):
+    """(count, sha256) of every point's (divisible, slopes, period, pieces,
+    reason), in census and point order."""
+    reports = [[r.divisible, [str(s) for s in r.slopes], r.period,
+                [[[str(v) for v in row] for row in piece] for piece in r.pieces],
+                r.reason]
+               for census in censuses for r in (pt.slope_divisible for pt in census.points)]
+    blob = json.dumps(reports, separators=(",", ":")).encode()
+    return len(reports), hashlib.sha256(blob).hexdigest()
+
+
+def test_census_certificates_pinned():
+    # Pinned from the Fraction implementation of the certificate: the GL2
+    # criterion-5 grid and the GL3 depth-1 ordinary and basic candidates.
+    censuses = [adlv_points(rep_lift(x), (1, 0), p, depth)
+                for x in enumerate_elements(GL2, 2, 2) for p in (2, 3) for depth in (1, 2)]
+    censuses += [adlv_points(rep_lift(element_from_doc(GL3, {"lambda": lam, "w": w})),
+                             (1, 0, 0), p, 1)
+                 for w in ("e", "s1*s2", "s2*s1")
+                 for lam in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for p in (2, 3)]
+    assert _census_certificate_digest(censuses) == (
+        638, "0180457ca7329eb37ce7fdabb6a14d3e0b71679a39371811ad0fffbea2827d84")
 
 
 def test_monomial_from_rational_round_trip():

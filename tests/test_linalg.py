@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sympy import GF, ZZ
@@ -134,6 +134,95 @@ def test_smith_full_matches_sympy(rows):
     product = linalg.mat_mul(linalg.mat_mul(s, rows), t)
     assert product == tuple(tuple(divisors[i] if i == j else 0 for j in range(len(rows[0])))
                             for i in range(len(rows)))
+
+
+def _fraction_gauss_jordan(rows, width=None):
+    """Reference: Gauss-Jordan over Fractions, one division per pivot row
+    and one Fraction update per entry and step."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(work)
+    if width is None:
+        width = len(work[0]) if work else 0
+    pivots = []
+    determinant = Fraction(1)
+    for col in range(width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if work[i][col] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            determinant = -determinant
+        determinant *= work[r][col]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    if len(pivots) < nrows:
+        determinant = Fraction(0)
+    return work, pivots, determinant
+
+
+@st.composite
+def elimination_cases(draw):
+    """(rows, width, row denominators): integer rows, often rank-deficient
+    or sparse, and a pivot width that may stop short of the columns."""
+    rows = draw(int_matrices())
+    if draw(st.booleans()):
+        rows = [[x if draw(st.booleans()) else 0 for x in row] for row in rows]
+    width = draw(st.one_of(st.none(), st.integers(0, len(rows[0]))))
+    dens = draw(st.lists(st.sampled_from((1, 2, 3, 4, 9)),
+                         min_size=len(rows), max_size=len(rows)))
+    return rows, width, dens
+
+
+@ORACLE_SETTINGS
+@given(elimination_cases())
+@example(([[2, 0], [0, 3]], None, [1, 1]))
+@example(([[0, 0], [-1, 0], [0, 1]], 1, [1, 2, 3]))
+def test_fraction_free_elimination_matches_fraction_loop(case):
+    # the rows without a pivot must come out as over Q too
+    rows, width, dens = case
+    for case in (rows, [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]):
+        reduced, pivots, determinant = linalg._gauss_jordan(case, width)
+        assert (reduced, pivots, determinant) == _fraction_gauss_jordan(case, width)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert type(determinant) is Fraction
+
+
+@ORACLE_SETTINGS
+@given(int_matrices())
+def test_elimination_return_types(rows):
+    assert all(type(x) is Fraction for v in linalg.kernel(rows) for x in v)
+    square = [row[:len(rows)] for row in rows] if len(rows[0]) >= len(rows) else None
+    if square is not None:
+        assert type(linalg.det(square)) is Fraction
+        if linalg.det(square):
+            assert all(type(x) is Fraction for row in linalg.mat_inv(square) for x in row)
+            solution = linalg.solve_columns(linalg.transpose(square), rows[0][:len(rows)])
+            assert solution is not None and all(type(x) is Fraction for x in solution)
+
+
+@pytest.mark.parametrize("rows", [((2, -1, 0), (1, 3, 1), (0, -2, 1)),
+                                  ((Fraction(1, 2), 1), (Fraction(-2, 3), Fraction(3, 4)))],
+                         ids=["int", "fraction"])
+def test_mat_pow_matches_repeated_products(rows, monkeypatch):
+    expected = [linalg.identity(len(rows))]
+    for _ in range(9):
+        expected.append(linalg.mat_mul(expected[-1], rows))
+    products = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+    for k in range(10):
+        products.clear()
+        assert linalg.mat_pow(rows, k) == expected[k]
+        # one squaring per bit below the top one, one product per further set bit
+        assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
 
 
 @ORACLE_SETTINGS
