@@ -104,7 +104,11 @@ def _resolve_group(spec: JobSpec) -> RootDatum:
 def _parse_mu(spec: JobSpec):
     if spec.mu is None:
         raise PreconditionError("this command needs --mu")
-    return tuple(int(x) for x in str(spec.mu).split(","))
+    try:
+        return tuple(int(x) for x in str(spec.mu).split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"--mu must be comma-separated integers, got {spec.mu!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,15 @@ The module also decides complete slope divisibility of a lattice under a
 rational Frobenius matrix, with certificates in both directions.  The slope
 factors of the characteristic polynomial come from one p-adic Hensel lift
 (``_slope_factors_mod``); whether they lie in Q[x] is read off that lift, so
-no factorisation over Q is needed.  The saturated slope pieces are exact
-when they do and p-adic approximations otherwise; either way one decision
-(``_slope_report``) checks that they grade the lattice and reads the period
-off an orbit walk of the normalised Frobenius on each piece.
+no factorisation over Q is needed.  Each split of the lift is x^u * h mod p
+with h(0) a unit, so its Bezout factor is the truncated inverse h^-1 mod
+x^u and no Euclid over F_p[x] is run; one exact product of integer
+polynomials (``_poly_mul``) serves the lift and the check that the
+candidate factors over Q multiply back to the characteristic polynomial.
+The saturated slope pieces are exact when they do and p-adic
+approximations otherwise; either way one decision (``_slope_report``)
+checks that they grade the lattice and reads the period off an orbit walk
+of the normalised Frobenius on each piece.
 
 The certificate runs on Python ints: M = a/d is cleared of denominators
 once, t = a^r0 is carried over the denominator t_den = d^r0 (r0 the least
@@ -374,11 +379,7 @@ def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift:
         raise ConsistencyError("Hensel slope factors disagree with polygon slopes")
     product = [1]
     for cand in candidates.values():
-        out = [0] * (len(product) + len(cand) - 1)
-        for i, a in enumerate(product):
-            for j, b in enumerate(cand):
-                out[i + j] += a * b
-        product = out
+        product = _poly_mul(product, cand)
     if product != model or any(
             set(newton_polygon_slopes(cand, p)) != {slope + shift}
             for slope, cand in candidates.items()):
@@ -415,96 +416,49 @@ _HENSEL_SCHEDULE = (6, 12, 24, 48)
 _ORBIT_HARD_CAP = 100_000
 
 
-def _poly_mul_mod(a, b, q):
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Exact product of two integer polynomials (constant term first)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
+                out[i + j] += x * y
     return out
 
 
-def _fp_norm(poly, p):
-    poly = [c % p for c in poly]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _fp_sub(a, b, p):
-    width = max(len(a), len(b))
-    return _fp_norm([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                     for i in range(width)], p)
-
-
-def _fp_divmod(a, b, p):
-    a, b = list(_fp_norm(a, p)), _fp_norm(b, p)
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(len(a) - len(b) + 1, 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * inv_lead) % p
-        quot[i] = c
-        if c:
-            for j in range(len(b)):
-                a[i + j] = (a[i + j] - c * b[j]) % p
-    rem = a[:len(b) - 1] or [0]
-    return _fp_norm(quot, p), _fp_norm(rem, p)
-
-
-def _fp_poly_gcd_bezout(f, h, p):
-    """Extended Euclid over F_p[x]: returns (a, b) with a f + b h = 1."""
-    r0, r1 = _fp_norm(f, p), _fp_norm(h, p)
-    a0, a1 = [1], [0]
-    b0, b1 = [0], [1]
-    while r1 != [0]:
-        quot, rem = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, rem
-        a0, a1 = a1, _fp_sub(a0, _poly_mul_mod(quot, a1, p), p)
-        b0, b1 = b1, _fp_sub(b0, _poly_mul_mod(quot, b1, p), p)
-    if len(r0) != 1 or r0[0] == 0:
-        raise ConsistencyError("polynomials are not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in a0], [c * inv % p for c in b0]
-
-
 def _hensel_split(coeffs: List[int], u: int, p: int, prec: int):
-    """Split a monic polynomial mod p^prec as F*H with F = x^u mod p and
-    H a unit at 0, by linear Hensel lifting (one p-digit per step)."""
+    """Split a monic polynomial chi mod p^prec as F*H with F monic of degree
+    u, F = x^u mod p, and H a unit at 0, by linear Hensel lifting (one
+    p-digit per step).
+
+    Mod p, chi is x^u * h_bar with h_bar(0) a unit, so the truncated power
+    series b = h_bar^-1 mod x^u is a Bezout factor: b * h_bar = 1 mod x^u.
+    For the error e = (chi - F*H) / p^k mod p, the correction
+    dF = b * e mod x^u leaves e - dF * h_bar divisible by x^u, and dH is
+    the quotient.
+    """
     q = p ** prec
-    d = len(coeffs) - 1
-    h_bar = _fp_norm(coeffs[u:], p)
-    f = [0] * u + [1]
-    h = [c % p for c in coeffs[u:]]  # start from the mod-p factor
-    f_bar = [0] * u + [1]
-    _a_bez, b_bez = _fp_poly_gcd_bezout(f_bar, h_bar, p)
+    h_bar = [c % p for c in coeffs[u:]]
+    inv0 = pow(h_bar[0], -1, p)
+    b = [inv0]
+    for k in range(1, u):
+        b.append(-inv0 * sum(h_bar[j] * b[k - j]
+                             for j in range(1, min(k + 1, len(h_bar)))) % p)
+    f, h = [0] * u + [1], h_bar
     modulus = p
     while modulus < q:
-        fh = _poly_mul_mod(f, h, q)
-        width = max(len(coeffs), len(fh))
-        err = [((coeffs[i] if i < len(coeffs) else 0)
-                - (fh[i] if i < len(fh) else 0)) % q for i in range(width)]
-        e_red = [(e // modulus) % p for e in err]
+        err = [(c - x) % q for c, x in zip(coeffs, _poly_mul(f, h))]
         if any(e % modulus for e in err):
             raise ConsistencyError("Hensel invariant violated")
-        be = _poly_mul_mod(b_bez, e_red, p)
-        _quot, delta_f = _fp_divmod(be, f_bar, p)
-        # delta_h from exact division: (E - delta_f * h_bar) / f_bar over F_p
-        rem_target = _fp_sub(e_red, _poly_mul_mod(delta_f, h_bar, p), p)
-        delta_h, leftover = _fp_divmod(rem_target, f_bar, p)
-        if leftover != [0]:
+        e_red = [e // modulus % p for e in err]
+        delta_f = [c % p for c in _poly_mul(b, e_red)[:u]]
+        rest = [(e - c) % p for e, c in zip(e_red, _poly_mul(delta_f, h_bar) + [0])]
+        if any(rest[:u]):
             raise ConsistencyError("Hensel division left a remainder")
-        for i, c in enumerate(delta_f):
-            if c and i < u:
-                f[i] = (f[i] + modulus * c) % q
-        for i, c in enumerate(delta_h):
-            if c:
-                while len(h) <= i:
-                    h.append(0)
-                h[i] = (h[i] + modulus * c) % q
+        f = [(x + modulus * c) % q for x, c in zip(f, delta_f)] + [1]
+        h = [(x + modulus * c) % q for x, c in zip(h, rest[u:])]
         modulus *= p
-    while len(h) < d - u + 1:
-        h.append(0)
-    return f, h[:d - u + 1]
+    return f, h
 
 
 def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
@@ -535,7 +489,7 @@ def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
             break
         if u < d:
             f, h = _hensel_split(work, u, p, prec)
-            factors.append((offset, [c % q for c in h]))
+            factors.append((offset, h))
             work = f
             d = u
         # strip one slope level: W(y) = work(p*y) / p^d
@@ -691,8 +645,8 @@ def _orbit_return_steps(x: Matrix, p: int, c: int, steps: int,
         unit = p ** (c * k)
         if margin is not None and c * k >= margin:
             break
-        if (all(v % unit == 0 for row in power for v in row)
-                and linalg.det([[v // unit for v in row] for row in power]) % p):
+        if (all(v % unit == 0 for row in power for v in row) and linalg.local_exponents(
+                [[v // unit for v in row] for row in power], p).count(0) == len(x)):
             return k
         power = linalg.mat_mul(power, x)
         if q is not None:
@@ -719,8 +673,10 @@ def _slope_report(t: Matrix, t_den: int, p: int, r0: int, slopes, pieces: dict,
             if frobenius[s] is None or set(newton_polygon_slopes(
                     linalg.charpoly(frobenius[s][1]), p)) != {frobenius[s][0]}:
                 raise ConsistencyError("rational slope pieces failed certification")
-    stacked_cols = [col for s in ordered for col in pieces[s][0]]
-    det_val = linalg.valuation(linalg.det(linalg.transpose(stacked_cols)), p)
+    # the index of the stacked pieces, or None when they are dependent
+    exps = linalg.local_exponents(
+        linalg.transpose([col for s in ordered for col in pieces[s][0]]), p)
+    det_val = sum(exps) if len(exps) == len(t) else None
     if det_val is None and margin is None:
         raise ConsistencyError("slope pieces of distinct slopes are dependent")
     if det_val is None or margin is not None and det_val >= margin // 2:

@@ -29,7 +29,10 @@ def rational_str(x) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError(f"malformed rational {s.strip()!r}") from None
 
 
 def vector_str(v) -> str:
@@ -48,8 +51,11 @@ def matrix_str(m) -> str:
 
 
 def parse_matrix(s: str) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(parse_rational(x) for x in row.split(","))
+    rows = tuple(tuple(parse_rational(x) for x in row.split(","))
                  for row in s.strip().split(";"))
+    if any(len(row) != len(rows) for row in rows):
+        raise ConfigurationError(f"matrix {s!r} is not square")
+    return rows
 
 
 def slopes_str(slopes) -> str:
@@ -133,7 +139,12 @@ def element_from_doc(datum: RootDatum, doc) -> AffineElement:
         doc = loads_tolerant(doc)
     if not isinstance(doc, dict) or set(doc) - {"lambda", "w"}:
         raise PreconditionError("element document needs keys 'lambda' and 'w'")
-    lam = tuple(int(v) for v in doc.get("lambda", []))
+    lam = doc.get("lambda", [])
+    # bool is an int subclass
+    if not isinstance(lam, (list, tuple)) or any(
+            type(v) is bool or not isinstance(v, int) for v in lam):
+        raise PreconditionError(f"lambda must be a list of integers, got {lam!r}")
+    lam = tuple(lam)
     if len(lam) != datum.cochar_rank:
         raise PreconditionError(
             f"lambda has length {len(lam)}, expected {datum.cochar_rank}")

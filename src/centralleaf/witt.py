@@ -543,7 +543,7 @@ def display_check(d: DisplayDatum) -> DisplayReport:
             psi_cols.append(tuple(image))
         psi_matrix = linalg.freeze([[psi_cols[j][i] for j in range(n)]
                                     for i in range(n)])
-        psi_invertible = int(linalg.det(psi_matrix)) % p != 0
+        psi_invertible = linalg.local_exponents(psi_matrix, p).count(0) == n
 
     return DisplayReport(contains_ir, quotient_free, phi_compatible,
                          phi1_generates, psi_matrix, psi_invertible,

@@ -197,6 +197,36 @@ def test_element_doc_tolerant_parse():
         serialize.element_from_doc(GL2, "{lambda:[1,0],w:s,extra:1}")
 
 
+def test_wrong_length_mu_and_non_integer_lambda_are_refused(capsys):
+    # these used to answer for a different input or end in a traceback
+    from centralleaf.affine import admissible_set
+    from centralleaf.errors import PreconditionError
+    for group, mu in (("GL3", "1,0"), ("GL2", "1,0,0")):
+        code, out, err = run_cli(capsys, ["adm", "--group", group, "--mu", mu])
+        assert code == 1 and err.startswith("error:") and not out
+        with pytest.raises(PreconditionError):
+            admissible_set(build_classical("GL", int(group[2])),
+                           tuple(int(v) for v in mu.split(",")))
+    for doc in ('{"lambda": [1.5, 0], "w": "s"}', '{"lambda": [true, 0], "w": "s"}',
+                "{lambda:[a,0],w:s}", '{"lambda": "10", "w": "s"}'):
+        with pytest.raises(PreconditionError):
+            serialize.element_from_doc(GL2, doc)
+        code, out, err = run_cli(capsys, ["report", "--group", "GL2", "--element", doc])
+        assert code == 1 and err.startswith("error:") and not out
+
+
+def test_malformed_numbers_are_validation_errors(capsys):
+    from centralleaf.errors import ConfigurationError
+    jobs = [["adm", "--group", "GL2", "--mu", "1,a"]]
+    for matrix in ("0,x;2,0", "0,1/0;2,0", "0,1;2"):
+        with pytest.raises(ConfigurationError):
+            serialize.parse_matrix(matrix)
+        jobs.append(["adlv", "--matrix", matrix, "--mu", "1,0", "--p", "2", "--depth", "1"])
+    for argv in jobs:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and err.startswith("error:") and not out
+
+
 def test_explicit_flag_beats_spec_beats_default(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "crosscheck", "group": "GL2",

@@ -451,6 +451,34 @@ def test_mod_pk_route_agrees_with_exact_route(case):
     assert (approx.divisible, approx.period) == (exact.divisible, exact.period)
 
 
+@st.composite
+def hensel_inputs(draw):
+    """(chi, u, p, prec): a monic chi of degree <= 8 mod p^prec whose low u
+    coefficients are divisible by p and whose x^u coefficient is a unit."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    degree = draw(st.integers(2, 8))
+    u = draw(st.integers(1, degree - 1))
+    prec = draw(st.integers(1, 40))
+    q = p ** prec
+    low = [p * c for c in draw(st.lists(st.integers(0, q // p - 1), min_size=u, max_size=u))]
+    unit = draw(st.integers(0, q - 1).filter(lambda c: c % p))
+    high = draw(st.lists(st.integers(0, q - 1), min_size=degree - u - 1,
+                         max_size=degree - u - 1))
+    return low + [unit] + high + [1], u, p, prec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hensel_inputs())
+def test_hensel_split_defining_properties(case):
+    # F monic of degree u with F = x^u mod p, H = chi / x^u mod p and
+    # F * H = chi mod p^prec determine the split uniquely (Hensel's lemma)
+    chi, u, p, prec = case
+    f, h = isocrystal._hensel_split(chi, u, p, prec)
+    assert len(f) == u + 1 and f[u] == 1 and all(c % p == 0 for c in f[:u])
+    assert len(h) == len(chi) - u and all((a - b) % p == 0 for a, b in zip(h, chi[u:]))
+    assert all((a - b) % p ** prec == 0 for a, b in zip(_poly_mul(f, h), chi))
+
+
 def _census_certificate_digest(censuses):
     """(count, sha256) of every point's (divisible, slopes, period, pieces,
     reason), in census and point order."""
