@@ -29,7 +29,7 @@ from .errors import (BudgetExceededError, ConfigurationError, ConsistencyError,
                      DatumMismatchError, PreconditionError,
                      UnsupportedOperationError)
 from .isocrystal import MonomialIsocrystal, monomial_compose, monomial_identity
-from .rootdata import RootDatum, dominant_rep, is_dominant
+from .rootdata import RootDatum, dominant_rep, is_dominant, present_quotient
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -492,8 +492,14 @@ def enumerate_elements(datum: RootDatum, max_length: int,
     lie in the window; coord_bound is an int b for [-b, b] or a (lo, hi) pair.
 
     A translation is skipped before the Weyl loop when its pairings alone
-    force every length above max_length (see the module docstring)."""
+    force every length above max_length (see the module docstring).
+    A negative cap or int bound raises PreconditionError."""
+    if max_length < 0:
+        raise PreconditionError(f"length cap must be nonnegative, got {max_length}")
     if isinstance(coord_bound, int):
+        if coord_bound < 0:
+            raise PreconditionError(
+                f"coordinate bound must be nonnegative, got {coord_bound}")
         lo, hi = -coord_bound, coord_bound
     else:
         lo, hi = coord_bound
@@ -631,6 +637,5 @@ def _sigma_reduced_kappa(datum: RootDatum, x: AffineElement,
         se = linalg.mat_vec(sigma, e)
         diff = tuple(a - b for a, b in zip(e, se))
         columns.append(tuple(int(v) for v in linalg.mat_vec(proj, diff)))
-    from .rootdata import present_quotient
     reduced = present_quotient(len(proj), [c for c in columns if any(c)])
     return (reduced.project(kappa.free), kappa.torsion)

@@ -180,6 +180,8 @@ def _run_adlv(spec: JobSpec):
 
 def _run_witt_selfcheck(spec: JobSpec):
     p, m, k = spec.p, spec.length, spec.coeff_exponent
+    if spec.count < 1:
+        raise ConfigurationError(f"--count must be at least 1, got {spec.count}")
     ring = ZModRing(p, k)
     rng = random.Random(spec.seed)
     structure_polynomials(p, m)  # integrality asserted at derivation
@@ -291,9 +293,17 @@ def _emit(spec: JobSpec, artifact: str):
         sys.stdout.write(artifact)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as a validation error (exit 1)
+    instead of argparse's exit 2, the internal-consistency code."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
     """The CLI parser; with ``defaults=False`` it only records typed flags."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centralleaf",
         description="Exact invariants of sigma-conjugacy classes: Newton "
                     "points, central-leaf dimensions, admissible sets, "

@@ -2,14 +2,14 @@
 display construction/checking at the residue-field base point.
 
 Witt structure polynomials are derived once per (p, length) by solving the
-ghost equations symbolically with exact rational arithmetic; the solutions
-are asserted integral and cached.  No tables are hard coded.
+ghost equations over Z on sparse integer polynomials: p^i S_i is the
+residual of the i-th ghost equation, which must be divisible by p^i.  The
+solutions are cached; no tables are hard coded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,24 +19,21 @@ from .errors import (ConfigurationError, ConsistencyError, DatumMismatchError,
 from .isocrystal import MonomialIsocrystal, slopes_monomial
 
 # ---------------------------------------------------------------------------
-# sparse polynomials with Fraction coefficients (derivation only)
+# sparse integer polynomials {exponent tuple: coefficient}
 
-Poly = Dict[Tuple[int, ...], Fraction]
-
-
-def _pzero() -> Poly:
-    return {}
+Poly = Dict[Tuple[int, ...], int]
 
 
 def _pvar(nvars: int, index: int) -> Poly:
     key = tuple(1 if i == index else 0 for i in range(nvars))
-    return {key: Fraction(1)}
+    return {key: 1}
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
+def _padd(a: Poly, b: Poly, scale: int = 1) -> Poly:
+    """a + scale * b."""
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
+        s = out.get(k, 0) + scale * v
         if s:
             out[k] = s
         else:
@@ -44,18 +41,12 @@ def _padd(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _pscale(c: Fraction, a: Poly) -> Poly:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
 def _pmul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ka, va in a.items():
         for kb, vb in b.items():
             key = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(key, Fraction(0)) + va * vb
+            s = out.get(key, 0) + va * vb
             if s:
                 out[key] = s
             else:
@@ -64,42 +55,36 @@ def _pmul(a: Poly, b: Poly) -> Poly:
 
 
 def _ppow(a: Poly, e: int) -> Poly:
-    result = {tuple(0 for _ in next(iter(a))): Fraction(1)} if a else {}
-    if e == 0:
-        raise ConsistencyError("zeroth power not needed")
-    base = a
-    first = True
-    while e:
-        if e & 1:
-            result = base if first else _pmul(result, base)
-            first = False
-        e >>= 1
-        if e:
-            base = _pmul(base, base)
-    return result
+    """a^e for e >= 1, by repeated squaring."""
+    if e == 1:
+        return a
+    half = _ppow(_pmul(a, a), e // 2)
+    return _pmul(half, a) if e & 1 else half
 
 
 def _ghost(p: int, comps: Sequence[Poly], i: int) -> Poly:
-    out = _pzero()
+    out: Poly = {}
     for j in range(i + 1):
-        out = _padd(out, _pscale(Fraction(p ** j), _ppow(comps[j], p ** (i - j))))
+        out = _padd(out, _ppow(comps[j], p ** (i - j)), p ** j)
     return out
 
 
 def _solve_components(p: int, targets: Sequence[Poly]) -> List[Poly]:
-    """Solve ghost_i(S) = targets[i] for S_0..S_{m-1}; assert integrality."""
+    """Solve ghost_i(S) = targets[i] for S_0..S_{m-1} over Z.
+
+    p^i S_i = targets[i] - sum_{j<i} p^j S_j^(p^(i-j)); a coefficient of
+    that residual not divisible by p^i means S_i is not integral.
+    """
     solution: List[Poly] = []
     for i, target in enumerate(targets):
-        residual = dict(target)
+        residual = target
         for j in range(i):
-            residual = _padd(residual, _pscale(Fraction(-(p ** j)),
-                                               _ppow(solution[j], p ** (i - j))))
-        scaled = _pscale(Fraction(1, p ** i), residual)
-        for coeff in scaled.values():
-            if coeff.denominator != 1:
-                raise ConsistencyError(
-                    "Witt structure polynomial has a fractional coefficient")
-        solution.append(scaled)
+            residual = _padd(residual, _ppow(solution[j], p ** (i - j)), -p ** j)
+        q = p ** i
+        if any(c % q for c in residual.values()):
+            raise ConsistencyError(
+                "Witt structure polynomial has a fractional coefficient")
+        solution.append({k: c // q for k, c in residual.items()})
     return solution
 
 
@@ -124,7 +109,7 @@ def structure_polynomials(p: int, m: int) -> Dict[str, List[Poly]]:
     mul = _solve_components(p, [_pmul(a, b) for a, b in zip(gx, gy)])
     xs1 = [_pvar(m, i) for i in range(m)]
     gx1 = [_ghost(p, xs1, i) for i in range(m)]
-    neg = _solve_components(p, [_pscale(Fraction(-1), g) for g in gx1])
+    neg = _solve_components(p, [_padd({}, g, -1) for g in gx1])
     frob = _solve_components(p, gx1[1:]) if m > 1 else []
     result = {"add": add, "mul": mul, "neg": neg, "frob": frob}
     _STRUCTURE_CACHE[(p, m)] = result
@@ -133,6 +118,13 @@ def structure_polynomials(p: int, m: int) -> Dict[str, List[Poly]]:
 
 # ---------------------------------------------------------------------------
 # coefficient rings
+
+def _modulus(p: int, k: int) -> int:
+    if k < 1:
+        raise ConfigurationError(
+            f"coefficient exponent must be at least 1, got {k}")
+    return p ** k
+
 
 @dataclass(frozen=True)
 class ZModRing:
@@ -143,7 +135,7 @@ class ZModRing:
     modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "modulus", self.p ** self.k)
+        object.__setattr__(self, "modulus", _modulus(self.p, self.k))
 
     def from_int(self, n: int) -> int:
         return n % self.modulus
@@ -178,7 +170,7 @@ class NilpotentPolyRing:
     modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "modulus", self.p ** self.k)
+        object.__setattr__(self, "modulus", _modulus(self.p, self.k))
 
     def _norm(self, mapping) -> tuple:
         items = []
@@ -199,18 +191,10 @@ class NilpotentPolyRing:
         return self._norm({key: 1})
 
     def add(self, a: tuple, b: tuple) -> tuple:
-        out = {exps: c for exps, c in a}
-        for exps, c in b:
-            out[exps] = out.get(exps, 0) + c
-        return self._norm(out)
+        return self._norm(_padd(dict(a), dict(b)))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        out: dict = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return self._norm(out)
+        return self._norm(_pmul(dict(a), dict(b)))
 
     def neg(self, a: tuple) -> tuple:
         return self._norm({exps: -c for exps, c in a})
@@ -250,60 +234,50 @@ def _check_compatible(a: WittVector, b: WittVector):
         raise DatumMismatchError("Witt vectors over different rings or lengths")
 
 
-def _eval_poly(poly: Poly, values: Sequence, ring) -> object:
-    power_cache = [dict() for _ in values]
+def _evaluate(op: str, *vectors: WittVector) -> WittVector:
+    """All components of the structure polynomials of op, evaluated at the
+    concatenated components of the vectors.
 
-    def power(i, e):
-        if e == 0:
-            return ring.one()
-        hit = power_cache[i].get(e)
-        if hit is not None:
-            return hit
-        result = values[i]
-        for _ in range(e - 1):
-            result = ring.mul(result, values[i])
-        power_cache[i][e] = result
-        return result
-
-    total = ring.zero()
-    for exps, coeff in poly.items():
-        term = ring.from_int(int(coeff))
-        for i, e in enumerate(exps):
-            if e:
-                term = ring.mul(term, power(i, e))
-        total = ring.add(total, term)
-    return total
+    One table of powers per variable serves every component; it grows on
+    demand by one ring product per power.
+    """
+    a = vectors[0]
+    ring = a.ring
+    powers = [[ring.one(), c] for v in vectors for c in v.components]
+    out = []
+    for poly in structure_polynomials(a.prime, a.length)[op]:
+        total = ring.zero()
+        for exps, coeff in poly.items():
+            term = ring.from_int(coeff)
+            for row, e in zip(powers, exps):
+                if e:
+                    while len(row) <= e:
+                        row.append(ring.mul(row[-1], row[1]))
+                    term = ring.mul(term, row[e])
+            total = ring.add(total, term)
+        out.append(total)
+    return WittVector(ring, a.prime, tuple(out))
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
     _check_compatible(a, b)
-    polys = structure_polynomials(a.prime, a.length)["add"]
-    values = list(a.components) + list(b.components)
-    return WittVector(a.ring, a.prime,
-                      tuple(_eval_poly(s, values, a.ring) for s in polys))
+    return _evaluate("add", a, b)
 
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     _check_compatible(a, b)
-    polys = structure_polynomials(a.prime, a.length)["mul"]
-    values = list(a.components) + list(b.components)
-    return WittVector(a.ring, a.prime,
-                      tuple(_eval_poly(s, values, a.ring) for s in polys))
+    return _evaluate("mul", a, b)
 
 
 def witt_neg(a: WittVector) -> WittVector:
-    polys = structure_polynomials(a.prime, a.length)["neg"]
-    return WittVector(a.ring, a.prime,
-                      tuple(_eval_poly(s, list(a.components), a.ring) for s in polys))
+    return _evaluate("neg", a)
 
 
 def witt_frobenius(a: WittVector) -> WittVector:
     """Witt Frobenius; the truncated length drops by one."""
     if a.length < 2:
         raise PreconditionError("Frobenius needs length at least 2")
-    polys = structure_polynomials(a.prime, a.length)["frob"]
-    return WittVector(a.ring, a.prime,
-                      tuple(_eval_poly(f, list(a.components), a.ring) for f in polys))
+    return _evaluate("frob", a)
 
 
 def witt_verschiebung(a: WittVector) -> WittVector:

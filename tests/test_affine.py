@@ -428,6 +428,19 @@ def test_pruned_enumeration_matches_box_scan(case, cap, bound, shifted):
     assert got == expected
 
 
+def test_negative_caps_and_bounds_are_refused():
+    # a negative cap or bound used to be read as an empty window
+    for cap, bound in ((-1, 2), (2, -1)):
+        with pytest.raises(PreconditionError):
+            enumerate_elements(GL2, cap, bound)
+    for kwargs in ({"length_cap": -1}, {"length_cap": 1, "conjugator_cap": -4},
+                   {"length_cap": 1, "coord_bound": -2}):
+        with pytest.raises(PreconditionError):
+            enumerate_sigma_classes(GL2, **kwargs)
+    # a shifted window may lie below zero
+    assert enumerate_elements(GL2, 0, (-2, -1))
+
+
 def test_sigma_not_normalising_weyl_group_is_refused():
     shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ConfigurationError):

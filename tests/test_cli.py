@@ -255,3 +255,36 @@ def test_spec_command_mismatch_is_a_validation_error(tmp_path, capsys):
     path.write_text("[1, 2]", encoding="utf-8")
     code, _, err = run_cli(capsys, ["adm", "--spec", str(path)])
     assert code == cli.EXIT_VALIDATION and "JSON object" in err
+
+
+def test_rejected_command_lines_are_validation_errors(capsys):
+    # argparse used to exit with 2, the internal-consistency code
+    for argv in (["adm", "--group", "GL2", "--mu", "1,0", "--level", "foo"],
+                 ["adm", "--group", "GL2", "--mu", "1,0", "--bogus"],
+                 ["classes", "--group", "GL2", "--cap", "x"],
+                 []):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adm", "--help"])
+    assert exc.value.code == 0
+
+
+def test_negative_caps_and_bounds_are_refused(capsys):
+    # these used to exit 0 with an empty artifact or a singleton partition
+    for argv in (["classes", "--group", "GL2", "--cap", "-1"],
+                 ["classes", "--group", "GL2", "--cap", "1", "--conj-cap", "-4"],
+                 ["classes", "--group", "GL2", "--cap", "1", "--bound", "-2"],
+                 ["crosscheck", "--group", "GL2", "--cap", "1", "--bound", "-1"],
+                 ["crosscheck", "--group", "GL2", "--cap", "-3"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+
+
+def test_witt_selfcheck_refuses_meaningless_input(capsys):
+    # --count -5 used to report "pairs": -5, --coeff-exponent 0 ran in the
+    # zero ring and -1 ended in a traceback
+    for flags in (["--count", "-5"], ["--count", "0"],
+                  ["--coeff-exponent", "0"], ["--coeff-exponent", "-1"]):
+        code, out, err = run_cli(capsys, ["witt-selfcheck", "--length", "2"] + flags)
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
 import random
+from math import comb
 
 import pytest
 
-from centralleaf.errors import NotPDivisibleError, PreconditionError
+from centralleaf.errors import (ConfigurationError, ConsistencyError,
+                               NotPDivisibleError, PreconditionError)
 from centralleaf.isocrystal import MonomialIsocrystal, slopes_monomial
 from centralleaf.witt import (NilpotentPolyRing, ZModRing,
                               display_check, display_doc, display_from_doc,
@@ -12,7 +14,7 @@ from centralleaf.witt import (NilpotentPolyRing, ZModRing,
                               structure_polynomials, truncate, witt, witt_add,
                               witt_arith, witt_digits_of_int, witt_frobenius,
                               witt_ghost, witt_mul, witt_neg, witt_scalar,
-                              witt_verschiebung)
+                              witt_verschiebung, _pvar, _solve_components)
 
 
 def test_structure_polynomials_are_integral():
@@ -21,6 +23,44 @@ def test_structure_polynomials_are_integral():
         polys = structure_polynomials(p, m)
         assert len(polys["add"]) == m and len(polys["mul"]) == m
         assert len(polys["frob"]) == m - 1
+
+
+def _poly(nvars, terms):
+    """{exponent tuple: coefficient} from (coefficient, {variable: exponent})."""
+    return {tuple(exps.get(i, 0) for i in range(nvars)): c for c, exps in terms}
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_structure_polynomials_known_answers(p, m):
+    # textbook first components, written out without the ghost equations;
+    # X_i is variable i and Y_i is variable m + i
+    n = 2 * m
+    x0, x1, y0, y1 = 0, 1, m, m + 1
+    polys = structure_polynomials(p, m)
+    assert polys["add"][0] == _poly(n, [(1, {x0: 1}), (1, {y0: 1})])
+    assert polys["add"][1] == _poly(n, [(1, {x1: 1}), (1, {y1: 1})] + [
+        (-comb(p, i) // p, {x0: i, y0: p - i}) for i in range(1, p)])
+    assert polys["mul"][0] == _poly(n, [(1, {x0: 1, y0: 1})])
+    assert polys["mul"][1] == _poly(n, [(1, {x0: p, y1: 1}), (1, {x1: 1, y0: p}),
+                                        (p, {x1: 1, y1: 1})])
+    assert polys["frob"][0] == _poly(m, [(1, {0: p}), (p, {1: 1})])
+    if p % 2:
+        assert polys["neg"] == [_poly(m, [(-1, {i: 1})]) for i in range(m)]
+
+
+def test_fractional_structure_polynomial_is_refused():
+    # ghost_1(S) = X0 has no integral solution: p S_1 = X0 - X0^2
+    x0 = _pvar(1, 0)
+    with pytest.raises(ConsistencyError):
+        _solve_components(2, [x0, x0])
+
+
+def test_coefficient_rings_refuse_exponent_below_one():
+    for k in (0, -1):
+        with pytest.raises(ConfigurationError):
+            ZModRing(2, k)
+        with pytest.raises(ConfigurationError):
+            NilpotentPolyRing(3, k, (2,))
 
 
 def test_addition_example_prime_field():
