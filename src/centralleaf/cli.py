@@ -159,6 +159,11 @@ def _run_adm(spec: JobSpec):
 
 def _run_adlv(spec: JobSpec):
     mu = _parse_mu(spec)
+    if spec.matrix is not None and spec.elements:
+        raise ConfigurationError("adlv takes --matrix or --element, not both")
+    if len(spec.elements) > 1:
+        raise ConfigurationError(
+            f"adlv takes one --element, got {len(spec.elements)}")
     if spec.matrix is not None:
         mat = serialize.parse_matrix(spec.matrix)
         b = monomial_from_rational(mat, spec.p)

@@ -1,27 +1,32 @@
 """Truncated Witt vectors over exact coefficient rings, and Dieudonne
 display construction/checking at the residue-field base point.
 
-Witt structure polynomials are derived once per (p, length) by solving the
-ghost equations over Z on sparse integer polynomials: p^i S_i is the
-residual of the i-th ghost equation, which must be divisible by p^i.  The
-solutions are cached; no tables are hard coded.
+One ghost-equation solver serves every Witt operation: p^i S_i is the
+residual of the i-th ghost equation, which must be divisible by p^i.  Over
+sparse integer polynomials it derives the structure polynomials; on Witt
+vectors over Z/p^k or a nilpotent polynomial ring it runs in the same ring
+at precision p^(k+m-1) and reduces the solution mod p^k.  No tables are
+hard coded.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import (ConfigurationError, ConsistencyError, DatumMismatchError,
-                     NotPDivisibleError, PreconditionError)
+from .errors import (BudgetExceededError, ConfigurationError, ConsistencyError,
+                     DatumMismatchError, NotPDivisibleError, PreconditionError)
 from .isocrystal import MonomialIsocrystal, slopes_monomial
 
 # ---------------------------------------------------------------------------
 # sparse integer polynomials {exponent tuple: coefficient}
 
 Poly = Dict[Tuple[int, ...], int]
+# summed len(a)*len(b) of one derivation's products; (2, 6) needs 1.6M
+_DERIVATION_BUDGET = 2_000_000
 
 
 def _pvar(nvars: int, index: int) -> Poly:
@@ -29,11 +34,10 @@ def _pvar(nvars: int, index: int) -> Poly:
     return {key: 1}
 
 
-def _padd(a: Poly, b: Poly, scale: int = 1) -> Poly:
-    """a + scale * b."""
+def _padd(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, 0) + scale * v
+        s = out.get(k, 0) + v
         if s:
             out[k] = s
         else:
@@ -54,65 +58,87 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _ppow(a: Poly, e: int) -> Poly:
-    """a^e for e >= 1, by repeated squaring."""
-    if e == 1:
-        return a
-    half = _ppow(_pmul(a, a), e // 2)
-    return _pmul(half, a) if e & 1 else half
+class _IntPolys:
+    """Z[x_1..x_n] on sparse polynomials, with exact division or None;
+    mul charges len(a)*len(b) against _DERIVATION_BUDGET."""
+
+    def __init__(self, nvars: int):
+        self.nvars, self.spent = nvars, 0
+
+    def from_int(self, n: int) -> Poly:
+        return {(0,) * self.nvars: n} if n else {}
+
+    def add(self, a: Poly, b: Poly) -> Poly:
+        return _padd(a, b)
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        self.spent += len(a) * len(b)
+        if self.spent > _DERIVATION_BUDGET:
+            raise BudgetExceededError("Witt structure polynomials exceed their budget")
+        return _pmul(a, b)
+
+    def divide(self, a: Poly, q: int) -> Optional[Poly]:
+        if any(c % q for c in a.values()):
+            return None
+        return {k: c // q for k, c in a.items()}
 
 
-def _ghost(p: int, comps: Sequence[Poly], i: int) -> Poly:
-    out: Poly = {}
-    for j in range(i + 1):
-        out = _padd(out, _ppow(comps[j], p ** (i - j)), p ** j)
+def _ghosts(ring, p: int, comps: Sequence) -> List:
+    """Ghost components w_i = sum_{j<=i} p^j comps_j^(p^(i-j)) in ring."""
+    powers, out = [], []
+    for comp in comps:
+        powers = [reduce(ring.mul, (x,) * p) for x in powers] + [comp]
+        out.append(reduce(ring.add, (ring.mul(ring.from_int(p ** j), x)
+                                     for j, x in enumerate(powers))))
     return out
 
 
-def _solve_components(p: int, targets: Sequence[Poly]) -> List[Poly]:
-    """Solve ghost_i(S) = targets[i] for S_0..S_{m-1} over Z.
+def _solve_components(ring, p: int, targets: Sequence) -> List:
+    """Solve ghost_i(S) = targets[i] for S_0..S_{m-1} in ring.
 
-    p^i S_i = targets[i] - sum_{j<i} p^j S_j^(p^(i-j)); a coefficient of
-    that residual not divisible by p^i means S_i is not integral.
+    p^i S_i is the residual targets[i] - sum_{j<i} p^j S_j^(p^(i-j)); a
+    residual that ring.divide cannot divide by p^i means S_i is not integral.
     """
-    solution: List[Poly] = []
+    powers, solution = [], []
     for i, target in enumerate(targets):
-        residual = target
-        for j in range(i):
-            residual = _padd(residual, _ppow(solution[j], p ** (i - j)), -p ** j)
-        q = p ** i
-        if any(c % q for c in residual.values()):
+        powers = [reduce(ring.mul, (x,) * p) for x in powers]
+        residual = reduce(ring.add, (ring.mul(ring.from_int(-p ** j), x)
+                                     for j, x in enumerate(powers)), target)
+        s = ring.divide(residual, p ** i)
+        if s is None:
             raise ConsistencyError(
                 "Witt structure polynomial has a fractional coefficient")
-        solution.append({k: c // q for k, c in residual.items()})
+        solution.append(s)
+        powers.append(s)
     return solution
 
 
-_STRUCTURE_CACHE: Dict[Tuple[int, int], Dict[str, List[Poly]]] = {}
+def _combine(ring, op: str, gx: Sequence, gy: Sequence = ()) -> List:
+    """Ghost components of op applied to vectors with ghosts gx (and gy);
+    'frob' shifts, so the length drops by one."""
+    if op == "add":
+        return [ring.add(x, y) for x, y in zip(gx, gy)]
+    if op == "mul":
+        return [ring.mul(x, y) for x, y in zip(gx, gy)]
+    if op == "neg":
+        return [ring.mul(ring.from_int(-1), x) for x in gx]
+    return gx[1:]
 
 
 def structure_polynomials(p: int, m: int) -> Dict[str, List[Poly]]:
     """Universal Witt polynomials for length m at the prime p.
 
     Keys: 'add', 'mul', 'neg' in 2m / m variables, and 'frob' giving the
-    Frobenius components F_0..F_{m-2} (length drops by one).
+    Frobenius components F_0..F_{m-2} (length drops by one).  Raises
+    BudgetExceededError past _DERIVATION_BUDGET.
     """
-    cached = _STRUCTURE_CACHE.get((p, m))
-    if cached is not None:
-        return cached
-    nvars = 2 * m
-    xs = [_pvar(nvars, i) for i in range(m)]
-    ys = [_pvar(nvars, m + i) for i in range(m)]
-    gx = [_ghost(p, xs, i) for i in range(m)]
-    gy = [_ghost(p, ys, i) for i in range(m)]
-    add = _solve_components(p, [_padd(a, b) for a, b in zip(gx, gy)])
-    mul = _solve_components(p, [_pmul(a, b) for a, b in zip(gx, gy)])
-    xs1 = [_pvar(m, i) for i in range(m)]
-    gx1 = [_ghost(p, xs1, i) for i in range(m)]
-    neg = _solve_components(p, [_padd({}, g, -1) for g in gx1])
-    frob = _solve_components(p, gx1[1:]) if m > 1 else []
-    result = {"add": add, "mul": mul, "neg": neg, "frob": frob}
-    _STRUCTURE_CACHE[(p, m)] = result
+    ring = _IntPolys(2 * m)
+    gx = _ghosts(ring, p, [_pvar(2 * m, i) for i in range(m)])
+    gy = _ghosts(ring, p, [_pvar(2 * m, m + i) for i in range(m)])
+    result = {op: _solve_components(ring, p, _combine(ring, op, gx, gy))
+              for op in ("add", "mul", "neg", "frob")}
+    for op in ("neg", "frob"):  # these involve only X_0..X_{m-1}
+        result[op] = [{e[:m]: c for e, c in s.items()} for s in result[op]]
     return result
 
 
@@ -148,6 +174,9 @@ class ZModRing:
 
     def neg(self, a: int) -> int:
         return (-a) % self.modulus
+
+    def divide(self, a: int, q: int) -> Optional[int]:
+        return None if a % q else a // q
 
     def zero(self) -> int:
         return 0
@@ -199,6 +228,11 @@ class NilpotentPolyRing:
     def neg(self, a: tuple) -> tuple:
         return self._norm({exps: -c for exps, c in a})
 
+    def divide(self, a: tuple, q: int) -> Optional[tuple]:
+        if any(c % q for _, c in a):
+            return None
+        return tuple((exps, c // q) for exps, c in a)
+
     def zero(self) -> tuple:
         return ()
 
@@ -229,55 +263,49 @@ def witt(ring, p: int, components) -> WittVector:
                                      for c in components))
 
 
-def _check_compatible(a: WittVector, b: WittVector):
-    if a.ring != b.ring or a.prime != b.prime or a.length != b.length:
+def _solve_lifted(ring, p: int, m: int, targets) -> WittVector:
+    """The Witt vector of length m over ring whose ghost components are
+    targets(lift), lift being ring at precision p^(k+m-1).
+
+    Reduction to p^k is a ring map and solving for component i divides by
+    p^i, so every component is exact mod p^k.
+    """
+    if ring.p != p:
+        raise ConfigurationError(f"Witt prime {p} is not the ring's prime {ring.p}")
+    lift = dataclasses.replace(ring, k=ring.k + m - 1)
+    comps = _solve_components(lift, p, targets(lift))
+    # adding zero in ring reduces a lifted component mod p^k
+    return WittVector(ring, p, tuple(ring.add(ring.zero(), c) for c in comps))
+
+
+def _operate(op: str, a: WittVector, *others: WittVector) -> WittVector:
+    """op on Witt vectors, through their ghost components in the lift."""
+    if any((b.ring, b.prime, b.length) != (a.ring, a.prime, a.length) for b in others):
         raise DatumMismatchError("Witt vectors over different rings or lengths")
 
-
-def _evaluate(op: str, *vectors: WittVector) -> WittVector:
-    """All components of the structure polynomials of op, evaluated at the
-    concatenated components of the vectors.
-
-    One table of powers per variable serves every component; it grows on
-    demand by one ring product per power.
-    """
-    a = vectors[0]
-    ring = a.ring
-    powers = [[ring.one(), c] for v in vectors for c in v.components]
-    out = []
-    for poly in structure_polynomials(a.prime, a.length)[op]:
-        total = ring.zero()
-        for exps, coeff in poly.items():
-            term = ring.from_int(coeff)
-            for row, e in zip(powers, exps):
-                if e:
-                    while len(row) <= e:
-                        row.append(ring.mul(row[-1], row[1]))
-                    term = ring.mul(term, row[e])
-            total = ring.add(total, term)
-        out.append(total)
-    return WittVector(ring, a.prime, tuple(out))
+    def targets(lift):
+        return _combine(lift, op, *(_ghosts(lift, a.prime, v.components)
+                                    for v in (a,) + others))
+    return _solve_lifted(a.ring, a.prime, a.length, targets)
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    _check_compatible(a, b)
-    return _evaluate("add", a, b)
+    return _operate("add", a, b)
 
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
-    _check_compatible(a, b)
-    return _evaluate("mul", a, b)
+    return _operate("mul", a, b)
 
 
 def witt_neg(a: WittVector) -> WittVector:
-    return _evaluate("neg", a)
+    return _operate("neg", a)
 
 
 def witt_frobenius(a: WittVector) -> WittVector:
     """Witt Frobenius; the truncated length drops by one."""
     if a.length < 2:
         raise PreconditionError("Frobenius needs length at least 2")
-    return _evaluate("frob", a)
+    return _operate("frob", a)
 
 
 def witt_verschiebung(a: WittVector) -> WittVector:
@@ -288,37 +316,13 @@ def witt_verschiebung(a: WittVector) -> WittVector:
 
 def witt_ghost(a: WittVector) -> tuple:
     """Ghost components w_i = sum p^j a_j^{p^(i-j)}, evaluated in the ring."""
-    ring, p = a.ring, a.prime
-    powers, out = [], []
-    for comp in a.components:
-        # a_j^{p^(i-j)} for j <= i
-        powers = [reduce(ring.mul, (x,) * p) for x in powers] + [comp]
-        out.append(reduce(ring.add, (ring.mul(ring.from_int(p ** j), x)
-                                     for j, x in enumerate(powers))))
-    return tuple(out)
-
-
-def witt_zero(ring, p: int, m: int) -> WittVector:
-    return WittVector(ring, p, tuple(ring.zero() for _ in range(m)))
-
-
-def witt_one(ring, p: int, m: int) -> WittVector:
-    return WittVector(ring, p, (ring.one(),) + tuple(ring.zero() for _ in range(m - 1)))
+    return tuple(_ghosts(a.ring, a.prime, a.components))
 
 
 def witt_from_int(ring, p: int, m: int, n: int) -> WittVector:
-    """Image of the integer n in the truncated Witt ring (double and add)."""
-    if n < 0:
-        return witt_neg(witt_from_int(ring, p, m, -n))
-    result = witt_zero(ring, p, m)
-    addend = witt_one(ring, p, m)
-    while n:
-        if n & 1:
-            result = witt_add(result, addend)
-        n >>= 1
-        if n:
-            addend = witt_add(addend, addend)
-    return result
+    """Image of the integer n in the truncated Witt ring: every ghost
+    component is n."""
+    return _solve_lifted(ring, p, m, lambda lift: [lift.from_int(n)] * m)
 
 
 def witt_scalar(a: WittVector, n: int) -> WittVector:

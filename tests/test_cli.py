@@ -288,3 +288,23 @@ def test_witt_selfcheck_refuses_meaningless_input(capsys):
                   ["--coeff-exponent", "0"], ["--coeff-exponent", "-1"]):
         code, out, err = run_cli(capsys, ["witt-selfcheck", "--length", "2"] + flags)
         assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+
+
+def test_adlv_refuses_input_with_two_meanings(capsys):
+    # adlv used to read only the first --element, and --matrix used to win
+    # over --element, both with exit 0
+    element = ["--group", "GL2", "--element", "{lambda:[1,0],w:s}"]
+    base = ["adlv", "--mu", "1,0", "--p", "2", "--depth", "1"]
+    for argv in (base + element + ["--element", "{lambda:[0,1],w:s}"],
+                 base + element + ["--matrix", "0,1;2,0"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+    code, _, _ = run_cli(capsys, base + element)
+    assert code == cli.EXIT_OK
+
+
+def test_witt_selfcheck_past_the_derivation_budget_exits_3(capsys):
+    # (2, 7) used to derive its structure polynomials for minutes
+    code, out, err = run_cli(capsys, ["witt-selfcheck", "--p", "2", "--length", "7",
+                                      "--count", "1"])
+    assert code == cli.EXIT_BUDGET and err.startswith("budget exhausted") and not out

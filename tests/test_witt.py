@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from centralleaf.errors import (ConfigurationError, ConsistencyError,
+from centralleaf.errors import (BudgetExceededError, ConfigurationError,
+                               ConsistencyError, DatumMismatchError,
                                NotPDivisibleError, PreconditionError)
 from centralleaf.isocrystal import MonomialIsocrystal, slopes_monomial
 from centralleaf.witt import (NilpotentPolyRing, ZModRing,
@@ -13,8 +14,9 @@ from centralleaf.witt import (NilpotentPolyRing, ZModRing,
                               display_from_element, int_of_witt_digits,
                               structure_polynomials, truncate, witt, witt_add,
                               witt_arith, witt_digits_of_int, witt_frobenius,
-                              witt_ghost, witt_mul, witt_neg, witt_scalar,
-                              witt_verschiebung, _pvar, _solve_components)
+                              witt_from_int, witt_ghost, witt_mul, witt_neg,
+                              witt_scalar, witt_verschiebung, _IntPolys, _pvar,
+                              _solve_components)
 
 
 def test_structure_polynomials_are_integral():
@@ -52,7 +54,63 @@ def test_fractional_structure_polynomial_is_refused():
     # ghost_1(S) = X0 has no integral solution: p S_1 = X0 - X0^2
     x0 = _pvar(1, 0)
     with pytest.raises(ConsistencyError):
-        _solve_components(2, [x0, x0])
+        _solve_components(_IntPolys(1), 2, [x0, x0])
+
+
+def test_derivation_budget():
+    # (3, 5) needs about 16.6M pair products and used to run for minutes;
+    # (2, 6) needs about 1.6M and must still answer
+    with pytest.raises(BudgetExceededError):
+        structure_polynomials(3, 5)
+    assert len(structure_polynomials(2, 6)["mul"]) == 6
+
+
+def _evaluate_polynomial(ring, poly, values):
+    """sum of c * prod values[i]^e_i, by repeated multiplication in ring."""
+    total = ring.zero()
+    for exps, coeff in poly.items():
+        term = ring.from_int(coeff)
+        for value, e in zip(values, exps):
+            for _ in range(e):
+                term = ring.mul(term, value)
+        total = ring.add(total, term)
+    return total
+
+
+def _random_nilpotent(ring, rng):
+    terms = {exps: rng.randrange(ring.modulus)
+             for exps in itertools.product(*map(range, ring.truncations))
+             if rng.random() < 0.6}
+    return ring._norm(terms)
+
+
+STRUCTURE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                  (5, 2), (5, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,m", STRUCTURE_GRID)
+def test_operations_match_structure_polynomials(p, m):
+    # the ghost solver on Witt vectors against evaluating the universal
+    # polynomials term by term, on both coefficient rings
+    polys = structure_polynomials(p, m)
+    rng = random.Random(100 * p + m)
+    cases = [(ZModRing(p, k), lambda ring: rng.randrange(ring.modulus), 40)
+             for k in (1, 3)]
+    cases.append((NilpotentPolyRing(p, 2, (2, 3)),
+                  lambda ring: _random_nilpotent(ring, rng), 4))
+    for ring, sample, count in cases:
+        for _ in range(count):
+            xs = tuple(sample(ring) for _ in range(m))
+            ys = tuple(sample(ring) for _ in range(m))
+            a, b = witt(ring, p, xs), witt(ring, p, ys)
+            expected = {op: tuple(_evaluate_polynomial(ring, s, xs + ys)
+                                  for s in polys[op])
+                        for op in ("add", "mul", "neg", "frob")}
+            assert witt_add(a, b).components == expected["add"]
+            assert witt_mul(a, b).components == expected["mul"]
+            assert witt_neg(a).components == expected["neg"]
+            if m > 1:
+                assert witt_frobenius(a).components == expected["frob"]
 
 
 def test_coefficient_rings_refuse_exponent_below_one():
@@ -61,6 +119,19 @@ def test_coefficient_rings_refuse_exponent_below_one():
             ZModRing(2, k)
         with pytest.raises(ConfigurationError):
             NilpotentPolyRing(3, k, (2,))
+
+
+def test_witt_operations_refuse_mismatched_inputs():
+    # the lift to precision p^(k+m-1) needs the ring's own prime
+    ring = ZModRing(3, 2)
+    with pytest.raises(ConfigurationError):
+        witt_add(witt(ring, 2, (1, 1)), witt(ring, 2, (1, 2)))
+    with pytest.raises(ConfigurationError):
+        witt_from_int(ring, 2, 2, 5)
+    a = witt(ring, 3, (1, 1))
+    for b in (witt(ring, 3, (1, 1, 0)), witt(ZModRing(3, 3), 3, (1, 1))):
+        with pytest.raises(DatumMismatchError):
+            witt_mul(a, b)
 
 
 def test_addition_example_prime_field():
@@ -137,8 +208,7 @@ def test_digit_isomorphism_round_trip():
 
 def test_digit_isomorphism_is_additive_oracle():
     # the universal polynomials over F_p agree with integer arithmetic in Z/p^m
-    for p in (2, 3):
-        m = 3
+    for p, m in ((2, 3), (2, 4), (3, 3), (3, 4), (5, 2)):
         ring = ZModRing(p, 1)
         rng = random.Random(77 + p)
         for _ in range(100):
@@ -147,6 +217,15 @@ def test_digit_isomorphism_is_additive_oracle():
             b = witt(ring, p, witt_digits_of_int(y, p, m))
             assert witt_add(a, b).components == witt_digits_of_int((x + y) % p ** m, p, m)
             assert witt_mul(a, b).components == witt_digits_of_int((x * y) % p ** m, p, m)
+
+
+def test_integer_images_are_teichmuller_digits():
+    # the image of n in W_m(F_p) = Z/p^m has the digits of n mod p^m
+    for p, m in ((2, 3), (2, 5), (3, 3), (5, 2)):
+        ring = ZModRing(p, 1)
+        for n in list(range(-40, 41)) + [10 ** 9 + 7, -3 ** 20]:
+            assert witt_from_int(ring, p, m, n).components == \
+                witt_digits_of_int(n % p ** m, p, m)
 
 
 def test_nilpotent_coefficients():
