@@ -486,6 +486,13 @@ def admissible_set(datum: RootDatum, mu, level: str = "iwahori"):
 # ---------------------------------------------------------------------------
 # enumeration and sigma-conjugacy classes
 
+# (translation, Weyl element) pairs in one enumeration window, counted
+# before the length prune: (2b + 1)^rank * |W| for the bound b
+_ELEMENT_BUDGET = 20_000_000
+# elements x conjugators in one sigma-class census
+_CLASS_BUDGET = 5_000_000
+
+
 def enumerate_elements(datum: RootDatum, max_length: int,
                        coord_bound) -> List[AffineElement]:
     """All elements of length <= max_length whose translation coordinates
@@ -493,7 +500,9 @@ def enumerate_elements(datum: RootDatum, max_length: int,
 
     A translation is skipped before the Weyl loop when its pairings alone
     force every length above max_length (see the module docstring).
-    A negative cap or int bound raises PreconditionError."""
+    A negative cap or int bound raises PreconditionError, and a window of
+    more than ``_ELEMENT_BUDGET`` (translation, Weyl element) pairs raises
+    BudgetExceededError before any element is made."""
     if max_length < 0:
         raise PreconditionError(f"length cap must be nonnegative, got {max_length}")
     if isinstance(coord_bound, int):
@@ -503,6 +512,11 @@ def enumerate_elements(datum: RootDatum, max_length: int,
         lo, hi = -coord_bound, coord_bound
     else:
         lo, hi = coord_bound
+    window = max(hi - lo + 1, 0) ** datum.cochar_rank * len(datum.weyl_elements)
+    if window > _ELEMENT_BUDGET:
+        raise BudgetExceededError(
+            f"the window holds {window} (translation, Weyl element) pairs, "
+            f"over the budget of {_ELEMENT_BUDGET}")
     table = _weyl_table(datum)
     reach = max_length + len(table.root_rows)
     out = []
@@ -533,9 +547,6 @@ class SigmaClassPartition:
             if x in block:
                 return block
         raise KeyError("element not in the enumerated window")
-
-
-_CLASS_BUDGET = 5_000_000
 
 
 def enumerate_sigma_classes(datum: RootDatum, length_cap: int,

@@ -4,6 +4,9 @@ Subcommands: report, classes, adm, adlv, witt-selfcheck, crosscheck.
 Output is deterministic for identical job specifications (fixed sorting,
 no timestamps); exit codes: 0 success, 1 validation error, 2 internal
 consistency failure, 3 budget/precision exhaustion.
+
+Each command's options are declared once, in ``_OPTIONS``: the parser's
+flags, the job-file check and the defaults all read that table.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field, fields
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 from . import linalg, serialize
-from .affine import (enumerate_elements, enumerate_sigma_classes, length,
-                     rep_lift)
+from .affine import (admissible_set, enumerate_elements,
+                     enumerate_sigma_classes, length, rep_lift)
 from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
                      ConsistencyError, DatumMismatchError, InconclusiveError,
                      NotPDivisibleError, PreconditionError, SingularInputError,
@@ -37,57 +40,71 @@ EXIT_CONSISTENCY = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class JobSpec:
-    command: str
-    group: Optional[object] = None
-    elements: List[object] = field(default_factory=list)
-    matrix: Optional[str] = None
-    mu: Optional[str] = None
-    level: str = "iwahori"
-    p: int = 2
-    depth: int = 1
-    cap: int = 1
-    conj_cap: Optional[int] = None
-    bound: Optional[int] = None
-    length: int = 3
-    coeff_exponent: int = 5
-    count: int = 500
-    seed: int = 0
-    format: str = "csv"
-    output: Optional[str] = None
-
-    @staticmethod
-    def known_keys():
-        return {f.name for f in fields(JobSpec)}
+# Kinds besides int, str and a tuple of choices: a group name or root-datum
+# object, and the elements, which the command line gives one --element at a time.
+GROUP = "group"
+ELEMENTS = "elements"
 
 
-_INT_KEYS = ("p", "depth", "cap", "conj_cap", "bound", "length",
-             "coeff_exponent", "count", "seed")
-_STR_KEYS = ("mu", "matrix", "level", "format", "output")
-# job-spec key -> (what its value must be, the check); bool is an int subclass
-_VALUE_TYPES = {
-    **{key: ("an integer", lambda v: type(v) is int) for key in _INT_KEYS},
-    **{key: ("a string", lambda v: isinstance(v, str)) for key in _STR_KEYS},
-    "group": ("a string or an object", lambda v: isinstance(v, (str, dict))),
-    "elements": ("a list of strings or objects",
-                 lambda v: isinstance(v, list) and all(isinstance(e, (str, dict)) for e in v)),
+class Option(NamedTuple):
+    """One option of a command: its job-file key, the kind of its value and
+    its default.  The flag is ``--key`` with ``-`` for ``_``.  A job file
+    may set the key to null exactly when the default is None."""
+    key: str
+    kind: object
+    default: object = None
+    help: Optional[str] = None
+
+
+_OUTPUT = Option("output", str, help="write the artifact to this path")
+_FORMAT = Option("format", ("csv", "structured-text"), "csv")
+_GROUP = Option("group", GROUP)
+_ELEMENTS = Option("elements", ELEMENTS, ())
+
+# command -> (help, options), in the order --help lists them
+_OPTIONS = {
+    "report": ("leaf report for elements", (_OUTPUT, _FORMAT, _GROUP, _ELEMENTS)),
+    "classes": ("sigma-conjugacy class census",
+                (_OUTPUT, _FORMAT, _GROUP, Option("cap", int, 1),
+                 Option("conj_cap", int), Option("bound", int))),
+    "adm": ("admissible set of a cocharacter",
+            (_OUTPUT, _FORMAT, _GROUP, Option("mu", str),
+             Option("level", ("iwahori", "hyperspecial"), "iwahori"))),
+    "adlv": ("lattice census of X(b; mu)",
+             (_OUTPUT, _FORMAT, _GROUP, _ELEMENTS, Option("matrix", str),
+              Option("mu", str), Option("p", int, 2), Option("depth", int, 1))),
+    "witt-selfcheck": ("Witt/display invariant suite",
+                       (_OUTPUT, Option("format", ("structured-text",), "structured-text"),
+                        Option("p", int, 2), Option("length", int, 3),
+                        Option("coeff_exponent", int, 5), Option("count", int, 500),
+                        Option("seed", int, 0))),
+    "crosscheck": ("dimension formula cross check",
+                   (_OUTPUT, _FORMAT, _GROUP, Option("cap", int, 2),
+                    Option("bound", int))),
 }
-_OPTIONAL_KEYS = ("conj_cap", "bound", "group", "matrix", "mu", "output")
 
 
-def _spec_from_document(doc: dict) -> JobSpec:
-    unknown = set(doc) - JobSpec.known_keys()
-    if unknown:
-        raise ConfigurationError(f"unknown job-spec keys: {sorted(unknown)}")
-    if "command" not in doc:
-        raise ConfigurationError("job spec needs a 'command'")
-    for key, (kind, check) in _VALUE_TYPES.items():
-        if key not in doc or (doc[key] is None and key in _OPTIONAL_KEYS):
-            continue
-        if not check(doc[key]):
-            raise ConfigurationError(f"job-spec value {key!r} must be {kind}, not {doc[key]!r}")
-    return JobSpec(**doc)
+class JobSpec(SimpleNamespace):
+    """One job: its ``command`` and a value for each of its options."""
+
+
+# kind -> (what a job file must give, the check); bool is an int subclass
+_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    str: ("a string", lambda v: isinstance(v, str)),
+    GROUP: ("a string or an object", lambda v: isinstance(v, (str, dict))),
+    ELEMENTS: ("a list of strings or objects",
+               lambda v: isinstance(v, list) and all(isinstance(e, (str, dict)) for e in v)),
+}
+
+
+def _check_kind(option: Option, value):
+    """Refuse a job-file value that is not of its option's kind."""
+    what, fits = _KINDS.get(option.kind) or (f"one of {list(option.kind)}",
+                                              lambda v: v in option.kind)
+    if not fits(value):
+        raise ConfigurationError(
+            f"job-spec value {option.key!r} must be {what}, not {value!r}")
 
 
 def _resolve_group(spec: JobSpec) -> RootDatum:
@@ -95,20 +112,27 @@ def _resolve_group(spec: JobSpec) -> RootDatum:
         raise PreconditionError("this command needs --group")
     if isinstance(spec.group, dict):
         return datum_from_document(spec.group)
-    text = str(spec.group)
-    if text.lstrip().startswith("{"):
-        return datum_from_document(serialize.loads_tolerant(text))
-    return parse_group_name(text)
+    if spec.group.lstrip().startswith("{"):
+        return datum_from_document(serialize.loads_tolerant(spec.group))
+    return parse_group_name(spec.group)
 
 
 def _parse_mu(spec: JobSpec):
     if spec.mu is None:
         raise PreconditionError("this command needs --mu")
     try:
-        return tuple(int(x) for x in str(spec.mu).split(","))
+        return tuple(int(x) for x in spec.mu.split(","))
     except ValueError:
         raise ConfigurationError(
             f"--mu must be comma-separated integers, got {spec.mu!r}") from None
+
+
+def _table(spec: JobSpec, header, rows, wrap=lambda records: records) -> str:
+    """The artifact of a table command: CSV, or structured text holding the
+    rows as objects, put into a document by ``wrap``."""
+    if spec.format == "csv":
+        return serialize.render_csv(header, rows)
+    return serialize.structured_text(wrap([dict(zip(header, row)) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +145,7 @@ def _run_report(spec: JobSpec):
     reports = [leaf_report(datum, serialize.element_from_doc(datum, doc))
                for doc in spec.elements]
     rows = [serialize.leaf_report_row(r) for r in reports]
-    if spec.format == "csv":
-        return serialize.render_csv(serialize.LEAF_HEADER, rows), EXIT_OK
-    return serialize.structured_text(
-        [dict(zip(serialize.LEAF_HEADER, row)) for row in rows]), EXIT_OK
+    return _table(spec, serialize.LEAF_HEADER, rows), EXIT_OK
 
 
 def _run_classes(spec: JobSpec):
@@ -133,14 +154,10 @@ def _run_classes(spec: JobSpec):
                                         conjugator_cap=spec.conj_cap,
                                         coord_bound=spec.bound)
     rows = serialize.class_rows(partition, datum)
-    if spec.format == "csv":
-        return serialize.render_csv(serialize.CLASS_HEADER, rows), EXIT_OK
-    return serialize.structured_text(
-        [dict(zip(serialize.CLASS_HEADER, row)) for row in rows]), EXIT_OK
+    return _table(spec, serialize.CLASS_HEADER, rows), EXIT_OK
 
 
 def _run_adm(spec: JobSpec):
-    from .affine import admissible_set
     datum = _resolve_group(spec)
     mu = _parse_mu(spec)
     result = admissible_set(datum, mu, spec.level)
@@ -151,13 +168,11 @@ def _run_adm(spec: JobSpec):
         ordered = sorted(result, key=lambda x: (length(x), x.translation, x.finite))
         rows = [(serialize.element_str(x), str(length(x))) for x in ordered]
         header = serialize.ADM_HEADER
-    if spec.format == "csv":
-        return serialize.render_csv(header, rows), EXIT_OK
-    return serialize.structured_text(
-        [dict(zip(header, row)) for row in rows]), EXIT_OK
+    return _table(spec, header, rows), EXIT_OK
 
 
 def _run_adlv(spec: JobSpec):
+    linalg.require_prime(spec.p)
     mu = _parse_mu(spec)
     if spec.matrix is not None and spec.elements:
         raise ConfigurationError("adlv takes --matrix or --element, not both")
@@ -175,15 +190,13 @@ def _run_adlv(spec: JobSpec):
         raise PreconditionError("adlv needs --matrix or --group/--element")
     census = adlv_points(b, mu, spec.p, spec.depth)
     rows = serialize.adlv_rows(census)
-    if spec.format == "csv":
-        return serialize.render_csv(serialize.ADLV_HEADER, rows), EXIT_OK
-    return serialize.structured_text({
+    return _table(spec, serialize.ADLV_HEADER, rows, lambda points: {
         "mu": list(census.mu), "p": census.p, "depth": census.depth,
-        "lattices": census.lattice_count,
-        "points": [dict(zip(serialize.ADLV_HEADER, row)) for row in rows]}), EXIT_OK
+        "lattices": census.lattice_count, "points": points}), EXIT_OK
 
 
 def _run_witt_selfcheck(spec: JobSpec):
+    linalg.require_prime(spec.p)
     p, m, k = spec.p, spec.length, spec.coeff_exponent
     if spec.count < 1:
         raise ConfigurationError(f"--count must be at least 1, got {spec.count}")
@@ -197,10 +210,8 @@ def _run_witt_selfcheck(spec: JobSpec):
         a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(m)))
         b = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(m)))
         ga, gb = witt_ghost(a), witt_ghost(b)
-        if witt_ghost(witt_add(a, b)) != tuple(ring.add(x, y) for x, y in zip(ga, gb)):
-            ghost_ok = False
-            break
-        if witt_ghost(witt_mul(a, b)) != tuple(ring.mul(x, y) for x, y in zip(ga, gb)):
+        if witt_ghost(witt_add(a, b)) != tuple(ring.add(x, y) for x, y in zip(ga, gb)) \
+                or witt_ghost(witt_mul(a, b)) != tuple(ring.mul(x, y) for x, y in zip(ga, gb)):
             ghost_ok = False
             break
     checks["ghost_is_ring_homomorphism"] = ghost_ok
@@ -248,11 +259,8 @@ def _run_crosscheck(spec: JobSpec):
     rows = [(serialize.element_str(r.element), str(r.closed), str(r.oracle),
              "true" if r.ok else "false") for r in report.rows]
     code = EXIT_OK if report.all_pass else EXIT_CONSISTENCY
-    if spec.format == "csv":
-        return serialize.render_csv(serialize.CROSSCHECK_HEADER, rows), code
-    return serialize.structured_text(
-        {"all_pass": report.all_pass,
-         "rows": [dict(zip(serialize.CROSSCHECK_HEADER, row)) for row in rows]}), code
+    return _table(spec, serialize.CROSSCHECK_HEADER, rows, lambda records: {
+        "all_pass": report.all_pass, "rows": records}), code
 
 
 _COMMANDS = {
@@ -268,16 +276,15 @@ _COMMANDS = {
 def run(spec: JobSpec) -> int:
     """Execute a job; emits the artifact and returns the exit code."""
     try:
-        if spec.command not in _COMMANDS:
-            raise ConfigurationError(f"unknown command {spec.command!r}")
-        if spec.format not in ("csv", "structured-text"):
-            raise ConfigurationError(f"unknown format {spec.format!r}")
-        if spec.command in ("adlv", "witt-selfcheck"):
-            linalg.require_prime(spec.p)
         artifact, code = _COMMANDS[spec.command](spec)
+        if spec.output:
+            with open(spec.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(artifact)
+        else:
+            sys.stdout.write(artifact)
     except (ConfigurationError, PreconditionError, DatumMismatchError,
             UnsupportedOperationError, SingularInputError,
-            NotPDivisibleError) as exc:
+            NotPDivisibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConsistencyError as exc:
@@ -286,16 +293,7 @@ def run(spec: JobSpec) -> int:
     except (BudgetExceededError, InconclusiveError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(spec, artifact)
     return code
-
-
-def _emit(spec: JobSpec, artifact: str):
-    if spec.output:
-        with open(spec.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(artifact)
-    else:
-        sys.stdout.write(artifact)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,110 +304,66 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
-    """The CLI parser; with ``defaults=False`` it only records typed flags."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built from ``_OPTIONS``; it records only typed flags."""
     parser = _Parser(
         prog="centralleaf",
         description="Exact invariants of sigma-conjugacy classes: Newton "
                     "points, central-leaf dimensions, admissible sets, "
                     "lattice censuses, Witt/display self checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def arg(sp, *flags, default=None, **kwargs):
-        sp.add_argument(*flags, **kwargs,
-                        default=default if defaults else argparse.SUPPRESS)
-
-    def common(sp):
-        arg(sp, "--spec", help="job specification JSON file")
-        arg(sp, "--output", help="write the artifact to this path")
-        arg(sp, "--format", choices=["csv", "structured-text"], default="csv")
-
-    sp = sub.add_parser("report", help="leaf report for elements")
-    common(sp)
-    arg(sp, "--group")
-    arg(sp, "--element", action="append", default=[])
-
-    sp = sub.add_parser("classes", help="sigma-conjugacy class census")
-    common(sp)
-    arg(sp, "--group")
-    arg(sp, "--cap", type=int, default=1)
-    arg(sp, "--conj-cap", type=int, dest="conj_cap")
-    arg(sp, "--bound", type=int)
-
-    sp = sub.add_parser("adm", help="admissible set of a cocharacter")
-    common(sp)
-    arg(sp, "--group")
-    arg(sp, "--mu")
-    arg(sp, "--level", choices=["iwahori", "hyperspecial"], default="iwahori")
-
-    sp = sub.add_parser("adlv", help="lattice census of X(b; mu)")
-    common(sp)
-    arg(sp, "--group")
-    arg(sp, "--element", action="append", default=[])
-    arg(sp, "--matrix")
-    arg(sp, "--mu")
-    arg(sp, "--p", type=int, default=2)
-    arg(sp, "--depth", type=int, default=1)
-
-    sp = sub.add_parser("witt-selfcheck", help="Witt/display invariant suite")
-    common(sp)
-    arg(sp, "--p", type=int, default=2)
-    arg(sp, "--length", type=int, default=3)
-    arg(sp, "--coeff-exponent", type=int, dest="coeff_exponent", default=5)
-    arg(sp, "--count", type=int, default=500)
-    arg(sp, "--seed", type=int, default=0)
-
-    sp = sub.add_parser("crosscheck", help="dimension formula cross check")
-    common(sp)
-    arg(sp, "--group")
-    arg(sp, "--cap", type=int, default=2)
-    arg(sp, "--bound", type=int)
-
+    for command, (text, options) in _OPTIONS.items():
+        sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--spec", help="job specification JSON file")
+        for option in options:
+            if option.kind == ELEMENTS:
+                sp.add_argument("--element", dest=option.key, metavar="ELEMENT",
+                                action="append")
+            else:
+                choices = option.kind if isinstance(option.kind, tuple) else None
+                sp.add_argument("--" + option.key.replace("_", "-"), help=option.help,
+                                type=int if option.kind is int else None, choices=choices)
     return parser
 
 
-def _given(args: dict):
-    """(job-spec key, value) of the parsed options that carry a value."""
-    for key, value in args.items():
-        if key in ("spec", "command") or value in (None, []):
-            continue
-        yield ("elements", list(value)) if key == "element" else (key, value)
-
-
 def spec_from_args(argv=None) -> JobSpec:
-    """Job spec from the command line: explicit flags beat the --spec file,
-    which beats the parser's defaults; a spec naming another command than
-    the typed subcommand is refused."""
-    typed = vars(build_parser(defaults=False).parse_args(argv))
-    defaults = vars(build_parser().parse_args(argv))
-    command = typed["command"]
+    """Job spec from the command line: typed flags beat the --spec file,
+    which beats the defaults in ``_OPTIONS``.  The file may hold only its
+    command's keys, each of its option's kind; a file naming another
+    command than the typed subcommand is refused."""
+    typed = vars(build_parser().parse_args(argv))
+    command = typed.pop("command")
+    path = typed.pop("spec", None)
     doc = {}
-    if typed.get("spec"):
-        with open(typed["spec"], "r", encoding="utf-8") as fh:
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ConfigurationError("job spec must be a JSON object")
-        if doc.get("command", command) != command:
-            raise ConfigurationError(
-                f"job spec is for {doc['command']!r}, not {command!r}")
-    doc["command"] = command
-    doc.update(_given(typed))
-    for key, value in _given(defaults):
-        doc.setdefault(key, value)
-    return _spec_from_document(doc)
+        named = doc.pop("command", command)
+        if named != command:
+            raise ConfigurationError(f"job spec is for {named!r}, not {command!r}")
+    doc.update(typed)
+    _, options = _OPTIONS[command]
+    unknown = set(doc) - {option.key for option in options}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown job-spec keys for {command}: {sorted(unknown)}")
+    for option in options:
+        if option.key not in doc:
+            doc[option.key] = option.default
+        elif doc[option.key] is not None or option.default is not None:
+            _check_kind(option, doc[option.key])
+    return JobSpec(command=command, **doc)
 
 
 def main(argv=None) -> int:
     try:
         spec = spec_from_args(argv)
-    except CentralLeafError as exc:
+    except (CentralLeafError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    code = run(spec)
-    return code
+    return run(spec)
 
 
 if __name__ == "__main__":

@@ -69,7 +69,8 @@ class RootDatum:
         for v in self.coroots:
             if len(v) != self.cochar_rank:
                 raise ConfigurationError("coroot of wrong length")
-        if len(self.pairing) != self.cochar_rank:
+        if len(self.pairing) != self.cochar_rank or any(
+                len(row) != self.cochar_rank for row in self.pairing):
             raise ConfigurationError("pairing matrix has wrong shape")
         if len(set(self.roots)) != len(self.roots):
             raise ConfigurationError("duplicate roots")
@@ -486,26 +487,50 @@ def datum_from_document(doc: dict) -> RootDatum:
     """Root datum from a structured-text document.
 
     Fixed keys: ``group``, ``n``; custom data may instead carry explicit
-    ``roots``, ``coroots`` and optional ``pairing``.
+    ``roots``, ``coroots``, ``simple_indices`` and optional ``pairing``.
+    ``n`` must be an integer, the roots, coroots and pairing lists of
+    integer lists, and the simple indices indices into the roots; anything
+    else raises ConfigurationError.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError("root-datum document must be a mapping")
     unknown = set(doc) - {"group", "n", "roots", "coroots", "pairing", "simple_indices"}
     if unknown:
         raise ConfigurationError(f"unknown root-datum keys: {sorted(unknown)}")
+    n = doc.get("n", 0)
+    if type(n) is not int:  # bool is an int subclass
+        raise ConfigurationError(f"root-datum 'n' must be an integer, not {n!r}")
     if "roots" in doc or "coroots" in doc:
         for key in ("roots", "coroots", "simple_indices"):
             if key not in doc:
                 raise ConfigurationError(f"custom datum needs {key}")
-        roots = [tuple(map(int, r)) for r in doc["roots"]]
-        coroots = [tuple(map(int, r)) for r in doc["coroots"]]
-        rank = len(roots[0]) if roots else int(doc.get("n", 0))
-        pairing = doc.get("pairing")
+        roots = _integer_rows(doc, "roots")
+        coroots = _integer_rows(doc, "coroots")
+        pairing = _integer_rows(doc, "pairing") if doc.get("pairing") is not None else None
+        indices = doc["simple_indices"]
+        if not isinstance(indices, (list, tuple)) or not all(
+                type(i) is int and 0 <= i < len(roots) for i in indices):
+            raise ConfigurationError(
+                f"root-datum 'simple_indices' must be a list of indices into "
+                f"the {len(roots)} roots, not {indices!r}")
+        rank = len(roots[0]) if roots else n
         return RootDatum(str(doc.get("group", "custom")), roots, coroots,
-                         [int(i) for i in doc["simple_indices"]], rank, pairing=pairing)
+                         indices, rank, pairing=pairing)
     if "group" not in doc or "n" not in doc:
         raise ConfigurationError("document needs 'group' and 'n'")
-    return build_classical(str(doc["group"]), int(doc["n"]))
+    return build_classical(str(doc["group"]), n)
+
+
+def _integer_rows(doc: dict, key: str):
+    """``doc[key]`` as a list of integer tuples; anything but a list or tuple
+    of integer lists or tuples is refused."""
+    rows = doc[key]
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(type(v) is int for v in row)
+            for row in rows):
+        raise ConfigurationError(
+            f"root-datum {key!r} must be a list of integer lists, not {rows!r}")
+    return [tuple(row) for row in rows]
 
 
 def parse_group_name(name: str) -> RootDatum:

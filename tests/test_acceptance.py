@@ -10,6 +10,7 @@ not affect any of the checked identities.
 """
 
 import itertools
+import json
 import pathlib
 import random
 import time
@@ -250,3 +251,23 @@ def test_golden_artifacts_pinned(tmp_path):
         path = tmp_path / f"golden_{idx:02d}.txt"
         assert cli.main(argv + ["--output", str(path)]) == 0, argv
         assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), argv
+
+
+_INTEGER_FLAGS = ("--p", "--depth", "--cap", "--length", "--count")
+
+
+def test_golden_jobs_as_job_files(tmp_path):
+    # every golden job, rewritten as its --spec file, writes the same bytes
+    for idx, argv in enumerate(GOLDEN_SPECS):
+        doc = {"command": argv[0]}
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            if flag == "--element":
+                doc.setdefault("elements", []).append(value)
+            else:
+                doc[flag[2:]] = int(value) if flag in _INTEGER_FLAGS else value
+        path = tmp_path / f"golden_{idx:02d}.txt"
+        doc["output"] = str(path)
+        spec = tmp_path / f"job_{idx:02d}.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main([argv[0], "--spec", str(spec)]) == 0, doc
+        assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), doc

@@ -441,6 +441,23 @@ def test_negative_caps_and_bounds_are_refused():
     assert enumerate_elements(GL2, 0, (-2, -1))
 
 
+def test_enumeration_window_budget(monkeypatch):
+    # the budget counts (translation, Weyl element) pairs of the whole box,
+    # before the length prune: GL3 with bound 2 holds 5^3 * 6 = 750
+    from centralleaf import affine
+    full = enumerate_elements(GL3, 2, 2)
+    monkeypatch.setattr(affine, "_ELEMENT_BUDGET", 750)
+    assert enumerate_elements(GL3, 2, 2) == full
+    assert enumerate_elements(GL3, 2, (-2, 1))  # 4^3 * 6 = 384 pairs
+    monkeypatch.setattr(affine, "_ELEMENT_BUDGET", 749)
+    for cap, bound in ((2, 2), (0, 2), (2, (-2, 2))):
+        with pytest.raises(BudgetExceededError):
+            enumerate_elements(GL3, cap, bound)
+    # the conjugators run over bound + 1: 162 elements, 750 conjugator pairs
+    with pytest.raises(BudgetExceededError):
+        enumerate_sigma_classes(GL3, 0, coord_bound=1)
+
+
 def test_sigma_not_normalising_weyl_group_is_refused():
     shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ConfigurationError):

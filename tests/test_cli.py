@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -308,3 +309,57 @@ def test_witt_selfcheck_past_the_derivation_budget_exits_3(capsys):
     code, out, err = run_cli(capsys, ["witt-selfcheck", "--p", "2", "--length", "7",
                                       "--count", "1"])
     assert code == cli.EXIT_BUDGET and err.startswith("budget exhausted") and not out
+
+
+def test_malformed_datum_documents_exit_1(capsys):
+    # these used to end in ValueError and IndexError tracebacks, or to be
+    # read silently as another group ("n": 2.5 as GL2, "n": true as GL1)
+    base = '"roots":[[1,-1],[-1,1]],"coroots":[[1,-1],[-1,1]]'
+    for group in ('{"group":"GL","n":"x"}', '{"group":"GL","n":2.5}',
+                  '{"group":"GL","n":true}',
+                  '{"roots":"ab","coroots":"ab","simple_indices":[0]}',
+                  "{" + base + ',"simple_indices":[5]}'):
+        code, out, err = run_cli(capsys, ["report", "--group", group,
+                                          "--element", "{lambda:[1,0],w:e}"])
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out, group
+    code, out, _ = run_cli(capsys, ["report", "--group", "{" + base + ',"simple_indices":[0]}',
+                                    "--element", "{lambda:[1,0],w:e}"])
+    assert code == cli.EXIT_OK and out
+
+
+def test_unwritable_output_is_a_validation_error(tmp_path, capsys):
+    # these used to end in FileNotFoundError and IsADirectoryError tracebacks
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(capsys, ["adm", "--group", "GL2", "--mu", "1,0",
+                                          "--output", str(path)])
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+
+
+def test_enumeration_past_its_budget_exits_3(capsys):
+    # the GL4 windows hold 81^4 translations; both jobs used to run for minutes
+    for command in ("crosscheck", "classes"):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, [command, "--group", "GL4", "--cap", "0",
+                                          "--bound", "40"])
+        assert time.monotonic() - start < 5
+        assert code == cli.EXIT_BUDGET and err.startswith("budget exhausted") and not out
+
+
+def test_job_file_takes_only_its_commands_keys(tmp_path, capsys):
+    # a key of another command used to be ignored with exit 0, and
+    # witt-selfcheck used to accept csv and print JSON anyway
+    path = tmp_path / "job.json"
+    element = ["{lambda:[1,0],w:s}"]
+    for doc in ({"command": "report", "group": "GL2", "elements": element, "depth": 3},
+                {"command": "adm", "group": "GL2", "mu": "1,0", "cap": 1},
+                {"command": "classes", "group": "GL2", "elements": element},
+                {"command": "witt-selfcheck", "length": 2, "count": 1, "format": "csv"}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, [doc["command"], "--spec", str(path)])
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out, doc
+    argv = ["witt-selfcheck", "--length", "2", "--count", "1"]
+    code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+    code, out, _ = run_cli(capsys, argv + ["--format", "structured-text"])
+    assert code == cli.EXIT_OK
+    assert run_cli(capsys, argv) == (code, out, "")

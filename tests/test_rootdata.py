@@ -195,3 +195,22 @@ def test_datum_document_interface():
     assert parse_group_name("GSp4").group_tag == "GSp"
     with pytest.raises(ConfigurationError):
         parse_group_name("E8")
+
+
+def test_malformed_datum_documents_are_refused():
+    # these used to end in ValueError, IndexError and TypeError tracebacks,
+    # or to be read silently as another group ("n": 2.5 as GL2)
+    base = {"roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]],
+            "simple_indices": [0]}
+    for doc in ({"group": "GL", "n": "x"}, {"group": "GL", "n": 2.5},
+                {"group": "GL", "n": True}, {"group": "GL", "n": None},
+                {"roots": "ab", "coroots": "ab", "simple_indices": [0]},
+                {**base, "roots": [[1.5, -1], [-1, 1]]},
+                {**base, "coroots": [[1, -1], [-1, True]]},
+                {**base, "simple_indices": [5]}, {**base, "simple_indices": [-1]},
+                {**base, "simple_indices": [True]}, {**base, "simple_indices": "0"},
+                {**base, "pairing": "x"}, {**base, "pairing": [[1], [0, 1]]},
+                {**base, "n": "2"}):
+        with pytest.raises(ConfigurationError):
+            datum_from_document(doc)
+    assert datum_from_document({**base, "pairing": [[1, 0], [0, 1]], "n": 2}).two_rho == (1, -1)
