@@ -5,15 +5,14 @@ Elements are pairs (translation, finite part) with the finite part stored
 as an integer matrix on the cocharacter lattice; the composition law is
 (l1, w1)(l2, w2) = (l1 + w1 l2, w1 w2).  All computations are exact.
 
-The finite parts are coded by a per-datum ``_WeylTable``: indices into
-``datum.weyl_elements`` with a product table filled on demand, inverses,
-the sigma action on indices, and for each w the positive roots alpha with
-w^-1 alpha < 0.  The group law, inverse, sigma action, length and Newton
-point read the table; the sigma-class sweep runs on (translation, index)
-pairs without building elements.  ``enumerate_elements`` skips a
-translation before the Weyl loop when sum_{alpha > 0} |<alpha, lambda>|
-- |Phi+| exceeds the length cap: each length term |<alpha, lambda> - e|
-with e in {0, 1} is at least |<alpha, lambda>| - 1.
+The finite parts are read through the coded Weyl group that ``rootdata``
+owns: the group law, inverse, sigma action, length and Newton point work
+on indices into ``datum.weyl_elements``, and the sigma-class sweep runs on
+(translation, index) pairs without building elements.
+``enumerate_elements`` skips a translation before the Weyl loop when
+sum_{alpha > 0} |<alpha, lambda>| - |Phi+| exceeds the length cap: each
+length term |<alpha, lambda> - e| with e in {0, 1} is at least
+|<alpha, lambda>| - 1.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .errors import (BudgetExceededError, ConfigurationError, ConsistencyError,
-                     DatumMismatchError, PreconditionError,
-                     UnsupportedOperationError)
+from .errors import (BudgetExceededError, ConsistencyError, DatumMismatchError,
+                     PreconditionError, UnsupportedOperationError)
 from .isocrystal import MonomialIsocrystal, monomial_compose, monomial_identity
 from .rootdata import RootDatum, dominant_rep, is_dominant, present_quotient
 
@@ -43,79 +41,6 @@ class AffineElement:
 
     def __repr__(self):
         return f"AffineElement(lambda={self.translation}, w={self.finite})"
-
-
-class _WeylTable:
-    """The finite Weyl group of one datum, coded by indices into
-    ``datum.weyl_elements``."""
-
-    def __init__(self, datum: RootDatum):
-        self.elements = datum.weyl_elements
-        self.index = {w: i for i, w in enumerate(self.elements)}
-        self._products: List[Optional[List[Optional[int]]]] = [None] * len(self.elements)
-        ident = linalg.identity(datum.cochar_rank)
-        self.inverse = tuple(self.index[_power_inverse(w, ident)]
-                             for w in self.elements)
-        # <alpha, lam> = row . lam for each positive root alpha
-        pairing_t = linalg.transpose(datum.pairing)
-        self.root_rows = tuple(linalg.mat_vec(pairing_t, alpha)
-                               for alpha in datum.positive_roots)
-        # 1 where w^-1 alpha < 0: the row of alpha o w is row . w
-        positive = set(self.root_rows)
-        self.flips = tuple(
-            tuple(0 if row in positive else 1
-                  for row in linalg.mat_mul(self.root_rows, w))
-            for w in self.elements)
-        self._sigma_actions: Dict[Optional[Matrix], Tuple[int, ...]] = {
-            None: tuple(range(len(self.elements)))}
-
-    def code(self, w: Matrix) -> int:
-        try:
-            return self.index[w]
-        except KeyError:
-            raise PreconditionError("finite part is not a Weyl group element") from None
-
-    def mul(self, i: int, j: int) -> int:
-        row = self._products[i]
-        if row is None:
-            row = self._products[i] = [None] * len(self.elements)
-        k = row[j]
-        if k is None:
-            k = row[j] = self.index[linalg.mat_mul(self.elements[i], self.elements[j])]
-        return k
-
-    def pairings(self, lam) -> Tuple[int, ...]:
-        return tuple(sum(c * v for c, v in zip(row, lam)) for row in self.root_rows)
-
-    def sigma_action(self, sigma: Optional[Matrix]) -> Tuple[int, ...]:
-        """The index of sigma w sigma^-1 for each index w."""
-        sigma = None if sigma is None else linalg.freeze(sigma)
-        action = self._sigma_actions.get(sigma)
-        if action is None:
-            s_inv = linalg.mat_inv(sigma)
-            # Fraction entries hash like ints, so a non-integral conjugate misses
-            images = [self.index.get(linalg.mat_mul(linalg.mat_mul(sigma, w), s_inv))
-                      for w in self.elements]
-            if None in images:
-                raise ConfigurationError("sigma does not normalise the Weyl group")
-            action = self._sigma_actions[sigma] = tuple(images)
-        return action
-
-
-def _power_inverse(w: Matrix, ident: Matrix) -> Matrix:
-    """w^-1 as the last power of w before the identity."""
-    prev, cur = ident, w
-    while cur != ident:
-        prev, cur = cur, linalg.mat_mul(cur, w)
-    return prev
-
-
-def _weyl_table(datum: RootDatum) -> _WeylTable:
-    table = getattr(datum, "_weyl_table", None)
-    if table is None:
-        table = _WeylTable(datum)
-        setattr(datum, "_weyl_table", table)
-    return table
 
 
 def identity_element(datum: RootDatum) -> AffineElement:
@@ -141,8 +66,7 @@ def simple_element(datum: RootDatum, i: int) -> AffineElement:
 def element(datum: RootDatum, lam, finite=None) -> AffineElement:
     finite = linalg.freeze(finite) if finite is not None \
         else linalg.identity(datum.cochar_rank)
-    if not datum.is_weyl(finite):
-        raise PreconditionError("finite part is not a Weyl group element")
+    datum.weyl_code(finite)  # refuses a matrix outside the Weyl group
     return AffineElement(datum, tuple(int(x) for x in lam), finite)
 
 
@@ -156,16 +80,15 @@ def _same_datum(*xs: AffineElement):
 
 def compose(x: AffineElement, y: AffineElement) -> AffineElement:
     datum = _same_datum(x, y)
-    table = _weyl_table(datum)
     lam = tuple(a + b for a, b in zip(x.translation,
                                       linalg.mat_vec(x.finite, y.translation)))
-    w = table.mul(table.code(x.finite), table.code(y.finite))
-    return AffineElement(datum, lam, table.elements[w])
+    w = datum.weyl_mul(datum.weyl_code(x.finite), datum.weyl_code(y.finite))
+    return AffineElement(datum, lam, datum.weyl_elements[w])
 
 
 def invert(x: AffineElement) -> AffineElement:
-    table = _weyl_table(x.datum)
-    w_inv = table.elements[table.inverse[table.code(x.finite)]]
+    datum = x.datum
+    w_inv = datum.weyl_elements[datum.weyl_inverse[datum.weyl_code(x.finite)]]
     lam = tuple(-v for v in linalg.mat_vec(w_inv, x.translation))
     return AffineElement(x.datum, lam, w_inv)
 
@@ -174,10 +97,10 @@ def sigma_apply(x: AffineElement, sigma: Optional[Matrix]) -> AffineElement:
     """Apply the lattice automorphism sigma: (l, w) -> (s l, s w s^-1)."""
     if sigma is None:
         return x
-    table = _weyl_table(x.datum)
-    w = table.sigma_action(sigma)[table.code(x.finite)]
+    datum = x.datum
+    w = datum.weyl_sigma_action(sigma)[datum.weyl_code(x.finite)]
     lam = tuple(int(v) for v in linalg.mat_vec(sigma, x.translation))
-    return AffineElement(x.datum, lam, table.elements[w])
+    return AffineElement(datum, lam, datum.weyl_elements[w])
 
 
 def sigma_conjugate(g: AffineElement, x: AffineElement,
@@ -193,9 +116,9 @@ def sigma_conjugate(g: AffineElement, x: AffineElement,
 def length(x: AffineElement) -> int:
     """Iwahori-Matsumoto length on the extended affine Weyl group:
     the sum over alpha > 0 of |<alpha, lambda>|, less one where w^-1 alpha < 0."""
-    table = _weyl_table(x.datum)
-    flips = table.flips[table.code(x.finite)]
-    return sum(abs(p - f) for p, f in zip(table.pairings(x.translation), flips))
+    datum = x.datum
+    flips = datum.weyl_flips[datum.weyl_code(x.finite)]
+    return sum(abs(p - f) for p, f in zip(datum.positive_pairings(x.translation), flips))
 
 
 def affine_generators(datum: RootDatum) -> Tuple[AffineElement, ...]:
@@ -325,9 +248,8 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     """Newton cocharacter of x: the average of the (w sigma)-orbit of the
     translation part over the minimal period r with (w sigma)^r = 1."""
     datum = x.datum
-    table = _weyl_table(datum)
-    action = table.sigma_action(sigma)
-    w = table.code(x.finite)
+    action = datum.weyl_sigma_action(sigma)
+    w = datum.weyl_code(x.finite)
     ident = linalg.identity(datum.cochar_rank)
     w_sigma = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
     # (w sigma)^r = a sigma^r with a = w sigma(w) ... sigma^(r-1)(w) in W
@@ -335,11 +257,11 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     total = list(x.translation)
     moved = x.translation
     r = 1
-    while s_power != table.elements[table.inverse[a]]:
+    while s_power != datum.weyl_elements[datum.weyl_inverse[a]]:
         moved = linalg.mat_vec(w_sigma, moved)
         total = [u + v for u, v in zip(total, moved)]
         conj = action[conj]
-        a = table.mul(a, conj)
+        a = datum.weyl_mul(a, conj)
         if sigma is not None:
             s_power = linalg.mat_mul(s_power, sigma)
         r += 1
@@ -392,8 +314,7 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
     datum = x.datum
     if datum.rep_weights is None:
         raise UnsupportedOperationError("no faithful representation attached")
-    table = _weyl_table(datum)
-    w_inv = table.elements[table.inverse[table.code(x.finite)]]
+    w_inv = datum.weyl_elements[datum.weyl_inverse[datum.weyl_code(x.finite)]]
     chars_of_w_inv = datum.char_matrix(w_inv)
     perm = _weight_permutation(datum, chars_of_w_inv)
     exps = tuple(int(datum.pair(w, x.translation)) for w in datum.rep_weights)
@@ -517,15 +438,14 @@ def enumerate_elements(datum: RootDatum, max_length: int,
         raise BudgetExceededError(
             f"the window holds {window} (translation, Weyl element) pairs, "
             f"over the budget of {_ELEMENT_BUDGET}")
-    table = _weyl_table(datum)
-    reach = max_length + len(table.root_rows)
+    reach = max_length + len(datum.root_rows)
     out = []
     span = range(lo, hi + 1)
     for lam in itertools.product(span, repeat=datum.cochar_rank):
-        pairs = table.pairings(lam)
+        pairs = datum.positive_pairings(lam)
         if sum(map(abs, pairs)) > reach:
             continue
-        for w, flips in zip(table.elements, table.flips):
+        for w, flips in zip(datum.weyl_elements, datum.weyl_flips):
             if sum(abs(p - f) for p, f in zip(pairs, flips)) <= max_length:
                 out.append(AffineElement(datum, lam, w))
     return out
@@ -576,10 +496,9 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
             f"{len(elements)} elements x {len(conjugators)} conjugators "
             f"exceeds the budget of {budget}",
             partial=singleton)
-    table = _weyl_table(datum)
-    action = table.sigma_action(sigma)
+    action = datum.weyl_sigma_action(sigma)
     # the sweep runs on (translation, Weyl index) pairs
-    coded = [(x.translation, table.code(x.finite)) for x in elements]
+    coded = [(x.translation, datum.weyl_code(x.finite)) for x in elements]
     index = {c: i for i, c in enumerate(coded)}
     parent = list(range(len(elements)))
 
@@ -598,18 +517,18 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     # with sigma(g)^-1 = (mu_h, w_h); per w_g: (w_g w_x, w_g l_x) for each x
     left: Dict[int, List[Tuple[int, Vector]]] = {}
     for g in conjugators:
-        wg = table.code(g.finite)
+        wg = datum.weyl_code(g.finite)
         row = left.get(wg)
         if row is None:
-            w_matrix = table.elements[wg]
-            row = left[wg] = [(table.mul(wg, wx), linalg.mat_vec(w_matrix, lam))
+            w_matrix = datum.weyl_elements[wg]
+            row = left[wg] = [(datum.weyl_mul(wg, wx), linalg.mat_vec(w_matrix, lam))
                               for lam, wx in coded]
-        wh = table.inverse[action[wg]]
+        wh = datum.weyl_inverse[action[wg]]
         s_lam = g.translation if sigma is None else linalg.mat_vec(sigma, g.translation)
-        mu_h = tuple(-v for v in linalg.mat_vec(table.elements[wh], s_lam))
+        mu_h = tuple(-v for v in linalg.mat_vec(datum.weyl_elements[wh], s_lam))
         # per w = w_g w_x: (l_g + w mu_h, w w_h)
         tail = [(tuple(map(add, g.translation, linalg.mat_vec(w, mu_h))),
-                 table.mul(k, wh)) for k, w in enumerate(table.elements)]
+                 datum.weyl_mul(k, wh)) for k, w in enumerate(datum.weyl_elements)]
         for i, (wgx, moved) in enumerate(row):
             shift, wy = tail[wgx]
             j = index.get((tuple(map(add, shift, moved)), wy))

@@ -6,19 +6,28 @@ cocharacters through a fixed integer pairing matrix (the standard dot
 product for every built-in family).  All derived data (positive roots,
 2*rho, the finite Weyl group, the fundamental-group presentation) is
 computed once at construction and never mutated.
+
+The finite Weyl group is coded here: element k is ``weyl_elements[k]`` (the
+matrices sorted), and the closure records ``weyl_right[k][i]``, the index
+of w_k s_(i+1), and a reduced word of each element.  Products walk a word
+through that table and inverses walk it backwards; inversion sets and
+sigma actions are built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Tuple
 
 from . import linalg
-from .errors import ConfigurationError, PreconditionError
+from .errors import (BudgetExceededError, ConfigurationError, PreconditionError,
+                     SingularInputError)
 
 Vector = Tuple[int, ...]
 
+# elements of one finite Weyl group; GL8 has 40,320
 WEYL_CAP = 100_000
 
 GROUP_TAGS = ("GL", "SL", "Sp", "GSp")
@@ -53,8 +62,12 @@ class RootDatum:
         self.simple_reflections = tuple(
             self._reflection_matrix(self.roots[i], self.coroots[i])
             for i in self.simple_indices)
-        self.weyl_elements = self._generate_weyl(WEYL_CAP)
-        self._weyl_set = set(self.weyl_elements)
+        self._check_reflections_permute_roots()
+        self.weyl_elements, self.weyl_right, self.weyl_words = self._generate_weyl()
+        self.weyl_index = {w: k for k, w in enumerate(self.weyl_elements)}
+        self.weyl_identity = self.weyl_index[linalg.identity(self.cochar_rank)]
+        self._weyl_products = [None] * len(self.weyl_elements)
+        self._sigma_actions = {None: tuple(range(len(self.weyl_elements)))}
         self.coroot_set = frozenset(self.coroots)
         self._char_matrices: Dict = {}
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
@@ -89,7 +102,12 @@ class RootDatum:
         cols = list(self.simple_roots)
         positive = []
         for idx, chi in enumerate(self.roots):
-            coeffs = linalg.solve_columns(cols, chi) if cols else None
+            try:
+                coeffs = linalg.solve_columns(cols, chi) if cols else None
+            except SingularInputError:
+                raise ConfigurationError(
+                    "the simple roots are not linearly independent, "
+                    "so they are not a base") from None
             if coeffs is None:
                 raise ConfigurationError("root outside the span of the base")
             if all(c >= 0 for c in coeffs):
@@ -109,24 +127,51 @@ class RootDatum:
             cols.append(image)
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
-    def _generate_weyl(self, cap):
+    def _check_reflections_permute_roots(self):
+        """Each simple reflection must permute the roots and the coroots: a
+        root-datum axiom, which makes W finite, so WEYL_CAP is a size budget."""
+        roots, coroots = set(self.roots), set(self.coroots)
+        for i, (alpha, check) in enumerate(zip(self.simple_roots, self.simple_coroots)):
+            if {tuple(x - n * a for x, a in zip(chi, alpha))
+                    for chi in roots for n in (self.pair(chi, check),)} != roots:
+                raise ConfigurationError(
+                    f"the simple reflection s{i + 1} does not permute the roots")
+            if {tuple(x - n * c for x, c in zip(v, check))
+                    for v in coroots for n in (self.pair(alpha, v),)} != coroots:
+                raise ConfigurationError(
+                    f"the simple reflection s{i + 1} does not permute the coroots")
+
+    def _generate_weyl(self):
+        """Close {1} breadth first under w -> w s_alpha = w - (w alpha_check) <alpha, .>.
+
+        Returns the sorted elements, right[k][i] = index of w_k s_(i+1), and
+        the word (0-based letters) each element was first reached by, which
+        is reduced.  More than WEYL_CAP elements raise BudgetExceededError.
+        """
+        pairing_t = linalg.transpose(self.pairing)
+        steps = [(linalg.mat_vec(pairing_t, alpha), check)
+                 for alpha, check in zip(self.simple_roots, self.simple_coroots)]
         ident = linalg.identity(self.cochar_rank)
-        elements = {ident}
-        frontier = [ident]
-        while frontier:
-            new_frontier = []
-            for w in frontier:
-                for s in self.simple_reflections:
-                    ws = linalg.mat_mul(w, s)
-                    if ws not in elements:
-                        elements.add(ws)
-                        new_frontier.append(ws)
-                        if len(elements) > cap:
-                            raise ConfigurationError(
-                                "Weyl enumeration exceeded the hard cap; "
-                                "the reflections do not generate a finite group")
-            frontier = new_frontier
-        return tuple(sorted(elements))
+        found, reached, right = {ident: 0}, [(ident, ())], []
+        for w, word in reached:  # grows while it is walked: breadth first
+            row = []
+            for i, (alpha_row, check) in enumerate(steps):
+                w_check = [sum(x * c for x, c in zip(r, check)) for r in w]
+                ws = tuple(tuple(x - u * a for x, a in zip(r, alpha_row)) if u else r
+                           for r, u in zip(w, w_check))
+                if ws not in found:
+                    if len(found) == WEYL_CAP:
+                        raise BudgetExceededError(
+                            f"the Weyl group has more than WEYL_CAP = {WEYL_CAP} elements")
+                    found[ws] = len(reached)
+                    reached.append((ws, word + (i,)))
+                row.append(found[ws])
+            right.append(row)
+        elements = tuple(sorted(found))
+        order = [found[w] for w in elements]
+        position = {old: new for new, old in enumerate(order)}
+        return (elements, tuple(tuple(position[j] for j in right[k]) for k in order),
+                tuple(reached[k][1] for k in order))
 
     def _split_components(self):
         """Partition of simple indices (positions in the base) by Cartan links."""
@@ -177,8 +222,71 @@ class RootDatum:
         self._char_matrices[w] = result
         return result
 
-    def is_weyl(self, w):
-        return w in self._weyl_set
+    # -- the coded Weyl group -----------------------------------------------
+
+    def weyl_code(self, w) -> int:
+        """The index of a Weyl group matrix."""
+        try:
+            return self.weyl_index[w]
+        except KeyError:
+            raise PreconditionError("finite part is not a Weyl group element") from None
+
+    def weyl_mul(self, i: int, j: int) -> int:
+        """The index of w_i w_j: the word of w_j walked from w_i, memoised."""
+        row = self._weyl_products[i]
+        if row is None:
+            row = self._weyl_products[i] = [None] * len(self.weyl_elements)
+        k = row[j]
+        if k is None:
+            k = i
+            for letter in self.weyl_words[j]:
+                k = self.weyl_right[k][letter]
+            row[j] = k
+        return k
+
+    @cached_property
+    def weyl_inverse(self) -> Tuple[int, ...]:
+        """The index of w^-1 for each index w: its word walked backwards."""
+        inverse = []
+        for word in self.weyl_words:
+            k = self.weyl_identity
+            for letter in reversed(word):
+                k = self.weyl_right[k][letter]
+            inverse.append(k)
+        return tuple(inverse)
+
+    @cached_property
+    def root_rows(self) -> Tuple[Vector, ...]:
+        """One row per positive root alpha, with <alpha, lam> = row . lam."""
+        pairing_t = linalg.transpose(self.pairing)
+        return tuple(linalg.mat_vec(pairing_t, alpha) for alpha in self.positive_roots)
+
+    def positive_pairings(self, lam) -> Tuple[int, ...]:
+        """<alpha, lam> for each positive root alpha."""
+        return tuple(sum(c * v for c, v in zip(row, lam)) for row in self.root_rows)
+
+    @cached_property
+    def weyl_flips(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per index w, 1 for each positive root alpha with w^-1 alpha < 0."""
+        positive = set(self.root_rows)
+        return tuple(
+            tuple(0 if row in positive else 1
+                  for row in linalg.mat_mul(self.root_rows, w))
+            for w in self.weyl_elements)
+
+    def weyl_sigma_action(self, sigma) -> Tuple[int, ...]:
+        """The index of sigma w sigma^-1 for each index w."""
+        sigma = None if sigma is None else linalg.freeze(sigma)
+        action = self._sigma_actions.get(sigma)
+        if action is None:
+            s_inv = linalg.mat_inv(sigma)
+            # Fraction entries hash like ints, so a non-integral conjugate misses
+            images = [self.weyl_index.get(linalg.mat_mul(linalg.mat_mul(sigma, w), s_inv))
+                      for w in self.weyl_elements]
+            if None in images:
+                raise ConfigurationError("sigma does not normalise the Weyl group")
+            action = self._sigma_actions[sigma] = tuple(images)
+        return action
 
     def highest_root(self, component):
         """Highest root of one irreducible component of the base."""

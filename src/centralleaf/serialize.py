@@ -14,7 +14,6 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from . import linalg
 from .affine import AffineElement, KottwitzClass, kottwitz, length
 from .errors import ConfigurationError, PreconditionError
 from .leaves import LeafReport
@@ -65,37 +64,29 @@ def slopes_str(slopes) -> str:
 # ---------------------------------------------------------------------------
 # Weyl words
 
-def finite_length(datum: RootDatum, w) -> int:
-    zero = (0,) * datum.cochar_rank
-    return length(AffineElement(datum, zero, w))
-
-
 def word_of_finite(datum: RootDatum, w) -> str:
-    """One reduced word for a finite Weyl element, greedy left descent."""
-    if w == linalg.identity(datum.cochar_rank):
-        return "e"
+    """One reduced word for a finite Weyl element: greedy left descent,
+    lowest index first, on indices; s w is read as (w^-1 s)^-1."""
+    k, words, inverse = datum.weyl_code(w), datum.weyl_words, datum.weyl_inverse
     letters = []
-    current = w
-    cur_len = finite_length(datum, current)
-    while cur_len > 0:
+    # the words are reduced, so their lengths are the lengths, and the first
+    # letter of words[k] is a left descent: the loop always finds one
+    while words[k]:
         for i in range(datum.rank):
-            candidate = linalg.mat_mul(datum.simple_reflections[i], current)
-            cand_len = finite_length(datum, candidate)
-            if cand_len < cur_len:
+            candidate = inverse[datum.weyl_right[inverse[k]][i]]
+            if len(words[candidate]) < len(words[k]):
                 letters.append(i + 1)
-                current, cur_len = candidate, cand_len
+                k = candidate
                 break
-        else:
-            raise ConfigurationError("finite element with no descent")
-    return "*".join(f"s{i}" for i in letters)
+    return "*".join(f"s{i}" for i in letters) or "e"
 
 
 def parse_word(datum: RootDatum, word: str):
+    """The Weyl matrix of a word such as ``s1*s2`` (or ``e``), folded over
+    the right-multiplication table from the identity."""
     word = word.strip()
-    if word in ("e", "", "1"):
-        return linalg.identity(datum.cochar_rank)
-    result = linalg.identity(datum.cochar_rank)
-    for token in word.split("*"):
+    k = datum.weyl_identity
+    for token in [] if word in ("e", "", "1") else word.split("*"):
         token = token.strip()
         if token == "s":
             token = "s1"
@@ -105,8 +96,8 @@ def parse_word(datum: RootDatum, word: str):
         i = int(match.group(1))
         if not 1 <= i <= datum.rank:
             raise PreconditionError(f"simple reflection s{i} out of range")
-        result = linalg.mat_mul(result, datum.simple_reflections[i - 1])
-    return result
+        k = datum.weyl_right[k][i - 1]
+    return datum.weyl_elements[k]
 
 
 # ---------------------------------------------------------------------------

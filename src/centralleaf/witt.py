@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -83,13 +82,31 @@ class _IntPolys:
         return {k: c // q for k, c in a.items()}
 
 
+def _power(ring, x, p: int):
+    """x^p in ring, multiplied left to right."""
+    y = x
+    for _ in range(p - 1):
+        y = ring.mul(y, x)
+    return y
+
+
+def _weighted_sum(ring, weights: Sequence, terms: Sequence, start=None):
+    """start + sum_j weights[j] * terms[j] in ring, added left to right
+    (without start, from the first product)."""
+    total = start
+    for weight, term in zip(weights, terms):
+        product = ring.mul(weight, term)
+        total = product if total is None else ring.add(total, product)
+    return total
+
+
 def _ghosts(ring, p: int, comps: Sequence) -> List:
     """Ghost components w_i = sum_{j<=i} p^j comps_j^(p^(i-j)) in ring."""
+    weights = [ring.from_int(p ** j) for j in range(len(comps))]
     powers, out = [], []
     for comp in comps:
-        powers = [reduce(ring.mul, (x,) * p) for x in powers] + [comp]
-        out.append(reduce(ring.add, (ring.mul(ring.from_int(p ** j), x)
-                                     for j, x in enumerate(powers))))
+        powers = [_power(ring, x, p) for x in powers] + [comp]
+        out.append(_weighted_sum(ring, weights, powers))
     return out
 
 
@@ -99,11 +116,11 @@ def _solve_components(ring, p: int, targets: Sequence) -> List:
     p^i S_i is the residual targets[i] - sum_{j<i} p^j S_j^(p^(i-j)); a
     residual that ring.divide cannot divide by p^i means S_i is not integral.
     """
+    weights = [ring.from_int(-p ** j) for j in range(len(targets))]
     powers, solution = [], []
     for i, target in enumerate(targets):
-        powers = [reduce(ring.mul, (x,) * p) for x in powers]
-        residual = reduce(ring.add, (ring.mul(ring.from_int(-p ** j), x)
-                                     for j, x in enumerate(powers)), target)
+        powers = [_power(ring, x, p) for x in powers]
+        residual = _weighted_sum(ring, weights, powers, target)
         s = ring.divide(residual, p ** i)
         if s is None:
             raise ConsistencyError(
@@ -159,6 +176,7 @@ class ZModRing:
     p: int
     k: int
     modulus: int = field(init=False, repr=False, compare=False)
+    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modulus", _modulus(self.p, self.k))
@@ -197,6 +215,7 @@ class NilpotentPolyRing:
     k: int
     truncations: Tuple[int, ...]
     modulus: int = field(init=False, repr=False, compare=False)
+    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modulus", _modulus(self.p, self.k))
@@ -272,7 +291,10 @@ def _solve_lifted(ring, p: int, m: int, targets) -> WittVector:
     """
     if ring.p != p:
         raise ConfigurationError(f"Witt prime {p} is not the ring's prime {ring.p}")
-    lift = dataclasses.replace(ring, k=ring.k + m - 1)
+    # made once per ring and length: the copy costs more than a small operation
+    lift = ring._lifts.get(m)
+    if lift is None:
+        lift = ring._lifts[m] = dataclasses.replace(ring, k=ring.k + m - 1)
     comps = _solve_components(lift, p, targets(lift))
     # adding zero in ring reduces a lifted component mod p^k
     return WittVector(ring, p, tuple(ring.add(ring.zero(), c) for c in comps))

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from centralleaf import cli, serialize
+from centralleaf import cli, rootdata, serialize
 from centralleaf.affine import element, simple_element, translation_element
 from centralleaf.leaves import leaf_report
 from centralleaf.rootdata import build_classical
@@ -311,6 +311,12 @@ def test_witt_selfcheck_past_the_derivation_budget_exits_3(capsys):
     assert code == cli.EXIT_BUDGET and err.startswith("budget exhausted") and not out
 
 
+DEPENDENT_SIMPLE_ROOTS = (
+    '{"roots":[[1,-1],[-1,1]],"coroots":[[1,-1],[-1,1]],"simple_indices":[0,0]}',
+    '{"roots":[[1,0],[-1,0],[0,1],[0,-1]],"coroots":[[2,0],[-2,0],[0,2],[0,-2]],'
+    '"simple_indices":[0,1]}')
+
+
 def test_malformed_datum_documents_exit_1(capsys):
     # these used to end in ValueError and IndexError tracebacks, or to be
     # read silently as another group ("n": 2.5 as GL2, "n": true as GL1)
@@ -318,13 +324,24 @@ def test_malformed_datum_documents_exit_1(capsys):
     for group in ('{"group":"GL","n":"x"}', '{"group":"GL","n":2.5}',
                   '{"group":"GL","n":true}',
                   '{"roots":"ab","coroots":"ab","simple_indices":[0]}',
-                  "{" + base + ',"simple_indices":[5]}'):
+                  "{" + base + ',"simple_indices":[5]}', *DEPENDENT_SIMPLE_ROOTS):
         code, out, err = run_cli(capsys, ["report", "--group", group,
                                           "--element", "{lambda:[1,0],w:e}"])
         assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out, group
+        if group in DEPENDENT_SIMPLE_ROOTS:
+            # these used to say "dependent columns in solve_columns"
+            assert "not a base" in err, group
     code, out, _ = run_cli(capsys, ["report", "--group", "{" + base + ',"simple_indices":[0]}',
                                     "--element", "{lambda:[1,0],w:e}"])
     assert code == cli.EXIT_OK and out
+
+
+def test_weyl_group_past_its_cap_exits_3(monkeypatch, capsys):
+    # an overrun used to say the reflections do not generate a finite group,
+    # and exit 1
+    monkeypatch.setattr(rootdata, "WEYL_CAP", 500)
+    code, out, err = run_cli(capsys, ["adm", "--group", "GL6", "--mu", "1,0,0,0,0,0"])
+    assert code == cli.EXIT_BUDGET and "WEYL_CAP = 500" in err and not out
 
 
 def test_unwritable_output_is_a_validation_error(tmp_path, capsys):

@@ -7,8 +7,9 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
-from centralleaf import linalg
-from centralleaf.errors import ConfigurationError, PreconditionError
+from centralleaf import linalg, rootdata, serialize
+from centralleaf.affine import AffineElement, length
+from centralleaf.errors import BudgetExceededError, ConfigurationError, PreconditionError
 from centralleaf.rootdata import (LatticeAction, build_classical, coinvariants,
                                   datum_from_document, dominance_leq,
                                   dominant_rep, is_dominant, parse_group_name,
@@ -210,7 +211,102 @@ def test_malformed_datum_documents_are_refused():
                 {**base, "simple_indices": [5]}, {**base, "simple_indices": [-1]},
                 {**base, "simple_indices": [True]}, {**base, "simple_indices": "0"},
                 {**base, "pairing": "x"}, {**base, "pairing": [[1], [0, 1]]},
-                {**base, "n": "2"}):
+                {**base, "n": "2"},
+                # dependent simple roots: these used to raise SingularInputError
+                {**base, "simple_indices": [0, 0]},
+                {"roots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                 "coroots": [[2, 0], [-2, 0], [0, 2], [0, -2]], "simple_indices": [0, 1]}):
         with pytest.raises(ConfigurationError):
             datum_from_document(doc)
     assert datum_from_document({**base, "pairing": [[1, 0], [0, 1]], "n": 2}).two_rho == (1, -1)
+
+
+def test_simple_reflections_must_permute_roots_and_coroots():
+    # B2: short roots +-e1, +-e2 with coroots +-2e1, +-2e2, long roots
+    # +-e1+-e2 their own coroots; simple roots e1 - e2 and e2
+    roots = [[1, -1], [-1, 1], [0, 1], [0, -1], [1, 0], [-1, 0], [1, 1], [-1, -1]]
+    coroots = [[1, -1], [-1, 1], [0, 2], [0, -2], [2, 0], [-2, 0], [1, 1], [-1, -1]]
+    b2 = {"roots": roots, "coroots": coroots, "simple_indices": [0, 2]}
+    assert len(datum_from_document(b2).weyl_elements) == 8
+    # s_(1,0) sends the root (1,1) to (-1,1); this datum used to be accepted
+    # and then fail with "finite element with no descent"
+    with pytest.raises(ConfigurationError, match="s1 does not permute the roots"):
+        datum_from_document({"roots": [[1, 0], [-1, 0], [1, 1], [-1, -1]],
+                             "coroots": [[2, 0], [-2, 0], [1, 1], [-1, -1]],
+                             "simple_indices": [0, 2]})
+    # the coroot (2, 1) of e1 still pairs to 2, but s1 swaps it to (1, 2)
+    bent = [[2, 1] if v == [2, 0] else [-2, -1] if v == [-2, 0] else v for v in coroots]
+    with pytest.raises(ConfigurationError, match="s1 does not permute the coroots"):
+        datum_from_document({**b2, "coroots": bent})
+
+
+def test_weyl_cap_is_a_size_budget(monkeypatch):
+    # the cap used to raise ConfigurationError ("do not generate a finite group")
+    monkeypatch.setattr(rootdata, "WEYL_CAP", 720)
+    assert len(build_classical("GL", 6).weyl_elements) == 720
+    monkeypatch.setattr(rootdata, "WEYL_CAP", 719)
+    with pytest.raises(BudgetExceededError, match="WEYL_CAP = 719"):
+        build_classical("GL", 6)
+
+
+# A1 with the swap pairing: <(1,0), (0,2)> = 2, and s(v) = (v1, -v2)
+CUSTOM_A1 = datum_from_document({"group": "A1", "roots": [[1, 0], [-1, 0]],
+                                 "coroots": [[0, 2], [0, -2]], "simple_indices": [0],
+                                 "pairing": [[0, 1], [1, 0]]})
+ORACLE_DATA = [build_classical("GL", n) for n in range(1, 6)] + [
+    build_classical(tag, n) for tag, n in (("SL", 2), ("SL", 3), ("Sp", 4), ("Sp", 6),
+                                           ("GSp", 4), ("GSp", 6))] + [CUSTOM_A1]
+
+
+def _matrix_closure(datum):
+    """The simple reflections closed under matrix products, sorted."""
+    elements = {linalg.identity(datum.cochar_rank)}
+    frontier = list(elements)
+    while frontier:
+        products = {linalg.mat_mul(w, s) for w in frontier for s in datum.simple_reflections}
+        frontier = list(products - elements)
+        elements |= products
+    return tuple(sorted(elements))
+
+
+def _matrix_word(datum, w):
+    """One reduced word by greedy left descent, lowest index first, on
+    matrices, with the length read off the inversion set."""
+    zero = (0,) * datum.cochar_rank
+
+    def finite_length(m):
+        return length(AffineElement(datum, zero, m))
+
+    if w == linalg.identity(datum.cochar_rank):
+        return "e"
+    letters = []
+    current = w
+    cur_len = finite_length(current)
+    while cur_len > 0:
+        for i in range(datum.rank):
+            candidate = linalg.mat_mul(datum.simple_reflections[i], current)
+            cand_len = finite_length(candidate)
+            if cand_len < cur_len:
+                letters.append(i + 1)
+                current, cur_len = candidate, cand_len
+                break
+        else:
+            raise AssertionError("finite element with no descent")
+    return "*".join(f"s{i}" for i in letters)
+
+
+@pytest.mark.parametrize("datum", ORACLE_DATA,
+                         ids=lambda d: f"{d.group_tag}-W{len(d.weyl_elements)}")
+def test_coded_weyl_group_follows_the_matrix_law(datum):
+    elements = datum.weyl_elements
+    assert elements == _matrix_closure(datum)
+    for k, w in enumerate(elements):
+        for i, s in enumerate(datum.simple_reflections):
+            assert elements[datum.weyl_right[k][i]] == linalg.mat_mul(w, s)
+        assert elements[datum.weyl_inverse[k]] == linalg.mat_inv(w)
+        assert serialize.word_of_finite(datum, w) == _matrix_word(datum, w)
+    pairs = [(i, j) for i in range(len(elements)) for j in range(len(elements))]
+    if len(elements) > 48:
+        pairs = random.Random(20261018).sample(pairs, 2000)
+    for i, j in pairs:
+        assert elements[datum.weyl_mul(i, j)] == linalg.mat_mul(elements[i], elements[j])
