@@ -8,7 +8,10 @@ as an integer matrix on the cocharacter lattice; the composition law is
 The finite parts are read through the coded Weyl group that ``rootdata``
 owns: the group law, inverse, sigma action, length and Newton point work
 on indices into ``datum.weyl_elements``, and the sigma-class sweep runs on
-(translation, index) pairs without building elements.
+(translation, index) pairs without building elements.  ``rootdata`` also
+owns every table derived from a datum and a sigma (the sigma action, the
+presentation of pi_1(G)_sigma, the affine reflections); this module only
+reads them.
 ``enumerate_elements`` skips a translation before the Weyl loop when
 sum_{alpha > 0} |<alpha, lambda>| - |Phi+| exceeds the length cap: each
 length term |<alpha, lambda> - e| with e in {0, 1} is at least
@@ -27,7 +30,7 @@ from . import linalg
 from .errors import (BudgetExceededError, ConsistencyError, DatumMismatchError,
                      PreconditionError, UnsupportedOperationError)
 from .isocrystal import MonomialIsocrystal, monomial_compose, monomial_identity
-from .rootdata import RootDatum, dominant_rep, is_dominant, present_quotient
+from .rootdata import RootDatum, dominant_rep, is_dominant
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -98,7 +101,7 @@ def sigma_apply(x: AffineElement, sigma: Optional[Matrix]) -> AffineElement:
     if sigma is None:
         return x
     datum = x.datum
-    w = datum.weyl_sigma_action(sigma)[datum.weyl_code(x.finite)]
+    w = datum.sigma_table(sigma).weyl_action[datum.weyl_code(x.finite)]
     lam = tuple(int(v) for v in linalg.mat_vec(sigma, x.translation))
     return AffineElement(datum, lam, datum.weyl_elements[w])
 
@@ -124,26 +127,9 @@ def length(x: AffineElement) -> int:
 def affine_generators(datum: RootDatum) -> Tuple[AffineElement, ...]:
     """Simple affine generators: finite simples, then one affine reflection
     t^{theta_check} s_theta per irreducible component."""
-    cached = getattr(datum, "_affine_gens", None)
-    if cached is not None:
-        return cached
-    gens = [simple_element(datum, i + 1) for i in range(datum.rank)]
-    for component in datum.components:
-        theta = datum.highest_root(component)
-        theta_check = datum.coroot_of(theta)
-        gens.append(AffineElement(datum, tuple(theta_check),
-                                  datum._reflection_matrix(theta, theta_check)))
-    gens = tuple(gens)
-    setattr(datum, "_affine_gens", gens)
-    return gens
-
-
-def _word_cache(datum: RootDatum) -> Dict:
-    cache = getattr(datum, "_reduced_words", None)
-    if cache is None:
-        cache = {}
-        setattr(datum, "_reduced_words", cache)
-    return cache
+    simples = [simple_element(datum, i + 1) for i in range(datum.rank)]
+    return tuple(simples + [AffineElement(datum, theta_check, datum.weyl_elements[w])
+                            for theta_check, w in datum.affine_reflections])
 
 
 def omega_and_word(x: AffineElement) -> Tuple[AffineElement, Tuple[int, ...]]:
@@ -152,10 +138,6 @@ def omega_and_word(x: AffineElement) -> Tuple[AffineElement, Tuple[int, ...]]:
     tau is the length-zero part of x; the word is one fixed reduced word
     built by greedy right descent, lowest generator index first.
     """
-    cache = _word_cache(x.datum)
-    hit = cache.get(x)
-    if hit is not None:
-        return hit
     gens = affine_generators(x.datum)
     current = x
     letters: List[int] = []
@@ -170,10 +152,7 @@ def omega_and_word(x: AffineElement) -> Tuple[AffineElement, Tuple[int, ...]]:
                 break
         else:
             raise ConsistencyError("positive-length element with no descent")
-    word = tuple(reversed(letters))
-    result = (current, word)
-    cache[x] = result
-    return result
+    return current, tuple(reversed(letters))
 
 
 def bruhat_leq(x: AffineElement, y: AffineElement) -> bool:
@@ -248,7 +227,7 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     """Newton cocharacter of x: the average of the (w sigma)-orbit of the
     translation part over the minimal period r with (w sigma)^r = 1."""
     datum = x.datum
-    action = datum.weyl_sigma_action(sigma)
+    action = datum.sigma_table(sigma).weyl_action
     w = datum.weyl_code(x.finite)
     ident = linalg.identity(datum.cochar_rank)
     w_sigma = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
@@ -273,13 +252,15 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
 
 def kottwitz(x: AffineElement) -> KottwitzClass:
     """Image of the translation part in the fundamental-group presentation."""
-    free, tors = x.datum.pi1.project(x.translation)
-    return KottwitzClass(free, tors, x.datum.pi1.torsion)
+    return twisted_kottwitz(x, None)
 
 
-def kottwitz_of_translation(datum: RootDatum, lam) -> KottwitzClass:
-    free, tors = datum.pi1.project(tuple(int(v) for v in lam))
-    return KottwitzClass(free, tors, datum.pi1.torsion)
+def twisted_kottwitz(x: AffineElement, sigma: Optional[Matrix]) -> KottwitzClass:
+    """Image of the translation part in pi_1(G)_sigma, the sigma-coinvariants
+    of pi_1(G); the same as ``kottwitz`` for sigma None or the identity."""
+    pi1 = x.datum.sigma_table(sigma).pi1
+    free, tors = pi1.project(x.translation)
+    return KottwitzClass(free, tors, pi1.torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +460,8 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     Conjugators run over elements of length <= conjugator_cap (default
     length_cap + 2), so the result is an upper-bound refinement: blocks can
     only merge, never split, under longer conjugators.  Each block is
-    validated to carry constant dominant Newton point and Kottwitz class.
+    validated to carry constant dominant Newton point and Kottwitz class
+    in pi_1(G)_sigma.
     """
     if conjugator_cap is None:
         conjugator_cap = length_cap + 2
@@ -496,7 +478,8 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
             f"{len(elements)} elements x {len(conjugators)} conjugators "
             f"exceeds the budget of {budget}",
             partial=singleton)
-    action = datum.weyl_sigma_action(sigma)
+    table = datum.sigma_table(sigma)
+    action = table.weyl_action
     # the sweep runs on (translation, Weyl index) pairs
     coded = [(x.translation, datum.weyl_code(x.finite)) for x in elements]
     index = {c: i for i, c in enumerate(coded)}
@@ -543,29 +526,8 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
                           key=lambda b: _sort_key(b[0])))
     for block in blocks:
         dominants = {newton_point(x, sigma).dominant for x in block}
-        kappas = {_sigma_reduced_kappa(datum, x, sigma) for x in block}
+        kappas = {table.pi1.project(x.translation) for x in block}
         if len(dominants) != 1 or len(kappas) != 1:
             raise ConsistencyError(
                 "sigma-conjugacy block with non-constant invariants")
     return SigmaClassPartition(blocks, length_cap, conjugator_cap, coord_bound)
-
-
-def _sigma_reduced_kappa(datum: RootDatum, x: AffineElement,
-                         sigma: Optional[Matrix]):
-    """Kottwitz class, reduced to sigma-coinvariants when sigma is nontrivial."""
-    kappa = kottwitz(x)
-    if sigma is None or linalg.mat_eq(sigma, linalg.identity(datum.cochar_rank)):
-        return (kappa.free, kappa.torsion)
-    # free part modulo the image of (1 - sigma_bar) on the free quotient
-    proj = datum.pi1.projection[:datum.pi1.free_rank]
-    if not proj:
-        return ((), kappa.torsion)
-    columns = []
-    n = datum.cochar_rank
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        se = linalg.mat_vec(sigma, e)
-        diff = tuple(a - b for a, b in zip(e, se))
-        columns.append(tuple(int(v) for v in linalg.mat_vec(proj, diff)))
-    reduced = present_quotient(len(proj), [c for c in columns if any(c)])
-    return (reduced.project(kappa.free), kappa.torsion)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .affine import (AffineElement, KottwitzClass, kottwitz,
-                     kottwitz_of_translation, newton_point)
+from .affine import (AffineElement, KottwitzClass, newton_point,
+                     twisted_kottwitz)
 from .errors import ConsistencyError, PreconditionError
 from .isocrystal import adjoint_rep, nonneg_slope_dim, slopes_via_weights
 from .rootdata import RootDatum, dominance_leq, dominant_rep, is_dominant
@@ -40,7 +40,8 @@ def leaf_report(datum: RootDatum, x: AffineElement,
     leaf_dim is the central-leaf dimension <2 rho, nu>; jb_dim the dimension
     of the twisted centraliser group (the Levi centralising nu); checked is
     the agreement flag of the closed formula with the slope-decomposition
-    oracle and must be True for the report to be returned.
+    oracle and must be True for the report to be returned; kappa lies in
+    pi_1(G)_sigma.
     """
     nu = newton_point(x, sigma)
     nu_dom = nu.dominant
@@ -58,7 +59,7 @@ def leaf_report(datum: RootDatum, x: AffineElement,
     jb_dim = datum.cochar_rank + zero_pairings
     basic = zero_pairings == len(datum.roots)
     adjoint = slopes_via_weights(adjoint_rep(datum), nu_dom)
-    return LeafReport(x, nu_dom, kottwitz(x), basic, int(closed), jb_dim,
+    return LeafReport(x, nu_dom, twisted_kottwitz(x, sigma), basic, int(closed), jb_dim,
                       adjoint, checked)
 
 
@@ -71,8 +72,9 @@ def mu_average(datum: RootDatum, mu, sigma=None) -> Tuple[Fraction, ...]:
 
 def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,
                        sigma=None) -> bool:
-    """Local-Shimura-datum condition: equal Kottwitz invariants and the
-    dominant Newton point below the sigma-averaged mu in dominance order.
+    """Local-Shimura-datum condition: equal Kottwitz invariants in
+    pi_1(G)_sigma and the dominant Newton point below the sigma-averaged mu
+    in dominance order.
 
     For GL(n) and minuscule mu this is the group-theoretic form of Mazur's
     inequality.
@@ -80,7 +82,8 @@ def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,
     mu = tuple(int(v) for v in mu)
     if not is_dominant(datum, mu):
         raise PreconditionError("mu must be dominant")
-    if kottwitz(x) != kottwitz_of_translation(datum, mu):
+    pi1 = datum.sigma_table(sigma).pi1
+    if pi1.project(x.translation) != pi1.project(mu):
         return False
     nu_dom = newton_point(x, sigma).dominant
     avg = dominant_rep(datum, mu_average(datum, mu, sigma))

@@ -67,11 +67,11 @@ class RootDatum:
         self.weyl_index = {w: k for k, w in enumerate(self.weyl_elements)}
         self.weyl_identity = self.weyl_index[linalg.identity(self.cochar_rank)]
         self._weyl_products = [None] * len(self.weyl_elements)
-        self._sigma_actions = {None: tuple(range(len(self.weyl_elements)))}
         self.coroot_set = frozenset(self.coroots)
         self._char_matrices: Dict = {}
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
-        self._component_simples = self._split_components()
+        self._sigma_tables = {None: SigmaTable(tuple(range(len(self.weyl_elements))),
+                                               self.pi1)}
 
     # -- construction-time validation -------------------------------------
 
@@ -173,30 +173,6 @@ class RootDatum:
         return (elements, tuple(tuple(position[j] for j in right[k]) for k in order),
                 tuple(reached[k][1] for k in order))
 
-    def _split_components(self):
-        """Partition of simple indices (positions in the base) by Cartan links."""
-        k = self.rank
-        adj = {i: set() for i in range(k)}
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.pair(self.simple_roots[i], self.simple_coroots[j]) != 0:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        seen, comps = set(), []
-        for i in range(k):
-            if i in seen:
-                continue
-            stack, comp = [i], []
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                comp.append(x)
-                stack.extend(adj[x] - seen)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
     # -- basic pairings and actions ----------------------------------------
 
     def pair(self, chi, v):
@@ -274,41 +250,55 @@ class RootDatum:
                   for row in linalg.mat_mul(self.root_rows, w))
             for w in self.weyl_elements)
 
-    def weyl_sigma_action(self, sigma) -> Tuple[int, ...]:
-        """The index of sigma w sigma^-1 for each index w."""
+    def sigma_table(self, sigma) -> "SigmaTable":
+        """The table of one lattice automorphism sigma (None for the identity).
+
+        sigma must be an integer matrix with determinant +-1 that normalises
+        the Weyl group; anything else raises ConfigurationError.
+        """
         sigma = None if sigma is None else linalg.freeze(sigma)
-        action = self._sigma_actions.get(sigma)
-        if action is None:
+        table = self._sigma_tables.get(sigma)
+        if table is None:
+            n = self.cochar_rank
+            integral = len(sigma) == n and all(
+                len(row) == n and all(v == int(v) for v in row) for row in sigma)
+            if not integral or abs(linalg.det(sigma)) != 1:
+                raise ConfigurationError(
+                    "sigma is not an automorphism of the cocharacter lattice: "
+                    "it needs integer entries and determinant +-1")
             s_inv = linalg.mat_inv(sigma)
             # Fraction entries hash like ints, so a non-integral conjugate misses
             images = [self.weyl_index.get(linalg.mat_mul(linalg.mat_mul(sigma, w), s_inv))
                       for w in self.weyl_elements]
             if None in images:
                 raise ConfigurationError("sigma does not normalise the Weyl group")
-            action = self._sigma_actions[sigma] = tuple(images)
-        return action
+            pi1 = present_quotient(n, list(self.coroots) + _moved_columns(sigma))
+            table = self._sigma_tables[sigma] = SigmaTable(tuple(images), pi1)
+        return table
 
-    def highest_root(self, component):
-        """Highest root of one irreducible component of the base."""
-        best, best_height = None, None
-        for chi in self.positive_roots:
-            coeffs = linalg.solve_columns(list(self.simple_roots), chi)
-            support = [i for i, c in enumerate(coeffs) if c != 0]
-            if not set(support) <= set(component):
-                continue
-            height = sum(coeffs)
-            if best is None or height > best_height:
-                best, best_height = chi, height
-        if best is None:
-            raise ConfigurationError("component has no roots")
-        return best
-
-    @property
-    def components(self):
-        return self._component_simples
-
-    def coroot_of(self, chi):
-        return self.coroots[self.roots.index(chi)]
+    @cached_property
+    def affine_reflections(self) -> Tuple[Tuple[Vector, int], ...]:
+        """(theta_check, index of s_theta) for the highest root theta of each
+        irreducible component of the base, the components ordered by their
+        lowest simple index."""
+        components = []
+        for i, alpha in enumerate(self.simple_roots):
+            linked = [c for c in components
+                      if any(self.pair(alpha, self.simple_coroots[j]) for j in c)]
+            components = [c for c in components if c not in linked]
+            components.append({i}.union(*linked))
+        coeffs = {chi: linalg.solve_columns(list(self.simple_roots), chi)
+                  for chi in self.positive_roots}
+        table = []
+        for component in sorted(components, key=min):
+            theta = max((chi for chi in self.positive_roots
+                         if all(c == 0 or i in component
+                                for i, c in enumerate(coeffs[chi]))),
+                        key=lambda chi: sum(coeffs[chi]))
+            theta_check = self.coroots[self.roots.index(theta)]
+            table.append((theta_check,
+                          self.weyl_index[self._reflection_matrix(theta, theta_check)]))
+        return tuple(table)
 
     def __repr__(self):
         return f"RootDatum({self.group_tag}, cochar_rank={self.cochar_rank}, roots={len(self.roots)})"
@@ -361,6 +351,25 @@ def present_quotient(rank: int, relation_columns) -> CoinvariantLattice:
     return CoinvariantLattice(len(free_rows), tuple(torsion), projection)
 
 
+@dataclass(frozen=True)
+class SigmaTable:
+    """What a datum derives from one lattice automorphism sigma.
+
+    ``weyl_action[w]`` is the index of sigma w sigma^-1; ``pi1`` presents
+    pi_1(G)_sigma = X_* / (coroots + (1 - sigma) X_*), where kappa lives.
+    """
+
+    weyl_action: Tuple[int, ...]
+    pi1: CoinvariantLattice
+
+
+def _moved_columns(g):
+    """The nonzero columns e_j - g e_j of 1 - g."""
+    n = len(g)
+    columns = (tuple(int((i == j) - g[i][j]) for i in range(n)) for j in range(n))
+    return [col for col in columns if any(col)]
+
+
 # -- lattice actions ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -397,16 +406,8 @@ class LatticeAction:
 def coinvariants(datum: RootDatum, action: LatticeAction) -> CoinvariantLattice:
     """Coinvariants X_* / span{x - g x} presented via Smith reduction."""
     action.validate(datum)
-    n = datum.cochar_rank
-    columns = []
-    for g in action.generators:
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            ge = linalg.mat_vec(g, e)
-            col = tuple(int(e[i] - ge[i]) for i in range(n))
-            if any(col):
-                columns.append(col)
-    return present_quotient(n, columns)
+    columns = [col for g in action.generators for col in _moved_columns(g)]
+    return present_quotient(datum.cochar_rank, columns)
 
 
 # -- dominance ----------------------------------------------------------------

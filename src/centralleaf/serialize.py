@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .affine import AffineElement, KottwitzClass, kottwitz, length
+from .affine import AffineElement, KottwitzClass, length, twisted_kottwitz
 from .errors import ConfigurationError, PreconditionError
 from .leaves import LeafReport
 from .rootdata import RootDatum
@@ -227,7 +227,7 @@ def class_rows(partition, datum: RootDatum, sigma=None) -> List[Tuple[str, ...]]
         for x in block:
             nu = newton_point(x, sigma)
             rows.append((str(b_idx), element_str(x), str(length(x)),
-                         vector_str(nu.dominant), kappa_str(kottwitz(x)),
+                         vector_str(nu.dominant), kappa_str(twisted_kottwitz(x, sigma)),
                          "true" if all(datum.pair(a, nu.dominant) == 0
                                        for a in datum.roots) else "false"))
     return rows

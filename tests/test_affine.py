@@ -19,7 +19,7 @@ from centralleaf.affine import (AffineElement, admissible_set, bruhat_leq,
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                 DatumMismatchError, PreconditionError)
 from centralleaf.isocrystal import slopes_monomial
-from centralleaf.rootdata import build_classical, dominant_rep, is_dominant
+from centralleaf.rootdata import RootDatum, build_classical, dominant_rep, is_dominant
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -464,6 +464,20 @@ def test_sigma_not_normalising_weyl_group_is_refused():
         sigma_apply(s(GL3), shear)
     with pytest.raises(ConfigurationError):
         enumerate_sigma_classes(GL3, 0, sigma=shear, coord_bound=1)
+
+
+def test_sigma_outside_the_lattice_automorphisms_is_refused():
+    # both normalise the Weyl group: 2*I on GL2, and a non-integral matrix of
+    # determinant 1 on a rootless datum; unrefused, the Newton walk of a
+    # translation runs to its order cap before it fails
+    torus = RootDatum("T", [], [], [], 2)
+    for datum, sigma in ((GL2, ((2, 0), (0, 2))), (torus, ((2, 0), (0, F(1, 2))))):
+        with pytest.raises(ConfigurationError):
+            newton_point(translation_element(datum, (1, 0)), sigma)
+        with pytest.raises(ConfigurationError):
+            sigma_apply(identity_element(datum), sigma)
+        with pytest.raises(ConfigurationError):
+            enumerate_sigma_classes(datum, 0, sigma=sigma, coord_bound=1)
 
 
 def _partition_digest(partition):
