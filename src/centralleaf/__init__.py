@@ -27,15 +27,14 @@ from .lattices import (ADLVCensus, ADLVPoint, LatticeModel, adlv_points,
                        relative_position)
 from .leaves import (CrossCheckReport, LeafReport, cross_check_dimension,
                      leaf_report, mu_average, neutral_acceptable)
-from .rootdata import (CoinvariantLattice, LatticeAction, RootDatum,
-                       build_classical, coinvariants, datum_from_document,
-                       dominance_leq, dominant_rep, is_dominant,
-                       parse_group_name)
+from .rootdata import (CoinvariantLattice, RootDatum, build_classical,
+                       datum_from_document, dominance_leq, dominant_rep,
+                       is_dominant, parse_group_name)
 from .witt import (DisplayDatum, DisplayReport, NilpotentPolyRing, WittVector,
                    ZModRing, display_check, display_doc, display_from_doc,
                    display_from_element, int_of_witt_digits,
-                   structure_polynomials, witt, witt_add, witt_arith,
-                   witt_digits_of_int, witt_frobenius, witt_ghost, witt_mul,
-                   witt_neg, witt_verschiebung)
+                   structure_polynomials, witt, witt_add, witt_digits_of_int,
+                   witt_frobenius, witt_ghost, witt_mul, witt_neg,
+                   witt_verschiebung)
 
 __version__ = "0.1.0"

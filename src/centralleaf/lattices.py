@@ -6,11 +6,14 @@ presented by the canonical column Hermite form of a basis.  Membership in
 the Deligne-Lusztig set at hyperspecial level is the exact condition
 inv(L, b sigma(L)) = mu for minuscule mu.
 
-The check is integer-only: p^{2N} times the inverse of the Hermite basis
-is integral, so every transition map is an integer matrix divided by a
-known power of p, and inv is read off its p-adic elementary-divisor
-exponents (``linalg.elementary_divisor_exponents``); no Smith form and no
-rational inverse is computed per lattice.
+The check is integer-only.  The walk that generates the Hermite bases B
+proves p^{2N} Lambda <= L' by solving B x = p^{2N} e_j column by column,
+and those solutions are the columns of S = p^{2N} B^-1; every transition
+map is then S times an integer matrix, divided by a known power of p, and
+inv is read off its p-adic elementary-divisor exponents
+(``linalg.elementary_divisor_exponents``).  No inverse, Smith form or
+rational matrix is computed per lattice; a census builds the Fraction
+certificate for its points only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BudgetExceededError, PreconditionError
@@ -49,16 +52,19 @@ class LatticeModel:
 _ENUM_BUDGET = 2_000_000
 
 
-def enumerate_lattices(n: int, p: int, depth: int,
-                       max_nodes: int = _ENUM_BUDGET) -> Tuple[LatticeModel, ...]:
-    """All lattices L with p^depth Lambda <= L <= p^-depth Lambda.
+def _hermite_walk(n: int, p: int, depth: int, max_nodes: Optional[int] = None
+                  ) -> List[Tuple[Matrix, Matrix]]:
+    """Every lattice of the window as (basis rows, scaled-inverse columns),
+    sorted by basis.
 
-    Generates canonical Hermite forms column by column, pruning by the
-    containment p^{2 depth} Lambda <= L as soon as a column is fixed; one
-    output per lattice, sorted.  p must be a prime and n, depth at least 1;
-    the only limit on the size of the census is the node budget, whose
-    overrun raises BudgetExceededError with the lattices found so far.
+    Generates canonical Hermite forms B column by column.  Column j is kept
+    only when q e_j (q = p^{2 depth}) lies in the integer span of columns
+    0..j; the back-substitution that decides it returns column j of
+    q B^-1, so each lattice leaves the walk with its scaled inverse.
+    max_nodes defaults to the module's ``_ENUM_BUDGET``, read at call time.
     """
+    if max_nodes is None:
+        max_nodes = _ENUM_BUDGET
     linalg.require_prime(p)
     if n < 1 or depth < 1:
         raise PreconditionError("n and depth must be at least 1")
@@ -66,35 +72,51 @@ def enumerate_lattices(n: int, p: int, depth: int,
     divisors = [p ** a for a in range(2 * depth + 1)]
     # q e_j, cut to the rows 0..j that column j reaches
     targets = [(0,) * j + (q,) for j in range(n)]
+    pads = [(0,) * (n - 1 - j) for j in range(n)]
     nodes = 0
-    results: List[LatticeModel] = []
+    found: List[Tuple[Matrix, Matrix]] = []
     columns: List[List[int]] = []
+    inverse: List[Tuple[int, ...]] = []
 
     def recurse(j: int):
         nonlocal nodes
         if j == n:
-            rows = [[columns[c][r] for c in range(n)] for r in range(n)]
-            results.append(LatticeModel(n, p, depth, linalg.freeze(rows)))
+            found.append((tuple(zip(*columns)), tuple(inverse)))
             return
+        offdiag_ranges = [range(columns[i][i]) for i in range(j)]
         for d in divisors:
-            offdiag_ranges = [range(columns[i][i]) for i in range(j)]
             for off in itertools.product(*offdiag_ranges):
                 nodes += 1
                 if nodes > max_nodes:
                     raise BudgetExceededError(
                         f"lattice enumeration exceeded {max_nodes} nodes",
-                        partial=tuple(results))
-                col = [0] * n
-                for i, v in enumerate(off):
-                    col[i] = v
-                col[j] = d
-                columns.append(col)
-                if linalg.solve_triangular(columns, targets[j]) is not None:
+                        partial=tuple(LatticeModel(n, p, depth, basis)
+                                      for basis, _ in found))
+                columns.append(list(off) + [d] + [0] * (n - 1 - j))
+                x = linalg.solve_triangular(columns, targets[j])
+                if x is not None:
+                    inverse.append(x + pads[j])
                     recurse(j + 1)
+                    inverse.pop()
                 columns.pop()
 
     recurse(0)
-    return tuple(sorted(results, key=lambda m: m.basis))
+    found.sort()  # the bases are distinct, so this orders by basis
+    return found
+
+
+def enumerate_lattices(n: int, p: int, depth: int,
+                       max_nodes: Optional[int] = None) -> Tuple[LatticeModel, ...]:
+    """All lattices L with p^depth Lambda <= L <= p^-depth Lambda.
+
+    One output per lattice, sorted, from the Hermite walk, which prunes by
+    the containment p^{2 depth} Lambda <= L as soon as a column is fixed.
+    p must be a prime and n, depth at least 1; the only limit on the size
+    of the census is the node budget, whose overrun raises
+    BudgetExceededError with the lattices found so far.
+    """
+    return tuple(LatticeModel(n, p, depth, basis)
+                 for basis, _ in _hermite_walk(n, p, depth, max_nodes))
 
 
 def lattice_from_columns(columns: Sequence[Sequence[int]], n: int, p: int,
@@ -182,10 +204,14 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     its determinant-valuation (Kottwitz) invariant and a complete-slope-
     divisibility certificate for the module (L, b sigma).  Twisted data
     (frobenius_power r > 1) are expanded by restriction of scalars, with mu
-    repeated blockwise.  p must be a prime; the only limit on the census is
-    the node budget of ``enumerate_lattices``, whose overrun raises
-    BudgetExceededError.  Nonemptiness here is a one-sided certificate:
-    emptiness at this depth proves nothing about larger depths.
+    repeated blockwise.  The window comes from one Hermite walk, each
+    lattice with its scaled inverse S; since b is monomial, b B is a row
+    gather of B, and the check reads the transition S (b B).  A lattice's
+    model and Fraction certificate are built only when it is a point.
+    p must be a prime; the only limit on the census is the node budget of
+    the walk, whose overrun raises BudgetExceededError before any lattice
+    is checked.  Nonemptiness here is a one-sided certificate: emptiness at
+    this depth proves nothing about larger depths.
     """
     mu = tuple(int(v) for v in mu)
     if sorted(mu, reverse=True) != list(mu):
@@ -198,25 +224,33 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     if len(mu) != b.size:
         raise PreconditionError("mu has the wrong length for the datum")
     mu_eff = tuple(sorted(mu * r, reverse=True))
-    lattices = enumerate_lattices(n, p, depth)
+    walk = _hermite_walk(n, p, depth)
     # b carries row j of a basis to row perm[j], scaled by p^e_j; p^c b is
-    # integral, and the transition B^-1 b B is X / p^shift with X integral
+    # integral, and the transition B^-1 b B is S (p^c b B) / p^shift with
+    # S = p^{2 depth} B^-1 upper triangular, read from the walk's columns
     perm = expanded.permutation
     c = max(0, -min(expanded.exponents))
     scales = [p ** (c + e) for e in expanded.exponents]
     shift = 2 * depth + c
     den = p ** shift
     points = []
-    for model in lattices:
+    for basis, inverse in walk:
         image = [None] * n
-        for j, row in enumerate(model.basis):
+        for j, row in enumerate(basis):
             image[perm[j]] = [scales[j] * x for x in row]
-        transition = linalg.mat_mul(_scaled_inverse(model), image)
+        transition = []
+        for srow in zip(*inverse):
+            acc = [0] * n
+            for s, row in zip(srow, image):
+                if s:
+                    acc = [a + s * x for a, x in zip(acc, row)]
+            transition.append(acc)
         inv = _invariant_exponents(transition, p, shift)
         if inv != mu_eff:
             continue
+        model = LatticeModel(n, p, depth, basis)
         certificate = RationalIsocrystal(
             tuple(tuple(Fraction(x, den) for x in row) for row in transition), p)
         sd = is_completely_slope_divisible(certificate)
         points.append(ADLVPoint(model, inv, model.det_valuation(), sd))
-    return ADLVCensus(tuple(points), mu_eff, p, depth, len(lattices))
+    return ADLVCensus(tuple(points), mu_eff, p, depth, len(walk))

@@ -72,10 +72,6 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
         base = mat_mul(base, base)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 # ---------------------------------------------------------------------------
 # elimination over Q
 
@@ -257,30 +253,29 @@ def local_exponents(rows, p: int) -> Tuple[int, ...]:
         best_v = best_i = best_j = None
         for i, row in enumerate(work):
             for j, x in enumerate(row):
-                if x == 0:
+                if not x:
                     continue
-                v = 0
+                if x % p:
+                    best_v, best_i, best_j = 0, i, j
+                    break
+                v = 1
+                x //= p
                 while x % p == 0:
                     x //= p
                     v += 1
                 if best_v is None or v < best_v:
                     best_v, best_i, best_j = v, i, j
-                    if v == 0:
-                        break
             if best_v == 0:
                 break
         if best_v is None:
             break
         pivot_row = work.pop(best_i)
         scale = p ** best_v
-        unit = pivot_row[best_j] // scale
-        rest = [x for j, x in enumerate(pivot_row) if j != best_j]
-        for i, row in enumerate(work):
-            factor = row[best_j] // scale
-            others = [x for j, x in enumerate(row) if j != best_j]
+        unit = pivot_row.pop(best_j) // scale
+        for row in work:
+            factor = row.pop(best_j) // scale
             if factor:
-                others = [unit * x - factor * y for x, y in zip(others, rest)]
-            work[i] = others
+                row[:] = [unit * x - factor * y for x, y in zip(row, pivot_row)]
         exps.append(best_v)
     return tuple(sorted(exps))
 

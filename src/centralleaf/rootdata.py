@@ -67,7 +67,6 @@ class RootDatum:
         self.weyl_index = {w: k for k, w in enumerate(self.weyl_elements)}
         self.weyl_identity = self.weyl_index[linalg.identity(self.cochar_rank)]
         self._weyl_products = [None] * len(self.weyl_elements)
-        self.coroot_set = frozenset(self.coroots)
         self._char_matrices: Dict = {}
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
         self._sigma_tables = {None: SigmaTable(tuple(range(len(self.weyl_elements))),
@@ -368,46 +367,6 @@ def _moved_columns(g):
     n = len(g)
     columns = (tuple(int((i == j) - g[i][j]) for i in range(n)) for j in range(n))
     return [col for col in columns if any(col)]
-
-
-# -- lattice actions ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatticeAction:
-    """A finite group of integer matrices acting on the cocharacter lattice."""
-
-    generators: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    order: int
-
-    @staticmethod
-    def trivial(rank: int) -> "LatticeAction":
-        return LatticeAction((linalg.identity(rank),), 1)
-
-    def validate(self, datum: RootDatum):
-        for g in self.generators:
-            if len(g) != datum.cochar_rank:
-                raise ConfigurationError("generator of wrong size")
-            if abs(linalg.det(g)) != 1:
-                raise ConfigurationError("generator is not invertible over Z")
-            image = {tuple(linalg.mat_vec(g, v)) for v in datum.coroot_set}
-            if image != datum.coroot_set:
-                raise ConfigurationError("generator does not permute the coroots")
-            power = g
-            k = 1
-            while not linalg.mat_eq(power, linalg.identity(datum.cochar_rank)):
-                power = linalg.mat_mul(power, g)
-                k += 1
-                if k > self.order:
-                    raise ConfigurationError("generator order exceeds declared order")
-            if self.order % k != 0:
-                raise ConfigurationError("generator order does not divide the action order")
-
-
-def coinvariants(datum: RootDatum, action: LatticeAction) -> CoinvariantLattice:
-    """Coinvariants X_* / span{x - g x} presented via Smith reduction."""
-    action.validate(datum)
-    columns = [col for g in action.generators for col in _moved_columns(g)]
-    return present_quotient(datum.cochar_rank, columns)
 
 
 # -- dominance ----------------------------------------------------------------

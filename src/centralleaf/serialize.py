@@ -153,11 +153,14 @@ def kappa_str(kappa: KottwitzClass) -> str:
     return parts
 
 
-def parse_kappa(datum: RootDatum, text: str) -> KottwitzClass:
-    moduli = datum.pi1.torsion
-    if text == "0" and datum.pi1.free_rank == 0 and not moduli:
+def parse_kappa(datum: RootDatum, text: str, sigma=None) -> KottwitzClass:
+    """Inverse of ``kappa_str`` for a class in pi_1(G)_sigma."""
+    pi1 = datum.sigma_table(sigma).pi1
+    moduli = pi1.torsion
+    if text == "0" and pi1.free_rank == 0 and not moduli:
         return KottwitzClass((), (), ())
-    free_part, _, tors_part = text.partition("|")
+    # with no free part, kappa_str writes the torsion alone, without "|"
+    free_part, _, tors_part = text.partition("|") if pi1.free_rank else ("", "", text)
     free = tuple(int(v) for v in free_part.split(",")) if free_part else ()
     tors = tuple(int(v.split("mod")[0]) for v in tors_part.split(",")) \
         if tors_part else ()
@@ -200,10 +203,12 @@ def leaf_report_row(report: LeafReport) -> Tuple[str, ...]:
             "true" if report.checked else "false")
 
 
-def leaf_report_from_row(datum: RootDatum, row: Sequence[str]) -> LeafReport:
+def leaf_report_from_row(datum: RootDatum, row: Sequence[str],
+                         sigma=None) -> LeafReport:
+    """Inverse of ``leaf_report_row`` for a report made under sigma."""
     element = element_from_doc(datum, row[0])
     nu = parse_vector(row[2])
-    kappa = parse_kappa(datum, row[3])
+    kappa = parse_kappa(datum, row[3], sigma)
     slopes = parse_vector(row[7])
     return LeafReport(element, nu, kappa, row[4] == "true", int(row[5]),
                       int(row[6]), slopes, row[8] == "true")

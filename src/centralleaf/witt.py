@@ -351,15 +351,6 @@ def witt_scalar(a: WittVector, n: int) -> WittVector:
     return witt_mul(witt_from_int(a.ring, a.prime, a.length, n), a)
 
 
-def witt_arith(op: str, *args):
-    """Dispatcher: op in {add, mul, neg, F, V, ghost}."""
-    table = {"add": witt_add, "mul": witt_mul, "neg": witt_neg,
-             "F": witt_frobenius, "V": witt_verschiebung, "ghost": witt_ghost}
-    if op not in table:
-        raise PreconditionError(f"unknown Witt operation {op!r}")
-    return table[op](*args)
-
-
 def truncate(a: WittVector, m: int) -> WittVector:
     if m > a.length:
         raise PreconditionError("cannot extend a Witt vector by truncation")

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix as SymMatrix
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -13,7 +15,8 @@ from centralleaf import lattices, linalg
 from centralleaf.affine import enumerate_elements, rep_lift
 from centralleaf.errors import BudgetExceededError, PreconditionError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    is_completely_slope_divisible)
+                                    is_completely_slope_divisible,
+                                    restriction_of_scalars)
 from centralleaf.lattices import (LatticeModel, adlv_points,
                                   enumerate_lattices, lattice_from_columns,
                                   relative_position)
@@ -271,6 +274,66 @@ def test_every_census_check_matches_sympy_oracle(monkeypatch):
             assert recorded == expected, (x, p)
             assert [pt.lattice for pt in census.points] == \
                 [m for m, inv in zip(models, expected) if inv == (1, 0)]
+
+
+@st.composite
+def monomial_censuses(draw):
+    """(b, mu, p): a random monomial b with exponents in [-1, 2] and
+    frobenius power r, n * r <= 3, and a minuscule dominant mu, preferring
+    one whose total matches v_p(det b) so that points can exist."""
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3 // r))
+    perm = tuple(draw(st.permutations(range(n))))
+    exps = tuple(draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+    candidates = [(base + 1,) * k + (base,) * (n - k)
+                  for base in (-1, 0, 1) for k in range(n)]
+    matching = [mu for mu in candidates if r * sum(mu) == sum(exps)]
+    mu = draw(st.sampled_from(matching or candidates))
+    p = draw(st.sampled_from((2, 3)))
+    return MonomialIsocrystal(n, perm, exps, frobenius_power=r), mu, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_censuses())
+def test_census_matches_per_lattice_filter(case):
+    # the census against a filter over enumerate_lattices on the sympy oracle
+    b, mu, p = case
+    census = adlv_points(b, mu, p, 1)
+    expanded = restriction_of_scalars(b)
+    matrix = expanded.rational_matrix(p)
+    models = enumerate_lattices(expanded.size, p, 1)
+    assert census.lattice_count == len(models)
+    expected = [m for m in models if sympy_relative_position(
+        m.basis, linalg.mat_mul(matrix, m.basis), p) == census.mu]
+    assert [pt.lattice for pt in census.points] == expected
+    for pt in census.points:
+        assert pt.inv == census.mu
+        assert pt.kappa == pt.lattice.det_valuation()
+        basis = pt.lattice.basis
+        transition = linalg.mat_mul(linalg.mat_inv(basis),
+                                    linalg.mat_mul(matrix, basis))
+        assert pt.slope_divisible == is_completely_slope_divisible(
+            RationalIsocrystal(transition, p))
+
+
+def test_census_budget_refuses_before_any_check(monkeypatch):
+    checks = []
+    check = lattices._invariant_exponents
+
+    def record(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(lattices, "_invariant_exponents", record)
+    monkeypatch.setattr(lattices, "_ENUM_BUDGET", 50)
+    b = MonomialIsocrystal(3, (1, 2, 0), (1, 0, 0))
+    with pytest.raises(BudgetExceededError) as info:
+        adlv_points(b, (1, 0, 0), 3, 1)
+    assert not checks
+    assert "exceeded 50 nodes" in str(info.value)
+    assert all(isinstance(m, LatticeModel) for m in info.value.partial)
+    with pytest.raises(BudgetExceededError):
+        enumerate_lattices(3, 3, 1)
 
 
 def test_relative_position_matches_sympy_oracle():

@@ -255,6 +255,10 @@ def test_kernel_matches_sympy(rows):
 
 @ORACLE_SETTINGS
 @given(int_matrices(), st.sampled_from((2, 3, 5)))
+@example(rows=[[2, 4, 6], [1, 2, 3], [4, 8, 12]], p=2)  # rank 1
+@example(rows=[[0, 0], [0, 0]], p=3)  # rank 0
+@example(rows=[[3, 6, 9, 0], [2, 0, 4, 8]], p=3)  # wide
+@example(rows=[[6], [9], [18]], p=3)  # tall
 def test_local_exponents_and_rank_mod_p_match_sympy(rows, p):
     exps = linalg.local_exponents(rows, p)
     factors = sympy_invariant_factors(rows)

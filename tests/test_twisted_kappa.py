@@ -11,7 +11,7 @@ from centralleaf.affine import (admissible_set, bruhat_leq, enumerate_elements,
                                 enumerate_sigma_classes, omega_and_word,
                                 sigma_conjugate, translation_element,
                                 twisted_kottwitz)
-from centralleaf.leaves import neutral_acceptable
+from centralleaf.leaves import leaf_report, neutral_acceptable
 from centralleaf.rootdata import RootDatum, build_classical
 
 GL2 = build_classical("GL", 2)
@@ -90,6 +90,22 @@ def test_unitary_twist_of_gl3():
     for block in partition.blocks:
         for x in block:
             assert twisted_kottwitz(x, GL3_DUAL).torsion == (sum(x.translation) % 2,)
+
+
+def test_leaf_report_rows_read_back_under_a_twist():
+    # under -w0, kappa of t^(1,0,0) is the class of 1 in pi_1(GL3)_sigma = Z/2
+    report = leaf_report(GL3, translation_element(GL3, (1, 0, 0)), GL3_DUAL)
+    row = serialize.leaf_report_row(report)
+    assert row[3] == "1mod2"
+    assert serialize.leaf_report_from_row(GL3, row, GL3_DUAL) == report
+    for datum, sigma, lam in ((PGL3, PGL3_DUAL, (1, 0)), (GL2, GL2_DUAL, (1, 0)),
+                              (PGL3, None, (1, 0)), (GL3, None, (1, 0, 0))):
+        report = leaf_report(datum, translation_element(datum, lam), sigma)
+        row = serialize.leaf_report_row(report)
+        assert serialize.leaf_report_from_row(datum, row, sigma) == report
+    # an untwisted row reads back as before, sigma left out
+    assert serialize.leaf_report_from_row(GL3, row) == report
+    assert serialize.parse_kappa(GL3, "1") == serialize.parse_kappa(GL3, "1", None)
 
 
 def test_affine_stores_nothing_on_a_datum():

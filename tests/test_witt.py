@@ -7,13 +7,13 @@ import pytest
 
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                ConsistencyError, DatumMismatchError,
-                               NotPDivisibleError, PreconditionError)
+                               NotPDivisibleError)
 from centralleaf.isocrystal import MonomialIsocrystal, slopes_monomial
 from centralleaf.witt import (NilpotentPolyRing, ZModRing,
                               display_check, display_doc, display_from_doc,
                               display_from_element, int_of_witt_digits,
                               structure_polynomials, truncate, witt, witt_add,
-                              witt_arith, witt_digits_of_int, witt_frobenius,
+                              witt_digits_of_int, witt_frobenius,
                               witt_from_int, witt_ghost, witt_mul, witt_neg,
                               witt_scalar, witt_verschiebung, _IntPolys, _pvar,
                               _solve_components)
@@ -189,14 +189,6 @@ def test_frobenius_reduces_to_p_power_mod_p():
             fa = witt_frobenius(a)
             for i in range(2):
                 assert (fa.components[i] - a.components[i] ** p) % p == 0
-
-
-def test_witt_arith_dispatcher():
-    ring = ZModRing(2, 3)
-    a = witt(ring, 2, (1, 1, 0))
-    assert witt_arith("V", a).components == (0, 1, 1)
-    with pytest.raises(PreconditionError):
-        witt_arith("divide", a, a)
 
 
 def test_digit_isomorphism_round_trip():
