@@ -1,17 +1,18 @@
 """Extended affine Weyl group: group law, length, Bruhat order,
 sigma-conjugacy, Newton and Kottwitz maps, decent lifts, admissible sets.
 
-Elements are pairs (translation, finite part) with the finite part stored
-as an integer matrix on the cocharacter lattice; the composition law is
-(l1, w1)(l2, w2) = (l1 + w1 l2, w1 w2).  All computations are exact.
+Elements are pairs (translation, w) with w an index into the coded Weyl
+group that ``rootdata`` owns (``datum.weyl_elements``); the integer matrix
+of the finite part on the cocharacter lattice is only a view,
+``x.finite``.  The composition law is (l1, w1)(l2, w2) = (l1 + w1 l2, w1 w2).
+All computations are exact.  ``element`` builds an element from a matrix;
+it and ``RootDatum`` are the only places that turn a matrix into an index.
 
-The finite parts are read through the coded Weyl group that ``rootdata``
-owns: the group law, inverse, sigma action, length and Newton point work
-on indices into ``datum.weyl_elements``, and the sigma-class sweep runs on
-(translation, index) pairs without building elements.  ``rootdata`` also
-owns every table derived from a datum and a sigma (the sigma action, the
-presentation of pi_1(G)_sigma, the affine reflections); this module only
-reads them.
+The group law, inverse, sigma action, length and Newton point read
+``rootdata``'s tables, as does the sigma-class sweep, which runs on
+(translation, index) pairs.  ``rootdata`` owns every table derived from a
+datum and a sigma (the sigma action, the presentation of pi_1(G)_sigma,
+the affine reflections); this module only reads them.
 ``enumerate_elements`` skips a translation before the Weyl loop when
 sum_{alpha > 0} |<alpha, lambda>| - |Phi+| exceeds the length cap: each
 length term |<alpha, lambda> - e| with e in {0, 1} is at least
@@ -38,24 +39,28 @@ Matrix = Tuple[Tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class AffineElement:
+    """t^translation * w; build one from a matrix with ``element``."""
     datum: RootDatum
     translation: Vector
-    finite: Matrix
+    w: int
+
+    @property
+    def finite(self) -> Matrix:
+        return self.datum.weyl_elements[self.w]
 
     def __repr__(self):
         return f"AffineElement(lambda={self.translation}, w={self.finite})"
 
 
 def identity_element(datum: RootDatum) -> AffineElement:
-    return AffineElement(datum, (0,) * datum.cochar_rank,
-                         linalg.identity(datum.cochar_rank))
+    return AffineElement(datum, (0,) * datum.cochar_rank, datum.weyl_identity)
 
 
 def translation_element(datum: RootDatum, lam) -> AffineElement:
     lam = tuple(int(x) for x in lam)
     if len(lam) != datum.cochar_rank:
         raise PreconditionError("translation vector of wrong length")
-    return AffineElement(datum, lam, linalg.identity(datum.cochar_rank))
+    return AffineElement(datum, lam, datum.weyl_identity)
 
 
 def simple_element(datum: RootDatum, i: int) -> AffineElement:
@@ -63,14 +68,14 @@ def simple_element(datum: RootDatum, i: int) -> AffineElement:
     if not 1 <= i <= datum.rank:
         raise PreconditionError(f"simple reflection index {i} out of range")
     zero = (0,) * datum.cochar_rank
-    return AffineElement(datum, zero, datum.simple_reflections[i - 1])
+    return AffineElement(datum, zero, datum.weyl_right[datum.weyl_identity][i - 1])
 
 
 def element(datum: RootDatum, lam, finite=None) -> AffineElement:
-    finite = linalg.freeze(finite) if finite is not None \
-        else linalg.identity(datum.cochar_rank)
-    datum.weyl_code(finite)  # refuses a matrix outside the Weyl group
-    return AffineElement(datum, tuple(int(x) for x in lam), finite)
+    """t^lam * finite for a Weyl group matrix (the identity when None); a
+    matrix outside the Weyl group raises PreconditionError."""
+    w = datum.weyl_identity if finite is None else datum.weyl_code(linalg.freeze(finite))
+    return AffineElement(datum, tuple(int(x) for x in lam), w)
 
 
 def _same_datum(*xs: AffineElement):
@@ -85,25 +90,23 @@ def compose(x: AffineElement, y: AffineElement) -> AffineElement:
     datum = _same_datum(x, y)
     lam = tuple(a + b for a, b in zip(x.translation,
                                       linalg.mat_vec(x.finite, y.translation)))
-    w = datum.weyl_mul(datum.weyl_code(x.finite), datum.weyl_code(y.finite))
-    return AffineElement(datum, lam, datum.weyl_elements[w])
+    return AffineElement(datum, lam, datum.weyl_mul(x.w, y.w))
 
 
 def invert(x: AffineElement) -> AffineElement:
     datum = x.datum
-    w_inv = datum.weyl_elements[datum.weyl_inverse[datum.weyl_code(x.finite)]]
-    lam = tuple(-v for v in linalg.mat_vec(w_inv, x.translation))
-    return AffineElement(x.datum, lam, w_inv)
+    w_inv = datum.weyl_inverse[x.w]
+    lam = tuple(-v for v in linalg.mat_vec(datum.weyl_elements[w_inv], x.translation))
+    return AffineElement(datum, lam, w_inv)
 
 
 def sigma_apply(x: AffineElement, sigma: Optional[Matrix]) -> AffineElement:
     """Apply the lattice automorphism sigma: (l, w) -> (s l, s w s^-1)."""
     if sigma is None:
         return x
-    datum = x.datum
-    w = datum.sigma_table(sigma).weyl_action[datum.weyl_code(x.finite)]
+    w = x.datum.sigma_table(sigma).weyl_action[x.w]
     lam = tuple(int(v) for v in linalg.mat_vec(sigma, x.translation))
-    return AffineElement(datum, lam, datum.weyl_elements[w])
+    return AffineElement(x.datum, lam, w)
 
 
 def sigma_conjugate(g: AffineElement, x: AffineElement,
@@ -120,7 +123,7 @@ def length(x: AffineElement) -> int:
     """Iwahori-Matsumoto length on the extended affine Weyl group:
     the sum over alpha > 0 of |<alpha, lambda>|, less one where w^-1 alpha < 0."""
     datum = x.datum
-    flips = datum.weyl_flips[datum.weyl_code(x.finite)]
+    flips = datum.weyl_flips[x.w]
     return sum(abs(p - f) for p, f in zip(datum.positive_pairings(x.translation), flips))
 
 
@@ -128,7 +131,7 @@ def affine_generators(datum: RootDatum) -> Tuple[AffineElement, ...]:
     """Simple affine generators: finite simples, then one affine reflection
     t^{theta_check} s_theta per irreducible component."""
     simples = [simple_element(datum, i + 1) for i in range(datum.rank)]
-    return tuple(simples + [AffineElement(datum, theta_check, datum.weyl_elements[w])
+    return tuple(simples + [AffineElement(datum, theta_check, w)
                             for theta_check, w in datum.affine_reflections])
 
 
@@ -228,11 +231,10 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     translation part over the minimal period r with (w sigma)^r = 1."""
     datum = x.datum
     action = datum.sigma_table(sigma).weyl_action
-    w = datum.weyl_code(x.finite)
     ident = linalg.identity(datum.cochar_rank)
     w_sigma = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
     # (w sigma)^r = a sigma^r with a = w sigma(w) ... sigma^(r-1)(w) in W
-    a, conj, s_power = w, w, ident if sigma is None else linalg.freeze(sigma)
+    a, conj, s_power = x.w, x.w, ident if sigma is None else linalg.freeze(sigma)
     total = list(x.translation)
     moved = x.translation
     r = 1
@@ -295,7 +297,7 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
     datum = x.datum
     if datum.rep_weights is None:
         raise UnsupportedOperationError("no faithful representation attached")
-    w_inv = datum.weyl_elements[datum.weyl_inverse[datum.weyl_code(x.finite)]]
+    w_inv = datum.weyl_elements[datum.weyl_inverse[x.w]]
     chars_of_w_inv = datum.char_matrix(w_inv)
     perm = _weight_permutation(datum, chars_of_w_inv)
     exps = tuple(int(datum.pair(w, x.translation)) for w in datum.rep_weights)
@@ -426,14 +428,16 @@ def enumerate_elements(datum: RootDatum, max_length: int,
         pairs = datum.positive_pairings(lam)
         if sum(map(abs, pairs)) > reach:
             continue
-        for w, flips in zip(datum.weyl_elements, datum.weyl_flips):
+        for w, flips in enumerate(datum.weyl_flips):
             if sum(abs(p - f) for p, f in zip(pairs, flips)) <= max_length:
                 out.append(AffineElement(datum, lam, w))
     return out
 
 
-def _sort_key(x: AffineElement):
-    return (length(x), x.translation, x.finite)
+def sort_key(x: AffineElement):
+    """The order of listed elements: length, translation, finite part.
+    ``weyl_elements`` is sorted, so index order is matrix order."""
+    return (length(x), x.translation, x.w)
 
 
 @dataclass(frozen=True)
@@ -472,7 +476,7 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     if len(elements) * len(conjugators) > budget:
         # the singleton partition is itself a valid upper-bound refinement
         singleton = SigmaClassPartition(
-            tuple((x,) for x in sorted(elements, key=_sort_key)),
+            tuple((x,) for x in sorted(elements, key=sort_key)),
             length_cap, 0, coord_bound)
         raise BudgetExceededError(
             f"{len(elements)} elements x {len(conjugators)} conjugators "
@@ -481,8 +485,7 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     table = datum.sigma_table(sigma)
     action = table.weyl_action
     # the sweep runs on (translation, Weyl index) pairs
-    coded = [(x.translation, datum.weyl_code(x.finite)) for x in elements]
-    index = {c: i for i, c in enumerate(coded)}
+    index = {(x.translation, x.w): i for i, x in enumerate(elements)}
     parent = list(range(len(elements)))
 
     def find(i):
@@ -500,13 +503,11 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     # with sigma(g)^-1 = (mu_h, w_h); per w_g: (w_g w_x, w_g l_x) for each x
     left: Dict[int, List[Tuple[int, Vector]]] = {}
     for g in conjugators:
-        wg = datum.weyl_code(g.finite)
-        row = left.get(wg)
+        row = left.get(g.w)
         if row is None:
-            w_matrix = datum.weyl_elements[wg]
-            row = left[wg] = [(datum.weyl_mul(wg, wx), linalg.mat_vec(w_matrix, lam))
-                              for lam, wx in coded]
-        wh = datum.weyl_inverse[action[wg]]
+            row = left[g.w] = [(datum.weyl_mul(g.w, x.w),
+                                linalg.mat_vec(g.finite, x.translation)) for x in elements]
+        wh = datum.weyl_inverse[action[g.w]]
         s_lam = g.translation if sigma is None else linalg.mat_vec(sigma, g.translation)
         mu_h = tuple(-v for v in linalg.mat_vec(datum.weyl_elements[wh], s_lam))
         # per w = w_g w_x: (l_g + w mu_h, w w_h)
@@ -521,9 +522,9 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     groups: Dict[int, List[AffineElement]] = {}
     for i, x in enumerate(elements):
         groups.setdefault(find(i), []).append(x)
-    blocks = tuple(sorted((tuple(sorted(block, key=_sort_key))
+    blocks = tuple(sorted((tuple(sorted(block, key=sort_key))
                            for block in groups.values()),
-                          key=lambda b: _sort_key(b[0])))
+                          key=lambda b: sort_key(b[0])))
     for block in blocks:
         dominants = {newton_point(x, sigma).dominant for x in block}
         kappas = {table.pi1.project(x.translation) for x in block}

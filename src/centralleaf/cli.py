@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from . import linalg, serialize
 from .affine import (admissible_set, enumerate_elements,
-                     enumerate_sigma_classes, length, rep_lift)
+                     enumerate_sigma_classes, length, rep_lift, sort_key)
 from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
                      ConsistencyError, DatumMismatchError, InconclusiveError,
                      NotPDivisibleError, PreconditionError, SingularInputError,
@@ -165,7 +165,7 @@ def _run_adm(spec: JobSpec):
         rows = [(serialize.vector_str(v),) for v in result]
         header = serialize.ADM_HYPER_HEADER
     else:
-        ordered = sorted(result, key=lambda x: (length(x), x.translation, x.finite))
+        ordered = sorted(result, key=sort_key)
         rows = [(serialize.element_str(x), str(length(x))) for x in ordered]
         header = serialize.ADM_HEADER
     return _table(spec, header, rows), EXIT_OK

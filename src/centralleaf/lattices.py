@@ -11,7 +11,7 @@ proves p^{2N} Lambda <= L' by solving B x = p^{2N} e_j column by column,
 and those solutions are the columns of S = p^{2N} B^-1; every transition
 map is then S times an integer matrix, divided by a known power of p, and
 inv is read off its p-adic elementary-divisor exponents
-(``linalg.elementary_divisor_exponents``).  No inverse, Smith form or
+(``linalg.local_exponents``).  No inverse, Smith form or
 rational matrix is computed per lattice; a census builds the Fraction
 certificate for its points only.
 """
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, SingularInputError
 from .isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                          SlopeDivisibilityReport, is_completely_slope_divisible,
                          restriction_of_scalars)
@@ -164,9 +164,13 @@ def relative_position(l1: LatticeModel, l2: LatticeModel) -> Tuple[int, ...]:
 
 
 def _invariant_exponents(transition, p: int, shift: int) -> Tuple[int, ...]:
-    """inv of the transition map transition / p^shift (integer entries)."""
-    return tuple(e - shift
-                 for e in linalg.elementary_divisor_exponents(transition, p))
+    """inv of the transition map transition / p^shift (integer entries): its
+    p-adic elementary-divisor exponents less shift, in decreasing order.
+    Raises SingularInputError when the transition is singular."""
+    exps = linalg.local_exponents(transition, p)
+    if len(exps) < len(transition):
+        raise SingularInputError("matrix is singular")
+    return tuple(e - shift for e in reversed(exps))
 
 
 # ---------------------------------------------------------------------------

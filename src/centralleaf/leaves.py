@@ -18,7 +18,6 @@ from .affine import (AffineElement, KottwitzClass, newton_point,
 from .errors import ConsistencyError, PreconditionError
 from .isocrystal import adjoint_rep, nonneg_slope_dim, slopes_via_weights
 from .rootdata import RootDatum, dominance_leq, dominant_rep, is_dominant
-from . import linalg
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,7 @@ def leaf_report(datum: RootDatum, x: AffineElement,
 def mu_average(datum: RootDatum, mu, sigma=None) -> Tuple[Fraction, ...]:
     """Average of mu over the sigma-orbit; mu itself for trivial sigma."""
     mu = tuple(Fraction(v) for v in mu)
-    ident = linalg.identity(datum.cochar_rank)
-    return newton_point(AffineElement(datum, mu, ident), sigma).vector
+    return newton_point(AffineElement(datum, mu, datum.weyl_identity), sigma).vector
 
 
 def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,

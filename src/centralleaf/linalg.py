@@ -48,10 +48,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(c, m: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in m)
 
@@ -278,19 +274,6 @@ def local_exponents(rows, p: int) -> Tuple[int, ...]:
                 row[:] = [unit * x - factor * y for x, y in zip(row, pivot_row)]
         exps.append(best_v)
     return tuple(sorted(exps))
-
-
-def elementary_divisor_exponents(rows, p: int) -> Tuple[int, ...]:
-    """p-adic elementary-divisor exponents of a nonsingular integer matrix.
-
-    Over Z_p the matrix is equivalent to diag(p^e_1, ..., p^e_n); returns
-    the e_i in decreasing order (see ``local_exponents``).  Raises
-    SingularInputError when the matrix is singular.
-    """
-    exps = local_exponents(rows, p)
-    if len(exps) < len(rows):
-        raise SingularInputError("matrix is singular")
-    return exps[::-1]
 
 
 # ---------------------------------------------------------------------------

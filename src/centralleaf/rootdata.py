@@ -242,12 +242,23 @@ class RootDatum:
 
     @cached_property
     def weyl_flips(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per index w, 1 for each positive root alpha with w^-1 alpha < 0."""
-        positive = set(self.root_rows)
-        return tuple(
-            tuple(0 if row in positive else 1
-                  for row in linalg.mat_mul(self.root_rows, w))
-            for w in self.weyl_elements)
+        """Per index w, 1 for each positive root alpha with w^-1 alpha < 0:
+        the inversion set N(w^-1), with N(v) = {alpha > 0 : v alpha < 0}
+        built along the stored words, N(v s_i) being s_i N(v) with alpha_i
+        toggled."""
+        position = {row: a for a, row in enumerate(self.root_rows)}
+        # the row of s_i alpha is (row of alpha) s_i; only alpha_i turns negative
+        images = [[position.get(row) for row in linalg.mat_mul(self.root_rows, s)]
+                  for s in self.simple_reflections]
+        words = self.weyl_words
+        inversions = {self.weyl_identity: (0,) * len(self.root_rows)}
+        # by word length, after the identity: w_k s_i, one letter shorter, is built
+        for k in sorted(range(len(words)), key=lambda k: len(words[k]))[1:]:
+            i = words[k][-1]
+            v = inversions[self.weyl_right[k][i]]
+            inversions[k] = tuple(1 - v[a] if b is None else v[b]
+                                  for a, b in enumerate(images[i]))
+        return tuple(inversions[k] for k in self.weyl_inverse)
 
     def sigma_table(self, sigma) -> "SigmaTable":
         """The table of one lattice automorphism sigma (None for the identity).

@@ -14,7 +14,8 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .affine import AffineElement, KottwitzClass, length, twisted_kottwitz
+from .affine import (AffineElement, KottwitzClass, length, newton_point,
+                     twisted_kottwitz)
 from .errors import ConfigurationError, PreconditionError
 from .leaves import LeafReport
 from .rootdata import RootDatum
@@ -64,10 +65,10 @@ def slopes_str(slopes) -> str:
 # ---------------------------------------------------------------------------
 # Weyl words
 
-def word_of_finite(datum: RootDatum, w) -> str:
-    """One reduced word for a finite Weyl element: greedy left descent,
-    lowest index first, on indices; s w is read as (w^-1 s)^-1."""
-    k, words, inverse = datum.weyl_code(w), datum.weyl_words, datum.weyl_inverse
+def word_of_finite(datum: RootDatum, k: int) -> str:
+    """One reduced word for the finite Weyl element of index k: greedy left
+    descent, lowest index first; s w is read as (w^-1 s)^-1."""
+    words, inverse = datum.weyl_words, datum.weyl_inverse
     letters = []
     # the words are reduced, so their lengths are the lengths, and the first
     # letter of words[k] is a left descent: the loop always finds one
@@ -81,8 +82,8 @@ def word_of_finite(datum: RootDatum, w) -> str:
     return "*".join(f"s{i}" for i in letters) or "e"
 
 
-def parse_word(datum: RootDatum, word: str):
-    """The Weyl matrix of a word such as ``s1*s2`` (or ``e``), folded over
+def parse_word(datum: RootDatum, word: str) -> int:
+    """The Weyl index of a word such as ``s1*s2`` (or ``e``), folded over
     the right-multiplication table from the identity."""
     word = word.strip()
     k = datum.weyl_identity
@@ -97,7 +98,7 @@ def parse_word(datum: RootDatum, word: str):
         if not 1 <= i <= datum.rank:
             raise PreconditionError(f"simple reflection s{i} out of range")
         k = datum.weyl_right[k][i - 1]
-    return datum.weyl_elements[k]
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ def parse_word(datum: RootDatum, word: str):
 
 def element_doc(x: AffineElement) -> Dict:
     return {"lambda": [int(v) for v in x.translation],
-            "w": word_of_finite(x.datum, x.finite)}
+            "w": word_of_finite(x.datum, x.w)}
 
 
 def element_str(x: AffineElement) -> str:
@@ -226,7 +227,6 @@ CROSSCHECK_HEADER = ("element", "closed", "oracle", "pass")
 
 
 def class_rows(partition, datum: RootDatum, sigma=None) -> List[Tuple[str, ...]]:
-    from .affine import newton_point
     rows = []
     for b_idx, block in enumerate(partition.blocks):
         for x in block:

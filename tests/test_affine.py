@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centralleaf import linalg
-from centralleaf.affine import (AffineElement, admissible_set, bruhat_leq,
-                                compose, decent_representative, element,
+from centralleaf.affine import (admissible_set, bruhat_leq, compose,
+                                decent_representative, element,
                                 enumerate_elements, enumerate_sigma_classes,
                                 identity_element, invert, kottwitz, length,
                                 newton_point, omega_and_word, rep_lift,
@@ -131,7 +131,7 @@ def test_newton_point_examples():
     cyc = next(w for w in GL3.weyl_elements
                if linalg.mat_vec(w, (1, 0, 0)) == (0, 1, 0)
                and linalg.mat_vec(w, (0, 1, 0)) == (0, 0, 1))
-    np3 = newton_point(AffineElement(GL3, (1, 1, 0), cyc))
+    np3 = newton_point(element(GL3, (1, 1, 0), cyc))
     assert np3.vector == (F(2, 3),) * 3 and np3.period == 3
 
 
@@ -203,7 +203,7 @@ def test_decent_representative_examples():
     cyc = next(w for w in GL3.weyl_elements
                if linalg.mat_vec(w, (1, 0, 0)) == (0, 1, 0)
                and linalg.mat_vec(w, (0, 1, 0)) == (0, 0, 1))
-    x3 = AffineElement(GL3, (1, 1, 0), cyc)
+    x3 = element(GL3, (1, 1, 0), cyc)
     lift3 = decent_representative(x3)
     assert lift3.period == 3
     m = lift3.matrix.rational_matrix(3)
@@ -339,18 +339,17 @@ def _matrix_inverse(m):
 def matrix_compose(x, y):
     lam = tuple(a + b for a, b in zip(x.translation,
                                       linalg.mat_vec(x.finite, y.translation)))
-    return AffineElement(x.datum, lam, linalg.mat_mul(x.finite, y.finite))
+    return element(x.datum, lam, linalg.mat_mul(x.finite, y.finite))
 
 
 def matrix_invert(x):
     w_inv = _matrix_inverse(x.finite)
-    return AffineElement(x.datum, tuple(-v for v in linalg.mat_vec(w_inv, x.translation)),
-                         w_inv)
+    return element(x.datum, tuple(-v for v in linalg.mat_vec(w_inv, x.translation)), w_inv)
 
 
 def matrix_sigma_apply(x, sigma):
     w = linalg.mat_mul(linalg.mat_mul(sigma, x.finite), _matrix_inverse(sigma))
-    return AffineElement(x.datum, linalg.mat_vec(sigma, x.translation), w)
+    return element(x.datum, linalg.mat_vec(sigma, x.translation), w)
 
 
 def matrix_length(x):
@@ -378,6 +377,32 @@ def matrix_newton_vector(x, sigma):
     return tuple(F(t, r) for t in total), r
 
 
+def matrix_generators(datum):
+    """The simple affine generators with matrix finite parts: the simple
+    reflections, then t^theta_check s_theta with s_theta built from the
+    formula lam -> lam - <theta, lam> theta_check."""
+    n = datum.cochar_rank
+    gens = [element(datum, (0,) * n, s) for s in datum.simple_reflections]
+    for theta_check, _ in datum.affine_reflections:
+        theta = datum.roots[datum.coroots.index(theta_check)]
+        columns = [tuple(e[i] - datum.pair(theta, e) * theta_check[i] for i in range(n))
+                   for e in linalg.identity(n)]
+        gens.append(element(datum, theta_check, linalg.transpose(columns)))
+    return gens
+
+
+def matrix_omega_and_word(x):
+    """Greedy right descent on the matrix law, lowest generator first."""
+    gens = matrix_generators(x.datum)
+    current, letters = x, []
+    while matrix_length(current) > 0:
+        products = (matrix_compose(current, g) for g in gens)
+        idx, current = next((idx, c) for idx, c in enumerate(products)
+                            if matrix_length(c) < matrix_length(current))
+        letters.append(idx)
+    return current, tuple(reversed(letters))
+
+
 GL4 = build_classical("GL", 4)
 # (name, datum, sigma): sigma = None, the coordinate rotation of GL3, and
 # lambda -> -w0 lambda on GL4
@@ -393,7 +418,7 @@ LAW_CASES = [
 @st.composite
 def affine_elements(draw, datum):
     lam = tuple(draw(st.integers(-3, 3)) for _ in range(datum.cochar_rank))
-    return AffineElement(datum, lam, draw(st.sampled_from(datum.weyl_elements)))
+    return element(datum, lam, draw(st.sampled_from(datum.weyl_elements)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,9 +427,13 @@ def test_coded_law_matches_matrix_law(case, data):
     _, datum, sigma = case
     x = data.draw(affine_elements(datum))
     y = data.draw(affine_elements(datum))
+    assert (x == y) == ((x.translation, x.finite) == (y.translation, y.finite))
+    twin = element(datum, x.translation, x.finite)
+    assert twin == x and hash(twin) == hash(x)
     assert compose(x, y) == matrix_compose(x, y)
     assert invert(x) == matrix_invert(x)
     assert length(x) == matrix_length(x)
+    assert omega_and_word(x) == matrix_omega_and_word(x)
     nu = newton_point(x, sigma)
     assert (nu.vector, nu.period) == matrix_newton_vector(x, sigma)
     if sigma is not None:
@@ -421,9 +450,9 @@ def test_pruned_enumeration_matches_box_scan(case, cap, bound, shifted):
         bound = min(bound, 1)
     lo, hi = (-bound, bound + 1) if shifted else (-bound, bound)
     box = itertools.product(range(lo, hi + 1), repeat=rank)
-    expected = [AffineElement(datum, lam, w) for lam in box
+    expected = [element(datum, lam, w) for lam in box
                 for w in datum.weyl_elements
-                if matrix_length(AffineElement(datum, lam, w)) <= cap]
+                if matrix_length(element(datum, lam, w)) <= cap]
     got = enumerate_elements(datum, cap, (lo, hi) if shifted else bound)
     assert got == expected
 

@@ -318,7 +318,8 @@ def _fraction_poly_of_matrix(coeffs, t):
     power = linalg.identity(n)
     for c in coeffs[1:]:
         power = linalg.mat_mul(power, t)
-        result = linalg.mat_add(result, linalg.mat_scale(c, power))
+        result = tuple(tuple(x + c * y for x, y in zip(r, pr))
+                       for r, pr in zip(result, power))
     return result
 
 

@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
-from centralleaf import linalg
+from centralleaf import lattices, linalg
 from centralleaf.errors import SingularInputError
 
 
@@ -53,22 +53,28 @@ def nonsingular_matrices(draw):
 @given(nonsingular_matrices())
 def test_elementary_divisor_exponents_match_sympy(case):
     rows, p = case
-    assert linalg.elementary_divisor_exponents(rows, p) == sympy_exponents(rows, p)
+    expected = sympy_exponents(rows, p)
+    assert linalg.local_exponents(rows, p) == expected[::-1]
+    assert lattices._invariant_exponents(rows, p, 0) == expected
 
 
 def test_elementary_divisor_exponents_examples():
-    assert linalg.elementary_divisor_exponents([[4, 0], [0, 2]], 2) == (2, 1)
+    assert lattices._invariant_exponents([[4, 0], [0, 2]], 2, 0) == (2, 1)
     # non-p factors are p-adic units and leave the exponents alone
-    assert linalg.elementary_divisor_exponents([[12, 6], [3, 9]], 3) == (1, 1)
-    assert linalg.elementary_divisor_exponents([[0, 1], [8, 0]], 2) == (3, 0)
-    assert linalg.elementary_divisor_exponents([[-7]], 5) == (0,)
+    assert lattices._invariant_exponents([[12, 6], [3, 9]], 3, 0) == (1, 1)
+    assert lattices._invariant_exponents([[0, 1], [8, 0]], 2, 0) == (3, 0)
+    assert lattices._invariant_exponents([[-7]], 5, 0) == (0,)
+    assert linalg.local_exponents([[0, 1], [8, 0]], 2) == (0, 3)
 
 
 def test_elementary_divisor_exponents_singular():
     with pytest.raises(SingularInputError):
-        linalg.elementary_divisor_exponents([[2, 4], [1, 2]], 2)
+        lattices._invariant_exponents([[2, 4], [1, 2]], 2, 0)
     with pytest.raises(SingularInputError):
-        linalg.elementary_divisor_exponents([[0, 0], [0, 3]], 3)
+        lattices._invariant_exponents([[0, 0], [0, 3]], 3, 0)
+    # one unit of rank each: local_exponents reports it and does not refuse
+    assert linalg.local_exponents([[2, 4], [1, 2]], 2) == (0,)
+    assert linalg.local_exponents([[0, 0], [0, 3]], 3) == (1,)
 
 
 def test_valuation_of_zero_is_none():

@@ -8,7 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
 from centralleaf import linalg, rootdata, serialize
-from centralleaf.affine import AffineElement, length
+from centralleaf.affine import element, length
 from centralleaf.errors import BudgetExceededError, ConfigurationError, PreconditionError
 from centralleaf.rootdata import (build_classical, datum_from_document,
                                   dominance_leq, dominant_rep, is_dominant,
@@ -262,7 +262,7 @@ def _matrix_word(datum, w):
     zero = (0,) * datum.cochar_rank
 
     def finite_length(m):
-        return length(AffineElement(datum, zero, m))
+        return length(element(datum, zero, m))
 
     if w == linalg.identity(datum.cochar_rank):
         return "e"
@@ -291,7 +291,12 @@ def test_coded_weyl_group_follows_the_matrix_law(datum):
         for i, s in enumerate(datum.simple_reflections):
             assert elements[datum.weyl_right[k][i]] == linalg.mat_mul(w, s)
         assert elements[datum.weyl_inverse[k]] == linalg.mat_inv(w)
-        assert serialize.word_of_finite(datum, w) == _matrix_word(datum, w)
+        assert serialize.word_of_finite(datum, k) == _matrix_word(datum, w)
+        # the matrix formula: w^-1 alpha < 0 exactly when the row of alpha
+        # times w is not the row of a positive root
+        assert datum.weyl_flips[k] == tuple(
+            0 if row in datum.root_rows else 1
+            for row in linalg.mat_mul(datum.root_rows, w))
     pairs = [(i, j) for i in range(len(elements)) for j in range(len(elements))]
     if len(elements) > 48:
         pairs = random.Random(20261018).sample(pairs, 2000)
