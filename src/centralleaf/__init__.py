@@ -6,11 +6,12 @@ and truncated Witt-vector/display verification; all arithmetic exact.
 """
 
 from .affine import (AffineElement, DecentLift, KottwitzClass, NewtonPoint,
-                     SigmaClassPartition, admissible_set, bruhat_leq, compose,
-                     decent_representative, element, enumerate_elements,
-                     enumerate_sigma_classes, identity_element, invert,
-                     kottwitz, length, newton_point, rep_lift, sigma_apply,
-                     sigma_conjugate, simple_element, translation_element)
+                     SigmaClassPartition, adjoint_lift, admissible_set,
+                     bruhat_leq, compose, decent_representative, element,
+                     enumerate_elements, enumerate_sigma_classes,
+                     identity_element, invert, kottwitz, length, newton_point,
+                     rep_lift, sigma_apply, sigma_conjugate, simple_element,
+                     translation_element)
 from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
                      ConsistencyError, DatumMismatchError, InconclusiveError,
                      NotPDivisibleError, PreconditionError, SingularInputError,
@@ -18,10 +19,10 @@ from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
 from .isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                          SlopeDivisibilityReport, WeightedRep, adjoint_rep,
                          hom_rep, is_completely_slope_divisible,
-                         monomial_from_rational, nonneg_slope_dim,
-                         restriction_of_scalars, slopes_charpoly,
-                         slopes_monomial, slopes_via_restriction,
-                         slopes_via_weights, standard_rep, tensor_rep)
+                         monomial_from_rational, restriction_of_scalars,
+                         slopes_charpoly, slopes_monomial,
+                         slopes_via_restriction, slopes_via_weights,
+                         standard_rep, tensor_rep)
 from .lattices import (ADLVCensus, ADLVPoint, LatticeModel, adlv_points,
                        enumerate_lattices, lattice_from_columns,
                        relative_position)

@@ -1,5 +1,5 @@
 """Extended affine Weyl group: group law, length, Bruhat order,
-sigma-conjugacy, Newton and Kottwitz maps, decent lifts, admissible sets.
+sigma-conjugacy, Newton and Kottwitz maps, monomial lifts, admissible sets.
 
 Elements are pairs (translation, w) with w an index into the coded Weyl
 group that ``rootdata`` owns (``datum.weyl_elements``); the integer matrix
@@ -12,7 +12,9 @@ The group law, inverse, sigma action, length and Newton point read
 ``rootdata``'s tables, as does the sigma-class sweep, which runs on
 (translation, index) pairs.  ``rootdata`` owns every table derived from a
 datum and a sigma (the sigma action, the presentation of pi_1(G)_sigma,
-the affine reflections); this module only reads them.
+the affine reflections); this module only reads them.  One helper,
+``_lift``, builds every monomial lift: ``rep_lift``, ``adjoint_lift``, and
+the decent lift with sigma's matrix.
 ``enumerate_elements`` skips a translation before the Weyl loop when
 sum_{alpha > 0} |<alpha, lambda>| - |Phi+| exceeds the length cap: each
 length term |<alpha, lambda> - e| with e in {0, 1} is at least
@@ -252,21 +254,16 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     return NewtonPoint(vector, dominant_rep(datum, vector), r)
 
 
-def kottwitz(x: AffineElement) -> KottwitzClass:
-    """Image of the translation part in the fundamental-group presentation."""
-    return twisted_kottwitz(x, None)
-
-
-def twisted_kottwitz(x: AffineElement, sigma: Optional[Matrix]) -> KottwitzClass:
+def kottwitz(x: AffineElement, sigma: Optional[Matrix] = None) -> KottwitzClass:
     """Image of the translation part in pi_1(G)_sigma, the sigma-coinvariants
-    of pi_1(G); the same as ``kottwitz`` for sigma None or the identity."""
+    of pi_1(G); pi_1(G) itself for sigma None or the identity."""
     pi1 = x.datum.sigma_table(sigma).pi1
     free, tors = pi1.project(x.translation)
     return KottwitzClass(free, tors, pi1.torsion)
 
 
 # ---------------------------------------------------------------------------
-# decent lifts through the attached representation
+# monomial lifts: the attached representation, the adjoint isocrystal, decency
 
 @dataclass(frozen=True)
 class DecentLift:
@@ -275,74 +272,83 @@ class DecentLift:
     nu: NewtonPoint
 
 
-def _weight_permutation(datum: RootDatum, action_on_chars: Matrix) -> Tuple[int, ...]:
-    weights = datum.rep_weights
-    index = {w: i for i, w in enumerate(weights)}
-    perm = []
-    for w in weights:
-        image = tuple(int(v) for v in linalg.mat_vec(action_on_chars, w))
-        if image not in index:
+def _lift(datum: RootDatum, lam, g: Matrix, weights) -> MonomialIsocrystal:
+    """The monomial matrix of t^lam * g on the lines of ``weights``, for g
+    a matrix on X_* that permutes them (a Weyl element, sigma or w sigma).
+
+    Column j carries the line of chi_j to that of g chi_j = chi_j o g^-1
+    and scales it by p^<g chi_j, lam>.  The line of chi_k is the image of
+    the line of chi_k o g, so g is never inverted.
+    """
+    if weights is None:
+        raise UnsupportedOperationError("no faithful representation attached")
+    index = {chi: j for j, chi in enumerate(weights)}
+    chars = datum.char_matrix(g)
+    perm: List[Optional[int]] = [None] * len(weights)
+    for k, chi in enumerate(weights):
+        j = index.get(linalg.mat_vec(chars, chi))
+        if j is None or perm[j] is not None:
             raise UnsupportedOperationError(
                 "automorphism does not permute the representation weights")
-        perm.append(index[image])
-    return tuple(perm)
+        perm[j] = k
+    exps = tuple(int(datum.pair(weights[k], lam)) for k in perm)
+    return MonomialIsocrystal(len(perm), tuple(perm), exps)
 
 
 def rep_lift(x: AffineElement) -> MonomialIsocrystal:
-    """Monomial-matrix lift of x in the attached faithful representation.
-
-    The finite part permutes the weight lines; the translation contributes
-    the exponent <omega_j, lambda> in column j.
-    """
+    """Monomial lift of w * t^lambda = t^{w lambda} * w, which t^lambda
+    conjugates to x = t^lambda * w, in the attached faithful representation:
+    column j carries p^<omega_j, lambda> to the line of w omega_j."""
     datum = x.datum
-    if datum.rep_weights is None:
-        raise UnsupportedOperationError("no faithful representation attached")
-    w_inv = datum.weyl_elements[datum.weyl_inverse[x.w]]
-    chars_of_w_inv = datum.char_matrix(w_inv)
-    perm = _weight_permutation(datum, chars_of_w_inv)
-    exps = tuple(int(datum.pair(w, x.translation)) for w in datum.rep_weights)
-    return MonomialIsocrystal(len(perm), perm, exps)
+    return _lift(datum, linalg.mat_vec(x.finite, x.translation), x.finite,
+                 datum.rep_weights)
 
 
-def sigma_rep_matrix(datum: RootDatum, sigma: Optional[Matrix]) -> MonomialIsocrystal:
-    if sigma is None:
-        return monomial_identity(len(datum.rep_weights))
-    s_inv = linalg.freeze(tuple(int(v) for v in row) for row in linalg.mat_inv(sigma))
-    perm = _weight_permutation(datum, datum.char_matrix(s_inv))
-    return MonomialIsocrystal(len(perm), perm, (0,) * len(perm))
+def adjoint_lift(x: AffineElement, sigma: Optional[Matrix] = None) -> MonomialIsocrystal:
+    """The adjoint isocrystal of x sigma on the root lines: the monomial
+    matrix of t^lambda * w sigma, whose slopes are <alpha, nu>, one per root."""
+    g = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
+    return _lift(x.datum, x.translation, g, x.datum.roots)
 
 
 def decent_representative(x: AffineElement,
                           sigma: Optional[Matrix] = None) -> DecentLift:
-    """Monomial lift satisfying (b sigma)^r = p^{r nu} sigma^r exactly.
+    """The monomial lift b of x in the attached representation, with the
+    least period r at which (b sigma)^r = p^{r nu} sigma^r holds exactly.
 
-    The verification is symbolic in p: both sides are monomial matrices
-    whose permutation and exponent data are compared directly.
+    At the Newton period, (w sigma)^r = 1 on X_*; decency also needs
+    sigma^r to fix the weight lines, so r runs over the multiples of that
+    period, capped like the loop of ``newton_point``.  The verification is
+    symbolic in p: both sides are monomial matrices whose permutation and
+    exponent data are compared directly.
     """
     datum = x.datum
     nu = newton_point(x, sigma)
-    lift = rep_lift(x)
-    s_mono = sigma_rep_matrix(datum, sigma)
+    weights = datum.rep_weights
+    lift = _lift(datum, x.translation, x.finite, weights)
+    n = lift.size
+    s_mono = monomial_identity(n) if sigma is None else \
+        _lift(datum, (0,) * datum.cochar_rank, sigma, weights)
     r = nu.period
-    twisted = monomial_compose(lift, s_mono)
-    power = monomial_identity(lift.size)
-    for _ in range(r):
-        power = monomial_compose(power, twisted)
-    target_exps = []
-    for w in datum.rep_weights:
-        e = Fraction(datum.pair(w, nu.vector)) * r
+    nu_exps = []
+    for chi in weights:
+        e = Fraction(datum.pair(chi, nu.vector)) * r
         if e.denominator != 1:
             raise ConsistencyError("r*nu pairing is not integral")
-        target_exps.append(int(e))
-    s_power = monomial_identity(lift.size)
+        nu_exps.append(int(e))
+    twisted = monomial_compose(lift, s_mono)
+    step, s_step = monomial_identity(n), monomial_identity(n)
     for _ in range(r):
-        s_power = monomial_compose(s_power, s_mono)
-    target = monomial_compose(
-        MonomialIsocrystal(lift.size, tuple(range(lift.size)), tuple(target_exps)),
-        s_power)
-    if power != target:
-        raise ConsistencyError("decency equation failed for the monomial lift")
-    return DecentLift(r, lift, nu)
+        step = monomial_compose(step, twisted)
+        s_step = monomial_compose(s_step, s_mono)
+    power = s_power = monomial_identity(n)
+    for k in range(1, _SIGMA_ORDER_CAP // r + 1):
+        power, s_power = monomial_compose(power, step), monomial_compose(s_power, s_step)
+        target = monomial_compose(MonomialIsocrystal(
+            n, tuple(range(n)), tuple(k * e for e in nu_exps)), s_power)
+        if power == target:
+            return DecentLift(k * r, lift, nu)
+    raise ConsistencyError("decency equation failed for the monomial lift")
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +449,6 @@ def sort_key(x: AffineElement):
 @dataclass(frozen=True)
 class SigmaClassPartition:
     blocks: Tuple[Tuple[AffineElement, ...], ...]
-    length_cap: int
-    conjugator_cap: int
-    coord_bound: int
 
     def block_of(self, x: AffineElement) -> Tuple[AffineElement, ...]:
         for block in self.blocks:
@@ -457,15 +460,15 @@ class SigmaClassPartition:
 def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
                             sigma: Optional[Matrix] = None,
                             conjugator_cap: Optional[int] = None,
-                            coord_bound: Optional[int] = None,
-                            budget: int = _CLASS_BUDGET) -> SigmaClassPartition:
+                            coord_bound: Optional[int] = None) -> SigmaClassPartition:
     """Partition the length window into sigma-conjugacy classes.
 
     Conjugators run over elements of length <= conjugator_cap (default
     length_cap + 2), so the result is an upper-bound refinement: blocks can
     only merge, never split, under longer conjugators.  Each block is
     validated to carry constant dominant Newton point and Kottwitz class
-    in pi_1(G)_sigma.
+    in pi_1(G)_sigma.  More than ``_CLASS_BUDGET`` (elements x conjugators)
+    raises BudgetExceededError with the singleton partition.
     """
     if conjugator_cap is None:
         conjugator_cap = length_cap + 2
@@ -473,14 +476,13 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
         coord_bound = length_cap + 2
     elements = enumerate_elements(datum, length_cap, coord_bound)
     conjugators = enumerate_elements(datum, conjugator_cap, coord_bound + 1)
-    if len(elements) * len(conjugators) > budget:
+    if len(elements) * len(conjugators) > _CLASS_BUDGET:
         # the singleton partition is itself a valid upper-bound refinement
         singleton = SigmaClassPartition(
-            tuple((x,) for x in sorted(elements, key=sort_key)),
-            length_cap, 0, coord_bound)
+            tuple((x,) for x in sorted(elements, key=sort_key)))
         raise BudgetExceededError(
             f"{len(elements)} elements x {len(conjugators)} conjugators "
-            f"exceeds the budget of {budget}",
+            f"exceeds the budget of {_CLASS_BUDGET}",
             partial=singleton)
     table = datum.sigma_table(sigma)
     action = table.weyl_action
@@ -531,4 +533,4 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
         if len(dominants) != 1 or len(kappas) != 1:
             raise ConsistencyError(
                 "sigma-conjugacy block with non-constant invariants")
-    return SigmaClassPartition(blocks, length_cap, conjugator_cap, coord_bound)
+    return SigmaClassPartition(blocks)

@@ -7,6 +7,10 @@ checked by the test suite:
 * the p-adic Newton polygon of a characteristic polynomial,
 * weight pairings against a Newton cocharacter.
 
+The first route reads no Newton point, so it serves as the leaf-dimension
+oracle in ``leaves``: the positive slopes of the adjoint monomial lift
+(``affine.adjoint_lift``), read off its cycles, against <2 rho, nu>.
+
 The module also decides complete slope divisibility of a lattice under a
 rational Frobenius matrix, with certificates in both directions.  The slope
 factors of the characteristic polynomial come from one p-adic Hensel lift
@@ -39,8 +43,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (ConfigurationError, DatumMismatchError, ConsistencyError,
-                     InconclusiveError, PreconditionError, SingularInputError)
-from .rootdata import RootDatum, is_dominant
+                     InconclusiveError, SingularInputError)
+from .rootdata import RootDatum
 
 Matrix = linalg.Matrix
 
@@ -273,23 +277,6 @@ def slopes_via_weights(rep: WeightedRep, nu) -> Tuple[Fraction, ...]:
         raise DatumMismatchError("Newton vector has wrong length for this datum")
     values = [Fraction(rep.datum.pair(w, vector)) for w in rep.weights]
     return tuple(sorted(values, reverse=True))
-
-
-def nonneg_slope_dim(datum: RootDatum, nu_dom) -> int:
-    """Sum of the positive-root pairings against a dominant Newton point.
-
-    This is the slope-decomposition count of the adjoint crystal's strictly
-    negative part, i.e. the dimension of the internal-hom p-divisible group,
-    and must come out a nonnegative integer.
-    """
-    vector = getattr(nu_dom, "dominant", None) or getattr(nu_dom, "vector", nu_dom)
-    if not is_dominant(datum, vector):
-        raise PreconditionError("nonneg_slope_dim needs a dominant Newton point")
-    total = sum(Fraction(datum.pair(alpha, vector)) for alpha in datum.positive_roots)
-    if total.denominator != 1 or total < 0:
-        raise ConsistencyError(
-            f"positive-root pairing sum {total} is not a nonnegative integer")
-    return int(total)
 
 
 # ---------------------------------------------------------------------------

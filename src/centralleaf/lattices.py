@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .errors import BudgetExceededError, PreconditionError, SingularInputError
@@ -52,8 +52,7 @@ class LatticeModel:
 _ENUM_BUDGET = 2_000_000
 
 
-def _hermite_walk(n: int, p: int, depth: int, max_nodes: Optional[int] = None
-                  ) -> List[Tuple[Matrix, Matrix]]:
+def _hermite_walk(n: int, p: int, depth: int) -> List[Tuple[Matrix, Matrix]]:
     """Every lattice of the window as (basis rows, scaled-inverse columns),
     sorted by basis.
 
@@ -61,10 +60,9 @@ def _hermite_walk(n: int, p: int, depth: int, max_nodes: Optional[int] = None
     only when q e_j (q = p^{2 depth}) lies in the integer span of columns
     0..j; the back-substitution that decides it returns column j of
     q B^-1, so each lattice leaves the walk with its scaled inverse.
-    max_nodes defaults to the module's ``_ENUM_BUDGET``, read at call time.
+    More than ``_ENUM_BUDGET`` nodes raise BudgetExceededError with the
+    lattices found so far.
     """
-    if max_nodes is None:
-        max_nodes = _ENUM_BUDGET
     linalg.require_prime(p)
     if n < 1 or depth < 1:
         raise PreconditionError("n and depth must be at least 1")
@@ -87,9 +85,9 @@ def _hermite_walk(n: int, p: int, depth: int, max_nodes: Optional[int] = None
         for d in divisors:
             for off in itertools.product(*offdiag_ranges):
                 nodes += 1
-                if nodes > max_nodes:
+                if nodes > _ENUM_BUDGET:
                     raise BudgetExceededError(
-                        f"lattice enumeration exceeded {max_nodes} nodes",
+                        f"lattice enumeration exceeded {_ENUM_BUDGET} nodes",
                         partial=tuple(LatticeModel(n, p, depth, basis)
                                       for basis, _ in found))
                 columns.append(list(off) + [d] + [0] * (n - 1 - j))
@@ -105,8 +103,7 @@ def _hermite_walk(n: int, p: int, depth: int, max_nodes: Optional[int] = None
     return found
 
 
-def enumerate_lattices(n: int, p: int, depth: int,
-                       max_nodes: Optional[int] = None) -> Tuple[LatticeModel, ...]:
+def enumerate_lattices(n: int, p: int, depth: int) -> Tuple[LatticeModel, ...]:
     """All lattices L with p^depth Lambda <= L <= p^-depth Lambda.
 
     One output per lattice, sorted, from the Hermite walk, which prunes by
@@ -116,7 +113,7 @@ def enumerate_lattices(n: int, p: int, depth: int,
     BudgetExceededError with the lattices found so far.
     """
     return tuple(LatticeModel(n, p, depth, basis)
-                 for basis, _ in _hermite_walk(n, p, depth, max_nodes))
+                 for basis, _ in _hermite_walk(n, p, depth))
 
 
 def lattice_from_columns(columns: Sequence[Sequence[int]], n: int, p: int,

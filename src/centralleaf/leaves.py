@@ -2,9 +2,11 @@
 basic-ness, neutral acceptability, and the closed-formula/slope-oracle
 cross check.
 
-The leaf dimension is <2 rho, nu_dominant>; every report recomputes it
-through the adjoint slope decomposition (sum of positive-root pairings)
-and refuses to emit on disagreement.
+The leaf dimension is <2 rho, nu_dominant>.  Every report and cross check
+recomputes it as the sum of the positive slopes of the adjoint isocrystal,
+read off the cycles of the monomial lift of x sigma on the root lines
+(``affine.adjoint_lift``), which reads neither the Newton point nor 2 rho;
+a report refuses to emit on disagreement.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .affine import (AffineElement, KottwitzClass, newton_point,
-                     twisted_kottwitz)
+from .affine import (AffineElement, KottwitzClass, adjoint_lift, kottwitz,
+                     newton_point)
 from .errors import ConsistencyError, PreconditionError
-from .isocrystal import adjoint_rep, nonneg_slope_dim, slopes_via_weights
+from .isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from .rootdata import RootDatum, dominance_leq, dominant_rep, is_dominant
 
 
@@ -32,6 +34,17 @@ class LeafReport:
     checked: bool
 
 
+def _leaf_dimension(datum: RootDatum, x: AffineElement, sigma):
+    """(nu_dominant, <2 rho, nu>, oracle), the oracle being the sum of the
+    positive slopes of ``adjoint_lift(x, sigma)``."""
+    nu_dom = newton_point(x, sigma).dominant
+    closed = Fraction(datum.pair(datum.two_rho, nu_dom))
+    if closed.denominator != 1:
+        raise ConsistencyError("<2rho, nu> is not an integer")
+    oracle = sum(s for s in slopes_monomial(adjoint_lift(x, sigma)) if s > 0)
+    return nu_dom, int(closed), oracle
+
+
 def leaf_report(datum: RootDatum, x: AffineElement,
                 sigma=None) -> LeafReport:
     """Full invariant report for one element.
@@ -42,13 +55,8 @@ def leaf_report(datum: RootDatum, x: AffineElement,
     oracle and must be True for the report to be returned; kappa lies in
     pi_1(G)_sigma.
     """
-    nu = newton_point(x, sigma)
-    nu_dom = nu.dominant
-    closed = Fraction(datum.pair(datum.two_rho, nu_dom))
-    if closed.denominator != 1:
-        raise ConsistencyError("<2rho, nu> is not an integer")
-    oracle = nonneg_slope_dim(datum, nu_dom)
-    checked = int(closed) == oracle
+    nu_dom, closed, oracle = _leaf_dimension(datum, x, sigma)
+    checked = closed == oracle
     if not checked:
         raise ConsistencyError(
             f"leaf dimension mismatch: closed formula {closed} vs "
@@ -58,7 +66,7 @@ def leaf_report(datum: RootDatum, x: AffineElement,
     jb_dim = datum.cochar_rank + zero_pairings
     basic = zero_pairings == len(datum.roots)
     adjoint = slopes_via_weights(adjoint_rep(datum), nu_dom)
-    return LeafReport(x, nu_dom, twisted_kottwitz(x, sigma), basic, int(closed), jb_dim,
+    return LeafReport(x, nu_dom, kottwitz(x, sigma), basic, closed, jb_dim,
                       adjoint, checked)
 
 
@@ -92,7 +100,7 @@ def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,
 class CrossCheckRow:
     element: AffineElement
     closed: int
-    oracle: int
+    oracle: Fraction
     ok: bool
 
 
@@ -105,18 +113,10 @@ class CrossCheckReport:
 def cross_check_dimension(datum: RootDatum,
                           sample: Iterable[AffineElement],
                           sigma=None) -> CrossCheckReport:
-    """Check <2 rho, nu> against the positive-root pairing sum elementwise.
-
-    The identity is an algebraic tautology, so any failure indicates an
-    implementation bug; that is the point of running it.
-    """
+    """Check <2 rho, nu> elementwise against the positive adjoint slopes
+    of the monomial lift of x sigma."""
     rows = []
-    all_pass = True
     for x in sample:
-        nu_dom = newton_point(x, sigma).dominant
-        closed = Fraction(datum.pair(datum.two_rho, nu_dom))
-        oracle = nonneg_slope_dim(datum, nu_dom)
-        ok = closed == oracle
-        all_pass = all_pass and ok
-        rows.append(CrossCheckRow(x, int(closed), oracle, ok))
-    return CrossCheckReport(tuple(rows), all_pass)
+        _, closed, oracle = _leaf_dimension(datum, x, sigma)
+        rows.append(CrossCheckRow(x, closed, oracle, closed == oracle))
+    return CrossCheckReport(tuple(rows), all(row.ok for row in rows))

@@ -9,9 +9,9 @@ computed once at construction and never mutated.
 
 The finite Weyl group is coded here: element k is ``weyl_elements[k]`` (the
 matrices sorted), and the closure records ``weyl_right[k][i]``, the index
-of w_k s_(i+1), and a reduced word of each element.  Products walk a word
-through that table and inverses walk it backwards; inversion sets and
-sigma actions are built on first use.
+of w_k s_(i+1), and the lexicographically least reduced word of each
+element.  Products walk a word through that table and inverses walk it
+backwards; inversion sets and sigma actions are built on first use.
 """
 
 from __future__ import annotations
@@ -144,8 +144,10 @@ class RootDatum:
         """Close {1} breadth first under w -> w s_alpha = w - (w alpha_check) <alpha, .>.
 
         Returns the sorted elements, right[k][i] = index of w_k s_(i+1), and
-        the word (0-based letters) each element was first reached by, which
-        is reduced.  More than WEYL_CAP elements raise BudgetExceededError.
+        the word (0-based letters) each element was first reached by.  The
+        walk is breadth first with the letters in increasing order, so that
+        word is the lexicographically least reduced word.  More than
+        WEYL_CAP elements raise BudgetExceededError.
         """
         pairing_t = linalg.transpose(self.pairing)
         steps = [(linalg.mat_vec(pairing_t, alpha), check)

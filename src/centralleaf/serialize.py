@@ -14,8 +14,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .affine import (AffineElement, KottwitzClass, length, newton_point,
-                     twisted_kottwitz)
+from .affine import AffineElement, KottwitzClass, kottwitz, length, newton_point
 from .errors import ConfigurationError, PreconditionError
 from .leaves import LeafReport
 from .rootdata import RootDatum
@@ -66,20 +65,9 @@ def slopes_str(slopes) -> str:
 # Weyl words
 
 def word_of_finite(datum: RootDatum, k: int) -> str:
-    """One reduced word for the finite Weyl element of index k: greedy left
-    descent, lowest index first; s w is read as (w^-1 s)^-1."""
-    words, inverse = datum.weyl_words, datum.weyl_inverse
-    letters = []
-    # the words are reduced, so their lengths are the lengths, and the first
-    # letter of words[k] is a left descent: the loop always finds one
-    while words[k]:
-        for i in range(datum.rank):
-            candidate = inverse[datum.weyl_right[inverse[k]][i]]
-            if len(words[candidate]) < len(words[k]):
-                letters.append(i + 1)
-                k = candidate
-                break
-    return "*".join(f"s{i}" for i in letters) or "e"
+    """The reduced word of the Weyl element of index k that the closure
+    recorded: the lexicographically least one."""
+    return "*".join(f"s{i + 1}" for i in datum.weyl_words[k]) or "e"
 
 
 def parse_word(datum: RootDatum, word: str) -> int:
@@ -232,7 +220,7 @@ def class_rows(partition, datum: RootDatum, sigma=None) -> List[Tuple[str, ...]]
         for x in block:
             nu = newton_point(x, sigma)
             rows.append((str(b_idx), element_str(x), str(length(x)),
-                         vector_str(nu.dominant), kappa_str(twisted_kottwitz(x, sigma)),
+                         vector_str(nu.dominant), kappa_str(kottwitz(x, sigma)),
                          "true" if all(datum.pair(a, nu.dominant) == 0
                                        for a in datum.roots) else "false"))
     return rows

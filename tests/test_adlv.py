@@ -103,7 +103,7 @@ def test_lattice_models_canonical():
         assert rebuilt == model
 
 
-def test_budget_guards():
+def test_budget_guards(monkeypatch):
     # only the node budget limits a census; p must be a prime
     assert len(enumerate_lattices(2, 5, 1)) == 45
     assert len(enumerate_lattices(5, 2, 1)) == birkhoff_subgroup_count(5, 2, 1)
@@ -113,10 +113,11 @@ def test_budget_guards():
     for n, depth in ((0, 1), (2, 0)):
         with pytest.raises(PreconditionError):
             enumerate_lattices(n, 2, depth)
-    with pytest.raises(BudgetExceededError) as info:
-        enumerate_lattices(3, 3, 2, max_nodes=50)
-    partial = info.value.partial
     full = set(enumerate_lattices(3, 3, 2))
+    monkeypatch.setattr(lattices, "_ENUM_BUDGET", 50)
+    with pytest.raises(BudgetExceededError) as info:
+        enumerate_lattices(3, 3, 2)
+    partial = info.value.partial
     assert partial and all(m in full for m in partial)
 
 

@@ -18,7 +18,8 @@ from centralleaf.affine import (admissible_set, bruhat_leq, compose,
                                 translation_element)
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                 DatumMismatchError, PreconditionError)
-from centralleaf.isocrystal import slopes_monomial
+from centralleaf.isocrystal import (monomial_compose, monomial_from_rational,
+                                    slopes_monomial)
 from centralleaf.rootdata import RootDatum, build_classical, dominant_rep, is_dominant
 
 GL2 = build_classical("GL", 2)
@@ -188,9 +189,11 @@ def test_kottwitz_determinant_oracle():
 
 def test_decent_representative_examples():
     xs = element(GL2, (1, 0), s(GL2).finite)
+    # rep_lift is the matrix of s * t^(1,0); the decent lift is that of xs itself
+    assert rep_lift(xs).rational_matrix(2) == ((0, 1), (2, 0))
     lift = decent_representative(xs)
     assert lift.period == 2
-    assert lift.matrix.rational_matrix(2) == ((0, 1), (2, 0))
+    assert lift.matrix.rational_matrix(2) == ((0, 2), (1, 0))
     square = linalg.mat_mul(lift.matrix.rational_matrix(2),
                             lift.matrix.rational_matrix(2))
     assert square == ((2, 0), (0, 2))
@@ -226,6 +229,25 @@ def test_decency_with_nontrivial_sigma():
     lift = decent_representative(x, sigma)
     assert lift.nu.vector == (F(1, 3),) * 3
     assert lift.period == 3
+
+
+@pytest.mark.parametrize("sigma", [rotation3(), linalg.mat_mul(rotation3(), rotation3())],
+                         ids=["rot", "rot2"])
+def test_every_window_element_is_decent_under_a_rotation(sigma):
+    # on GL3 the rotation acts on the weight lines e_i by its own matrix, so
+    # b sigma is the product of the lift with sigma, read here as a monomial
+    s_mono = monomial_from_rational(sigma, 2)
+    window = enumerate_elements(GL3, 2, 2)
+    assert len(window) == 118
+    periods = set()
+    for x in window:
+        lift = decent_representative(x, sigma)  # raises on failure
+        assert lift.period % lift.nu.period == 0
+        periods.add(lift.period // lift.nu.period)
+        assert slopes_monomial(monomial_compose(lift.matrix, s_mono)) == \
+            tuple(sorted(lift.nu.vector, reverse=True))
+    # (w sigma)^r = 1 does not make sigma^r = 1: some lifts need three periods
+    assert periods == {1, 3}
 
 
 def test_admissible_examples():
@@ -312,9 +334,11 @@ def test_sigma_class_examples():
     assert partition2.block_of(xs10) == partition2.block_of(xs01)
 
 
-def test_sigma_class_budget():
+def test_sigma_class_budget(monkeypatch):
+    from centralleaf import affine
+    monkeypatch.setattr(affine, "_CLASS_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
-        enumerate_sigma_classes(GL3, 3, coord_bound=4, budget=1000)
+        enumerate_sigma_classes(GL3, 3, coord_bound=4)
 
 
 def test_sigma_classes_with_twist():

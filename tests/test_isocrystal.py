@@ -13,19 +13,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from centralleaf import isocrystal, linalg
-from centralleaf.affine import (decent_representative, enumerate_elements,
-                                newton_point, rep_lift)
-from centralleaf.errors import (ConfigurationError, PreconditionError,
-                                SingularInputError)
+from centralleaf.affine import (adjoint_lift, decent_representative, element,
+                                enumerate_elements, newton_point, rep_lift)
+from centralleaf.errors import ConfigurationError, SingularInputError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     adjoint_rep, hom_rep,
                                     is_completely_slope_divisible,
                                     monomial_from_rational,
-                                    newton_polygon_slopes, nonneg_slope_dim,
+                                    newton_polygon_slopes,
                                     restriction_of_scalars, slopes_charpoly,
                                     slopes_monomial, slopes_via_restriction,
-                                    slopes_via_weights, standard_rep,
-                                    tensor_rep)
+                                    slopes_via_weights, standard_rep, tensor_rep)
 from centralleaf.lattices import adlv_points
 from centralleaf.rootdata import build_classical
 from centralleaf.serialize import element_from_doc
@@ -114,7 +112,13 @@ def test_weight_consistency_with_decent_lifts():
             assert slopes_via_weights(rep, nu.vector) == slopes_monomial(lift.matrix)
 
 
+def _positive_adjoint_slopes(x, sigma=None):
+    return sum(s for s in slopes_monomial(adjoint_lift(x, sigma)) if s > 0)
+
+
 def test_adjoint_negative_part_counts_leaf_dimension():
+    # the negative part of the weight pairings against nu equals the positive
+    # part of the slopes read off the cycles of the adjoint monomial lift
     rng = random.Random(42)
     for datum in (GL2, GL3, GSP4):
         window = enumerate_elements(datum, 2, 2)
@@ -123,7 +127,17 @@ def test_adjoint_negative_part_counts_leaf_dimension():
             nu_dom = newton_point(x).dominant
             adjoint = slopes_via_weights(adjoint_rep(datum), nu_dom)
             neg_weight = -sum(s for s in adjoint if s < 0)
-            assert neg_weight == nonneg_slope_dim(datum, nu_dom)
+            assert neg_weight == _positive_adjoint_slopes(x)
+
+
+def test_adjoint_lift_oracle_examples():
+    # Newton points (1,0), (1,0,0) and (1/2,1/2) give leaf dimensions 1, 2, 3
+    sp4 = build_classical("Sp", 4)
+    assert _positive_adjoint_slopes(element(GL2, (1, 0))) == 1
+    assert _positive_adjoint_slopes(element(GL3, (1, 0, 0))) == 2
+    x = element(sp4, (1, 0), sp4.simple_reflections[0])
+    assert newton_point(x).dominant == (F(1, 2), F(1, 2))
+    assert _positive_adjoint_slopes(x) == 3
 
 
 def test_tensor_square_additivity():
@@ -146,15 +160,6 @@ def test_hom_rep_weights():
     assert sorted(slopes_via_weights(rep, (1, 0)), reverse=True) == [1, 0, 0, -1]
     t2 = tensor_rep(standard_rep(GL2), 2)
     assert len(t2.weights) == 4
-
-
-def test_nonneg_slope_dim_examples():
-    assert nonneg_slope_dim(GL2, (1, 0)) == 1
-    assert nonneg_slope_dim(GL3, (1, 0, 0)) == 2
-    sp4 = build_classical("Sp", 4)
-    assert nonneg_slope_dim(sp4, (F(1, 2), F(1, 2))) == 3
-    with pytest.raises(PreconditionError):
-        nonneg_slope_dim(GL2, (0, 1))
 
 
 def test_csd_monomial_always_true():

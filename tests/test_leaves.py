@@ -3,18 +3,39 @@ from fractions import Fraction as F
 
 import pytest
 
-from centralleaf.affine import (element, enumerate_elements,
-                                enumerate_sigma_classes, sigma_conjugate,
-                                simple_element, translation_element)
+from centralleaf.affine import (adjoint_lift, element, enumerate_elements,
+                                enumerate_sigma_classes, newton_point,
+                                sigma_conjugate, simple_element,
+                                translation_element)
 from centralleaf.errors import PreconditionError
+from centralleaf.isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from centralleaf.leaves import (cross_check_dimension, leaf_report, mu_average,
                                 neutral_acceptable)
-from centralleaf.rootdata import build_classical
+from centralleaf.rootdata import RootDatum, build_classical
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
 SP4 = build_classical("Sp", 4)
 GSP4 = build_classical("GSp", 4)
+# PGL3 with cocharacters in the fundamental-coweight basis
+PGL3 = RootDatum("PGL3", [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
+                 [(2, -1), (-2, 1), (-1, 2), (1, -2), (1, 1), (-1, -1)], [0, 2], 2)
+ROTATION = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+ROTATION_INVERSE = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+# -w0 on each datum: the twist of a unitary group
+GL2_DUAL = ((0, -1), (-1, 0))
+GL3_DUAL = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
+GSP4_DUAL = ((1, 0, -1), (0, 1, -1), (0, 0, -1))
+PGL3_DUAL = ((0, 1), (1, 0))
+
+# (name, datum, sigma): the windows of the adjoint-lift oracle
+ORACLE_WINDOWS = [(f"{tag}{n}", build_classical(tag, n), None) for tag, n in (
+    ("GL", 1), ("GL", 2), ("GL", 3), ("GL", 4), ("SL", 3), ("Sp", 4), ("GSp", 4),
+    ("GSp", 6))] + [("PGL3", PGL3, None), ("GL2 dual", GL2, GL2_DUAL),
+                    ("GL3 rotation", GL3, ROTATION),
+                    ("GL3 inverse rotation", GL3, ROTATION_INVERSE),
+                    ("GL3 dual", GL3, GL3_DUAL), ("GSp4 dual", GSP4, GSP4_DUAL),
+                    ("PGL3 dual", PGL3, PGL3_DUAL)]
 
 
 def test_leaf_report_examples():
@@ -103,3 +124,21 @@ def test_cross_check_examples():
     zero = translation_element(SP4, (0, 0))
     rep0 = cross_check_dimension(SP4, [zero])
     assert rep0.rows[0].closed == rep0.rows[0].oracle == 0
+
+
+@pytest.mark.parametrize("name, datum, sigma", ORACLE_WINDOWS,
+                         ids=[case[0] for case in ORACLE_WINDOWS])
+def test_adjoint_lift_slopes_are_the_root_pairings(name, datum, sigma):
+    # the slopes read off the cycles of the lift of x sigma on the root lines,
+    # with one zero per torus line, are the pairings <chi, nu> over the
+    # adjoint weights; their positive part is the leaf dimension
+    zeros = (F(0),) * datum.cochar_rank
+    window = enumerate_elements(datum, 2, 1)
+    assert window
+    for x in window:
+        nu_dom = newton_point(x, sigma).dominant
+        cycles = tuple(sorted(slopes_monomial(adjoint_lift(x, sigma)) + zeros, reverse=True))
+        assert cycles == slopes_via_weights(adjoint_rep(datum), nu_dom)
+        report = leaf_report(datum, x, sigma)
+        assert report.checked
+        assert report.leaf_dim == sum(s for s in cycles if s > 0)

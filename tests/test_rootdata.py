@@ -282,6 +282,31 @@ def _matrix_word(datum, w):
     return "*".join(f"s{i}" for i in letters)
 
 
+# A1 x A2 on Z^5, its simple reflections listed A2, A1, A2: the least
+# reduced word interleaves the components
+REDUCIBLE = datum_from_document({
+    "group": "A1xA2",
+    "roots": [[1, -1, 0, 0, 0], [-1, 1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, -1, 1, 0],
+              [0, 0, 0, 1, -1], [0, 0, 0, -1, 1], [0, 0, 1, 0, -1], [0, 0, -1, 0, 1]],
+    "coroots": [[1, -1, 0, 0, 0], [-1, 1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, -1, 1, 0],
+                [0, 0, 0, 1, -1], [0, 0, 0, -1, 1], [0, 0, 1, 0, -1], [0, 0, -1, 0, 1]],
+    "simple_indices": [2, 0, 4]})
+PGL3 = datum_from_document({
+    "group": "PGL3", "roots": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
+    "coroots": [[2, -1], [-2, 1], [-1, 2], [1, -2], [1, 1], [-1, -1]],
+    "simple_indices": [0, 2]})
+
+
+@pytest.mark.parametrize("datum", ORACLE_DATA + [
+    build_classical("GL", 6), build_classical("SL", 4), PGL3, REDUCIBLE],
+    ids=lambda d: f"{d.group_tag}-W{len(d.weyl_elements)}")
+def test_stored_words_are_the_greedy_left_descent_words(datum):
+    # the closure records the lexicographically least reduced word, which
+    # greedy lowest-index left descent also builds
+    for k, w in enumerate(datum.weyl_elements):
+        assert serialize.word_of_finite(datum, k) == _matrix_word(datum, w)
+
+
 @pytest.mark.parametrize("datum", ORACLE_DATA,
                          ids=lambda d: f"{d.group_tag}-W{len(d.weyl_elements)}")
 def test_coded_weyl_group_follows_the_matrix_law(datum):
@@ -291,7 +316,6 @@ def test_coded_weyl_group_follows_the_matrix_law(datum):
         for i, s in enumerate(datum.simple_reflections):
             assert elements[datum.weyl_right[k][i]] == linalg.mat_mul(w, s)
         assert elements[datum.weyl_inverse[k]] == linalg.mat_inv(w)
-        assert serialize.word_of_finite(datum, k) == _matrix_word(datum, w)
         # the matrix formula: w^-1 alpha < 0 exactly when the row of alpha
         # times w is not the row of a positive root
         assert datum.weyl_flips[k] == tuple(

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from centralleaf import linalg, serialize
 from centralleaf.affine import (admissible_set, bruhat_leq, enumerate_elements,
-                                enumerate_sigma_classes, omega_and_word,
-                                sigma_conjugate, translation_element,
-                                twisted_kottwitz)
+                                enumerate_sigma_classes, kottwitz,
+                                omega_and_word, sigma_conjugate,
+                                translation_element)
 from centralleaf.leaves import leaf_report, neutral_acceptable
 from centralleaf.rootdata import RootDatum, build_classical
 
@@ -54,7 +54,7 @@ def test_twisted_kappa_and_acceptability_are_sigma_conjugation_invariant(case, d
     g = data.draw(st.sampled_from(window))
     x = data.draw(st.sampled_from(window))
     y = sigma_conjugate(g, x, sigma)
-    assert twisted_kottwitz(x, sigma) == twisted_kottwitz(y, sigma)
+    assert kottwitz(x, sigma) == kottwitz(y, sigma)
     assert neutral_acceptable(datum, x, mu, sigma) == neutral_acceptable(datum, y, mu, sigma)
 
 
@@ -85,11 +85,11 @@ def test_unitary_twist_of_gl3():
     assert (pi1.free_rank, pi1.torsion) == (0, (2,))
     partition = enumerate_sigma_classes(GL3, 0, sigma=GL3_DUAL)
     assert sorted(len(block) for block in partition.blocks) == [6, 7]
-    kappas = [{twisted_kottwitz(x, GL3_DUAL) for x in block} for block in partition.blocks]
+    kappas = [{kottwitz(x, GL3_DUAL) for x in block} for block in partition.blocks]
     assert all(len(k) == 1 for k in kappas) and kappas[0] != kappas[1]
     for block in partition.blocks:
         for x in block:
-            assert twisted_kottwitz(x, GL3_DUAL).torsion == (sum(x.translation) % 2,)
+            assert kottwitz(x, GL3_DUAL).torsion == (sum(x.translation) % 2,)
 
 
 def test_leaf_report_rows_read_back_under_a_twist():
