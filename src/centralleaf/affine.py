@@ -250,8 +250,9 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
         r += 1
         if r > _SIGMA_ORDER_CAP:
             raise PreconditionError("w*sigma does not have finite order on X_*")
-    vector = tuple(Fraction(t, r) for t in total)
-    return NewtonPoint(vector, dominant_rep(datum, vector), r)
+    # the Weyl walk commutes with scaling by r > 0, so it runs on r nu
+    return NewtonPoint(tuple(Fraction(t, r) for t in total),
+                       tuple(t / r for t in dominant_rep(datum, total)), r)
 
 
 def kottwitz(x: AffineElement, sigma: Optional[Matrix] = None) -> KottwitzClass:
@@ -283,7 +284,7 @@ def _lift(datum: RootDatum, lam, g: Matrix, weights) -> MonomialIsocrystal:
     if weights is None:
         raise UnsupportedOperationError("no faithful representation attached")
     index = {chi: j for j, chi in enumerate(weights)}
-    chars = datum.char_matrix(g)
+    chars = linalg.transpose(g)  # chi o g = g^T chi
     perm: List[Optional[int]] = [None] * len(weights)
     for k, chi in enumerate(weights):
         j = index.get(linalg.mat_vec(chars, chi))
@@ -427,7 +428,7 @@ def enumerate_elements(datum: RootDatum, max_length: int,
         raise BudgetExceededError(
             f"the window holds {window} (translation, Weyl element) pairs, "
             f"over the budget of {_ELEMENT_BUDGET}")
-    reach = max_length + len(datum.root_rows)
+    reach = max_length + len(datum.positive_roots)
     out = []
     span = range(lo, hi + 1)
     for lam in itertools.product(span, repeat=datum.cochar_rank):

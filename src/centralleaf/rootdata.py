@@ -1,11 +1,10 @@
 """Based root data for GL(n), SL(n), Sp(2g), GSp(2g) in exact coordinates.
 
 Cocharacters are integer (or Fraction) vectors of length ``cochar_rank``;
-roots are integer character vectors of the same length, paired with
-cocharacters through a fixed integer pairing matrix (the standard dot
-product for every built-in family).  All derived data (positive roots,
-2*rho, the finite Weyl group, the fundamental-group presentation) is
-computed once at construction and never mutated.
+roots are integer character vectors of the same length, written in the
+basis dual to that of X_*, so <chi, v> is the dot product.  All derived
+data (positive roots, 2*rho, the finite Weyl group, the fundamental-group
+presentation) is computed once at construction and never mutated.
 
 The finite Weyl group is coded here: element k is ``weyl_elements[k]`` (the
 matrices sorted), and the closure records ``weyl_right[k][i]``, the index
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import linalg
 from .errors import (BudgetExceededError, ConfigurationError, PreconditionError,
@@ -37,7 +36,7 @@ class RootDatum:
     """A based root datum together with its precomputed Weyl combinatorics."""
 
     def __init__(self, group_tag, roots, coroots, simple_indices, cochar_rank,
-                 pairing=None, rep_weights=None):
+                 rep_weights=None):
         if len(roots) != len(coroots):
             raise ConfigurationError("roots and coroots must be aligned lists")
         self.group_tag = group_tag
@@ -46,16 +45,13 @@ class RootDatum:
         self.coroots = linalg.freeze(coroots) if coroots else ()
         self.simple_indices = tuple(simple_indices)
         self.rank = len(self.simple_indices)
-        if pairing is None:
-            pairing = linalg.identity(self.cochar_rank)
-        self.pairing = linalg.freeze(pairing)
         # Weight multiset of the attached faithful representation, or None.
         self.rep_weights = linalg.freeze(rep_weights) if rep_weights else None
         self._validate_shapes()
         self._check_root_coroot_pairings()
         self.simple_roots = tuple(self.roots[i] for i in self.simple_indices)
         self.simple_coroots = tuple(self.coroots[i] for i in self.simple_indices)
-        self.positive_indices = self._split_positivity()
+        self.positive_indices, self.positive_coordinates = self._split_positivity()
         self.positive_roots = tuple(self.roots[i] for i in self.positive_indices)
         self.two_rho = tuple(sum(col) for col in zip(*self.positive_roots)) \
             if self.positive_roots else (0,) * self.cochar_rank
@@ -67,7 +63,6 @@ class RootDatum:
         self.weyl_index = {w: k for k, w in enumerate(self.weyl_elements)}
         self.weyl_identity = self.weyl_index[linalg.identity(self.cochar_rank)]
         self._weyl_products = [None] * len(self.weyl_elements)
-        self._char_matrices: Dict = {}
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
         self._sigma_tables = {None: SigmaTable(tuple(range(len(self.weyl_elements))),
                                                self.pi1)}
@@ -81,9 +76,6 @@ class RootDatum:
         for v in self.coroots:
             if len(v) != self.cochar_rank:
                 raise ConfigurationError("coroot of wrong length")
-        if len(self.pairing) != self.cochar_rank or any(
-                len(row) != self.cochar_rank for row in self.pairing):
-            raise ConfigurationError("pairing matrix has wrong shape")
         if len(set(self.roots)) != len(self.roots):
             raise ConfigurationError("duplicate roots")
         root_set = set(self.roots)
@@ -97,9 +89,10 @@ class RootDatum:
                 raise ConfigurationError("<alpha, alpha_check> must equal 2")
 
     def _split_positivity(self):
-        """Indices of roots that are nonnegative combinations of the base."""
+        """Indices of roots that are nonnegative combinations of the base,
+        and their coordinates in the base."""
         cols = list(self.simple_roots)
-        positive = []
+        positive, coordinates = [], []
         for idx, chi in enumerate(self.roots):
             try:
                 coeffs = linalg.solve_columns(cols, chi) if cols else None
@@ -111,20 +104,16 @@ class RootDatum:
                 raise ConfigurationError("root outside the span of the base")
             if all(c >= 0 for c in coeffs):
                 positive.append(idx)
+                coordinates.append(coeffs)
             elif not all(c <= 0 for c in coeffs):
                 raise ConfigurationError("base does not split the roots by sign")
         if 2 * len(positive) != len(self.roots):
             raise ConfigurationError("positive roots do not halve the root set")
-        return tuple(positive)
+        return tuple(positive), tuple(coordinates)
 
     def _reflection_matrix(self, chi, v):
-        n = self.cochar_rank
-        cols = []
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            image = tuple(e[i] - self.pair(chi, e) * v[i] for i in range(n))
-            cols.append(image)
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        """The matrix of x -> x - <chi, x> v."""
+        return tuple(tuple((i == j) - c * u for j, c in enumerate(chi)) for i, u in enumerate(v))
 
     def _check_reflections_permute_roots(self):
         """Each simple reflection must permute the roots and the coroots: a
@@ -149,9 +138,7 @@ class RootDatum:
         word is the lexicographically least reduced word.  More than
         WEYL_CAP elements raise BudgetExceededError.
         """
-        pairing_t = linalg.transpose(self.pairing)
-        steps = [(linalg.mat_vec(pairing_t, alpha), check)
-                 for alpha, check in zip(self.simple_roots, self.simple_coroots)]
+        steps = tuple(zip(self.simple_roots, self.simple_coroots))
         ident = linalg.identity(self.cochar_rank)
         found, reached, right = {ident: 0}, [(ident, ())], []
         for w, word in reached:  # grows while it is walked: breadth first
@@ -177,27 +164,8 @@ class RootDatum:
     # -- basic pairings and actions ----------------------------------------
 
     def pair(self, chi, v):
-        """<chi, v> through the pairing matrix."""
-        total = 0
-        for i, ci in enumerate(chi):
-            if ci == 0:
-                continue
-            row = self.pairing[i]
-            total += ci * sum(row[j] * v[j] for j in range(len(v)))
-        return total
-
-    def char_matrix(self, w):
-        """Matrix of chi -> chi o w on characters, for a cocharacter matrix w."""
-        cached = self._char_matrices.get(w)
-        if cached is not None:
-            return cached
-        p = self.pairing
-        pw = linalg.mat_mul(p, w)
-        pinv = linalg.mat_inv(p)
-        result = linalg.transpose(linalg.mat_mul(pw, pinv))
-        result = linalg.freeze(tuple(int(x) for x in row) for row in result)
-        self._char_matrices[w] = result
-        return result
+        """<chi, v>, the dot product: characters are in the dual basis."""
+        return sum(c * x for c, x in zip(chi, v))
 
     # -- the coded Weyl group -----------------------------------------------
 
@@ -232,15 +200,9 @@ class RootDatum:
             inverse.append(k)
         return tuple(inverse)
 
-    @cached_property
-    def root_rows(self) -> Tuple[Vector, ...]:
-        """One row per positive root alpha, with <alpha, lam> = row . lam."""
-        pairing_t = linalg.transpose(self.pairing)
-        return tuple(linalg.mat_vec(pairing_t, alpha) for alpha in self.positive_roots)
-
     def positive_pairings(self, lam) -> Tuple[int, ...]:
         """<alpha, lam> for each positive root alpha."""
-        return tuple(sum(c * v for c, v in zip(row, lam)) for row in self.root_rows)
+        return tuple(sum(c * v for c, v in zip(alpha, lam)) for alpha in self.positive_roots)
 
     @cached_property
     def weyl_flips(self) -> Tuple[Tuple[int, ...], ...]:
@@ -248,12 +210,12 @@ class RootDatum:
         the inversion set N(w^-1), with N(v) = {alpha > 0 : v alpha < 0}
         built along the stored words, N(v s_i) being s_i N(v) with alpha_i
         toggled."""
-        position = {row: a for a, row in enumerate(self.root_rows)}
-        # the row of s_i alpha is (row of alpha) s_i; only alpha_i turns negative
-        images = [[position.get(row) for row in linalg.mat_mul(self.root_rows, s)]
+        position = {alpha: a for a, alpha in enumerate(self.positive_roots)}
+        # the row of s_i alpha is alpha s_i; only alpha_i turns negative
+        images = [[position.get(row) for row in linalg.mat_mul(self.positive_roots, s)]
                   for s in self.simple_reflections]
         words = self.weyl_words
-        inversions = {self.weyl_identity: (0,) * len(self.root_rows)}
+        inversions = {self.weyl_identity: (0,) * len(self.positive_roots)}
         # by word length, after the identity: w_k s_i, one letter shorter, is built
         for k in sorted(range(len(words)), key=lambda k: len(words[k]))[1:]:
             i = words[k][-1]
@@ -299,8 +261,7 @@ class RootDatum:
                       if any(self.pair(alpha, self.simple_coroots[j]) for j in c)]
             components = [c for c in components if c not in linked]
             components.append({i}.union(*linked))
-        coeffs = {chi: linalg.solve_columns(list(self.simple_roots), chi)
-                  for chi in self.positive_roots}
+        coeffs = dict(zip(self.positive_roots, self.positive_coordinates))
         table = []
         for component in sorted(components, key=min):
             theta = max((chi for chi in self.positive_roots
@@ -392,17 +353,20 @@ def dominant_rep(datum: RootDatum, v) -> Tuple[Fraction, ...]:
     """Unique dominant element of the Weyl orbit of v.
 
     Simple-reflection ascent with lowest-index-first tie breaking, so the
-    walk (not only the endpoint) is deterministic.
+    walk (not only the endpoint) is deterministic.  Each step is the
+    rank-one update x - <alpha, x> alpha_check on the numbers given, which
+    turn into Fractions on return.
     """
-    current = tuple(Fraction(x) for x in v)
+    current = tuple(v)
+    steps = tuple(zip(datum.simple_roots, datum.simple_coroots))
     while True:
-        for i, alpha in enumerate(datum.simple_roots):
-            if datum.pair(alpha, current) < 0:
-                current = tuple(
-                    Fraction(x) for x in linalg.mat_vec(datum.simple_reflections[i], current))
+        for alpha, check in steps:
+            n = datum.pair(alpha, current)
+            if n < 0:
+                current = tuple(x - n * c for x, c in zip(current, check))
                 break
         else:
-            return current
+            return tuple(Fraction(x) for x in current)
 
 
 def dominance_leq(datum: RootDatum, v1, v2) -> bool:
@@ -446,7 +410,7 @@ def _build_gl(n: int) -> RootDatum:
 
 def _build_sl(n: int) -> RootDatum:
     """SL(n) with cocharacters in the simple-coroot basis, characters in the
-    fundamental-weight basis; the pairing is then the identity."""
+    fundamental-weight basis, which is dual to it."""
     rank = n - 1
     roots, coroots = [], []
     for i in range(n):
@@ -571,7 +535,8 @@ def datum_from_document(doc: dict) -> RootDatum:
     ``roots``, ``coroots``, ``simple_indices`` and optional ``pairing``.
     ``n`` must be an integer, the roots, coroots and pairing lists of
     integer lists, and the simple indices indices into the roots; anything
-    else raises ConfigurationError.
+    else raises ConfigurationError.  A pairing P, <chi, v> = chi^T P v,
+    must be unimodular; it is folded into the roots, chi -> P^T chi.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError("root-datum document must be a mapping")
@@ -587,7 +552,6 @@ def datum_from_document(doc: dict) -> RootDatum:
                 raise ConfigurationError(f"custom datum needs {key}")
         roots = _integer_rows(doc, "roots")
         coroots = _integer_rows(doc, "coroots")
-        pairing = _integer_rows(doc, "pairing") if doc.get("pairing") is not None else None
         indices = doc["simple_indices"]
         if not isinstance(indices, (list, tuple)) or not all(
                 type(i) is int and 0 <= i < len(roots) for i in indices):
@@ -595,8 +559,17 @@ def datum_from_document(doc: dict) -> RootDatum:
                 f"root-datum 'simple_indices' must be a list of indices into "
                 f"the {len(roots)} roots, not {indices!r}")
         rank = len(roots[0]) if roots else n
-        return RootDatum(str(doc.get("group", "custom")), roots, coroots,
-                         indices, rank, pairing=pairing)
+        if doc.get("pairing") is not None:
+            pairing = _integer_rows(doc, "pairing")
+            if len(pairing) != rank or any(len(row) != rank for row in pairing):
+                raise ConfigurationError("pairing matrix has wrong shape")
+            if abs(linalg.det(pairing)) != 1:
+                raise ConfigurationError(
+                    "the pairing is not perfect: it needs determinant +-1")
+            fold = linalg.transpose(pairing)
+            # a root of the wrong length is left for RootDatum to refuse
+            roots = [linalg.mat_vec(fold, chi) if len(chi) == rank else chi for chi in roots]
+        return RootDatum(str(doc.get("group", "custom")), roots, coroots, indices, rank)
     if "group" not in doc or "n" not in doc:
         raise ConfigurationError("document needs 'group' and 'n'")
     return build_classical(str(doc["group"]), n)

@@ -378,7 +378,7 @@ def matrix_sigma_apply(x, sigma):
 
 def matrix_length(x):
     datum = x.datum
-    w_chars = datum.char_matrix(x.finite)
+    w_chars = linalg.transpose(x.finite)
     positive = set(datum.positive_roots)
     total = 0
     for alpha in datum.positive_roots:

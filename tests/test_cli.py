@@ -64,6 +64,24 @@ def test_crosscheck_command(capsys):
     assert rows and all(r[3] == "true" for r in rows)
 
 
+def test_a_pairing_and_its_folded_roots_give_the_same_artifacts(capsys):
+    # the swap pairing on roots +-(1,0) is the dot product on roots +-(0,1)
+    swap = {"group": "A1", "roots": [[1, 0], [-1, 0]], "coroots": [[0, 2], [0, -2]],
+            "simple_indices": [0], "pairing": [[0, 1], [1, 0]]}
+    folded = {"group": "A1", "roots": [[0, 1], [0, -1]], "coroots": [[0, 2], [0, -2]],
+              "simple_indices": [0]}
+    jobs = (["report", "--element", "{lambda:[1,1],w:s}", "--element", "{lambda:[0,2],w:e}"],
+            ["classes", "--cap", "2"], ["crosscheck", "--cap", "2"],
+            ["adm", "--mu", "0,1", "--level", "iwahori"],
+            ["adm", "--mu", "1,2", "--level", "hyperspecial"])
+    for command, *flags in jobs:
+        swap_run, folded_run = (run_cli(capsys, [command, "--group", json.dumps(doc)] + flags)
+                                for doc in (swap, folded))
+        assert swap_run == folded_run
+        code, out, _ = swap_run
+        assert code == 0 and serialize.parse_csv(out)[1]
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run_cli(capsys, ["adm", "--group", "GL2", "--mu", "0,1"])
     assert code == 1 and "error" in err

@@ -11,7 +11,7 @@ from centralleaf.errors import PreconditionError
 from centralleaf.isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from centralleaf.leaves import (cross_check_dimension, leaf_report, mu_average,
                                 neutral_acceptable)
-from centralleaf.rootdata import RootDatum, build_classical
+from centralleaf.rootdata import RootDatum, build_classical, dominant_rep
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -142,3 +142,14 @@ def test_adjoint_lift_slopes_are_the_root_pairings(name, datum, sigma):
         report = leaf_report(datum, x, sigma)
         assert report.checked
         assert report.leaf_dim == sum(s for s in cycles if s > 0)
+
+
+@pytest.mark.parametrize("name, datum, sigma", ORACLE_WINDOWS,
+                         ids=[case[0] for case in ORACLE_WINDOWS])
+def test_dominant_newton_point_is_the_walked_average(name, datum, sigma):
+    # newton_point walks the integer orbit sum r nu and divides by r once;
+    # the walk on nu itself, its old definition, is the oracle
+    for x in enumerate_elements(datum, 2, 1):
+        nu = newton_point(x, sigma)
+        assert nu.dominant == dominant_rep(datum, nu.vector)
+        assert all(type(c) is F for c in nu.dominant)

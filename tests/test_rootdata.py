@@ -199,6 +199,8 @@ def test_malformed_datum_documents_are_refused():
                 {**base, "simple_indices": [True]}, {**base, "simple_indices": "0"},
                 {**base, "pairing": "x"}, {**base, "pairing": [[1], [0, 1]]},
                 {**base, "n": "2"},
+                # a singular pairing: <(1,-1), (1,-1)> = 2 through it
+                {**base, "pairing": [[2, 0], [0, 0]]},
                 # dependent simple roots: these used to raise SingularInputError
                 {**base, "simple_indices": [0, 0]},
                 {"roots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
@@ -206,6 +208,12 @@ def test_malformed_datum_documents_are_refused():
         with pytest.raises(ConfigurationError):
             datum_from_document(doc)
     assert datum_from_document({**base, "pairing": [[1, 0], [0, 1]], "n": 2}).two_rho == (1, -1)
+    with pytest.raises(ConfigurationError, match="pairing matrix has wrong shape"):
+        datum_from_document({**base, "pairing": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    # a pairing of determinant 2 used to be accepted and reported
+    with pytest.raises(ConfigurationError, match="determinant"):
+        datum_from_document({"roots": [[1], [-1]], "coroots": [[1], [-1]],
+                             "simple_indices": [0], "pairing": [[2]]})
 
 
 def test_simple_reflections_must_permute_roots_and_coroots():
@@ -237,12 +245,35 @@ def test_weyl_cap_is_a_size_budget(monkeypatch):
 
 
 # A1 with the swap pairing: <(1,0), (0,2)> = 2, and s(v) = (v1, -v2)
-CUSTOM_A1 = datum_from_document({"group": "A1", "roots": [[1, 0], [-1, 0]],
-                                 "coroots": [[0, 2], [0, -2]], "simple_indices": [0],
-                                 "pairing": [[0, 1], [1, 0]]})
+CUSTOM_A1_DOC = {"group": "A1", "roots": [[1, 0], [-1, 0]], "coroots": [[0, 2], [0, -2]],
+                 "simple_indices": [0], "pairing": [[0, 1], [1, 0]]}
+CUSTOM_A1 = datum_from_document(CUSTOM_A1_DOC)
 ORACLE_DATA = [build_classical("GL", n) for n in range(1, 6)] + [
     build_classical(tag, n) for tag, n in (("SL", 2), ("SL", 3), ("Sp", 4), ("Sp", 6),
                                            ("GSp", 4), ("GSp", 6))] + [CUSTOM_A1]
+# GL2 with its characters written in a sheared basis: P^T (1,-2) = (1,-1)
+SHEARED_GL2_DOC = {"group": "GL", "roots": [[1, -2], [-1, 2]],
+                   "coroots": [[1, -1], [-1, 1]], "simple_indices": [0],
+                   "pairing": [[1, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("doc", [CUSTOM_A1_DOC, SHEARED_GL2_DOC],
+                         ids=["swap", "sheared"])
+def test_a_folded_pairing_is_the_dot_product(doc):
+    # <P^T chi, v> on the folded datum is chi^T P v, computed here
+    datum = datum_from_document(doc)
+    p = doc["pairing"]
+    n = len(p)
+    rng = random.Random(19)
+    for chi, folded in zip(doc["roots"], datum.roots):
+        for _ in range(25):
+            v = [rng.randint(-6, 6) for _ in range(n)]
+            assert datum.pair(folded, v) == sum(
+                chi[i] * p[i][j] * v[j] for i in range(n) for j in range(n))
+    if doc is SHEARED_GL2_DOC:
+        gl2 = build_classical("GL", 2)
+        assert datum.roots == gl2.roots
+        assert datum.weyl_elements == gl2.weyl_elements
 
 
 def _matrix_closure(datum):
@@ -319,8 +350,8 @@ def test_coded_weyl_group_follows_the_matrix_law(datum):
         # the matrix formula: w^-1 alpha < 0 exactly when the row of alpha
         # times w is not the row of a positive root
         assert datum.weyl_flips[k] == tuple(
-            0 if row in datum.root_rows else 1
-            for row in linalg.mat_mul(datum.root_rows, w))
+            0 if row in datum.positive_roots else 1
+            for row in linalg.mat_mul(datum.positive_roots, w))
     pairs = [(i, j) for i in range(len(elements)) for j in range(len(elements))]
     if len(elements) > 48:
         pairs = random.Random(20261018).sample(pairs, 2000)
