@@ -24,10 +24,9 @@ length term |<alpha, lambda> - e| with e in {0, 1} is at least
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .errors import (BudgetExceededError, ConsistencyError, DatumMismatchError,
@@ -39,8 +38,7 @@ Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(NamedTuple):
     """t^translation * w; build one from a matrix with ``element``."""
     datum: RootDatum
     translation: Vector
@@ -203,15 +201,13 @@ def bruhat_leq(x: AffineElement, y: AffineElement) -> bool:
 # ---------------------------------------------------------------------------
 # Newton point, Kottwitz map
 
-@dataclass(frozen=True)
-class NewtonPoint:
+class NewtonPoint(NamedTuple):
     vector: Tuple[Fraction, ...]
     dominant: Tuple[Fraction, ...]
     period: int
 
 
-@dataclass(frozen=True)
-class KottwitzClass:
+class KottwitzClass(NamedTuple):
     free: Tuple[int, ...]
     torsion: Tuple[int, ...]
     moduli: Tuple[int, ...]
@@ -266,8 +262,7 @@ def kottwitz(x: AffineElement, sigma: Optional[Matrix] = None) -> KottwitzClass:
 # ---------------------------------------------------------------------------
 # monomial lifts: the attached representation, the adjoint isocrystal, decency
 
-@dataclass(frozen=True)
-class DecentLift:
+class DecentLift(NamedTuple):
     period: int
     matrix: MonomialIsocrystal
     nu: NewtonPoint
@@ -447,8 +442,7 @@ def sort_key(x: AffineElement):
     return (length(x), x.translation, x.w)
 
 
-@dataclass(frozen=True)
-class SigmaClassPartition:
+class SigmaClassPartition(NamedTuple):
     blocks: Tuple[Tuple[AffineElement, ...], ...]
 
     def block_of(self, x: AffineElement) -> Tuple[AffineElement, ...]:

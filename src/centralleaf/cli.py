@@ -174,8 +174,8 @@ def _run_adm(spec: JobSpec):
 def _run_adlv(spec: JobSpec):
     linalg.require_prime(spec.p)
     mu = _parse_mu(spec)
-    if spec.matrix is not None and spec.elements:
-        raise ConfigurationError("adlv takes --matrix or --element, not both")
+    if spec.matrix is not None and (spec.elements or spec.group is not None):
+        raise ConfigurationError("adlv takes --matrix or --group/--element, not both")
     if len(spec.elements) > 1:
         raise ConfigurationError(
             f"adlv takes one --element, got {len(spec.elements)}")

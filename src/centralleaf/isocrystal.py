@@ -36,10 +36,9 @@ input and in the report's slopes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (ConfigurationError, DatumMismatchError, ConsistencyError,
@@ -52,25 +51,24 @@ Matrix = linalg.Matrix
 # ---------------------------------------------------------------------------
 # monomial matrices p^e * (permutation)
 
-@dataclass(frozen=True)
-class MonomialIsocrystal:
+class MonomialIsocrystal(NamedTuple("MonomialIsocrystal", [
+        ("size", int), ("permutation", Tuple[int, ...]),
+        ("exponents", Tuple[int, ...]), ("frobenius_power", int)])):
     """Monomial matrix datum: column j carries p^exponents[j] into row
     permutation[j]; ``frobenius_power`` r makes it a sigma^r-twisted space
     (slopes are normalised per single Frobenius application)."""
 
-    size: int
-    permutation: Tuple[int, ...]
-    exponents: Tuple[int, ...]
-    frobenius_power: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.size
-        if sorted(self.permutation) != list(range(n)):
+    def __new__(cls, size: int, permutation: Tuple[int, ...],
+                exponents: Tuple[int, ...], frobenius_power: int = 1):
+        if sorted(permutation) != list(range(size)):
             raise ConfigurationError("permutation is not a bijection of {0..n-1}")
-        if len(self.exponents) != n:
+        if len(exponents) != size:
             raise ConfigurationError("exponent vector has wrong length")
-        if self.frobenius_power < 1:
+        if frobenius_power < 1:
             raise ConfigurationError("frobenius_power must be positive")
+        return super().__new__(cls, size, permutation, exponents, frobenius_power)
 
     def cycles(self) -> Tuple[Tuple[int, ...], ...]:
         seen, cycles = set(), []
@@ -163,16 +161,15 @@ def slopes_monomial(m: MonomialIsocrystal) -> Tuple[Fraction, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-@dataclass(frozen=True)
-class RationalIsocrystal:
+class RationalIsocrystal(NamedTuple("RationalIsocrystal", [
+        ("matrix", Matrix), ("prime", int)])):
     """A plain rational Frobenius matrix; sigma acts trivially on entries."""
 
-    matrix: Matrix
-    prime: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.freeze(
-            tuple(Fraction(x) for x in row) for row in self.matrix))
+    def __new__(cls, matrix, prime: int):
+        return super().__new__(cls, linalg.freeze(
+            tuple(Fraction(x) for x in row) for row in matrix), prime)
 
 
 def newton_polygon_slopes(coeffs: Sequence[Fraction], p: int) -> Tuple[Fraction, ...]:
@@ -232,18 +229,17 @@ def slopes_via_restriction(m: MonomialIsocrystal, p: int) -> Tuple[Fraction, ...
 # ---------------------------------------------------------------------------
 # weighted representations
 
-@dataclass(frozen=True)
-class WeightedRep:
+class WeightedRep(NamedTuple("WeightedRep", [
+        ("datum", RootDatum), ("name", str), ("weights", Tuple[Tuple[int, ...], ...])])):
     """A multiset of character weights attached to a root datum."""
 
-    datum: RootDatum
-    name: str
-    weights: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for w in self.weights:
-            if len(w) != self.datum.cochar_rank:
+    def __new__(cls, datum: RootDatum, name: str, weights: Tuple[Tuple[int, ...], ...]):
+        for w in weights:
+            if len(w) != datum.cochar_rank:
                 raise ConfigurationError("weight of wrong length")
+        return super().__new__(cls, datum, name, weights)
 
 
 def standard_rep(datum: RootDatum) -> WeightedRep:
@@ -282,8 +278,7 @@ def slopes_via_weights(rep: WeightedRep, nu) -> Tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # complete slope divisibility
 
-@dataclass(frozen=True)
-class SlopeDivisibilityReport:
+class SlopeDivisibilityReport(NamedTuple):
     divisible: bool
     slopes: Tuple[Fraction, ...]
     period: Optional[int]

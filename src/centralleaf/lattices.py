@@ -19,9 +19,8 @@ certificate for its points only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .errors import BudgetExceededError, PreconditionError, SingularInputError
@@ -32,8 +31,7 @@ from .isocrystal import (MonomialIsocrystal, RationalIsocrystal,
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class LatticeModel:
+class LatticeModel(NamedTuple):
     """One lattice between p^N Lambda and p^-N Lambda in rescaled coordinates."""
 
     n: int
@@ -173,16 +171,14 @@ def _invariant_exponents(transition, p: int, shift: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # affine Deligne-Lusztig points at hyperspecial level
 
-@dataclass(frozen=True)
-class ADLVPoint:
+class ADLVPoint(NamedTuple):
     lattice: LatticeModel
     inv: Tuple[int, ...]
     kappa: int
     slope_divisible: SlopeDivisibilityReport
 
 
-@dataclass(frozen=True)
-class ADLVCensus:
+class ADLVCensus(NamedTuple):
     points: Tuple[ADLVPoint, ...]
     mu: Tuple[int, ...]
     p: int

@@ -11,9 +11,8 @@ a report refuses to emit on disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .affine import (AffineElement, KottwitzClass, adjoint_lift, kottwitz,
                      newton_point)
@@ -22,8 +21,7 @@ from .isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from .rootdata import RootDatum, dominance_leq, dominant_rep, is_dominant
 
 
-@dataclass(frozen=True)
-class LeafReport:
+class LeafReport(NamedTuple):
     element: AffineElement
     nu_dominant: Tuple[Fraction, ...]
     kappa: KottwitzClass
@@ -96,16 +94,14 @@ def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,
     return dominance_leq(datum, nu_dom, avg)
 
 
-@dataclass(frozen=True)
-class CrossCheckRow:
+class CrossCheckRow(NamedTuple):
     element: AffineElement
     closed: int
     oracle: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     rows: Tuple[CrossCheckRow, ...]
     all_pass: bool
 

@@ -15,10 +15,9 @@ backwards; inversion sets and sigma actions are built on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from . import linalg
 from .errors import (BudgetExceededError, ConfigurationError, PreconditionError,
@@ -279,8 +278,7 @@ class RootDatum:
 
 # -- quotient presentations (Smith form) -----------------------------------
 
-@dataclass(frozen=True)
-class CoinvariantLattice:
+class CoinvariantLattice(NamedTuple):
     """Presentation of a quotient of Z^rank: free part plus cyclic torsion.
 
     ``projection`` maps X_* onto the presentation; the first ``free_rank``
@@ -324,8 +322,7 @@ def present_quotient(rank: int, relation_columns) -> CoinvariantLattice:
     return CoinvariantLattice(len(free_rows), tuple(torsion), projection)
 
 
-@dataclass(frozen=True)
-class SigmaTable:
+class SigmaTable(NamedTuple):
     """What a datum derives from one lattice automorphism sigma.
 
     ``weyl_action[w]`` is the index of sigma w sigma^-1; ``pi1`` presents

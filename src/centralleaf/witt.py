@@ -11,9 +11,7 @@ hard coded.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (BudgetExceededError, ConfigurationError, ConsistencyError,
@@ -169,17 +167,46 @@ def _modulus(p: int, k: int) -> int:
     return p ** k
 
 
-@dataclass(frozen=True)
-class ZModRing:
+class _Ring:
+    """A coefficient ring whose parameters ``_fields`` (p and k first) make
+    its equality, hash and repr; ``modulus`` = p^k and ``_lifts``, the
+    copies ``_solve_lifted`` makes, are derived.  Nothing is assignable."""
+
+    __slots__ = ("modulus", "_lifts")
+    _fields: Tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "modulus", _modulus(self.p, self.k))
+        object.__setattr__(self, "_lifts", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ZModRing(_Ring):
     """Integers modulo p^k; elements are plain ints in [0, p^k)."""
 
-    p: int
-    k: int
-    modulus: int = field(init=False, repr=False, compare=False)
-    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = _fields = ("p", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", _modulus(self.p, self.k))
+    def __init__(self, p: int, k: int):
+        super().__init__(p, k)
 
     def from_int(self, n: int) -> int:
         return n % self.modulus
@@ -203,22 +230,17 @@ class ZModRing:
         return 1
 
 
-@dataclass(frozen=True)
-class NilpotentPolyRing:
+class NilpotentPolyRing(_Ring):
     """(Z/p^k)[x_1..x_n] with each variable nilpotent: x_i^trunc[i] = 0.
 
     Elements are canonical tuples of (exponent tuple, coefficient) pairs,
     sorted by exponents, zero coefficients dropped.
     """
 
-    p: int
-    k: int
-    truncations: Tuple[int, ...]
-    modulus: int = field(init=False, repr=False, compare=False)
-    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = _fields = ("p", "k", "truncations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", _modulus(self.p, self.k))
+    def __init__(self, p: int, k: int, truncations: Tuple[int, ...]):
+        super().__init__(p, k, truncations)
 
     def _norm(self, mapping) -> tuple:
         items = []
@@ -262,15 +284,14 @@ class NilpotentPolyRing:
 # ---------------------------------------------------------------------------
 # Witt vectors
 
-@dataclass(frozen=True)
-class WittVector:
-    ring: object
-    prime: int
-    components: tuple
+class WittVector(NamedTuple("WittVector", [
+        ("ring", object), ("prime", int), ("components", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.components:
+    def __new__(cls, ring, prime: int, components: tuple):
+        if not components:
             raise ConfigurationError("Witt vector needs at least one component")
+        return super().__new__(cls, ring, prime, components)
 
     @property
     def length(self) -> int:
@@ -294,7 +315,7 @@ def _solve_lifted(ring, p: int, m: int, targets) -> WittVector:
     # made once per ring and length: the copy costs more than a small operation
     lift = ring._lifts.get(m)
     if lift is None:
-        lift = ring._lifts[m] = dataclasses.replace(ring, k=ring.k + m - 1)
+        lift = ring._lifts[m] = type(ring)(p, ring.k + m - 1, *ring._values()[2:])
     comps = _solve_components(lift, p, targets(lift))
     # adding zero in ring reduces a lifted component mod p^k
     return WittVector(ring, p, tuple(ring.add(ring.zero(), c) for c in comps))
@@ -394,8 +415,7 @@ def int_of_witt_digits(digits: Sequence[int], p: int) -> int:
 # ---------------------------------------------------------------------------
 # Dieudonne displays at the residue-field base point
 
-@dataclass(frozen=True)
-class DisplayDatum:
+class DisplayDatum(NamedTuple):
     """Display data over W_level(F_p) = Z/p^level.
 
     M is free of rank n with the identity basis; M1 is presented by the
@@ -412,8 +432,7 @@ class DisplayDatum:
     phi1: Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class DisplayReport:
+class DisplayReport(NamedTuple):
     contains_ir: bool
     quotient_free: bool
     phi_compatible: bool

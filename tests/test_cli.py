@@ -311,11 +311,12 @@ def test_witt_selfcheck_refuses_meaningless_input(capsys):
 
 def test_adlv_refuses_input_with_two_meanings(capsys):
     # adlv used to read only the first --element, and --matrix used to win
-    # over --element, both with exit 0
+    # over --element and to ignore --group, all with exit 0
     element = ["--group", "GL2", "--element", "{lambda:[1,0],w:s}"]
     base = ["adlv", "--mu", "1,0", "--p", "2", "--depth", "1"]
     for argv in (base + element + ["--element", "{lambda:[0,1],w:s}"],
-                 base + element + ["--matrix", "0,1;2,0"]):
+                 base + element + ["--matrix", "0,1;2,0"],
+                 base + ["--group", "GL2", "--matrix", "0,1;2,0"]):
         code, out, err = run_cli(capsys, argv)
         assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
     code, _, _ = run_cli(capsys, base + element)

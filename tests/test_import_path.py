@@ -1,6 +1,9 @@
 """The package has no runtime dependency: importing it and running any job,
 slope certification over Q included, must leave sympy (a test-only oracle,
-whose import alone costs about 0.4 s per process) out of sys.modules."""
+whose import alone costs about 0.4 s per process) out of sys.modules.
+
+Records are NamedTuples, so the same jobs also leave out ``dataclasses``
+and the ``inspect`` it imports, which cost a cold process tens of ms."""
 
 import os
 import pathlib
@@ -36,7 +39,10 @@ SRC = str(pathlib.Path(centralleaf.__file__).resolve().parent.parent)
 ], ids=["import", "adm", "witt-selfcheck", "certify-rational", "adlv"])
 def test_sympy_not_imported(statement):
     env = dict(os.environ, PYTHONPATH=SRC)
-    code = f"import os, sys\n{statement}\nassert 'sympy' not in sys.modules, 'sympy was imported'"
+    code = (f"import os, sys\n{statement}\n"
+            "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+            "for name in ('dataclasses', 'inspect'):\n"
+            "    assert name not in sys.modules, name + ' was imported'")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -17,7 +17,7 @@ from centralleaf.affine import (adjoint_lift, decent_representative, element,
                                 enumerate_elements, newton_point, rep_lift)
 from centralleaf.errors import ConfigurationError, SingularInputError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    adjoint_rep, hom_rep,
+                                    WeightedRep, adjoint_rep, hom_rep,
                                     is_completely_slope_divisible,
                                     monomial_from_rational,
                                     newton_polygon_slopes,
@@ -48,10 +48,15 @@ def test_slopes_charpoly_examples():
 
 
 def test_monomial_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="not a bijection"):
         MonomialIsocrystal(2, (0, 0), (0, 0))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="wrong length"):
         MonomialIsocrystal(2, (0, 1), (0,))
+    with pytest.raises(ConfigurationError, match="frobenius_power must be positive"):
+        MonomialIsocrystal(size=2, permutation=(0, 1), exponents=(0, 0), frobenius_power=0)
+    assert MonomialIsocrystal(2, (1, 0), (1, 0)).frobenius_power == 1
+    with pytest.raises(ConfigurationError, match="weight of wrong length"):
+        WeightedRep(GL2, "short", ((1, 0), (1,)))
 
 
 def _random_monomial(rng, max_n=4, max_r=2, span=2):

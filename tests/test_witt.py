@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from math import comb
@@ -115,15 +114,17 @@ def test_operations_match_structure_polynomials(p, m):
 
 def test_coefficient_rings_refuse_exponent_below_one():
     for k in (0, -1):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="at least 1"):
             ZModRing(2, k)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="at least 1"):
             NilpotentPolyRing(3, k, (2,))
 
 
 def test_witt_operations_refuse_mismatched_inputs():
-    # the lift to precision p^(k+m-1) needs the ring's own prime
     ring = ZModRing(3, 2)
+    with pytest.raises(ConfigurationError, match="at least one component"):
+        witt(ring, 3, ())
+    # the lift to precision p^(k+m-1) needs the ring's own prime
     with pytest.raises(ConfigurationError):
         witt_add(witt(ring, 2, (1, 1)), witt(ring, 2, (1, 2)))
     with pytest.raises(ConfigurationError):
@@ -258,10 +259,10 @@ def test_display_supersingular_window():
 def test_display_degenerate_failures():
     base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
     zero = tuple(tuple(0 for _ in range(2)) for _ in range(2))
-    no_phi1 = dataclasses.replace(base, phi1=zero)
+    no_phi1 = base._replace(phi1=zero)
     report = display_check(no_phi1)
     assert not report.phi1_generates and not report.passed
-    broken = dataclasses.replace(base, phi=zero)
+    broken = base._replace(phi=zero)
     report2 = display_check(broken)
     assert not report2.phi_compatible and report2.witness == 0
 
@@ -272,8 +273,8 @@ def test_display_psi_only_on_passing_displays():
     base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
     assert display_check(base).psi_invertible
     zero = tuple(tuple(0 for _ in range(2)) for _ in range(2))
-    for broken in (dataclasses.replace(base, phi1=zero),
-                   dataclasses.replace(base, phi=zero)):
+    for broken in (base._replace(phi1=zero),
+                   base._replace(phi=zero)):
         report = display_check(broken)
         assert not report.passed
         assert report.psi_matrix is None and not report.psi_invertible
