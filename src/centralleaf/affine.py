@@ -8,13 +8,22 @@ of the finite part on the cocharacter lattice is only a view,
 All computations are exact.  ``element`` builds an element from a matrix;
 it and ``RootDatum`` are the only places that turn a matrix into an index.
 
-The group law, inverse, sigma action, length and Newton point read
-``rootdata``'s tables, as does the sigma-class sweep, which runs on
-(translation, index) pairs.  ``rootdata`` owns every table derived from a
-datum and a sigma (the sigma action, the presentation of pi_1(G)_sigma,
-the affine reflections); this module only reads them.  One helper,
-``_lift``, builds every monomial lift: ``rep_lift``, ``adjoint_lift``, and
-the decent lift with sigma's matrix.
+No Weyl matrix is multiplied here; only sigma's own matrix is applied.
+``compose``, ``invert``, ``newton_point``, ``admissible_set`` and the
+sigma-class sweep read w lambda from the index's ``WeylAction`` (the
+sparse rows in ``datum.weyl_actions``, built on first use).  Products and
+inverses of indices, inversion sets, the sigma action and pi_1(G)_sigma
+are ``rootdata``'s other tables; this module only reads them.  One helper,
+``_lift``, builds every monomial lift (``rep_lift``, ``adjoint_lift``, the
+decent lift): it reads the action's permutation of the weights or roots,
+and searches only sigma's part of w sigma.
+
+The sweep codes each (translation, index) pair as one int,
+enc(lambda) |W| + w with enc(v) = sum_i v_i B^i, for a radix B derived from
+the window (the bound is proved at the sweep).  enc is linear, so a Weyl
+index acts on codes through the codes of its columns, and each element x
+conjugator step is one int add and one dict lookup.
+
 ``enumerate_elements`` skips a translation before the Weyl loop when
 sum_{alpha > 0} |<alpha, lambda>| - |Phi+| exceeds the length cap: each
 length term |<alpha, lambda> - e| with e in {0, 1} is at least
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
@@ -88,15 +97,15 @@ def _same_datum(*xs: AffineElement):
 
 def compose(x: AffineElement, y: AffineElement) -> AffineElement:
     datum = _same_datum(x, y)
-    lam = tuple(a + b for a, b in zip(x.translation,
-                                      linalg.mat_vec(x.finite, y.translation)))
-    return AffineElement(datum, lam, datum.weyl_mul(x.w, y.w))
+    moved = datum.weyl_actions[x.w].apply(y.translation)
+    return AffineElement(datum, tuple(map(add, x.translation, moved)),
+                         datum.weyl_mul(x.w, y.w))
 
 
 def invert(x: AffineElement) -> AffineElement:
     datum = x.datum
     w_inv = datum.weyl_inverse[x.w]
-    lam = tuple(-v for v in linalg.mat_vec(datum.weyl_elements[w_inv], x.translation))
+    lam = tuple(-v for v in datum.weyl_actions[w_inv].apply(x.translation))
     return AffineElement(datum, lam, w_inv)
 
 
@@ -124,7 +133,7 @@ def length(x: AffineElement) -> int:
     the sum over alpha > 0 of |<alpha, lambda>|, less one where w^-1 alpha < 0."""
     datum = x.datum
     flips = datum.weyl_flips[x.w]
-    return sum(abs(p - f) for p, f in zip(datum.positive_pairings(x.translation), flips))
+    return sum(map(abs, map(sub, datum.positive_pairings(x.translation), flips)))
 
 
 def affine_generators(datum: RootDatum) -> Tuple[AffineElement, ...]:
@@ -230,14 +239,14 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     datum = x.datum
     action = datum.sigma_table(sigma).weyl_action
     ident = linalg.identity(datum.cochar_rank)
-    w_sigma = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
+    w_apply = datum.weyl_actions[x.w].apply
     # (w sigma)^r = a sigma^r with a = w sigma(w) ... sigma^(r-1)(w) in W
     a, conj, s_power = x.w, x.w, ident if sigma is None else linalg.freeze(sigma)
     total = list(x.translation)
     moved = x.translation
     r = 1
     while s_power != datum.weyl_elements[datum.weyl_inverse[a]]:
-        moved = linalg.mat_vec(w_sigma, moved)
+        moved = w_apply(moved if sigma is None else linalg.mat_vec(sigma, moved))
         total = [u + v for u, v in zip(total, moved)]
         conj = action[conj]
         a = datum.weyl_mul(a, conj)
@@ -268,27 +277,37 @@ class DecentLift(NamedTuple):
     nu: NewtonPoint
 
 
-def _lift(datum: RootDatum, lam, g: Matrix, weights) -> MonomialIsocrystal:
-    """The monomial matrix of t^lam * g on the lines of ``weights``, for g
-    a matrix on X_* that permutes them (a Weyl element, sigma or w sigma).
+def _lift(datum: RootDatum, lam, w: int, sigma: Optional[Matrix],
+          on_roots: bool = False) -> MonomialIsocrystal:
+    """The monomial matrix of t^lam * g, g = w sigma (w for sigma None), on
+    the lines of the representation weights, or of the roots for on_roots.
 
     Column j carries the line of chi_j to that of g chi_j = chi_j o g^-1
-    and scales it by p^<g chi_j, lam>.  The line of chi_k is the image of
-    the line of chi_k o g, so g is never inverted.
+    and scales it by p^<g chi_j, lam>.  For a Weyl element the permutation
+    is read from ``datum.weyl_actions``.  With sigma, chi_k o g =
+    (w^-1 chi_k) o sigma, and only sigma's part is searched: the line of
+    chi_k is the image of the line of chi_k o g, so g is never inverted.
     """
-    if weights is None:
+    lines = datum.roots if on_roots else datum.rep_weights
+    if lines is None:
         raise UnsupportedOperationError("no faithful representation attached")
-    index = {chi: j for j, chi in enumerate(weights)}
-    chars = linalg.transpose(g)  # chi o g = g^T chi
-    perm: List[Optional[int]] = [None] * len(weights)
-    for k, chi in enumerate(weights):
-        j = index.get(linalg.mat_vec(chars, chi))
-        if j is None or perm[j] is not None:
-            raise UnsupportedOperationError(
-                "automorphism does not permute the representation weights")
-        perm[j] = k
-    exps = tuple(int(datum.pair(weights[k], lam)) for k in perm)
-    return MonomialIsocrystal(len(perm), tuple(perm), exps)
+    action = datum.weyl_actions[w if sigma is None else datum.weyl_inverse[w]]
+    perm = action.roots if on_roots else action.weights
+    if sigma is not None and perm is not None:
+        index = {chi: j for j, chi in enumerate(lines)}
+        chars = linalg.transpose(sigma)  # chi o sigma = sigma^T chi
+        found: List[Optional[int]] = [None] * len(lines)
+        for k, b in enumerate(perm):
+            j = index.get(linalg.mat_vec(chars, lines[b]))
+            if j is None or found[j] is not None:
+                break
+            found[j] = k
+        perm = None if None in found else tuple(found)
+    if perm is None:
+        raise UnsupportedOperationError(
+            "automorphism does not permute the representation weights")
+    exps = tuple(int(datum.pair(lines[k], lam)) for k in perm)
+    return MonomialIsocrystal(len(perm), perm, exps)
 
 
 def rep_lift(x: AffineElement) -> MonomialIsocrystal:
@@ -296,15 +315,13 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
     conjugates to x = t^lambda * w, in the attached faithful representation:
     column j carries p^<omega_j, lambda> to the line of w omega_j."""
     datum = x.datum
-    return _lift(datum, linalg.mat_vec(x.finite, x.translation), x.finite,
-                 datum.rep_weights)
+    return _lift(datum, datum.weyl_actions[x.w].apply(x.translation), x.w, None)
 
 
 def adjoint_lift(x: AffineElement, sigma: Optional[Matrix] = None) -> MonomialIsocrystal:
     """The adjoint isocrystal of x sigma on the root lines: the monomial
     matrix of t^lambda * w sigma, whose slopes are <alpha, nu>, one per root."""
-    g = x.finite if sigma is None else linalg.mat_mul(x.finite, sigma)
-    return _lift(x.datum, x.translation, g, x.datum.roots)
+    return _lift(x.datum, x.translation, x.w, sigma, on_roots=True)
 
 
 def decent_representative(x: AffineElement,
@@ -320,14 +337,13 @@ def decent_representative(x: AffineElement,
     """
     datum = x.datum
     nu = newton_point(x, sigma)
-    weights = datum.rep_weights
-    lift = _lift(datum, x.translation, x.finite, weights)
+    lift = _lift(datum, x.translation, x.w, None)
     n = lift.size
     s_mono = monomial_identity(n) if sigma is None else \
-        _lift(datum, (0,) * datum.cochar_rank, sigma, weights)
+        _lift(datum, (0,) * datum.cochar_rank, datum.weyl_identity, sigma)
     r = nu.period
     nu_exps = []
-    for chi in weights:
+    for chi in datum.rep_weights:
         e = Fraction(datum.pair(chi, nu.vector)) * r
         if e.denominator != 1:
             raise ConsistencyError("r*nu pairing is not integral")
@@ -375,9 +391,8 @@ def admissible_set(datum: RootDatum, mu, level: str = "iwahori"):
         raise PreconditionError(f"unknown level {level!r}")
     elements: set = set()
     taus = set()
-    for w in datum.weyl_elements:
-        lam = tuple(int(v) for v in linalg.mat_vec(w, mu))
-        t = translation_element(datum, lam)
+    for action in datum.weyl_actions:
+        t = translation_element(datum, action.apply(mu))
         tau, word = omega_and_word(t)
         taus.add(tau)
         elements |= _subword_products(datum, tau, word)
@@ -431,7 +446,7 @@ def enumerate_elements(datum: RootDatum, max_length: int,
         if sum(map(abs, pairs)) > reach:
             continue
         for w, flips in enumerate(datum.weyl_flips):
-            if sum(abs(p - f) for p, f in zip(pairs, flips)) <= max_length:
+            if sum(map(abs, map(sub, pairs, flips))) <= max_length:
                 out.append(AffineElement(datum, lam, w))
     return out
 
@@ -481,8 +496,36 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
             partial=singleton)
     table = datum.sigma_table(sigma)
     action = table.weyl_action
-    # the sweep runs on (translation, Weyl index) pairs
-    index = {(x.translation, x.w): i for i, x in enumerate(elements)}
+    actions = datum.weyl_actions
+    order = len(actions)
+    # The sweep codes a (translation l, Weyl index w) pair as the int
+    # enc(l) |W| + w, with enc(v) = sum_i v_i B^i.  Codes of a candidate
+    # (v, w) and a window element (u, w') are equal only if the pairs are:
+    # the residue mod |W| gives w = w', and then enc(v - u) = 0.  When B
+    # exceeds max |v_i| + max |u_i|, each digit d_i = v_i - u_i has
+    # |d_i| < B, and a lowest nonzero digit d_k would leave
+    # enc(v - u) = B^k (d_k + B m) nonzero, as B does not divide d_k.
+    # The window holds |u_i| <= b and the conjugators |l_g| <= b + 1.  A
+    # candidate's translation is l_g + w_g l_x + w mu_h, mu_h = -w_h sigma l_g
+    # (below), so |v_i| <= (b + 1) + N b + N^2 S (b + 1), where N bounds the
+    # absolute row sums of the Weyl matrices and S those of sigma.
+    spread = max(sum(map(abs, row)) for w in datum.weyl_elements for row in w)
+    s_spread = 1 if sigma is None else int(max(sum(map(abs, row)) for row in sigma))
+    b = coord_bound
+    reach = (b + 1) * (1 + spread * spread * s_spread) + spread * b  # >= |v_i|
+    radix = reach + b + 1
+    powers = [radix ** i for i in range(datum.cochar_rank)]
+    # columns[k][j] = |W| enc(w_k e_j), so |W| enc(w_k v) = sum_j v_j columns[k][j]
+    columns = []
+    for act in actions:
+        col = [0] * datum.cochar_rank
+        for i, (j, c) in enumerate(act.gather):
+            col[j] += c * powers[i]
+        for i, j, c in act.rest:
+            col[j] += c * powers[i]
+        columns.append(tuple(order * c for c in col))
+    index = {order * sum(map(mul, x.translation, powers)) + x.w: i
+             for i, x in enumerate(elements)}
     parent = list(range(len(elements)))
 
     def find(i):
@@ -497,23 +540,26 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
             parent[max(ri, rj)] = min(ri, rj)
 
     # y = g x sigma(g)^-1 = (l_g + w_g l_x + (w_g w_x) mu_h, w_g w_x w_h)
-    # with sigma(g)^-1 = (mu_h, w_h); per w_g: (w_g w_x, w_g l_x) for each x
-    left: Dict[int, List[Tuple[int, Vector]]] = {}
+    # with sigma(g)^-1 = (mu_h, w_h).  Per w_g: w_g w_x and the code of
+    # w_g l_x for each x, and w w_h for each w; per g: the code of
+    # (l_g + w mu_h, w w_h) for each w = w_g w_x.  A step is one add.
+    left: Dict[int, Tuple[List[int], List[int], int, List[int]]] = {}
     for g in conjugators:
         row = left.get(g.w)
         if row is None:
-            row = left[g.w] = [(datum.weyl_mul(g.w, x.w),
-                                linalg.mat_vec(g.finite, x.translation)) for x in elements]
-        wh = datum.weyl_inverse[action[g.w]]
+            cols = columns[g.w]
+            wh = datum.weyl_inverse[action[g.w]]
+            row = left[g.w] = ([datum.weyl_mul(g.w, x.w) for x in elements],
+                               [sum(map(mul, x.translation, cols)) for x in elements],
+                               wh, [datum.weyl_mul(k, wh) for k in range(order)])
+        wgx, moved, wh, right = row
         s_lam = g.translation if sigma is None else linalg.mat_vec(sigma, g.translation)
-        mu_h = tuple(-v for v in linalg.mat_vec(datum.weyl_elements[wh], s_lam))
-        # per w = w_g w_x: (l_g + w mu_h, w w_h)
-        tail = [(tuple(map(add, g.translation, linalg.mat_vec(w, mu_h))),
-                 datum.weyl_mul(k, wh)) for k, w in enumerate(datum.weyl_elements)]
-        for i, (wgx, moved) in enumerate(row):
-            shift, wy = tail[wgx]
-            j = index.get((tuple(map(add, shift, moved)), wy))
-            if j is not None:
+        minus_mu = actions[wh].apply(s_lam)
+        base = order * sum(map(mul, g.translation, powers))
+        tail = [base - sum(map(mul, minus_mu, col)) + wy for col, wy in zip(columns, right)]
+        for i, j in enumerate(map(index.get, map(add, moved, map(tail.__getitem__, wgx)))):
+            # equal parents are one block already: most hits stop here
+            if j is not None and parent[i] != parent[j]:
                 union(i, j)
 
     groups: Dict[int, List[AffineElement]] = {}
@@ -521,7 +567,7 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
         groups.setdefault(find(i), []).append(x)
     blocks = tuple(sorted((tuple(sorted(block, key=sort_key))
                            for block in groups.values()),
-                          key=lambda b: sort_key(b[0])))
+                          key=lambda block: sort_key(block[0])))
     for block in blocks:
         dominants = {newton_point(x, sigma).dominant for x in block}
         kappas = {table.pi1.project(x.translation) for x in block}

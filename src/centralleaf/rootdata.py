@@ -10,14 +10,17 @@ The finite Weyl group is coded here: element k is ``weyl_elements[k]`` (the
 matrices sorted), and the closure records ``weyl_right[k][i]``, the index
 of w_k s_(i+1), and the lexicographically least reduced word of each
 element.  Products walk a word through that table and inverses walk it
-backwards; inversion sets and sigma actions are built on first use.
+backwards.  Inversion sets, sigma actions and the action table of each
+index (``weyl_actions``: its sparse rows, and the permutations it induces
+on the roots and on the representation weights) are built on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Tuple
+from operator import mul
+from typing import NamedTuple, Optional, Tuple
 
 from . import linalg
 from .errors import (BudgetExceededError, ConfigurationError, PreconditionError,
@@ -201,7 +204,7 @@ class RootDatum:
 
     def positive_pairings(self, lam) -> Tuple[int, ...]:
         """<alpha, lam> for each positive root alpha."""
-        return tuple(sum(c * v for c, v in zip(alpha, lam)) for alpha in self.positive_roots)
+        return tuple([sum(map(mul, alpha, lam)) for alpha in self.positive_roots])
 
     @cached_property
     def weyl_flips(self) -> Tuple[Tuple[int, ...], ...]:
@@ -222,6 +225,44 @@ class RootDatum:
             inversions[k] = tuple(1 - v[a] if b is None else v[b]
                                   for a, b in enumerate(images[i]))
         return tuple(inversions[k] for k in self.weyl_inverse)
+
+    @cached_property
+    def weyl_actions(self) -> Tuple["WeylAction", ...]:
+        """Per index w, its ``WeylAction``.  The sparse rows are read off
+        the matrix.  The permutations are built along the stored words, as
+        w s_i chi = w (s_i chi) with s_i chi = chi - <chi, alpha_i_check> alpha_i;
+        weights that some s_i does not permute (repeated weights included)
+        give ``weights`` None at every index."""
+        words = self.weyl_words
+        # by word length, after the identity: w_k s_i, one letter shorter, is built
+        by_length = sorted(range(len(words)), key=lambda k: len(words[k]))[1:]
+
+        def permutations(chars):
+            position = {chi: a for a, chi in enumerate(chars or ())}
+            if chars is None or len(position) != len(chars):
+                return {}
+            images = [tuple(position.get(tuple(x - self.pair(chi, check) * a
+                                               for x, a in zip(chi, alpha)))
+                            for chi in chars)
+                      for alpha, check in zip(self.simple_roots, self.simple_coroots)]
+            if any(None in row for row in images):
+                return {}
+            perm = {self.weyl_identity: tuple(range(len(chars)))}
+            for k in by_length:
+                i = words[k][-1]
+                prev = perm[self.weyl_right[k][i]]
+                perm[k] = tuple(prev[b] for b in images[i])
+            return perm
+
+        roots, weights = permutations(self.roots), permutations(self.rep_weights)
+        actions = []
+        for k, w in enumerate(self.weyl_elements):
+            rows = [[(j, c) for j, c in enumerate(row) if c] for row in w]
+            actions.append(WeylAction(
+                tuple(row[0] for row in rows),
+                tuple((i, j, c) for i, row in enumerate(rows) for j, c in row[1:]),
+                roots[k], weights.get(k)))
+        return tuple(actions)
 
     def sigma_table(self, sigma) -> "SigmaTable":
         """The table of one lattice automorphism sigma (None for the identity).
@@ -331,6 +372,33 @@ class SigmaTable(NamedTuple):
 
     weyl_action: Tuple[int, ...]
     pi1: CoinvariantLattice
+
+
+class WeylAction:
+    """How one Weyl element w acts, read without multiplying by its matrix.
+
+    ``gather[i]`` is the first nonzero (column, coefficient) of row i of w
+    and ``rest`` the other nonzeros as (row, column, coefficient), so
+    ``apply(v)`` is w v.  ``roots[a]`` is the index of w alpha_a =
+    alpha_a o w^-1 in ``roots``, ``weights[a]`` that of w chi_a in
+    ``rep_weights`` (None without weights that W permutes).
+
+    A table entry, never compared or hashed, so a slots class: a
+    NamedTuple class would cost about 0.4 ms of every cold import.
+    """
+
+    __slots__ = ("gather", "rest", "roots", "weights")
+
+    def __init__(self, gather: Tuple[Tuple[int, int], ...],
+                 rest: Tuple[Tuple[int, int, int], ...], roots: Tuple[int, ...],
+                 weights: Optional[Tuple[int, ...]]):
+        self.gather, self.rest, self.roots, self.weights = gather, rest, roots, weights
+
+    def apply(self, v) -> Vector:
+        out = [c * v[j] for j, c in self.gather]
+        for i, j, c in self.rest:
+            out[i] += c * v[j]
+        return tuple(out)
 
 
 def _moved_columns(g):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centralleaf import linalg
-from centralleaf.affine import (admissible_set, bruhat_leq, compose,
+from centralleaf.affine import (adjoint_lift, admissible_set, bruhat_leq, compose,
                                 decent_representative, element,
                                 enumerate_elements, enumerate_sigma_classes,
                                 identity_element, invert, kottwitz, length,
@@ -17,9 +17,10 @@ from centralleaf.affine import (admissible_set, bruhat_leq, compose,
                                 sigma_apply, sigma_conjugate, simple_element,
                                 translation_element)
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
-                                DatumMismatchError, PreconditionError)
-from centralleaf.isocrystal import (monomial_compose, monomial_from_rational,
-                                    slopes_monomial)
+                                DatumMismatchError, PreconditionError,
+                                UnsupportedOperationError)
+from centralleaf.isocrystal import (MonomialIsocrystal, monomial_compose,
+                                    monomial_from_rational, slopes_monomial)
 from centralleaf.rootdata import RootDatum, build_classical, dominant_rep, is_dominant
 
 GL2 = build_classical("GL", 2)
@@ -430,12 +431,12 @@ def matrix_omega_and_word(x):
 GL4 = build_classical("GL", 4)
 # (name, datum, sigma): sigma = None, the coordinate rotation of GL3, and
 # lambda -> -w0 lambda on GL4
+GL4_DUAL = tuple(tuple(-1 if i + j == 3 else 0 for j in range(4)) for i in range(4))
 LAW_CASES = [
     ("GL2", GL2, None), ("GL3", GL3, None), ("GL4", GL4, None),
     ("SL3", build_classical("SL", 3), None), ("Sp4", SP4, None),
     ("GSp4", build_classical("GSp", 4), None), ("GL3 rotation", GL3, rotation3()),
-    ("GL4 dual", GL4, tuple(tuple(-1 if i + j == 3 else 0 for j in range(4))
-                            for i in range(4))),
+    ("GL4 dual", GL4, GL4_DUAL),
 ]
 
 
@@ -456,6 +457,8 @@ def test_coded_law_matches_matrix_law(case, data):
     assert twin == x and hash(twin) == hash(x)
     assert compose(x, y) == matrix_compose(x, y)
     assert invert(x) == matrix_invert(x)
+    for w, action in zip(datum.weyl_elements, datum.weyl_actions):
+        assert action.apply(y.translation) == linalg.mat_vec(w, y.translation)
     assert length(x) == matrix_length(x)
     assert omega_and_word(x) == matrix_omega_and_word(x)
     nu = newton_point(x, sigma)
@@ -553,3 +556,100 @@ def test_sigma_class_partition_pins(tag, n, cap, blocks, digest):
     partition = enumerate_sigma_classes(build_classical(tag, n), cap)
     assert len(partition.blocks) == blocks
     assert _partition_digest(partition) == digest
+
+
+def _pair_product(a, b):
+    """(l1, m1)(l2, m2) = (l1 + m1 l2, m1 m2) on (translation, matrix) pairs."""
+    (l1, m1), (l2, m2) = a, b
+    return tuple(u + v for u, v in zip(l1, linalg.mat_vec(m1, l2))), linalg.mat_mul(m1, m2)
+
+
+def matrix_sigma_classes(datum, length_cap, sigma=None, coord_bound=None):
+    """The sweep on the matrix law, with its own union-find: g x sigma(g)^-1
+    for every element x conjugator pair, on (translation, matrix) pairs, and
+    a conjugate inside the window joins the two blocks.  The window and the
+    conjugators are those of ``enumerate_sigma_classes``'s defaults."""
+    bound = length_cap + 2 if coord_bound is None else coord_bound
+    elements = enumerate_elements(datum, length_cap, bound)
+    conjugators = enumerate_elements(datum, length_cap + 2, bound + 1)
+    position = {(x.translation, x.finite): i for i, x in enumerate(elements)}
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for g in conjugators:
+        h_inv = matrix_invert(g if sigma is None else matrix_sigma_apply(g, sigma))
+        h_inv = (h_inv.translation, h_inv.finite)
+        for i, x in enumerate(elements):
+            gx = _pair_product((g.translation, g.finite), (x.translation, x.finite))
+            j = position.get(_pair_product(gx, h_inv))
+            if j is not None:
+                parent[find(i)] = find(j)
+    blocks = {}
+    for i, x in enumerate(elements):
+        blocks.setdefault(find(i), set()).add(x)
+    return {frozenset(block) for block in blocks.values()}
+
+
+# (datum, length cap, sigma, coord bound): GSp4's Weyl matrices have row
+# sums of 2, so its conjugates leave the window's coordinate range
+@pytest.mark.parametrize("datum, cap, sigma, bound", [
+    (GL2, 2, None, None), (GL3, 1, None, None), (SP4, 2, None, None),
+    (build_classical("GSp", 4), 1, None, None), (GL3, 2, rotation3(), 2),
+    (GL4, 0, GL4_DUAL, 1),
+], ids=["GL2-cap2", "GL3-cap1", "Sp4-cap2", "GSp4-cap1", "GL3-rotation-cap2",
+        "GL4-dual-cap0"])
+def test_coded_sweep_matches_the_matrix_sweep(datum, cap, sigma, bound):
+    partition = enumerate_sigma_classes(datum, cap, sigma=sigma, coord_bound=bound)
+    expected = matrix_sigma_classes(datum, cap, sigma, bound)
+    assert {frozenset(block) for block in partition.blocks} == expected
+    assert len(expected) > 1
+
+
+def search_lift(datum, lam, g, weights):
+    """The monomial matrix of t^lam * g found by searching, for each weight
+    chi_k, the weight chi_k o g = g^T chi_k: column j goes to the line of k."""
+    index = {chi: j for j, chi in enumerate(weights)}
+    chars = linalg.transpose(g)
+    perm = [None] * len(weights)
+    for k, chi in enumerate(weights):
+        j = index.get(linalg.mat_vec(chars, chi))
+        if j is None or perm[j] is not None:
+            raise UnsupportedOperationError("g does not permute the weights")
+        perm[j] = k
+    exps = tuple(datum.pair(weights[k], lam) for k in perm)
+    return MonomialIsocrystal(len(perm), tuple(perm), exps)
+
+
+@pytest.mark.parametrize("datum, sigma", [
+    (GL4, None), (build_classical("GSp", 4), None), (GL3, rotation3()), (GL4, GL4_DUAL),
+], ids=["GL4", "GSp4", "GL3-rotation", "GL4-dual"])
+def test_table_lifts_match_the_matrix_search(datum, sigma):
+    rng = random.Random(21)
+    for w in datum.weyl_elements:
+        lam = tuple(rng.randint(-3, 3) for _ in range(datum.cochar_rank))
+        x = element(datum, lam, w)
+        assert rep_lift(x) == search_lift(
+            datum, linalg.mat_vec(w, lam), w, datum.rep_weights)
+        g = w if sigma is None else linalg.mat_mul(w, sigma)
+        assert adjoint_lift(x, sigma) == search_lift(datum, lam, g, datum.roots)
+
+
+def test_a_lift_that_does_not_permute_the_weights_is_refused():
+    # lambda -> -w0 lambda sends the weight e_1 to -e_n, not a weight
+    with pytest.raises(UnsupportedOperationError):
+        decent_representative(translation_element(GL4, (1, 0, 0, 0)), GL4_DUAL)
+    # a weight list that the simple reflection does not permute
+    lopsided = RootDatum("GL", GL2.roots, GL2.coroots, GL2.simple_indices, 2,
+                         rep_weights=[(1, 0)])
+    assert all(action.weights is None for action in lopsided.weyl_actions)
+    for w in lopsided.weyl_elements:
+        with pytest.raises(UnsupportedOperationError):
+            rep_lift(element(lopsided, (1, 0), w))
+    # without a representation
+    torus = RootDatum("T", [], [], [], 2)
+    with pytest.raises(UnsupportedOperationError):
+        rep_lift(identity_element(torus))

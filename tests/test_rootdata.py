@@ -343,6 +343,7 @@ def test_stored_words_are_the_greedy_left_descent_words(datum):
 def test_coded_weyl_group_follows_the_matrix_law(datum):
     elements = datum.weyl_elements
     assert elements == _matrix_closure(datum)
+    probe = tuple(random.Random(21).randint(-5, 5) for _ in range(datum.cochar_rank))
     for k, w in enumerate(elements):
         for i, s in enumerate(datum.simple_reflections):
             assert elements[datum.weyl_right[k][i]] == linalg.mat_mul(w, s)
@@ -352,6 +353,16 @@ def test_coded_weyl_group_follows_the_matrix_law(datum):
         assert datum.weyl_flips[k] == tuple(
             0 if row in datum.positive_roots else 1
             for row in linalg.mat_mul(datum.positive_roots, w))
+        # the action table: w v by its sparse rows, and w chi = (w^-1)^T chi
+        action = datum.weyl_actions[k]
+        for v in linalg.identity(datum.cochar_rank) + (probe,):
+            assert action.apply(v) == linalg.mat_vec(w, v)
+        on_chars = linalg.transpose(linalg.mat_inv(w))
+        assert action.roots == tuple(datum.roots.index(linalg.mat_vec(on_chars, chi))
+                                     for chi in datum.roots)
+        assert action.weights == (None if datum.rep_weights is None else tuple(
+            datum.rep_weights.index(linalg.mat_vec(on_chars, chi))
+            for chi in datum.rep_weights))
     pairs = [(i, j) for i in range(len(elements)) for j in range(len(elements))]
     if len(elements) > 48:
         pairs = random.Random(20261018).sample(pairs, 2000)
