@@ -15,8 +15,8 @@ sparse rows in ``datum.weyl_actions``, built on first use).  Products and
 inverses of indices, inversion sets, the sigma action and pi_1(G)_sigma
 are ``rootdata``'s other tables; this module only reads them.  One helper,
 ``_lift``, builds every monomial lift (``rep_lift``, ``adjoint_lift``, the
-decent lift): it reads the action's permutation of the weights or roots,
-and searches only sigma's part of w sigma.
+decent lift): it composes w's permutation of the weights or roots with
+sigma's, both read from those tables.
 
 The sweep codes each (translation, index) pair as one int,
 enc(lambda) |W| + w with enc(v) = sum_i v_i B^i, for a radix B derived from
@@ -282,30 +282,19 @@ def _lift(datum: RootDatum, lam, w: int, sigma: Optional[Matrix],
     """The monomial matrix of t^lam * g, g = w sigma (w for sigma None), on
     the lines of the representation weights, or of the roots for on_roots.
 
-    Column j carries the line of chi_j to that of g chi_j = chi_j o g^-1
-    and scales it by p^<g chi_j, lam>.  For a Weyl element the permutation
-    is read from ``datum.weyl_actions``.  With sigma, chi_k o g =
-    (w^-1 chi_k) o sigma, and only sigma's part is searched: the line of
-    chi_k is the image of the line of chi_k o g, so g is never inverted.
+    Column j carries the line of chi_j to that of g chi_j = w (sigma chi_j)
+    and scales it by p^<g chi_j, lam>; the permutation is w's from
+    ``datum.weyl_actions`` after sigma's from ``datum.sigma_table``.
     """
     lines = datum.roots if on_roots else datum.rep_weights
     if lines is None:
         raise UnsupportedOperationError("no faithful representation attached")
-    action = datum.weyl_actions[w if sigma is None else datum.weyl_inverse[w]]
-    perm = action.roots if on_roots else action.weights
-    if sigma is not None and perm is not None:
-        index = {chi: j for j, chi in enumerate(lines)}
-        chars = linalg.transpose(sigma)  # chi o sigma = sigma^T chi
-        found: List[Optional[int]] = [None] * len(lines)
-        for k, b in enumerate(perm):
-            j = index.get(linalg.mat_vec(chars, lines[b]))
-            if j is None or found[j] is not None:
-                break
-            found[j] = k
-        perm = None if None in found else tuple(found)
-    if perm is None:
+    action, table = datum.weyl_actions[w], datum.sigma_table(sigma)
+    perm, first = (action.roots, table.roots) if on_roots else (action.weights, table.weights)
+    if perm is None or first is None:
         raise UnsupportedOperationError(
             "automorphism does not permute the representation weights")
+    perm = tuple(map(perm.__getitem__, first))
     exps = tuple(int(datum.pair(lines[k], lam)) for k in perm)
     return MonomialIsocrystal(len(perm), perm, exps)
 
@@ -339,8 +328,7 @@ def decent_representative(x: AffineElement,
     nu = newton_point(x, sigma)
     lift = _lift(datum, x.translation, x.w, None)
     n = lift.size
-    s_mono = monomial_identity(n) if sigma is None else \
-        _lift(datum, (0,) * datum.cochar_rank, datum.weyl_identity, sigma)
+    s_mono = _lift(datum, (0,) * datum.cochar_rank, datum.weyl_identity, sigma)
     r = nu.period
     nu_exps = []
     for chi in datum.rep_weights:

@@ -10,15 +10,17 @@ The finite Weyl group is coded here: element k is ``weyl_elements[k]`` (the
 matrices sorted), and the closure records ``weyl_right[k][i]``, the index
 of w_k s_(i+1), and the lexicographically least reduced word of each
 element.  Products walk a word through that table and inverses walk it
-backwards.  Inversion sets, sigma actions and the action table of each
-index (``weyl_actions``: its sparse rows, and the permutations it induces
-on the roots and on the representation weights) are built on first use.
+backwards.  Every other per-index table is built on first use by one walk
+along the stored words, ``_walk``: the permutations of the roots and of
+the representation weights that ``weyl_actions`` and ``weyl_flips`` read,
+and each sigma's action, for which only the s_i are conjugated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
@@ -66,8 +68,9 @@ class RootDatum:
         self.weyl_identity = self.weyl_index[linalg.identity(self.cochar_rank)]
         self._weyl_products = [None] * len(self.weyl_elements)
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
-        self._sigma_tables = {None: SigmaTable(tuple(range(len(self.weyl_elements))),
-                                               self.pi1)}
+        self._sigma_tables = {None: SigmaTable(
+            tuple(range(len(self.weyl_elements))), self.pi1, tuple(range(len(self.roots))),
+            None if self.rep_weights is None else tuple(range(len(self.rep_weights))))}
 
     # -- construction-time validation -------------------------------------
 
@@ -120,16 +123,13 @@ class RootDatum:
     def _check_reflections_permute_roots(self):
         """Each simple reflection must permute the roots and the coroots: a
         root-datum axiom, which makes W finite, so WEYL_CAP is a size budget."""
-        roots, coroots = set(self.roots), set(self.coroots)
-        for i, (alpha, check) in enumerate(zip(self.simple_roots, self.simple_coroots)):
-            if {tuple(x - n * a for x, a in zip(chi, alpha))
-                    for chi in roots for n in (self.pair(chi, check),)} != roots:
-                raise ConfigurationError(
-                    f"the simple reflection s{i + 1} does not permute the roots")
-            if {tuple(x - n * c for x, c in zip(v, check))
-                    for v in coroots for n in (self.pair(alpha, v),)} != coroots:
-                raise ConfigurationError(
-                    f"the simple reflection s{i + 1} does not permute the coroots")
+        for i, s in enumerate(self.simple_reflections):
+            # s_i = s_i^-1 acts on characters by its transpose
+            for name, lines, m in (("roots", self.roots, linalg.transpose(s)),
+                                   ("coroots", self.coroots, s)):
+                if _permutation(lines, m) is None:
+                    raise ConfigurationError(
+                        f"the simple reflection s{i + 1} does not permute the {name}")
 
     def _generate_weyl(self):
         """Close {1} breadth first under w -> w s_alpha = w - (w alpha_check) <alpha, .>.
@@ -178,6 +178,12 @@ class RootDatum:
         except KeyError:
             raise PreconditionError("finite part is not a Weyl group element") from None
 
+    def _follow(self, k: int, word) -> int:
+        """The index of w_k s_(i1+1) s_(i2+1) ... for word = (i1, i2, ...)."""
+        for letter in word:
+            k = self.weyl_right[k][letter]
+        return k
+
     def weyl_mul(self, i: int, j: int) -> int:
         """The index of w_i w_j: the word of w_j walked from w_i, memoised."""
         row = self._weyl_products[i]
@@ -185,109 +191,99 @@ class RootDatum:
             row = self._weyl_products[i] = [None] * len(self.weyl_elements)
         k = row[j]
         if k is None:
-            k = i
-            for letter in self.weyl_words[j]:
-                k = self.weyl_right[k][letter]
-            row[j] = k
+            k = row[j] = self._follow(i, self.weyl_words[j])
         return k
 
     @cached_property
     def weyl_inverse(self) -> Tuple[int, ...]:
         """The index of w^-1 for each index w: its word walked backwards."""
-        inverse = []
-        for word in self.weyl_words:
-            k = self.weyl_identity
-            for letter in reversed(word):
-                k = self.weyl_right[k][letter]
-            inverse.append(k)
-        return tuple(inverse)
+        return tuple(self._follow(self.weyl_identity, reversed(word))
+                     for word in self.weyl_words)
 
     def positive_pairings(self, lam) -> Tuple[int, ...]:
         """<alpha, lam> for each positive root alpha."""
         return tuple([sum(map(mul, alpha, lam)) for alpha in self.positive_roots])
 
-    @cached_property
-    def weyl_flips(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per index w, 1 for each positive root alpha with w^-1 alpha < 0:
-        the inversion set N(w^-1), with N(v) = {alpha > 0 : v alpha < 0}
-        built along the stored words, N(v s_i) being s_i N(v) with alpha_i
-        toggled."""
-        position = {alpha: a for a, alpha in enumerate(self.positive_roots)}
-        # the row of s_i alpha is alpha s_i; only alpha_i turns negative
-        images = [[position.get(row) for row in linalg.mat_mul(self.positive_roots, s)]
-                  for s in self.simple_reflections]
-        words = self.weyl_words
-        inversions = {self.weyl_identity: (0,) * len(self.positive_roots)}
+    def _walk(self, start, step) -> list:
+        """The one walk along the stored words: table[identity] = start and
+        table[k] = step(table[w_k s_i], i), i the last letter of k's word."""
+        words, right, table = self.weyl_words, self.weyl_right, [start] * len(self.weyl_words)
         # by word length, after the identity: w_k s_i, one letter shorter, is built
         for k in sorted(range(len(words)), key=lambda k: len(words[k]))[1:]:
-            i = words[k][-1]
-            v = inversions[self.weyl_right[k][i]]
-            inversions[k] = tuple(1 - v[a] if b is None else v[b]
-                                  for a, b in enumerate(images[i]))
-        return tuple(inversions[k] for k in self.weyl_inverse)
+            table[k] = step(table[right[k][words[k][-1]]], words[k][-1])
+        return table
+
+    @cached_property
+    def _permutations(self):
+        """Per index w, its permutations of the roots and of the weights, as
+        w s_i chi = w (s_i chi); None for weights that some s_i does not permute."""
+        def walk(chars):
+            images = [_permutation(chars, linalg.transpose(s)) for s in self.simple_reflections]
+            if chars is None or None in images:
+                return None
+            return self._walk(tuple(range(len(chars))),
+                              lambda prev, i: tuple([prev[b] for b in images[i]]))
+
+        return walk(self.roots), walk(self.rep_weights)
+
+    @cached_property
+    def weyl_flips(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per index w, 1 for each positive root alpha with w^-1 alpha < 0,
+        read off the root permutation of w^-1."""
+        positive, roots = set(self.positive_indices), self._permutations[0]
+        return tuple(tuple([0 if perm[a] in positive else 1 for a in self.positive_indices])
+                     for perm in map(roots.__getitem__, self.weyl_inverse))
 
     @cached_property
     def weyl_actions(self) -> Tuple["WeylAction", ...]:
-        """Per index w, its ``WeylAction``.  The sparse rows are read off
-        the matrix.  The permutations are built along the stored words, as
-        w s_i chi = w (s_i chi) with s_i chi = chi - <chi, alpha_i_check> alpha_i;
-        weights that some s_i does not permute (repeated weights included)
-        give ``weights`` None at every index."""
-        words = self.weyl_words
-        # by word length, after the identity: w_k s_i, one letter shorter, is built
-        by_length = sorted(range(len(words)), key=lambda k: len(words[k]))[1:]
-
-        def permutations(chars):
-            position = {chi: a for a, chi in enumerate(chars or ())}
-            if chars is None or len(position) != len(chars):
-                return {}
-            images = [tuple(position.get(tuple(x - self.pair(chi, check) * a
-                                               for x, a in zip(chi, alpha)))
-                            for chi in chars)
-                      for alpha, check in zip(self.simple_roots, self.simple_coroots)]
-            if any(None in row for row in images):
-                return {}
-            perm = {self.weyl_identity: tuple(range(len(chars)))}
-            for k in by_length:
-                i = words[k][-1]
-                prev = perm[self.weyl_right[k][i]]
-                perm[k] = tuple(prev[b] for b in images[i])
-            return perm
-
-        roots, weights = permutations(self.roots), permutations(self.rep_weights)
+        """Per index w, its ``WeylAction``: the sparse rows read off the
+        matrix, and w's permutations of the roots and weights."""
+        roots, weights = self._permutations
         actions = []
         for k, w in enumerate(self.weyl_elements):
             rows = [[(j, c) for j, c in enumerate(row) if c] for row in w]
             actions.append(WeylAction(
                 tuple(row[0] for row in rows),
                 tuple((i, j, c) for i, row in enumerate(rows) for j, c in row[1:]),
-                roots[k], weights.get(k)))
+                roots[k], None if weights is None else weights[k]))
         return tuple(actions)
 
     def sigma_table(self, sigma) -> "SigmaTable":
         """The table of one lattice automorphism sigma (None for the identity).
 
-        sigma must be an integer matrix with determinant +-1 that normalises
-        the Weyl group; anything else raises ConfigurationError.
+        sigma must be a square matrix of ints or Fractions, integral with
+        determinant +-1, that normalises the Weyl group; anything else
+        raises ConfigurationError.  Only the s_i are conjugated: sigma (w s_i)
+        sigma^-1 walks the stored word of sigma s_i sigma^-1 from sigma w sigma^-1.
         """
-        sigma = None if sigma is None else linalg.freeze(sigma)
+        if sigma is None:
+            return self._sigma_tables[None]
+        sigma = linalg.freeze(sigma)
+        # checked before the lookup, as 1.0 == 1 would find an int sigma's table
+        if not {int, Fraction}.issuperset(map(type, chain.from_iterable(sigma))):
+            raise ConfigurationError("sigma must have int or Fraction entries")
         table = self._sigma_tables.get(sigma)
         if table is None:
             n = self.cochar_rank
-            integral = len(sigma) == n and all(
-                len(row) == n and all(v == int(v) for v in row) for row in sigma)
-            if not integral or abs(linalg.det(sigma)) != 1:
+            if len(sigma) != n or any(len(row) != n or any(v != int(v) for v in row)
+                                      for row in sigma) or abs(linalg.det(sigma)) != 1:
                 raise ConfigurationError(
                     "sigma is not an automorphism of the cocharacter lattice: "
                     "it needs integer entries and determinant +-1")
-            s_inv = linalg.mat_inv(sigma)
-            # Fraction entries hash like ints, so a non-integral conjugate misses
-            images = [self.weyl_index.get(linalg.mat_mul(linalg.mat_mul(sigma, w), s_inv))
-                      for w in self.weyl_elements]
+            sigma = linalg.freeze(map(int, row) for row in sigma)
+            # sigma chi = chi o sigma^-1 = sigma^-T chi
+            on_chars = linalg.freeze(map(int, col) for col in zip(*linalg.mat_inv(sigma)))
+            # sigma s_i sigma^-1 reflects in alpha_i o sigma^-1 and sigma alpha_i_check
+            images = [self.weyl_index.get(self._reflection_matrix(
+                linalg.mat_vec(on_chars, alpha), linalg.mat_vec(sigma, check)))
+                for alpha, check in zip(self.simple_roots, self.simple_coroots)]
             if None in images:
                 raise ConfigurationError("sigma does not normalise the Weyl group")
-            pi1 = present_quotient(n, list(self.coroots) + _moved_columns(sigma))
-            table = self._sigma_tables[sigma] = SigmaTable(tuple(images), pi1)
+            words = [self.weyl_words[k] for k in images]
+            table = self._sigma_tables[sigma] = SigmaTable(
+                tuple(self._walk(self.weyl_identity, lambda k, i: self._follow(k, words[i]))),
+                present_quotient(n, list(self.coroots) + _moved_columns(sigma)),
+                _permutation(self.roots, on_chars), _permutation(self.rep_weights, on_chars))
         return table
 
     @cached_property
@@ -368,10 +364,15 @@ class SigmaTable(NamedTuple):
 
     ``weyl_action[w]`` is the index of sigma w sigma^-1; ``pi1`` presents
     pi_1(G)_sigma = X_* / (coroots + (1 - sigma) X_*), where kappa lives.
+    ``roots[a]`` is the index of sigma alpha_a = alpha_a o sigma^-1 in
+    ``roots``, ``weights[a]`` that of sigma chi_a in ``rep_weights``; None
+    where sigma does not permute those lines.
     """
 
     weyl_action: Tuple[int, ...]
     pi1: CoinvariantLattice
+    roots: Optional[Tuple[int, ...]]
+    weights: Optional[Tuple[int, ...]]
 
 
 class WeylAction:
@@ -399,6 +400,16 @@ class WeylAction:
         for i, j, c in self.rest:
             out[i] += c * v[j]
         return tuple(out)
+
+
+def _permutation(chars, on_chars) -> Optional[Tuple[int, ...]]:
+    """The index in ``chars`` of on_chars chi for each chi in ``chars``, for an
+    invertible on_chars; None unless that permutes distinct ``chars``."""
+    if chars is None:
+        return None
+    position = {chi: a for a, chi in enumerate(chars)}
+    perm = tuple(position.get(linalg.mat_vec(on_chars, chi)) for chi in chars)
+    return None if len(position) != len(chars) or None in perm else perm
 
 
 def _moved_columns(g):

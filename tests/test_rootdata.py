@@ -368,3 +368,88 @@ def test_coded_weyl_group_follows_the_matrix_law(datum):
         pairs = random.Random(20261018).sample(pairs, 2000)
     for i, j in pairs:
         assert elements[datum.weyl_mul(i, j)] == linalg.mat_mul(elements[i], elements[j])
+
+
+def _minus_w0(n):
+    """lambda -> -w0 lambda on GL(n): the twist of a unitary group."""
+    return tuple(tuple(-1 if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
+
+
+def _searched_permutation(chars, sigma):
+    """The index of sigma chi = sigma^-T chi in chars for each chi, found by
+    search; None unless that permutes distinct chars."""
+    if chars is None:
+        return None
+    on_chars = linalg.transpose(linalg.mat_inv(sigma))
+    images = [linalg.mat_vec(on_chars, chi) for chi in chars]
+    if len(set(chars)) != len(chars) or sorted(images) != sorted(chars):
+        return None
+    return tuple(chars.index(chi) for chi in images)
+
+
+GL3 = build_classical("GL", 3)
+# the weight (1, 0) alone: W does not permute the weights
+LOPSIDED = rootdata.RootDatum("GL", GL3.roots, GL3.coroots, GL3.simple_indices, 3,
+                              rep_weights=[(1, 0, 0)])
+
+
+@pytest.mark.parametrize("datum, sigma", [
+    (GL3, ((0, 0, 1), (1, 0, 0), (0, 1, 0))),
+    (GL3, ((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+    (build_classical("GL", 4), _minus_w0(4)),
+    (build_classical("GL", 5), _minus_w0(5)),
+    (build_classical("GL", 6), _minus_w0(6)),
+    (build_classical("GSp", 4), ((1, 0, -1), (0, 1, -1), (0, 0, -1))),
+    (PGL3, ((0, 1), (1, 0))),
+    (GL3, linalg.identity(3)),
+    (LOPSIDED, linalg.identity(3)),
+], ids=["GL3-rotation", "GL3-inverse-rotation", "GL4-dual", "GL5-dual", "GL6-dual",
+        "GSp4-dual", "PGL3-dual", "GL3-identity", "lopsided-identity"])
+def test_sigma_table_matches_the_matrix_conjugation(datum, sigma):
+    table = datum.sigma_table(sigma)
+    s_inv = linalg.mat_inv(sigma)
+    for k, w in enumerate(datum.weyl_elements):
+        conjugate = linalg.mat_mul(linalg.mat_mul(sigma, w), s_inv)
+        assert datum.weyl_elements[table.weyl_action[k]] == conjugate
+    assert table.roots == _searched_permutation(datum.roots, sigma)
+    assert table.weights == _searched_permutation(datum.rep_weights, sigma)
+
+
+def test_sigma_tables_of_the_identity_permute_nothing():
+    for datum in (GL3, PGL3, LOPSIDED, rootdata.RootDatum("T", [], [], [], 2)):
+        table = datum.sigma_table(None)
+        assert table.weyl_action == tuple(range(len(datum.weyl_elements)))
+        assert table.roots == tuple(range(len(datum.roots)))
+        assert table.weights == (None if datum.rep_weights is None
+                                 else tuple(range(len(datum.rep_weights))))
+
+
+def test_sigma_entries_must_be_exact():
+    datum = build_classical("GL", 2)
+    swap = ((0, 1), (1, 0))
+    table = datum.sigma_table(swap)
+    # a Fraction spelling of the same matrix shares its table
+    assert datum.sigma_table(((F(0), F(1)), (F(1), F(0)))) is table
+    for sigma in (((0.0, 1.0), (1.0, 0.0)), ((0, 1), (1, 0.0)), ((0, 1), (1, "0"))):
+        with pytest.raises(ConfigurationError):
+            datum.sigma_table(sigma)
+    with pytest.raises(ConfigurationError):
+        build_classical("GL", 3).sigma_table(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                              (0.0, 1.0, 0.0)))
+
+
+def test_tables_are_walked_without_multiplying_matrices(monkeypatch):
+    calls = []
+    product = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    datum = build_classical("GL", 6)
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    datum.sigma_table(_minus_w0(6))
+    assert len(calls) <= 2 * datum.rank
+    del calls[:]
+    assert datum.weyl_flips
+    assert not calls
