@@ -8,12 +8,13 @@ of the finite part on the cocharacter lattice is only a view,
 All computations are exact.  ``element`` builds an element from a matrix;
 it and ``RootDatum`` are the only places that turn a matrix into an index.
 
-No Weyl matrix is multiplied here; only sigma's own matrix is applied.
-``compose``, ``invert``, ``newton_point``, ``admissible_set`` and the
-sigma-class sweep read w lambda from the index's ``WeylAction`` (the
-sparse rows in ``datum.weyl_actions``, built on first use).  Products and
-inverses of indices, inversion sets, the sigma action and pi_1(G)_sigma
-are ``rootdata``'s other tables; this module only reads them.  One helper,
+No matrix is multiplied or applied here.  ``compose``, ``invert``,
+``newton_point``, ``admissible_set`` and the sigma-class sweep read w lambda
+from the index's ``WeylAction`` (the sparse rows in ``datum.weyl_actions``,
+built on first use), and sigma lambda and the Weyl index of sigma^k from
+the ``SigmaRows`` of sigma's table.  Products and inverses of indices,
+inversion sets, the sigma action and pi_1(G)_sigma are ``rootdata``'s other
+tables; this module only reads them.  One helper,
 ``_lift``, builds every monomial lift (``rep_lift``, ``adjoint_lift``, the
 decent lift): it composes w's permutation of the weights or roots with
 sigma's, both read from those tables.
@@ -22,7 +23,11 @@ The sweep codes each (translation, index) pair as one int,
 enc(lambda) |W| + w with enc(v) = sum_i v_i B^i, for a radix B derived from
 the window (the bound is proved at the sweep).  enc is linear, so a Weyl
 index acts on codes through the codes of its columns, and each element x
-conjugator step is one int add and one dict lookup.
+conjugator step is one int add and one dict lookup.  Each distinct
+conjugation is swept once: conjugators t^lambda w with one key (w,
+<alpha_i, lambda> over the simple roots, sigma lambda - lambda) differ by a
+t^c with <alpha_i, c> = 0 and sigma c = c, which is central and sigma-fixed,
+so they conjugate every x alike and the partition is unchanged.
 
 ``enumerate_elements`` skips a translation before the Weyl loop when
 sum_{alpha > 0} |<alpha, lambda>| - |Phi+| exceeds the length cap: each
@@ -113,9 +118,8 @@ def sigma_apply(x: AffineElement, sigma: Optional[Matrix]) -> AffineElement:
     """Apply the lattice automorphism sigma: (l, w) -> (s l, s w s^-1)."""
     if sigma is None:
         return x
-    w = x.datum.sigma_table(sigma).weyl_action[x.w]
-    lam = tuple(int(v) for v in linalg.mat_vec(sigma, x.translation))
-    return AffineElement(x.datum, lam, w)
+    table = x.datum.sigma_table(sigma)
+    return AffineElement(x.datum, table.rows.apply(x.translation), table.weyl_action[x.w])
 
 
 def sigma_conjugate(g: AffineElement, x: AffineElement,
@@ -237,21 +241,20 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
     """Newton cocharacter of x: the average of the (w sigma)-orbit of the
     translation part over the minimal period r with (w sigma)^r = 1."""
     datum = x.datum
-    action = datum.sigma_table(sigma).weyl_action
-    ident = linalg.identity(datum.cochar_rank)
+    table = datum.sigma_table(sigma)
+    action, power, inverse = table.weyl_action, table.rows.power, datum.weyl_inverse
     w_apply = datum.weyl_actions[x.w].apply
-    # (w sigma)^r = a sigma^r with a = w sigma(w) ... sigma^(r-1)(w) in W
-    a, conj, s_power = x.w, x.w, ident if sigma is None else linalg.freeze(sigma)
-    total = list(x.translation)
-    moved = x.translation
+    s_apply = None if sigma is None else table.rows.apply
+    # (w sigma)^r = a sigma^r with a = w sigma(w) ... sigma^(r-1)(w) in W:
+    # it is 1 when sigma^r lies in W as a^-1
+    a = conj = x.w
+    total = moved = x.translation
     r = 1
-    while s_power != datum.weyl_elements[datum.weyl_inverse[a]]:
-        moved = w_apply(moved if sigma is None else linalg.mat_vec(sigma, moved))
-        total = [u + v for u, v in zip(total, moved)]
+    while power(r) != inverse[a]:
+        moved = w_apply(moved if s_apply is None else s_apply(moved))
+        total = tuple(map(add, total, moved))
         conj = action[conj]
         a = datum.weyl_mul(a, conj)
-        if sigma is not None:
-            s_power = linalg.mat_mul(s_power, sigma)
         r += 1
         if r > _SIGMA_ORDER_CAP:
             raise PreconditionError("w*sigma does not have finite order on X_*")
@@ -466,7 +469,8 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     only merge, never split, under longer conjugators.  Each block is
     validated to carry constant dominant Newton point and Kottwitz class
     in pi_1(G)_sigma.  More than ``_CLASS_BUDGET`` (elements x conjugators)
-    raises BudgetExceededError with the singleton partition.
+    raises BudgetExceededError with the singleton partition; the budget
+    counts the conjugators the sweep skips as repeats (module docstring).
     """
     if conjugator_cap is None:
         conjugator_cap = length_cap + 2
@@ -483,7 +487,7 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
             f"exceeds the budget of {_CLASS_BUDGET}",
             partial=singleton)
     table = datum.sigma_table(sigma)
-    action = table.weyl_action
+    action, s_apply = table.weyl_action, table.rows.apply
     actions = datum.weyl_actions
     order = len(actions)
     # The sweep codes a (translation l, Weyl index w) pair as the int
@@ -532,7 +536,15 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     # w_g l_x for each x, and w w_h for each w; per g: the code of
     # (l_g + w mu_h, w w_h) for each w = w_g w_x.  A step is one add.
     left: Dict[int, Tuple[List[int], List[int], int, List[int]]] = {}
+    simple_roots, swept = datum.simple_roots, set()
     for g in conjugators:
+        # g and t^c g conjugate alike for a central, sigma-fixed t^c
+        s_lam = s_apply(g.translation)
+        key = (g.w, tuple([sum(map(mul, alpha, g.translation)) for alpha in simple_roots]),
+               tuple(map(sub, s_lam, g.translation)))
+        if key in swept:
+            continue
+        swept.add(key)
         row = left.get(g.w)
         if row is None:
             cols = columns[g.w]
@@ -541,7 +553,6 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
                                [sum(map(mul, x.translation, cols)) for x in elements],
                                wh, [datum.weyl_mul(k, wh) for k in range(order)])
         wgx, moved, wh, right = row
-        s_lam = g.translation if sigma is None else linalg.mat_vec(sigma, g.translation)
         minus_mu = actions[wh].apply(s_lam)
         base = order * sum(map(mul, g.translation, powers))
         tail = [base - sum(map(mul, minus_mu, col)) + wy for col, wy in zip(columns, right)]

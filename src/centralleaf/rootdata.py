@@ -63,14 +63,16 @@ class RootDatum:
             self._reflection_matrix(self.roots[i], self.coroots[i])
             for i in self.simple_indices)
         self._check_reflections_permute_roots()
-        self.weyl_elements, self.weyl_right, self.weyl_words = self._generate_weyl()
+        self.weyl_elements, self.weyl_right, self.weyl_words, self._by_length = \
+            self._generate_weyl()
         self.weyl_index = {w: k for k, w in enumerate(self.weyl_elements)}
         self.weyl_identity = self.weyl_index[linalg.identity(self.cochar_rank)]
         self._weyl_products = [None] * len(self.weyl_elements)
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
         self._sigma_tables = {None: SigmaTable(
             tuple(range(len(self.weyl_elements))), self.pi1, tuple(range(len(self.roots))),
-            None if self.rep_weights is None else tuple(range(len(self.rep_weights))))}
+            None if self.rep_weights is None else tuple(range(len(self.rep_weights))),
+            SigmaRows(linalg.identity(self.cochar_rank), self.weyl_index))}
 
     # -- construction-time validation -------------------------------------
 
@@ -134,11 +136,12 @@ class RootDatum:
     def _generate_weyl(self):
         """Close {1} breadth first under w -> w s_alpha = w - (w alpha_check) <alpha, .>.
 
-        Returns the sorted elements, right[k][i] = index of w_k s_(i+1), and
-        the word (0-based letters) each element was first reached by.  The
-        walk is breadth first with the letters in increasing order, so that
-        word is the lexicographically least reduced word.  More than
-        WEYL_CAP elements raise BudgetExceededError.
+        Returns the sorted elements, right[k][i] = index of w_k s_(i+1), the
+        word (0-based letters) each element was first reached by, and the
+        indices after the identity's in the order reached.  The walk is
+        breadth first with the letters in increasing order, so that order is
+        by length and that word is the lexicographically least reduced word.
+        More than WEYL_CAP elements raise BudgetExceededError.
         """
         steps = tuple(zip(self.simple_roots, self.simple_coroots))
         ident = linalg.identity(self.cochar_rank)
@@ -161,7 +164,8 @@ class RootDatum:
         order = [found[w] for w in elements]
         position = {old: new for new, old in enumerate(order)}
         return (elements, tuple(tuple(position[j] for j in right[k]) for k in order),
-                tuple(reached[k][1] for k in order))
+                tuple(reached[k][1] for k in order),
+                tuple(map(position.__getitem__, range(1, len(reached)))))
 
     # -- basic pairings and actions ----------------------------------------
 
@@ -208,8 +212,8 @@ class RootDatum:
         """The one walk along the stored words: table[identity] = start and
         table[k] = step(table[w_k s_i], i), i the last letter of k's word."""
         words, right, table = self.weyl_words, self.weyl_right, [start] * len(self.weyl_words)
-        # by word length, after the identity: w_k s_i, one letter shorter, is built
-        for k in sorted(range(len(words)), key=lambda k: len(words[k]))[1:]:
+        # by word length: w_k s_i, one letter shorter, is built before k
+        for k in self._by_length:
             table[k] = step(table[right[k][words[k][-1]]], words[k][-1])
         return table
 
@@ -241,11 +245,8 @@ class RootDatum:
         roots, weights = self._permutations
         actions = []
         for k, w in enumerate(self.weyl_elements):
-            rows = [[(j, c) for j, c in enumerate(row) if c] for row in w]
-            actions.append(WeylAction(
-                tuple(row[0] for row in rows),
-                tuple((i, j, c) for i, row in enumerate(rows) for j, c in row[1:]),
-                roots[k], None if weights is None else weights[k]))
+            actions.append(WeylAction(*_sparse_rows(w), roots[k],
+                                      None if weights is None else weights[k]))
         return tuple(actions)
 
     def sigma_table(self, sigma) -> "SigmaTable":
@@ -283,7 +284,8 @@ class RootDatum:
             table = self._sigma_tables[sigma] = SigmaTable(
                 tuple(self._walk(self.weyl_identity, lambda k, i: self._follow(k, words[i]))),
                 present_quotient(n, list(self.coroots) + _moved_columns(sigma)),
-                _permutation(self.roots, on_chars), _permutation(self.rep_weights, on_chars))
+                _permutation(self.roots, on_chars), _permutation(self.rep_weights, on_chars),
+                SigmaRows(sigma, self.weyl_index))
         return table
 
     @cached_property
@@ -366,13 +368,14 @@ class SigmaTable(NamedTuple):
     pi_1(G)_sigma = X_* / (coroots + (1 - sigma) X_*), where kappa lives.
     ``roots[a]`` is the index of sigma alpha_a = alpha_a o sigma^-1 in
     ``roots``, ``weights[a]`` that of sigma chi_a in ``rep_weights``; None
-    where sigma does not permute those lines.
+    where sigma does not permute those lines.  ``rows`` is sigma's ``SigmaRows``.
     """
 
     weyl_action: Tuple[int, ...]
     pi1: CoinvariantLattice
     roots: Optional[Tuple[int, ...]]
     weights: Optional[Tuple[int, ...]]
+    rows: "SigmaRows"
 
 
 class WeylAction:
@@ -400,6 +403,39 @@ class WeylAction:
         for i, j, c in self.rest:
             out[i] += c * v[j]
         return tuple(out)
+
+
+class SigmaRows:
+    """sigma's sparse rows (``apply(v)`` is sigma v, as in ``WeylAction``) and
+    ``power(k)``, the Weyl index of sigma^k or None outside W, walked on first
+    use only as far as asked.  Equal by rows, so a ``SigmaTable`` is a value."""
+
+    __slots__ = ("gather", "rest", "_index", "_columns", "_powers")
+    apply = WeylAction.apply
+
+    def __init__(self, matrix, weyl_index):
+        self.gather, self.rest = _sparse_rows(matrix)
+        self._index, self._columns = weyl_index, linalg.identity(len(matrix))
+        self._powers = [weyl_index[self._columns]]
+
+    def power(self, k: int) -> Optional[int]:
+        while len(self._powers) <= k:  # sigma^k's columns: sigma on sigma^(k-1)'s
+            self._columns = tuple(map(self.apply, self._columns))
+            self._powers.append(self._index.get(tuple(zip(*self._columns))))
+        return self._powers[k]
+
+    def __eq__(self, other):
+        return isinstance(other, SigmaRows) and (self.gather, self.rest) == (other.gather, other.rest)
+
+    def __hash__(self):
+        return hash((self.gather, self.rest))
+
+
+def _sparse_rows(matrix):
+    """``WeylAction``'s (gather, rest) for an invertible matrix."""
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
+    return (tuple(row[0] for row in rows),
+            tuple((i, j, c) for i, row in enumerate(rows) for j, c in row[1:]))
 
 
 def _permutation(chars, on_chars) -> Optional[Tuple[int, ...]]:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centralleaf import linalg
-from centralleaf.affine import (adjoint_lift, admissible_set, bruhat_leq, compose,
-                                decent_representative, element,
+from centralleaf.affine import (KottwitzClass, adjoint_lift, admissible_set,
+                                bruhat_leq, compose, decent_representative, element,
                                 enumerate_elements, enumerate_sigma_classes,
                                 identity_element, invert, kottwitz, length,
                                 newton_point, omega_and_word, rep_lift,
@@ -594,14 +594,19 @@ def matrix_sigma_classes(datum, length_cap, sigma=None, coord_bound=None):
     return {frozenset(block) for block in blocks.values()}
 
 
+# lambda -> -w0 lambda on GL3 negates the centre: t^(1,1,1) is central but
+# not sigma-fixed, so lambda and lambda + (1,1,1) conjugate differently
+GL3_DUAL = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
+
+
 # (datum, length cap, sigma, coord bound): GSp4's Weyl matrices have row
 # sums of 2, so its conjugates leave the window's coordinate range
 @pytest.mark.parametrize("datum, cap, sigma, bound", [
     (GL2, 2, None, None), (GL3, 1, None, None), (SP4, 2, None, None),
     (build_classical("GSp", 4), 1, None, None), (GL3, 2, rotation3(), 2),
-    (GL4, 0, GL4_DUAL, 1),
+    (GL4, 0, GL4_DUAL, 1), (GL3, 1, GL3_DUAL, 2),
 ], ids=["GL2-cap2", "GL3-cap1", "Sp4-cap2", "GSp4-cap1", "GL3-rotation-cap2",
-        "GL4-dual-cap0"])
+        "GL4-dual-cap0", "GL3-dual-cap1"])
 def test_coded_sweep_matches_the_matrix_sweep(datum, cap, sigma, bound):
     partition = enumerate_sigma_classes(datum, cap, sigma=sigma, coord_bound=bound)
     expected = matrix_sigma_classes(datum, cap, sigma, bound)
@@ -653,3 +658,75 @@ def test_a_lift_that_does_not_permute_the_weights_is_refused():
     torus = RootDatum("T", [], [], [], 2)
     with pytest.raises(UnsupportedOperationError):
         rep_lift(identity_element(torus))
+
+
+# ---------------------------------------------------------------------------
+# the Newton walk: the matrix walk it replaced, and its contract
+
+def matrix_newton_walk(x, sigma):
+    """The Newton walk on explicit matrices: (w sigma)^r = a sigma^r, with
+    sigma^r formed by ``mat_mul``, sigma applied by ``mat_vec``, and the walk
+    stopping when sigma^r equals the matrix of a^-1."""
+    datum = x.datum
+    action = datum.sigma_table(sigma).weyl_action
+    ident = linalg.identity(datum.cochar_rank)
+    a, conj, s_power = x.w, x.w, ident if sigma is None else linalg.freeze(sigma)
+    total, moved, r = list(x.translation), x.translation, 1
+    while s_power != datum.weyl_elements[datum.weyl_inverse[a]]:
+        moved = linalg.mat_vec(x.finite, moved if sigma is None else linalg.mat_vec(sigma, moved))
+        total = [u + v for u, v in zip(total, moved)]
+        conj = action[conj]
+        a = datum.weyl_mul(a, conj)
+        if sigma is not None:
+            s_power = linalg.mat_mul(s_power, sigma)
+        r += 1
+    return (tuple(F(t, r) for t in total),
+            tuple(F(t, r) for t in dominant_rep(datum, total)), r)
+
+
+ROTATION3_INVERSE = linalg.mat_mul(rotation3(), rotation3())
+
+
+@pytest.mark.parametrize("datum, cap, sigma, bound", [
+    (GL3, 2, None, 4), (build_classical("GSp", 4), 1, None, 3),
+    (GL3, 2, rotation3(), 2), (GL3, 2, ROTATION3_INVERSE, 2), (GL4, 1, GL4_DUAL, 1),
+], ids=["GL3-cap2", "GSp4-cap1", "GL3-rotation-cap2", "GL3-inverse-rotation-cap2",
+        "GL4-dual-cap1"])
+def test_newton_walk_matches_the_matrix_walk(datum, cap, sigma, bound):
+    for x in enumerate_elements(datum, cap, bound):
+        assert tuple(newton_point(x, sigma)) == matrix_newton_walk(x, sigma)
+
+
+# the rank-2 torus and a unipotent sigma: no power of sigma lies in W = 1
+T2 = RootDatum("T2", (), (), (), 2)
+UNIPOTENT = ((1, 1), (0, 1))
+
+
+def test_a_sigma_of_infinite_order_keeps_its_kottwitz_map_and_has_no_newton_point():
+    datum = RootDatum("T2", (), (), (), 2)
+    x = translation_element(datum, (3, 5))
+    # pi_1(T)_sigma = Z^2 / (1 - sigma) Z^2 = Z^2 / Z e_1, read on e_2
+    assert kottwitz(x, [[1, 1], [0, 1]]) == KottwitzClass((5,), (), ())
+    rows = datum.sigma_table(UNIPOTENT).rows
+    assert len(rows._powers) == 1  # no power of sigma is walked before it is asked for
+    with pytest.raises(PreconditionError) as caught:
+        newton_point(x, UNIPOTENT)
+    assert str(caught.value) == "w*sigma does not have finite order on X_*"
+    assert rows.power(0) == datum.weyl_identity
+    assert {rows.power(k) for k in range(1, len(rows._powers))} == {None}
+
+
+def test_newton_point_neither_multiplies_nor_applies_matrices(monkeypatch):
+    cases = [(GL3, None), (GL3, rotation3()), (GL4, GL4_DUAL), (T2, UNIPOTENT)]
+    for datum, sigma in cases:  # the per-datum tables, built on first use
+        datum.sigma_table(sigma), datum.weyl_actions, datum.weyl_inverse
+    calls = []
+    for name in ("mat_mul", "mat_vec"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, f=original: calls.append(1) or f(*args))
+    for datum, sigma in cases[:-1]:
+        for x in enumerate_elements(datum, 1, 1):
+            newton_point(x, sigma)
+    with pytest.raises(PreconditionError):
+        newton_point(identity_element(T2), UNIPOTENT)
+    assert not calls
