@@ -16,10 +16,12 @@ rational Frobenius matrix, with certificates in both directions.  The slope
 factors of the characteristic polynomial come from one p-adic Hensel lift
 (``_slope_factors_mod``); whether they lie in Q[x] is read off that lift, so
 no factorisation over Q is needed.  Each split of the lift is x^u * h mod p
-with h(0) a unit, so its Bezout factor is the truncated inverse h^-1 mod
-x^u and no Euclid over F_p[x] is run; one exact product of integer
-polynomials (``_poly_mul``) serves the lift and the check that the
-candidate factors over Q multiply back to the characteristic polynomial.
+with h(0) a unit; Newton's iteration lifts only the factor of degree u,
+doubling the precision at each step, from the truncated inverse h^-1 mod
+x^u, so no Euclid over F_p[x] is run.  Exact integer polynomial products
+and divisions by monic polynomials serve the lift and the check that the
+candidate factors over Q multiply back to the characteristic polynomial;
+when they do not, the slope pieces are kernels mod p^k, found over Z/p^k.
 The saturated slope pieces are exact when they do and p-adic
 approximations otherwise; either way one decision (``_slope_report``)
 checks that they grade the lattice and reads the period off an orbit walk
@@ -408,39 +410,53 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _poly_divmod(a: Sequence[int], f: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of an integer polynomial by a monic one."""
+    u = len(f) - 1
+    rem, quot = list(a), [0] * max(len(a) - u, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + u]
+        if c:
+            for j in range(u):
+                rem[i + j] -= c * f[j]
+    return quot, rem[:u]
+
+
 def _hensel_split(coeffs: List[int], u: int, p: int, prec: int):
     """Split a monic polynomial chi mod p^prec as F*H with F monic of degree
-    u, F = x^u mod p, and H a unit at 0, by linear Hensel lifting (one
-    p-digit per step).
+    u, F = x^u mod p, and H a unit at 0, by quadratic Hensel lifting of F
+    alone (von zur Gathen-Gerhard, *Modern Computer Algebra*, 15.4).
 
-    Mod p, chi is x^u * h_bar with h_bar(0) a unit, so the truncated power
-    series b = h_bar^-1 mod x^u is a Bezout factor: b * h_bar = 1 mod x^u.
-    For the error e = (chi - F*H) / p^k mod p, the correction
-    dF = b * e mod x^u leaves e - dF * h_bar divisible by x^u, and dH is
-    the quotient.
+    Mod p, chi is x^u * h_bar with h_bar(0) a unit, so for F = x^u the
+    truncated power series s = h_bar^-1 mod x^u inverts H = chi div F
+    modulo (F, p).  While F divides chi mod p^k and s inverts H modulo
+    (F, p^k), F + (chi mod F) * s mod F divides chi mod p^2k, and
+    s * (2 - s * H) mod F inverts the new H modulo p^2k (Newton's
+    iteration; for u = 1, Newton's root iteration).  H is the exact
+    quotient chi div F, reduced at the end.
     """
     q = p ** prec
     h_bar = [c % p for c in coeffs[u:]]
     inv0 = pow(h_bar[0], -1, p)
-    b = [inv0]
+    s = [inv0]
     for k in range(1, u):
-        b.append(-inv0 * sum(h_bar[j] * b[k - j]
+        s.append(-inv0 * sum(h_bar[j] * s[k - j]
                              for j in range(1, min(k + 1, len(h_bar)))) % p)
-    f, h = [0] * u + [1], h_bar
-    modulus = p
-    while modulus < q:
-        err = [(c - x) % q for c, x in zip(coeffs, _poly_mul(f, h))]
-        if any(e % modulus for e in err):
-            raise ConsistencyError("Hensel invariant violated")
-        e_red = [e // modulus % p for e in err]
-        delta_f = [c % p for c in _poly_mul(b, e_red)[:u]]
-        rest = [(e - c) % p for e, c in zip(e_red, _poly_mul(delta_f, h_bar) + [0])]
-        if any(rest[:u]):
-            raise ConsistencyError("Hensel division left a remainder")
-        f = [(x + modulus * c) % q for x, c in zip(f, delta_f)] + [1]
-        h = [(x + modulus * c) % q for x, c in zip(h, rest[u:])]
-        modulus *= p
-    return f, h
+    f, k = [0] * u + [1], 1
+    h, rest = _poly_divmod(coeffs, f)
+    while k < prec:
+        k = min(2 * k, prec)
+        mod = p ** k
+        delta = _poly_divmod(_poly_mul(rest, s), f)[1]
+        f = [(x + c) % mod for x, c in zip(f, delta)] + [1]
+        h, rest = _poly_divmod(coeffs, f)
+        if k < prec:
+            sh = _poly_divmod(_poly_mul(s, h), f)[1]
+            ssh = _poly_divmod(_poly_mul(s, sh), f)[1]
+            s = [(2 * a - b) % mod for a, b in zip(s, ssh)]
+    if any(c % q for c in rest):
+        raise ConsistencyError("Hensel invariant violated")
+    return f, [c % q for c in h]
 
 
 def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
@@ -495,7 +511,7 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
     p^shift * t / t_den, yields approximate saturated lattice pieces.
     Returns ({slope: (basis columns, s)}, margin), the pieces agreeing with
     the true ones modulo p^margin, or None to retry when the margin is not
-    above 2.
+    above 2; each slope's window is checked before its kernel is built.
     """
     n = len(t)
     t_val = linalg.valuation(t_den, p)
@@ -510,7 +526,7 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
         return None
 
     pieces = {}
-    windows = {}
+    margin = prec  # every window is below prec
     for slope in slopes_desc:
         fac = by_slope[slope]
         # factors live in the substituted variable y = x / p^slope, so the
@@ -537,6 +553,11 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
         if emax >= approx_window or any(v < approx_window for v in junk):
             return None
         kk = approx_window - 1
+        # the piece agrees with the true one modulo p^window
+        window = kk - emax - omega - den_val
+        if window <= 2:
+            return None
+        margin = min(margin, window)
         kernel = linalg.kernel_mod_prime_power(scaled, p, kk)
         cols = []
         for j in range(n):
@@ -546,11 +567,6 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
         if len(cols) != expected[slope]:
             return None
         pieces[slope] = _saturate_columns(cols)
-        windows[slope] = kk - emax - omega - den_val
-
-    margin = min(windows.values())
-    if margin <= 2:
-        return None
     return pieces, margin
 
 

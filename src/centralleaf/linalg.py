@@ -7,7 +7,8 @@ input of denominators once, eliminates fraction-free on Python ints
 (Bareiss) and divides once at the end, so Fractions appear only in its
 results.  The p-adic elementary-divisor exponents (all the ADLV census
 reads per lattice) come from integer row operations that scale rows only
-by p-adic units.  Smith and Hermite forms with their transforms are
+by p-adic units, and kernels modulo p^k from the same elimination over
+Z/p^k.  Smith and Hermite forms with their transforms are
 computed with integer row and column operations (H. Cohen, *A Course in
 Computational Algebraic Number Theory*, GTM 138, section 2.4),
 characteristic polynomials by Berkowitz's division-free algorithm on the
@@ -403,16 +404,39 @@ def solve_triangular(columns: Sequence[Sequence[int]],
 def kernel_mod_prime_power(rows, p: int, k: int) -> Matrix:
     """Basis (columns) of the lattice {v : A v == 0 mod p^k}, containing p^k Z^m.
 
-    With S*A*T = D, v = T y lies in the lattice exactly when d_j y_j is
-    divisible by p^k for every j; the result is the Hermite form of the
-    scaled columns of T together with p^k Z^m.
+    Elimination over Z/p^k, as in ``local_exponents``: each step pivots on
+    an entry of least valuation v < k, clears its column with row
+    operations, and clears its row by column operations, which are applied
+    to a transform T only (the pivot row is then dropped).  A then becomes
+    diagonal, with entries p^v, so v = T y lies in the lattice exactly when
+    p^(k - v) divides the y of each pivot column; the result is the Hermite
+    form of the columns of T so scaled, together with p^k Z^m.
     """
-    divisors, _s, t = smith_full(rows)
-    m = len(t)
     q = p ** k
-    scale = [p ** max(0, k - valuation(d, p)) if d else 1 for d in divisors]
-    scale += [1] * (m - len(scale))
-    gens = [[t[i][j] * scale[j] for j in range(m)] + [q * (i == j) for j in range(m)]
+    work = [[x % q for x in row] for row in rows]
+    m = len(work[0]) if work else 0
+    t = [[int(i == j) for i in range(m)] for j in range(m)]  # columns of T
+    scale = [1] * m
+    while True:
+        entries = [(valuation(x, p), i, j)
+                   for i, row in enumerate(work) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        best_v, best_i, best_j = min(entries)
+        pivot_row = work.pop(best_i)
+        unit = p ** best_v
+        inverse = pow(pivot_row[best_j] // unit, -1, q)
+        for row in work:
+            f = row[best_j] // unit * inverse
+            if f:
+                row[:] = [(x - f * y) % q for x, y in zip(row, pivot_row)]
+        col = t[best_j]
+        for j, x in enumerate(pivot_row):
+            if x and j != best_j:
+                f = x // unit * inverse
+                t[j] = [(a - f * b) % q for a, b in zip(t[j], col)]
+        scale[best_j] = p ** (k - best_v)
+    gens = [[t[j][i] * scale[j] for j in range(m)] + [q * (i == j) for j in range(m)]
             for i in range(m)]
     return hnf_columns(gens)
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from centralleaf import isocrystal, linalg
@@ -465,11 +465,13 @@ def test_mod_pk_route_agrees_with_exact_route(case):
 @st.composite
 def hensel_inputs(draw):
     """(chi, u, p, prec): a monic chi of degree <= 8 mod p^prec whose low u
-    coefficients are divisible by p and whose x^u coefficient is a unit."""
+    coefficients are divisible by p and whose x^u coefficient is a unit.
+    Precision 1 makes no lifting step, and most precisions are not powers
+    of two, so the doubling overshoots them."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     degree = draw(st.integers(2, 8))
     u = draw(st.integers(1, degree - 1))
-    prec = draw(st.integers(1, 40))
+    prec = draw(st.integers(1, 64))
     q = p ** prec
     low = [p * c for c in draw(st.lists(st.integers(0, q // p - 1), min_size=u, max_size=u))]
     unit = draw(st.integers(0, q - 1).filter(lambda c: c % p))
@@ -480,25 +482,36 @@ def hensel_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=hensel_inputs())
+@example(case=([10, 3, 7, 1], 1, 2, 37))  # u = 1: Newton's root iteration
+@example(case=([3, 6, 18, 4, 1], 3, 3, 50))  # u = degree - 1
+@example(case=([5, 2, 1], 1, 5, 1))  # precision 1: no lifting step
 def test_hensel_split_defining_properties(case):
     # F monic of degree u with F = x^u mod p, H = chi / x^u mod p and
-    # F * H = chi mod p^prec determine the split uniquely (Hensel's lemma)
+    # F * H = chi mod p^prec determine the split uniquely (Hensel's lemma);
+    # both factors come as residues in [0, p^prec)
     chi, u, p, prec = case
     f, h = isocrystal._hensel_split(chi, u, p, prec)
+    assert all(0 <= c < p ** prec for c in f + h)
     assert len(f) == u + 1 and f[u] == 1 and all(c % p == 0 for c in f[:u])
     assert len(h) == len(chi) - u and all((a - b) % p == 0 for a, b in zip(h, chi[u:]))
     assert all((a - b) % p ** prec == 0 for a, b in zip(_poly_mul(f, h), chi))
 
 
+def _certificate_digest(reports):
+    """(count, sha256) of every report's (divisible, slopes, period, pieces,
+    reason), in order."""
+    rows = [[r.divisible, [str(s) for s in r.slopes], r.period,
+             [[[str(v) for v in row] for row in piece] for piece in r.pieces],
+             r.reason]
+            for r in reports]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return len(rows), hashlib.sha256(blob).hexdigest()
+
+
 def _census_certificate_digest(censuses):
-    """(count, sha256) of every point's (divisible, slopes, period, pieces,
-    reason), in census and point order."""
-    reports = [[r.divisible, [str(s) for s in r.slopes], r.period,
-                [[[str(v) for v in row] for row in piece] for piece in r.pieces],
-                r.reason]
-               for census in censuses for r in (pt.slope_divisible for pt in census.points)]
-    blob = json.dumps(reports, separators=(",", ":")).encode()
-    return len(reports), hashlib.sha256(blob).hexdigest()
+    """(count, sha256) of every point's certificate, in census and point order."""
+    return _certificate_digest(pt.slope_divisible for census in censuses
+                               for pt in census.points)
 
 
 def test_census_certificates_pinned():
@@ -512,6 +525,43 @@ def test_census_certificates_pinned():
                  for lam in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for p in (2, 3)]
     assert _census_certificate_digest(censuses) == (
         638, "0180457ca7329eb37ce7fdabb6a14d3e0b71679a39371811ad0fffbea2827d84")
+
+
+# fixed unimodular conjugators, two per size
+_UNIMODULAR = {2: (((2, 1), (1, 1)), ((1, -2), (0, 1))),
+               3: (((1, 2, 0), (0, 1, -1), (1, 2, 1)), ((0, 1, 0), (1, 1, 1), (2, 0, 1)))}
+
+
+def _mod_pk_inputs():
+    """The companions of test_csd_mod_pk_certified_false (False), then the
+    companion_unit shapes of the certify benchmark (True): x^2 +- x + p and
+    x^3 + b x^2 + a x + p without integer roots, conjugated by fixed
+    unimodular matrices."""
+    inputs = [(((0, -p ** 3 * v), (1, -p * u)), p)
+              for p, u, v in [(2, 1, 1), (2, -1, 1), (2, 1, 5), (2, 7, -7),
+                              (3, 1, 1), (3, -1, -1), (3, 1, 7), (3, 5, -1)]]
+    shapes = [[p, b] for p in (2, 3) for b in (1, -1)]
+    shapes += [[p, a, b] for p in (2, 3) for a in (1, -1, 0) for b in (1, -1)]
+    for i, coeffs in enumerate(shapes):
+        p, n = coeffs[0], len(coeffs)
+        if any(sum(c * r ** k for k, c in enumerate(coeffs)) + r ** n == 0
+               for r in (1, -1, p, -p)):
+            continue
+        g = _UNIMODULAR[n][i % 2]
+        m = linalg.mat_mul(linalg.mat_mul(g, _companion(coeffs)), linalg.mat_inv(g))
+        inputs.append((m, p))
+    return inputs
+
+
+def test_mod_pk_certificates_pinned():
+    # Pinned before the quadratic Hensel lift and the mod-p^k elimination:
+    # every input takes the mod-p^k route, with both answers.
+    reports = [is_completely_slope_divisible(RationalIsocrystal(m, p))
+               for m, p in _mod_pk_inputs()]
+    assert all("precision" in r.reason for r in reports)
+    assert {r.divisible for r in reports} == {True, False}
+    assert _certificate_digest(reports) == (
+        21, "e75ab568dcc3b0e6af25633006241792a5edf1fba7a21ba89a11653b3f7eba24")
 
 
 def test_monomial_from_rational_round_trip():

@@ -291,6 +291,50 @@ def test_kernel_mod_prime_power_by_counting(rows, p, k):
     assert abs(linalg.det(basis)) * size == q ** m
 
 
+def _kernel_mod_prime_power_by_smith(rows, p, k):
+    """The kernel lattice from an integer Smith decomposition S*A*T = D:
+    v = T y lies in it exactly when p^k divides every d_j y_j, so the columns
+    of T are scaled by p^max(0, k - v(d_j)) and p^k Z^m is added."""
+    divisors, _s, t = linalg.smith_full(rows)
+    m = len(t)
+    q = p ** k
+    scale = [p ** max(0, k - linalg.valuation(d, p)) if d else 1 for d in divisors]
+    scale += [1] * (m - len(scale))
+    gens = [[t[i][j] * scale[j] for j in range(m)] + [q * (i == j) for j in range(m)]
+            for i in range(m)]
+    return linalg.hnf_columns(gens)
+
+
+@st.composite
+def p_heavy_matrices(draw):
+    """(rows, p, k): n x m integer matrices, n, m <= 4 (wide and tall), with
+    entries +-p^e * c, e up to 40, some zero rows, and k <= 30."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.builds(
+        lambda sign, e, c: sign * p ** e * c, st.sampled_from((1, -1)),
+        st.integers(0, 40), st.integers(1, 30)))
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    for row in rows:
+        if draw(st.integers(0, 4)) == 0:
+            row[:] = [0] * m
+    return rows, p, draw(st.integers(1, 30))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(p_heavy_matrices())
+@example(([[0, 0], [0, 0]], 2, 5))
+@example(([[2 ** 30, 3 * 2 ** 7, 0]], 2, 12))
+@example(([[9], [27], [0]], 3, 30))
+def test_kernel_mod_prime_power_matches_smith_construction(case):
+    # the Hermite form is canonical for the lattice, so elimination over
+    # Z/p^k must return exactly what the integer Smith route returns
+    rows, p, k = case
+    assert linalg.kernel_mod_prime_power(rows, p, k) == \
+        _kernel_mod_prime_power_by_smith(rows, p, k)
+
+
 @ORACLE_SETTINGS
 @given(st.integers(1, 4), st.data())
 def test_solve_triangular_matches_rational_solve(n, data):
