@@ -5,37 +5,33 @@ oracle, admissible sets, lattice censuses of affine Deligne-Lusztig sets,
 and truncated Witt-vector/display verification; all arithmetic exact.
 """
 
-from .affine import (AffineElement, DecentLift, KottwitzClass, NewtonPoint,
+from .affine import (AffineElement, KottwitzClass, NewtonPoint,
                      SigmaClassPartition, adjoint_lift, admissible_set,
-                     bruhat_leq, compose, decent_representative, element,
-                     enumerate_elements, enumerate_sigma_classes,
-                     identity_element, invert, kottwitz, length, newton_point,
-                     rep_lift, sigma_apply, sigma_conjugate, simple_element,
-                     translation_element)
+                     compose, element, enumerate_elements,
+                     enumerate_sigma_classes, identity_element, invert,
+                     kottwitz, length, newton_point, rep_lift, sigma_apply,
+                     sigma_conjugate, simple_element, translation_element)
 from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
                      ConsistencyError, DatumMismatchError, InconclusiveError,
                      NotPDivisibleError, PreconditionError, SingularInputError,
                      UnsupportedOperationError)
 from .isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                          SlopeDivisibilityReport, WeightedRep, adjoint_rep,
-                         hom_rep, is_completely_slope_divisible,
+                         is_completely_slope_divisible,
                          monomial_from_rational, restriction_of_scalars,
                          slopes_charpoly, slopes_monomial,
-                         slopes_via_restriction, slopes_via_weights,
-                         standard_rep, tensor_rep)
+                         slopes_via_weights, standard_rep)
 from .lattices import (ADLVCensus, ADLVPoint, LatticeModel, adlv_points,
-                       enumerate_lattices, lattice_from_columns,
-                       relative_position)
+                       enumerate_lattices)
 from .leaves import (CrossCheckReport, LeafReport, cross_check_dimension,
                      leaf_report, mu_average, neutral_acceptable)
 from .rootdata import (CoinvariantLattice, RootDatum, build_classical,
                        datum_from_document, dominance_leq, dominant_rep,
                        is_dominant, parse_group_name)
 from .witt import (DisplayDatum, DisplayReport, NilpotentPolyRing, WittVector,
-                   ZModRing, display_check, display_doc, display_from_doc,
-                   display_from_element, int_of_witt_digits,
-                   structure_polynomials, witt, witt_add, witt_digits_of_int,
-                   witt_frobenius, witt_ghost, witt_mul, witt_neg,
-                   witt_verschiebung)
+                   ZModRing, display_check, display_from_element,
+                   int_of_witt_digits, structure_polynomials, witt, witt_add,
+                   witt_digits_of_int, witt_frobenius, witt_ghost, witt_mul,
+                   witt_neg, witt_verschiebung)
 
 __version__ = "0.1.0"

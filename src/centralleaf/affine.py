@@ -1,5 +1,5 @@
-"""Extended affine Weyl group: group law, length, Bruhat order,
-sigma-conjugacy, Newton and Kottwitz maps, monomial lifts, admissible sets.
+"""Extended affine Weyl group: group law, length, sigma-conjugacy, Newton
+and Kottwitz maps, monomial lifts, admissible sets.
 
 Elements are pairs (translation, w) with w an index into the coded Weyl
 group that ``rootdata`` owns (``datum.weyl_elements``); the integer matrix
@@ -15,9 +15,9 @@ built on first use), and sigma lambda and the Weyl index of sigma^k from
 the ``SigmaRows`` of sigma's table.  Products and inverses of indices,
 inversion sets, the sigma action and pi_1(G)_sigma are ``rootdata``'s other
 tables; this module only reads them.  One helper,
-``_lift``, builds every monomial lift (``rep_lift``, ``adjoint_lift``, the
-decent lift): it composes w's permutation of the weights or roots with
-sigma's, both read from those tables.
+``_lift``, builds every monomial lift (``rep_lift``, ``adjoint_lift``): it
+composes w's permutation of the weights or roots with sigma's, both read
+from those tables.
 
 The sweep codes each (translation, index) pair as one int,
 enc(lambda) |W| + w with enc(v) = sum_i v_i B^i, for a radix B derived from
@@ -45,7 +45,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from . import linalg
 from .errors import (BudgetExceededError, ConsistencyError, DatumMismatchError,
                      PreconditionError, UnsupportedOperationError)
-from .isocrystal import MonomialIsocrystal, monomial_compose, monomial_identity
+from .isocrystal import MonomialIsocrystal
 from .rootdata import RootDatum, dominant_rep, is_dominant
 
 Vector = Tuple[int, ...]
@@ -171,46 +171,6 @@ def omega_and_word(x: AffineElement) -> Tuple[AffineElement, Tuple[int, ...]]:
     return current, tuple(reversed(letters))
 
 
-def bruhat_leq(x: AffineElement, y: AffineElement) -> bool:
-    """Bruhat order on the extended affine Weyl group.
-
-    Elements in different length-zero cosets are incomparable (False).
-    The test runs the subword recursion against one fixed reduced word of
-    y's affine part; the result is independent of the chosen word.
-    """
-    _same_datum(x, y)
-    tau_x, _ = omega_and_word(x)
-    tau_y, word_y = omega_and_word(y)
-    if tau_x != tau_y:
-        return False
-    u = compose(invert(tau_x), x)
-    gens = affine_generators(x.datum)
-    memo: Dict = {}
-
-    def recurse(u_elem: AffineElement, suffix: Tuple[int, ...]) -> bool:
-        if length(u_elem) == 0:
-            # inside the affine Weyl group only the identity has length zero
-            return u_elem == identity_element(x.datum)
-        if not suffix:
-            return False
-        key = (u_elem, suffix)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s = gens[suffix[0]]
-        su = compose(s, u_elem)
-        if length(su) < length(u_elem):
-            result = recurse(su, suffix[1:])
-        else:
-            result = recurse(u_elem, suffix[1:])
-        memo[key] = result
-        return result
-
-    if length(u) == 0:
-        return u == identity_element(x.datum)
-    return recurse(u, word_y)
-
-
 # ---------------------------------------------------------------------------
 # Newton point, Kottwitz map
 
@@ -272,13 +232,7 @@ def kottwitz(x: AffineElement, sigma: Optional[Matrix] = None) -> KottwitzClass:
 
 
 # ---------------------------------------------------------------------------
-# monomial lifts: the attached representation, the adjoint isocrystal, decency
-
-class DecentLift(NamedTuple):
-    period: int
-    matrix: MonomialIsocrystal
-    nu: NewtonPoint
-
+# monomial lifts: the attached representation, the adjoint isocrystal
 
 def _lift(datum: RootDatum, lam, w: int, sigma: Optional[Matrix],
           on_roots: bool = False) -> MonomialIsocrystal:
@@ -314,44 +268,6 @@ def adjoint_lift(x: AffineElement, sigma: Optional[Matrix] = None) -> MonomialIs
     """The adjoint isocrystal of x sigma on the root lines: the monomial
     matrix of t^lambda * w sigma, whose slopes are <alpha, nu>, one per root."""
     return _lift(x.datum, x.translation, x.w, sigma, on_roots=True)
-
-
-def decent_representative(x: AffineElement,
-                          sigma: Optional[Matrix] = None) -> DecentLift:
-    """The monomial lift b of x in the attached representation, with the
-    least period r at which (b sigma)^r = p^{r nu} sigma^r holds exactly.
-
-    At the Newton period, (w sigma)^r = 1 on X_*; decency also needs
-    sigma^r to fix the weight lines, so r runs over the multiples of that
-    period, capped like the loop of ``newton_point``.  The verification is
-    symbolic in p: both sides are monomial matrices whose permutation and
-    exponent data are compared directly.
-    """
-    datum = x.datum
-    nu = newton_point(x, sigma)
-    lift = _lift(datum, x.translation, x.w, None)
-    n = lift.size
-    s_mono = _lift(datum, (0,) * datum.cochar_rank, datum.weyl_identity, sigma)
-    r = nu.period
-    nu_exps = []
-    for chi in datum.rep_weights:
-        e = Fraction(datum.pair(chi, nu.vector)) * r
-        if e.denominator != 1:
-            raise ConsistencyError("r*nu pairing is not integral")
-        nu_exps.append(int(e))
-    twisted = monomial_compose(lift, s_mono)
-    step, s_step = monomial_identity(n), monomial_identity(n)
-    for _ in range(r):
-        step = monomial_compose(step, twisted)
-        s_step = monomial_compose(s_step, s_mono)
-    power = s_power = monomial_identity(n)
-    for k in range(1, _SIGMA_ORDER_CAP // r + 1):
-        power, s_power = monomial_compose(power, step), monomial_compose(s_power, s_step)
-        target = monomial_compose(MonomialIsocrystal(
-            n, tuple(range(n)), tuple(k * e for e in nu_exps)), s_power)
-        if power == target:
-            return DecentLift(k * r, lift, nu)
-    raise ConsistencyError("decency equation failed for the monomial lift")
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,9 @@ def _run_witt_selfcheck(spec: JobSpec):
     p, m, k = spec.p, spec.length, spec.coeff_exponent
     if spec.count < 1:
         raise ConfigurationError(f"--count must be at least 1, got {spec.count}")
+    if m < 2:
+        # Frobenius and Verschiebung need a length of at least 2
+        raise ConfigurationError(f"--length must be at least 2, got {m}")
     ring = ZModRing(p, k)
     rng = random.Random(spec.seed)
     structure_polynomials(p, m)  # integrality asserted at derivation

@@ -93,10 +93,6 @@ class MonomialIsocrystal(NamedTuple("MonomialIsocrystal", [
         return linalg.freeze(rows)
 
 
-def monomial_identity(n: int) -> MonomialIsocrystal:
-    return MonomialIsocrystal(n, tuple(range(n)), (0,) * n)
-
-
 def monomial_from_rational(matrix, p: int,
                            frobenius_power: int = 1) -> MonomialIsocrystal:
     """Read a monomial datum off a rational matrix whose entries are
@@ -116,15 +112,6 @@ def monomial_from_rational(matrix, p: int,
         perm[j] = i
         exps[j] = int(v)
     return MonomialIsocrystal(n, tuple(perm), tuple(exps), frobenius_power)
-
-
-def monomial_compose(a: MonomialIsocrystal, b: MonomialIsocrystal) -> MonomialIsocrystal:
-    """Product a*b of the underlying monomial matrices (frobenius_power 1)."""
-    if a.size != b.size:
-        raise DatumMismatchError("monomial sizes differ")
-    perm = tuple(a.permutation[b.permutation[j]] for j in range(a.size))
-    exps = tuple(b.exponents[j] + a.exponents[b.permutation[j]] for j in range(a.size))
-    return MonomialIsocrystal(a.size, perm, exps)
 
 
 def restriction_of_scalars(m: MonomialIsocrystal) -> MonomialIsocrystal:
@@ -209,25 +196,6 @@ def slopes_charpoly(m: RationalIsocrystal) -> Tuple[Fraction, ...]:
     return newton_polygon_slopes(coeffs, m.prime)
 
 
-def slopes_via_restriction(m: MonomialIsocrystal, p: int) -> Tuple[Fraction, ...]:
-    """Char-poly slopes of the restriction-of-scalars expansion, with
-    multiplicities divided back by the twisting degree r."""
-    r = m.frobenius_power
-    expanded = restriction_of_scalars(m)
-    slopes = slopes_charpoly(RationalIsocrystal(expanded.rational_matrix(p), p))
-    if r == 1:
-        return slopes
-    out = []
-    i = 0
-    while i < len(slopes):
-        run = [s for s in slopes if s == slopes[i]]
-        if len(run) % r != 0:
-            raise ConsistencyError("expanded multiplicities not divisible by r")
-        out.extend([slopes[i]] * (len(run) // r))
-        i += len(run)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # weighted representations
 
@@ -254,18 +222,6 @@ def adjoint_rep(datum: RootDatum) -> WeightedRep:
     zero = (0,) * datum.cochar_rank
     weights = (zero,) * datum.cochar_rank + datum.roots
     return WeightedRep(datum, "adjoint", weights)
-
-
-def tensor_rep(rep: WeightedRep, k: int) -> WeightedRep:
-    weights = [tuple(sum(parts) for parts in zip(*combo))
-               for combo in itertools.product(rep.weights, repeat=k)]
-    return WeightedRep(rep.datum, f"tensor({k})", tuple(weights))
-
-
-def hom_rep(rep: WeightedRep) -> WeightedRep:
-    weights = [tuple(b - a for a, b in zip(w1, w2))
-               for w1 in rep.weights for w2 in rep.weights]
-    return WeightedRep(rep.datum, "hom", tuple(weights))
 
 
 def slopes_via_weights(rep: WeightedRep, nu) -> Tuple[Fraction, ...]:

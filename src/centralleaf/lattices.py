@@ -114,50 +114,6 @@ def enumerate_lattices(n: int, p: int, depth: int) -> Tuple[LatticeModel, ...]:
                  for basis, _ in _hermite_walk(n, p, depth))
 
 
-def lattice_from_columns(columns: Sequence[Sequence[int]], n: int, p: int,
-                         depth: int) -> LatticeModel:
-    """Canonical model of the lattice spanned by the columns plus p^{2N} Lambda."""
-    q = p ** (2 * depth)
-    cols = [tuple(int(c[i]) for i in range(n)) for c in columns]
-    cols += [tuple(q * (1 if i == j else 0) for i in range(n)) for j in range(n)]
-    rows = [[col[i] for col in cols] for i in range(n)]
-    return LatticeModel(n, p, depth, linalg.hnf_columns(rows))
-
-
-def _scaled_inverse(model: LatticeModel) -> Matrix:
-    """p^{2N} B^-1 for the Hermite basis B of a model, by back-substitution.
-
-    Integral because the rescaled lattice contains p^{2N} Lambda; a basis
-    that is not upper triangular or misses that containment is refused.
-    """
-    b, n = model.basis, model.n
-    q = model.p ** (2 * model.depth)
-    if any(b[i][j] for i in range(n) for j in range(i)) or \
-            any(b[i][i] <= 0 for i in range(n)):
-        raise PreconditionError("lattice basis is not in Hermite form")
-    columns = linalg.transpose(b)
-    inverse = []
-    for j in range(n):
-        x = linalg.solve_triangular(columns, (0,) * j + (q,))
-        if x is None:
-            raise PreconditionError(
-                "lattice model does not contain p^{2N} Lambda")
-        inverse.append(x + (0,) * (n - 1 - j))
-    return linalg.transpose(inverse)
-
-
-def relative_position(l1: LatticeModel, l2: LatticeModel) -> Tuple[int, ...]:
-    """Elementary-divisor exponents (decreasing) of the transition map.
-
-    inv(L1, L2) in the sense of the Cartan decomposition: the exponent
-    vector of p in the invariant factors of a change-of-lattice matrix.
-    """
-    if (l1.n, l1.p, l1.depth) != (l2.n, l2.p, l2.depth):
-        raise PreconditionError("lattice models are not comparable")
-    transition = linalg.mat_mul(_scaled_inverse(l1), l2.basis)
-    return _invariant_exponents(transition, l1.p, 2 * l1.depth)
-
-
 def _invariant_exponents(transition, p: int, shift: int) -> Tuple[int, ...]:
     """inv of the transition map transition / p^shift (integer entries): its
     p-adic elementary-divisor exponents less shift, in decreasing order.

@@ -106,12 +106,16 @@ _BARE_TOKEN = re.compile(r'(?<!")\b([A-Za-z_][A-Za-z0-9_*]*)\b(?!")')
 
 def loads_tolerant(text: str):
     """JSON with a fallback that quotes bare identifiers, so CLI arguments
-    like {lambda:[1,0],w:s} parse."""
+    like {lambda:[1,0],w:s} parse; text that parses neither way raises
+    ConfigurationError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        quoted = _BARE_TOKEN.sub(r'"\1"', text)
-        return json.loads(quoted)
+        pass
+    try:
+        return json.loads(_BARE_TOKEN.sub(r'"\1"', text))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"malformed JSON {text!r}: {exc}") from None
 
 
 def element_from_doc(datum: RootDatum, doc) -> AffineElement:
@@ -143,16 +147,30 @@ def kappa_str(kappa: KottwitzClass) -> str:
 
 
 def parse_kappa(datum: RootDatum, text: str, sigma=None) -> KottwitzClass:
-    """Inverse of ``kappa_str`` for a class in pi_1(G)_sigma."""
+    """Inverse of ``kappa_str`` for a class in pi_1(G)_sigma.
+
+    Text that ``kappa_str`` does not write for this group raises
+    ConfigurationError: a wrong number of free or torsion coordinates, a
+    modulus other than pi_1(G)_sigma's, or a residue outside [0, d)."""
     pi1 = datum.sigma_table(sigma).pi1
     moduli = pi1.torsion
     if text == "0" and pi1.free_rank == 0 and not moduli:
         return KottwitzClass((), (), ())
     # with no free part, kappa_str writes the torsion alone, without "|"
     free_part, _, tors_part = text.partition("|") if pi1.free_rank else ("", "", text)
-    free = tuple(int(v) for v in free_part.split(",")) if free_part else ()
-    tors = tuple(int(v.split("mod")[0]) for v in tors_part.split(",")) \
-        if tors_part else ()
+    try:
+        free = tuple(int(v) for v in free_part.split(",")) if free_part else ()
+        pairs = [v.split("mod") for v in tors_part.split(",")] if tors_part else []
+        tors = tuple(int(v) for v, _ in pairs)
+        stated = tuple(int(d) for _, d in pairs)
+    except ValueError:
+        raise ConfigurationError(f"malformed kappa {text!r}") from None
+    if len(free) != pi1.free_rank or stated != moduli:
+        raise ConfigurationError(
+            f"kappa {text!r} does not match pi_1(G)_sigma: {pi1.free_rank} free "
+            f"coordinates, torsion moduli {list(moduli)}")
+    if any(not 0 <= v < d for v, d in zip(tors, moduli)):
+        raise ConfigurationError(f"kappa {text!r} has a residue outside [0, d)")
     return KottwitzClass(free, tors, moduli)
 
 
@@ -170,10 +188,16 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def parse_csv(text: str) -> Tuple[List[str], List[List[str]]]:
+    """Inverse of ``render_csv``: the header and the rows, each row as wide
+    as the header; anything else raises ConfigurationError."""
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    rows = list(reader)
-    return rows[0], rows[1:]
+    rows = list(csv.reader(lines))
+    if not rows:
+        raise ConfigurationError("CSV document has no header row")
+    header = rows[0]
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigurationError(f"CSV rows do not all have {len(header)} fields")
+    return header, rows[1:]
 
 
 LEAF_HEADER = ("element", "length", "nu", "kappa", "basic", "leaf_dim",
@@ -194,13 +218,23 @@ def leaf_report_row(report: LeafReport) -> Tuple[str, ...]:
 
 def leaf_report_from_row(datum: RootDatum, row: Sequence[str],
                          sigma=None) -> LeafReport:
-    """Inverse of ``leaf_report_row`` for a report made under sigma."""
+    """Inverse of ``leaf_report_row`` for a report made under sigma; a row
+    of the wrong width or with a malformed field raises ConfigurationError."""
+    if len(row) != len(LEAF_HEADER):
+        raise ConfigurationError(
+            f"leaf report row has {len(row)} fields, expected {len(LEAF_HEADER)}")
+    if {row[4], row[8]} - {"true", "false"}:
+        raise ConfigurationError("leaf report flags must be 'true' or 'false'")
+    try:
+        leaf_dim, jb_dim = int(row[5]), int(row[6])
+    except ValueError:
+        raise ConfigurationError("leaf report dimensions must be integers") from None
     element = element_from_doc(datum, row[0])
     nu = parse_vector(row[2])
     kappa = parse_kappa(datum, row[3], sigma)
     slopes = parse_vector(row[7])
-    return LeafReport(element, nu, kappa, row[4] == "true", int(row[5]),
-                      int(row[6]), slopes, row[8] == "true")
+    return LeafReport(element, nu, kappa, row[4] == "true", leaf_dim, jb_dim,
+                      slopes, row[8] == "true")
 
 
 CLASS_HEADER = ("block", "element", "length", "nu", "kappa", "basic")

@@ -558,29 +558,3 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     return DisplayReport(contains_ir, quotient_free, phi_compatible,
                          phi1_generates, psi_matrix, psi_invertible,
                          hodge_rank, witness)
-
-
-def display_doc(d: DisplayDatum) -> dict:
-    """Structured-text form of a display: every matrix entry expanded into
-    its Witt components over the prime field."""
-    def witt_matrix(m):
-        return [[list(witt_digits_of_int(x, d.prime, d.level)) for x in row]
-                for row in m]
-
-    return {"prime": d.prime, "level": d.level, "rank": d.rank,
-            "m1_columns": witt_matrix(d.m1_columns),
-            "phi": witt_matrix(d.phi),
-            "phi1": witt_matrix(d.phi1)}
-
-
-def display_from_doc(doc: dict) -> DisplayDatum:
-    p, level = int(doc["prime"]), int(doc["level"])
-
-    def int_matrix(rows):
-        return linalg.freeze(
-            tuple(int_of_witt_digits(entry, p) for entry in row) for row in rows)
-
-    return DisplayDatum(p, level, int(doc["rank"]),
-                        int_matrix(doc["m1_columns"]),
-                        int_matrix(doc["phi"]),
-                        int_matrix(doc["phi1"]))

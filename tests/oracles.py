@@ -1,0 +1,150 @@
+"""Reference implementations that the tests compare the library against.
+
+None of these is on a path of the library or its CLI; each is a second,
+slower derivation of something the library computes another way:
+
+* ``bruhat_leq``: the Bruhat order by the subword recursion; a window
+  filtered by it re-derives the admissible set;
+* ``decent_representative``: the monomial lift of x with the least period
+  at which the decency equation holds, verified symbolically in p;
+* ``slopes_via_restriction``: slopes as the Newton polygon of the
+  characteristic polynomial of the restriction-of-scalars expansion.
+"""
+
+from fractions import Fraction
+from typing import Dict, NamedTuple, Optional, Tuple
+
+from centralleaf.affine import (_SIGMA_ORDER_CAP, AffineElement, NewtonPoint,
+                                _lift, _same_datum, affine_generators,
+                                compose, identity_element, invert, length,
+                                newton_point, omega_and_word)
+from centralleaf.errors import ConsistencyError, DatumMismatchError
+from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
+                                    restriction_of_scalars, slopes_charpoly)
+
+Matrix = Tuple[Tuple[int, ...], ...]
+
+
+# ---------------------------------------------------------------------------
+# Bruhat order
+
+def bruhat_leq(x: AffineElement, y: AffineElement) -> bool:
+    """Bruhat order on the extended affine Weyl group.
+
+    Elements in different length-zero cosets are incomparable (False).
+    The test runs the subword recursion against one fixed reduced word of
+    y's affine part; the result is independent of the chosen word.
+    """
+    _same_datum(x, y)
+    tau_x, _ = omega_and_word(x)
+    tau_y, word_y = omega_and_word(y)
+    if tau_x != tau_y:
+        return False
+    u = compose(invert(tau_x), x)
+    gens = affine_generators(x.datum)
+    memo: Dict = {}
+
+    def recurse(u_elem: AffineElement, suffix: Tuple[int, ...]) -> bool:
+        if length(u_elem) == 0:
+            # inside the affine Weyl group only the identity has length zero
+            return u_elem == identity_element(x.datum)
+        if not suffix:
+            return False
+        key = (u_elem, suffix)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        s = gens[suffix[0]]
+        su = compose(s, u_elem)
+        if length(su) < length(u_elem):
+            result = recurse(su, suffix[1:])
+        else:
+            result = recurse(u_elem, suffix[1:])
+        memo[key] = result
+        return result
+
+    if length(u) == 0:
+        return u == identity_element(x.datum)
+    return recurse(u, word_y)
+
+
+# ---------------------------------------------------------------------------
+# decent lifts
+
+def monomial_identity(n: int) -> MonomialIsocrystal:
+    return MonomialIsocrystal(n, tuple(range(n)), (0,) * n)
+
+
+def monomial_compose(a: MonomialIsocrystal, b: MonomialIsocrystal) -> MonomialIsocrystal:
+    """Product a*b of the underlying monomial matrices (frobenius_power 1)."""
+    if a.size != b.size:
+        raise DatumMismatchError("monomial sizes differ")
+    perm = tuple(a.permutation[b.permutation[j]] for j in range(a.size))
+    exps = tuple(b.exponents[j] + a.exponents[b.permutation[j]] for j in range(a.size))
+    return MonomialIsocrystal(a.size, perm, exps)
+
+
+class DecentLift(NamedTuple):
+    period: int
+    matrix: MonomialIsocrystal
+    nu: NewtonPoint
+
+
+def decent_representative(x: AffineElement,
+                          sigma: Optional[Matrix] = None) -> DecentLift:
+    """The monomial lift b of x in the attached representation, with the
+    least period r at which (b sigma)^r = p^{r nu} sigma^r holds exactly.
+
+    At the Newton period, (w sigma)^r = 1 on X_*; decency also needs
+    sigma^r to fix the weight lines, so r runs over the multiples of that
+    period, capped like the loop of ``newton_point``.  The verification is
+    symbolic in p: both sides are monomial matrices whose permutation and
+    exponent data are compared directly.
+    """
+    datum = x.datum
+    nu = newton_point(x, sigma)
+    lift = _lift(datum, x.translation, x.w, None)
+    n = lift.size
+    s_mono = _lift(datum, (0,) * datum.cochar_rank, datum.weyl_identity, sigma)
+    r = nu.period
+    nu_exps = []
+    for chi in datum.rep_weights:
+        e = Fraction(datum.pair(chi, nu.vector)) * r
+        if e.denominator != 1:
+            raise ConsistencyError("r*nu pairing is not integral")
+        nu_exps.append(int(e))
+    twisted = monomial_compose(lift, s_mono)
+    step, s_step = monomial_identity(n), monomial_identity(n)
+    for _ in range(r):
+        step = monomial_compose(step, twisted)
+        s_step = monomial_compose(s_step, s_mono)
+    power = s_power = monomial_identity(n)
+    for k in range(1, _SIGMA_ORDER_CAP // r + 1):
+        power, s_power = monomial_compose(power, step), monomial_compose(s_power, s_step)
+        target = monomial_compose(MonomialIsocrystal(
+            n, tuple(range(n)), tuple(k * e for e in nu_exps)), s_power)
+        if power == target:
+            return DecentLift(k * r, lift, nu)
+    raise ConsistencyError("decency equation failed for the monomial lift")
+
+
+# ---------------------------------------------------------------------------
+# slopes
+
+def slopes_via_restriction(m: MonomialIsocrystal, p: int) -> Tuple[Fraction, ...]:
+    """Char-poly slopes of the restriction-of-scalars expansion, with
+    multiplicities divided back by the twisting degree r."""
+    r = m.frobenius_power
+    expanded = restriction_of_scalars(m)
+    slopes = slopes_charpoly(RationalIsocrystal(expanded.rational_matrix(p), p))
+    if r == 1:
+        return slopes
+    out = []
+    i = 0
+    while i < len(slopes):
+        run = [s for s in slopes if s == slopes[i]]
+        if len(run) % r != 0:
+            raise ConsistencyError("expanded multiplicities not divisible by r")
+        out.extend([slopes[i]] * (len(run) // r))
+        i += len(run)
+    return tuple(out)

@@ -19,18 +19,20 @@ from fractions import Fraction as F
 import pytest
 
 from centralleaf import cli, linalg, serialize
-from centralleaf.affine import (adjoint_lift, admissible_set, bruhat_leq,
-                                element, enumerate_elements,
+from centralleaf.affine import (adjoint_lift, admissible_set, element,
+                                enumerate_elements,
                                 enumerate_sigma_classes, kottwitz, length,
                                 newton_point, rep_lift, sigma_conjugate,
                                 simple_element, translation_element)
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     is_completely_slope_divisible,
-                                    slopes_monomial, slopes_via_restriction,
-                                    slopes_via_weights, standard_rep)
+                                    slopes_monomial, slopes_via_weights,
+                                    standard_rep)
 from centralleaf.lattices import adlv_points
 from centralleaf.leaves import leaf_report, neutral_acceptable
 from centralleaf.rootdata import build_classical, dominance_leq, is_dominant
+
+from oracles import bruhat_leq, slopes_via_restriction
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)

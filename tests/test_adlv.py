@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction as F
 from math import lcm
 
@@ -17,9 +16,7 @@ from centralleaf.errors import BudgetExceededError, PreconditionError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     is_completely_slope_divisible,
                                     restriction_of_scalars)
-from centralleaf.lattices import (LatticeModel, adlv_points,
-                                  enumerate_lattices, lattice_from_columns,
-                                  relative_position)
+from centralleaf.lattices import LatticeModel, adlv_points, enumerate_lattices
 from centralleaf.leaves import neutral_acceptable
 from centralleaf.rootdata import build_classical
 
@@ -93,6 +90,21 @@ def test_lattice_counts_against_closed_form():
             birkhoff_subgroup_count(n, p, big_n)
 
 
+def lattice_from_columns(columns, n, p, depth):
+    """Canonical model of the lattice spanned by the columns plus p^{2N} Lambda."""
+    q = p ** (2 * depth)
+    cols = [tuple(int(c[i]) for i in range(n)) for c in columns]
+    cols += [tuple(q * (1 if i == j else 0) for i in range(n)) for j in range(n)]
+    rows = [[col[i] for col in cols] for i in range(n)]
+    return LatticeModel(n, p, depth, linalg.hnf_columns(rows))
+
+
+def _std(p=2, depth=1):
+    n = 2
+    scale = p ** depth
+    return lattice_from_columns([(scale, 0), (0, scale)], n, p, depth)
+
+
 def test_lattice_models_canonical():
     models = enumerate_lattices(2, 2, 1)
     assert len(set(models)) == len(models)
@@ -119,57 +131,6 @@ def test_budget_guards(monkeypatch):
         enumerate_lattices(3, 3, 2)
     partial = info.value.partial
     assert partial and all(m in full for m in partial)
-
-
-def _std(p=2, depth=1):
-    n = 2
-    scale = p ** depth
-    return lattice_from_columns([(scale, 0), (0, scale)], n, p, depth)
-
-
-def test_relative_position_examples():
-    std = _std()
-    dpl = lattice_from_columns([(4, 0), (0, 2)], 2, 2, 1)
-    assert relative_position(std, dpl) == (1, 0)
-    mixed = lattice_from_columns([(4, 0), (0, 1)], 2, 2, 1)
-    assert relative_position(std, mixed) == (1, -1)
-    assert relative_position(dpl, dpl) == (0, 0)
-
-
-def test_relative_position_antisymmetry():
-    models = enumerate_lattices(2, 3, 1)
-    rng = random.Random(23)
-    for _ in range(60):
-        l1, l2 = rng.choice(models), rng.choice(models)
-        fwd = relative_position(l1, l2)
-        bwd = relative_position(l2, l1)
-        assert bwd == tuple(-v for v in reversed(fwd))
-
-
-def test_relative_position_unimodular_invariance():
-    # inv(L, gL) survives simultaneous integral change of basis
-    rng = random.Random(29)
-    g = ((2, 1), (0, 2))  # some integer matrix acting on lattices
-    std = _std()
-    base = lattice_from_columns(
-        [tuple(2 * v for v in col) for col in ((1, 0), (0, 1))], 2, 2, 1)
-    for _ in range(50):
-        u = ((1, rng.randint(-3, 3)), (0, 1))
-        l = ((1, 0), (rng.randint(-3, 3), 1))
-        uni = linalg.mat_mul(u, l)
-        assert abs(linalg.det(uni)) == 1
-        lat1 = lattice_from_columns(
-            [tuple(int(x) for x in linalg.mat_vec(uni, (2, 0))),
-             tuple(int(x) for x in linalg.mat_vec(uni, (0, 2)))], 2, 2, 1)
-        g_cols = [tuple(int(x) for x in linalg.mat_vec(
-            linalg.mat_mul(linalg.mat_mul(uni, g), linalg.mat_inv(uni)), col))
-            for col in (tuple(lat1.basis[i][0] for i in range(2)),
-                        tuple(lat1.basis[i][1] for i in range(2)))]
-        lat2 = lattice_from_columns(g_cols, 2, 2, 1)
-        ref_cols = [tuple(int(x) for x in linalg.mat_vec(g, (2, 0))),
-                    tuple(int(x) for x in linalg.mat_vec(g, (0, 2)))]
-        ref = lattice_from_columns(ref_cols, 2, 2, 1)
-        assert relative_position(lat1, lat2) == relative_position(base, ref)
 
 
 def test_adlv_basic_nonempty_with_certificates():
@@ -335,22 +296,3 @@ def test_census_budget_refuses_before_any_check(monkeypatch):
     assert all(isinstance(m, LatticeModel) for m in info.value.partial)
     with pytest.raises(BudgetExceededError):
         enumerate_lattices(3, 3, 1)
-
-
-def test_relative_position_matches_sympy_oracle():
-    models = enumerate_lattices(2, 2, 2)
-    rng = random.Random(31)
-    for _ in range(200):
-        l1, l2 = rng.choice(models), rng.choice(models)
-        assert relative_position(l1, l2) == \
-            sympy_relative_position(l1.basis, l2.basis, 2)
-
-
-def test_relative_position_refuses_non_hermite_models():
-    std = _std()
-    lower = LatticeModel(2, 2, 1, ((2, 0), (1, 2)))
-    with pytest.raises(PreconditionError):
-        relative_position(lower, std)
-    missing = LatticeModel(2, 2, 1, ((3, 0), (0, 2)))  # 4 Lambda not inside
-    with pytest.raises(PreconditionError):
-        relative_position(missing, std)

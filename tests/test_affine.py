@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 
 from centralleaf import linalg
 from centralleaf.affine import (KottwitzClass, adjoint_lift, admissible_set,
-                                bruhat_leq, compose, decent_representative, element,
-                                enumerate_elements, enumerate_sigma_classes,
-                                identity_element, invert, kottwitz, length,
-                                newton_point, omega_and_word, rep_lift,
-                                sigma_apply, sigma_conjugate, simple_element,
+                                compose, element, enumerate_elements,
+                                enumerate_sigma_classes, identity_element,
+                                invert, kottwitz, length, newton_point,
+                                omega_and_word, rep_lift, sigma_apply,
+                                sigma_conjugate, simple_element,
                                 translation_element)
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                 DatumMismatchError, PreconditionError,
                                 UnsupportedOperationError)
-from centralleaf.isocrystal import (MonomialIsocrystal, monomial_compose,
-                                    monomial_from_rational, slopes_monomial)
+from centralleaf.isocrystal import (MonomialIsocrystal, monomial_from_rational,
+                                    slopes_monomial)
 from centralleaf.rootdata import RootDatum, build_classical, dominant_rep, is_dominant
+
+from oracles import bruhat_leq, decent_representative, monomial_compose
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)

@@ -5,6 +5,7 @@ import pytest
 
 from centralleaf import cli, rootdata, serialize
 from centralleaf.affine import element, simple_element, translation_element
+from centralleaf.errors import ConfigurationError
 from centralleaf.leaves import leaf_report
 from centralleaf.rootdata import build_classical
 
@@ -200,6 +201,18 @@ def test_leaf_report_round_trip():
         GL2, serialize.leaf_report_row(report2)) == report2
 
 
+def test_artifact_readers_refuse_malformed_input():
+    # a short row and an empty document used to raise IndexError
+    row = serialize.leaf_report_row(leaf_report(GL2, translation_element(GL2, (1, 0))))
+    for bad in (row[:-1], row + ("true",), row[:4] + ("yes",) + row[5:],
+                row[:5] + ("1/2",) + row[6:], ("{lambda:[1,",) + row[1:]):
+        with pytest.raises(ConfigurationError):
+            serialize.leaf_report_from_row(GL2, bad)
+    for text in ("", "# schema=1\n", "# schema=1\na,b\n1,2\n3\n"):
+        with pytest.raises(ConfigurationError):
+            serialize.parse_csv(text)
+
+
 def test_word_round_trip():
     for datum in (GL2, build_classical("GL", 3), build_classical("Sp", 4)):
         for k in range(len(datum.weyl_elements)):
@@ -241,6 +254,13 @@ def test_malformed_numbers_are_validation_errors(capsys):
         with pytest.raises(ConfigurationError):
             serialize.parse_matrix(matrix)
         jobs.append(["adlv", "--matrix", matrix, "--mu", "1,0", "--p", "2", "--depth", "1"])
+    # JSON that parses neither as is nor with bare words quoted used to end
+    # in a JSONDecodeError traceback
+    for doc in ("{lambda:[1,", '{"lambda": [1, 0], "w": "s"'):
+        with pytest.raises(ConfigurationError):
+            serialize.element_from_doc(GL2, doc)
+        jobs.append(["report", "--group", "GL2", "--element", doc])
+    jobs.append(["report", "--group", "{n:2,", "--element", "{lambda:[1,0],w:s}"])
     for argv in jobs:
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and err.startswith("error:") and not out
@@ -307,6 +327,15 @@ def test_witt_selfcheck_refuses_meaningless_input(capsys):
                   ["--coeff-exponent", "0"], ["--coeff-exponent", "-1"]):
         code, out, err = run_cli(capsys, ["witt-selfcheck", "--length", "2"] + flags)
         assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+
+
+def test_witt_selfcheck_refuses_a_length_below_two(capsys):
+    # --length 1 used to derive the structure polynomials and check every
+    # ghost pair before failing on "Frobenius needs length at least 2"
+    for length in ("1", "0", "-2"):
+        code, out, err = run_cli(capsys, ["witt-selfcheck", "--length", length])
+        assert code == cli.EXIT_VALIDATION and not out
+        assert err.startswith("error:") and "--length" in err
 
 
 def test_adlv_refuses_input_with_two_meanings(capsys):

@@ -4,14 +4,15 @@ import random
 from fractions import Fraction as F
 
 from centralleaf import linalg
-from centralleaf.affine import (admissible_set, bruhat_leq, enumerate_elements,
-                                length, newton_point, rep_lift,
-                                translation_element)
+from centralleaf.affine import (admissible_set, enumerate_elements, length,
+                                newton_point, rep_lift, translation_element)
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     is_completely_slope_divisible,
                                     slopes_charpoly, slopes_monomial)
 from centralleaf.leaves import leaf_report, neutral_acceptable
 from centralleaf.rootdata import build_classical
+
+from oracles import bruhat_leq
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)

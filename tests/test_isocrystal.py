@@ -13,20 +13,22 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from centralleaf import isocrystal, linalg
-from centralleaf.affine import (adjoint_lift, decent_representative, element,
-                                enumerate_elements, newton_point, rep_lift)
+from centralleaf.affine import (adjoint_lift, element, enumerate_elements,
+                                newton_point, rep_lift)
 from centralleaf.errors import ConfigurationError, SingularInputError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    WeightedRep, adjoint_rep, hom_rep,
+                                    WeightedRep, adjoint_rep,
                                     is_completely_slope_divisible,
                                     monomial_from_rational,
                                     newton_polygon_slopes,
                                     restriction_of_scalars, slopes_charpoly,
-                                    slopes_monomial, slopes_via_restriction,
-                                    slopes_via_weights, standard_rep, tensor_rep)
+                                    slopes_monomial, slopes_via_weights,
+                                    standard_rep)
 from centralleaf.lattices import adlv_points
 from centralleaf.rootdata import build_classical
 from centralleaf.serialize import element_from_doc
+
+from oracles import decent_representative, slopes_via_restriction
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -158,13 +160,6 @@ def test_tensor_square_additivity():
                    for j1 in range(n) for j2 in range(n)]
                   for i1 in range(n) for i2 in range(n)]
         assert list(slopes_charpoly(RationalIsocrystal(tensor, 2))) == rep_slopes
-
-
-def test_hom_rep_weights():
-    rep = hom_rep(standard_rep(GL2))
-    assert sorted(slopes_via_weights(rep, (1, 0)), reverse=True) == [1, 0, 0, -1]
-    t2 = tensor_rep(standard_rep(GL2), 2)
-    assert len(t2.weights) == 4
 
 
 def test_csd_monomial_always_true():

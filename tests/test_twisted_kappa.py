@@ -3,16 +3,20 @@ the datum's per-sigma presentation, and the tables a datum derives."""
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centralleaf import linalg, serialize
-from centralleaf.affine import (admissible_set, bruhat_leq, enumerate_elements,
+from centralleaf.affine import (admissible_set, enumerate_elements,
                                 enumerate_sigma_classes, kottwitz,
                                 omega_and_word, sigma_conjugate,
                                 translation_element)
+from centralleaf.errors import ConfigurationError
 from centralleaf.leaves import leaf_report, neutral_acceptable
 from centralleaf.rootdata import RootDatum, build_classical
+
+from oracles import bruhat_leq
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -106,6 +110,18 @@ def test_leaf_report_rows_read_back_under_a_twist():
     # an untwisted row reads back as before, sigma left out
     assert serialize.leaf_report_from_row(GL3, row) == report
     assert serialize.parse_kappa(GL3, "1") == serialize.parse_kappa(GL3, "1", None)
+
+
+@pytest.mark.parametrize("datum, sigma, text", [
+    (GL3, None, "1,2"), (GL3, None, ""), (GL3, None, "1|1mod2"), (GL3, None, "x"),
+    (GL3, GL3_DUAL, "3mod2"), (GL3, GL3_DUAL, "-1mod2"), (GL3, GL3_DUAL, "1mod3"),
+    (GL3, GL3_DUAL, "1"), (GL3, GL3_DUAL, "1|1mod2"), (PGL3, None, "0"),
+    (PGL3, None, "1mod3,1mod3"), (build_classical("SL", 2), None, "3mod2")])
+def test_parse_kappa_refuses_text_kappa_str_does_not_write(datum, sigma, text):
+    # each used to read back as a class of the wrong shape or out of range,
+    # or to fail with a bare ValueError
+    with pytest.raises(ConfigurationError):
+        serialize.parse_kappa(datum, text, sigma)
 
 
 def test_affine_stores_nothing_on_a_datum():

@@ -8,8 +8,7 @@ from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                ConsistencyError, DatumMismatchError,
                                NotPDivisibleError)
 from centralleaf.isocrystal import MonomialIsocrystal, slopes_monomial
-from centralleaf.witt import (NilpotentPolyRing, ZModRing,
-                              display_check, display_doc, display_from_doc,
+from centralleaf.witt import (NilpotentPolyRing, ZModRing, display_check,
                               display_from_element, int_of_witt_digits,
                               structure_polynomials, truncate, witt, witt_add,
                               witt_digits_of_int, witt_frobenius,
@@ -278,16 +277,6 @@ def test_display_psi_only_on_passing_displays():
         report = display_check(broken)
         assert not report.passed
         assert report.psi_matrix is None and not report.psi_invertible
-
-
-def test_display_witt_component_round_trip():
-    for p in (2, 3):
-        base = display_from_element(MonomialIsocrystal(2, (1, 0), (0, -1)), p)
-        doc = display_doc(base)
-        assert display_from_doc(doc) == base
-        # entries really are Witt component vectors over the prime field
-        assert all(all(0 <= digit < p for digit in entry)
-                   for row in doc["phi"] for entry in row)
 
 
 @pytest.mark.parametrize("p", [2, 3])
