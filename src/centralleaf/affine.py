@@ -29,15 +29,23 @@ conjugation is swept once: conjugators t^lambda w with one key (w,
 t^c with <alpha_i, c> = 0 and sigma c = c, which is central and sigma-fixed,
 so they conjugate every x alike and the partition is unchanged.
 
-``enumerate_elements`` skips a translation before the Weyl loop when
-sum_{alpha > 0} |<alpha, lambda>| - |Phi+| exceeds the length cap: each
-length term |<alpha, lambda> - e| with e in {0, 1} is at least
-|<alpha, lambda>| - 1.
+``enumerate_elements`` admits the Weyl indices by sign pattern.  Each
+length term |v - e|, with v = <alpha, lambda> and e in {0, 1} the flip of
+alpha, is |v| - e when v >= 1 and |v| + e when v <= 0, so
+l(t^lambda w) = S(lambda) + sum_{alpha > 0} e_alpha(w) s_alpha with
+S(lambda) = sum_{alpha > 0} |<alpha, lambda>| and s_alpha = -1 where
+<alpha, lambda> >= 1, else +1.  Which w pass the cap therefore depends only
+on the pattern (<alpha, lambda> >= 1)_alpha and the budget cap - S(lambda):
+they are found once per such key in a call.  A translation with
+S(lambda) - |Phi+| above the cap is skipped outright, as every term is at
+least |<alpha, lambda>| - 1.  The pairings are built coordinate by
+coordinate, lambda_i times column i of the positive roots added to the
+prefix's.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -46,7 +54,7 @@ from . import linalg
 from .errors import (BudgetExceededError, ConsistencyError, DatumMismatchError,
                      PreconditionError, UnsupportedOperationError)
 from .isocrystal import MonomialIsocrystal
-from .rootdata import RootDatum, dominant_rep, is_dominant
+from .rootdata import RootDatum, dominant_rep, dominant_walk, is_dominant
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -200,6 +208,15 @@ _SIGMA_ORDER_CAP = 10_000
 def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoint:
     """Newton cocharacter of x: the average of the (w sigma)-orbit of the
     translation part over the minimal period r with (w sigma)^r = 1."""
+    total, r = _newton_walk(x, sigma)
+    # the Weyl walk commutes with scaling by r > 0, so it runs on r nu
+    return NewtonPoint(tuple(Fraction(t, r) for t in total),
+                       tuple(Fraction(t, r) for t in dominant_walk(x.datum, total)), r)
+
+
+def _newton_walk(x: AffineElement, sigma: Optional[Matrix]) -> Tuple[Vector, int]:
+    """(r nu, r) in integers: the sum of the (w sigma)-orbit of the
+    translation over the minimal period r, and r."""
     datum = x.datum
     table = datum.sigma_table(sigma)
     action, power, inverse = table.weyl_action, table.rows.power, datum.weyl_inverse
@@ -218,9 +235,17 @@ def newton_point(x: AffineElement, sigma: Optional[Matrix] = None) -> NewtonPoin
         r += 1
         if r > _SIGMA_ORDER_CAP:
             raise PreconditionError("w*sigma does not have finite order on X_*")
-    # the Weyl walk commutes with scaling by r > 0, so it runs on r nu
-    return NewtonPoint(tuple(Fraction(t, r) for t in total),
-                       tuple(t / r for t in dominant_rep(datum, total)), r)
+    return total, r
+
+
+def _newton_key(x: AffineElement, sigma: Optional[Matrix]) -> Tuple[Vector, int]:
+    """The dominant Newton point of x in lowest terms: (dominant(r nu) / g,
+    r / g) for g the gcd of r and those coordinates.  Equal keys exactly
+    when ``newton_point(x, sigma).dominant`` is equal."""
+    total, r = _newton_walk(x, sigma)
+    dominant = dominant_walk(x.datum, total)
+    g = math.gcd(r, *dominant)
+    return tuple([v // g for v in dominant]), r // g
 
 
 def kottwitz(x: AffineElement, sigma: Optional[Matrix] = None) -> KottwitzClass:
@@ -298,9 +323,8 @@ def admissible_set(datum: RootDatum, mu, level: str = "iwahori"):
         raise PreconditionError(f"unknown level {level!r}")
     elements: set = set()
     taus = set()
-    for action in datum.weyl_actions:
-        t = translation_element(datum, action.apply(mu))
-        tau, word = omega_and_word(t)
+    for lam in {action.apply(mu) for action in datum.weyl_actions}:
+        tau, word = omega_and_word(translation_element(datum, lam))
         taus.add(tau)
         elements |= _subword_products(datum, tau, word)
     if len(taus) != 1:
@@ -326,8 +350,8 @@ def enumerate_elements(datum: RootDatum, max_length: int,
     """All elements of length <= max_length whose translation coordinates
     lie in the window; coord_bound is an int b for [-b, b] or a (lo, hi) pair.
 
-    A translation is skipped before the Weyl loop when its pairings alone
-    force every length above max_length (see the module docstring).
+    The Weyl indices admitted for a translation are found once per sign
+    pattern and length budget of its pairings (see the module docstring).
     A negative cap or int bound raises PreconditionError, and a window of
     more than ``_ELEMENT_BUDGET`` (translation, Weyl element) pairs raises
     BudgetExceededError before any element is made."""
@@ -345,16 +369,34 @@ def enumerate_elements(datum: RootDatum, max_length: int,
         raise BudgetExceededError(
             f"the window holds {window} (translation, Weyl element) pairs, "
             f"over the budget of {_ELEMENT_BUDGET}")
-    reach = max_length + len(datum.positive_roots)
-    out = []
+    positive, flips = datum.positive_roots, datum.weyl_flips
+    reach = max_length + len(positive)
     span = range(lo, hi + 1)
-    for lam in itertools.product(span, repeat=datum.cochar_rank):
-        pairs = datum.positive_pairings(lam)
-        if sum(map(abs, pairs)) > reach:
-            continue
-        for w, flips in enumerate(datum.weyl_flips):
-            if sum(map(abs, map(sub, pairs, flips))) <= max_length:
-                out.append(AffineElement(datum, lam, w))
+    # per coordinate i and value v: ((v,), v times column i of the positive
+    # roots); rank 0 has the one empty translation
+    steps = [[((v,), tuple([v * alpha[i] for alpha in positive])) for v in span]
+             for i in range(datum.cochar_rank)] or [[((), ())]]
+    # the translations in itertools.product order with their pairings: the
+    # first rank - 1 coordinates are held as prefixes, the last is streamed
+    prefixes = [((), (0,) * len(positive))]
+    for column in steps[:-1]:
+        prefixes = [(lam + coord, tuple(map(add, pairs, step)))
+                    for lam, pairs in prefixes for coord, step in column]
+    out: List[AffineElement] = []
+    admitted: Dict[Tuple[Tuple[bool, ...], int], Tuple[int, ...]] = {}
+    for prefix, base in prefixes:
+        for coord, step in steps[-1]:
+            pairs = tuple(map(add, base, step))
+            total = sum(map(abs, pairs))
+            if total > reach:
+                continue
+            key = (tuple(map((0).__lt__, pairs)), max_length - total)
+            ws = admitted.get(key)
+            if ws is None:
+                ws = admitted[key] = tuple([w for w, f in enumerate(flips)
+                                            if sum(map(abs, map(sub, pairs, f))) <= max_length])
+            lam = prefix + coord
+            out += [AffineElement(datum, lam, w) for w in ws]
     return out
 
 
@@ -484,7 +526,7 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
                            for block in groups.values()),
                           key=lambda block: sort_key(block[0])))
     for block in blocks:
-        dominants = {newton_point(x, sigma).dominant for x in block}
+        dominants = {_newton_key(x, sigma) for x in block}
         kappas = {table.pi1.project(x.translation) for x in block}
         if len(dominants) != 1 or len(kappas) != 1:
             raise ConsistencyError(

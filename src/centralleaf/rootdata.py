@@ -461,24 +461,29 @@ def is_dominant(datum: RootDatum, v) -> bool:
     return all(datum.pair(alpha, v) >= 0 for alpha in datum.simple_roots)
 
 
-def dominant_rep(datum: RootDatum, v) -> Tuple[Fraction, ...]:
-    """Unique dominant element of the Weyl orbit of v.
+def dominant_walk(datum: RootDatum, v) -> tuple:
+    """The dominant element of the Weyl orbit of v, in the numbers given
+    (ints stay ints).
 
     Simple-reflection ascent with lowest-index-first tie breaking, so the
     walk (not only the endpoint) is deterministic.  Each step is the
-    rank-one update x - <alpha, x> alpha_check on the numbers given, which
-    turn into Fractions on return.
+    rank-one update x - <alpha, x> alpha_check.
     """
     current = tuple(v)
     steps = tuple(zip(datum.simple_roots, datum.simple_coroots))
     while True:
         for alpha, check in steps:
-            n = datum.pair(alpha, current)
+            n = sum(map(mul, alpha, current))
             if n < 0:
-                current = tuple(x - n * c for x, c in zip(current, check))
+                current = tuple([x - n * c for x, c in zip(current, check)])
                 break
         else:
-            return tuple(Fraction(x) for x in current)
+            return current
+
+
+def dominant_rep(datum: RootDatum, v) -> Tuple[Fraction, ...]:
+    """Unique dominant element of the Weyl orbit of v, as Fractions."""
+    return tuple(map(Fraction, dominant_walk(datum, v)))
 
 
 def dominance_leq(datum: RootDatum, v1, v2) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centralleaf import linalg
-from centralleaf.affine import (KottwitzClass, adjoint_lift, admissible_set,
+from centralleaf import affine, linalg
+from centralleaf.affine import (KottwitzClass, _newton_key, adjoint_lift, admissible_set,
                                 compose, element, enumerate_elements,
                                 enumerate_sigma_classes, identity_element,
                                 invert, kottwitz, length, newton_point,
@@ -17,8 +18,8 @@ from centralleaf.affine import (KottwitzClass, adjoint_lift, admissible_set,
                                 sigma_conjugate, simple_element,
                                 translation_element)
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
-                                DatumMismatchError, PreconditionError,
-                                UnsupportedOperationError)
+                                ConsistencyError, DatumMismatchError,
+                                PreconditionError, UnsupportedOperationError)
 from centralleaf.isocrystal import (MonomialIsocrystal, monomial_from_rational,
                                     slopes_monomial)
 from centralleaf.rootdata import RootDatum, build_classical, dominant_rep, is_dominant
@@ -266,6 +267,29 @@ def test_admissible_examples():
         admissible_set(GL2, (0, 1), "iwahori")
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_admissible_set_of_omega_1_on_gl_n(n):
+    mu = (1,) + (0,) * (n - 1)
+    assert len(admissible_set(build_classical("GL", n), mu)) == 2 ** n - 1
+
+
+# Pinned from the loop over every Weyl index, before it ran over the
+# distinct translations w mu only
+@pytest.mark.parametrize("tag, n, mu, size, digest", [
+    ("GSp", 8, (1, 1, 1, 1, 1), 633,
+     "6395c4a58a9278d3d6b1ede778d637b0ad3b655d9da68826130204c73d2eb5cc"),
+    ("GL", 6, (1, 1, 1, 0, 0, 0), 883,
+     "5cfeb4b7bf27c28ff6f02a93c5ae77e3e4dbb3a3d2de0341faa93b4f99b2544b"),
+], ids=["GSp8-Siegel", "GL6-(1,1,1,0,0,0)"])
+def test_admissible_set_pins(tag, n, mu, size, digest):
+    datum = build_classical(tag, n)
+    adm = admissible_set(datum, mu)
+    assert len(adm) == size
+    encoded = json.dumps(_element_keys(adm), separators=(",", ":")).encode()
+    assert hashlib.sha256(encoded).hexdigest() == digest
+    assert admissible_set(datum, mu, "hyperspecial") == (mu,)
+
+
 def test_admissible_against_bruhat_oracle():
     # independent derivation: window enumeration filtered by bruhat_leq
     for datum, mu, window_bound in ((GL2, (1, 0), 2), (GL3, (1, 0, 0), 2)):
@@ -335,6 +359,14 @@ def test_sigma_class_examples():
     partition2 = enumerate_sigma_classes(GL2, 2)
     xs01 = element(GL2, (0, 1), s(GL2).finite)
     assert partition2.block_of(xs10) == partition2.block_of(xs01)
+
+
+def test_sigma_class_block_check_fails_on_a_non_constant_newton_point(monkeypatch):
+    # t^(1,-1) s and s are sigma-conjugate in GL2 but have distinct
+    # translations, so a "Newton walk" returning the translation splits a block
+    monkeypatch.setattr(affine, "_newton_walk", lambda x, sigma: (x.translation, 1))
+    with pytest.raises(ConsistencyError):
+        enumerate_sigma_classes(GL2, 1)
 
 
 def test_sigma_class_budget(monkeypatch):
@@ -538,12 +570,16 @@ def test_sigma_outside_the_lattice_automorphisms_is_refused():
             enumerate_sigma_classes(datum, 0, sigma=sigma, coord_bound=1)
 
 
+def _element_keys(xs):
+    """The sorted JSON keys (translation, finite part) of some elements."""
+    return sorted(json.dumps([list(x.translation), [list(r) for r in x.finite]],
+                             separators=(",", ":")) for x in xs)
+
+
 def _partition_digest(partition):
     """sha256 of the partition: each block's element keys sorted, then the
     blocks sorted."""
-    blocks = sorted(sorted(json.dumps([list(x.translation), [list(r) for r in x.finite]],
-                                      separators=(",", ":")) for x in block)
-                    for block in partition.blocks)
+    blocks = sorted(_element_keys(block) for block in partition.blocks)
     return hashlib.sha256(json.dumps(blocks, separators=(",", ":")).encode()).hexdigest()
 
 
@@ -689,14 +725,30 @@ def matrix_newton_walk(x, sigma):
 ROTATION3_INVERSE = linalg.mat_mul(rotation3(), rotation3())
 
 
-@pytest.mark.parametrize("datum, cap, sigma, bound", [
+NEWTON_WINDOWS = pytest.mark.parametrize("datum, cap, sigma, bound", [
     (GL3, 2, None, 4), (build_classical("GSp", 4), 1, None, 3),
     (GL3, 2, rotation3(), 2), (GL3, 2, ROTATION3_INVERSE, 2), (GL4, 1, GL4_DUAL, 1),
 ], ids=["GL3-cap2", "GSp4-cap1", "GL3-rotation-cap2", "GL3-inverse-rotation-cap2",
         "GL4-dual-cap1"])
+
+
+@NEWTON_WINDOWS
 def test_newton_walk_matches_the_matrix_walk(datum, cap, sigma, bound):
     for x in enumerate_elements(datum, cap, bound):
         assert tuple(newton_point(x, sigma)) == matrix_newton_walk(x, sigma)
+
+
+@NEWTON_WINDOWS
+def test_the_block_check_key_is_the_reduced_dominant_newton_point(datum, cap, sigma, bound):
+    # the sigma-class block check compares keys: one key per dominant nu
+    dominant_of = {}
+    for x in enumerate_elements(datum, cap, bound):
+        key, dominant = _newton_key(x, sigma), newton_point(x, sigma).dominant
+        numerators, denominator = key
+        assert tuple(F(v, denominator) for v in numerators) == dominant
+        assert math.gcd(denominator, *numerators) == 1
+        dominant_of[key] = dominant
+    assert len(set(dominant_of.values())) == len(dominant_of)
 
 
 # the rank-2 torus and a unipotent sigma: no power of sigma lies in W = 1
