@@ -23,11 +23,19 @@ The sweep codes each (translation, index) pair as one int,
 enc(lambda) |W| + w with enc(v) = sum_i v_i B^i, for a radix B derived from
 the window (the bound is proved at the sweep).  enc is linear, so a Weyl
 index acts on codes through the codes of its columns, and each element x
-conjugator step is one int add and one dict lookup.  Each distinct
-conjugation is swept once: conjugators t^lambda w with one key (w,
-<alpha_i, lambda> over the simple roots, sigma lambda - lambda) differ by a
-t^c with <alpha_i, c> = 0 and sigma c = c, which is central and sigma-fixed,
-so they conjugate every x alike and the partition is unchanged.
+conjugator step is one int add and one dict lookup.  The conjugators come
+from ``_window``, and ``_distinct_conjugators`` passes on one per key
+(w, <alpha_i, lambda> over the simple roots, sigma lambda - lambda) and
+inverse pair; an element is built only for a conjugator swept.  Neither
+skip changes the unions:
+
+* a key: conjugators with one key differ by a t^c with <alpha_i, c> = 0
+  and sigma c = c, which is central and sigma-fixed, so they conjugate
+  every x alike.  A translation whose (pairings, sigma lambda - lambda) was
+  seen is skipped whole: equal simple-root pairings give equal positive-root
+  pairings, hence the same admitted Weyl indices and keys already handled;
+* an inverse: g^-1 y sigma(g^-1)^-1 = x exactly when y = g x sigma(g)^-1,
+  so g^-1 makes g's unions, and once g is swept the key of g^-1 is too.
 
 ``enumerate_elements`` admits the Weyl indices by sign pattern.  Each
 length term |v - e|, with v = <alpha, lambda> and e in {0, 1} the flip of
@@ -48,7 +56,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .errors import (BudgetExceededError, ConsistencyError, DatumMismatchError,
@@ -345,16 +353,14 @@ _ELEMENT_BUDGET = 20_000_000
 _CLASS_BUDGET = 5_000_000
 
 
-def enumerate_elements(datum: RootDatum, max_length: int,
-                       coord_bound) -> List[AffineElement]:
-    """All elements of length <= max_length whose translation coordinates
-    lie in the window; coord_bound is an int b for [-b, b] or a (lo, hi) pair.
+def _window(datum: RootDatum, max_length: int,
+            coord_bound) -> List[Tuple[Vector, Tuple[int, ...]]]:
+    """The translations of the window that carry an element of length <=
+    max_length, in ``itertools.product`` order, each with its admitted Weyl
+    indices in ascending order; checks and budget as ``enumerate_elements``.
 
-    The Weyl indices admitted for a translation are found once per sign
-    pattern and length budget of its pairings (see the module docstring).
-    A negative cap or int bound raises PreconditionError, and a window of
-    more than ``_ELEMENT_BUDGET`` (translation, Weyl element) pairs raises
-    BudgetExceededError before any element is made."""
+    The admitted indices are found once per sign pattern and length budget
+    of a translation's pairings (see the module docstring)."""
     if max_length < 0:
         raise PreconditionError(f"length cap must be nonnegative, got {max_length}")
     if isinstance(coord_bound, int):
@@ -382,7 +388,7 @@ def enumerate_elements(datum: RootDatum, max_length: int,
     for column in steps[:-1]:
         prefixes = [(lam + coord, tuple(map(add, pairs, step)))
                     for lam, pairs in prefixes for coord, step in column]
-    out: List[AffineElement] = []
+    out: List[Tuple[Vector, Tuple[int, ...]]] = []
     admitted: Dict[Tuple[Tuple[bool, ...], int], Tuple[int, ...]] = {}
     for prefix, base in prefixes:
         for coord, step in steps[-1]:
@@ -395,15 +401,54 @@ def enumerate_elements(datum: RootDatum, max_length: int,
             if ws is None:
                 ws = admitted[key] = tuple([w for w, f in enumerate(flips)
                                             if sum(map(abs, map(sub, pairs, f))) <= max_length])
-            lam = prefix + coord
-            out += [AffineElement(datum, lam, w) for w in ws]
+            if ws:
+                out.append((prefix + coord, ws))
     return out
+
+
+def enumerate_elements(datum: RootDatum, max_length: int,
+                       coord_bound) -> List[AffineElement]:
+    """All elements of length <= max_length whose translation coordinates
+    lie in the window; coord_bound is an int b for [-b, b] or a (lo, hi) pair.
+
+    A negative cap or int bound raises PreconditionError, and a window of
+    more than ``_ELEMENT_BUDGET`` (translation, Weyl element) pairs raises
+    BudgetExceededError before any element is made."""
+    return [AffineElement(datum, lam, w)
+            for lam, ws in _window(datum, max_length, coord_bound) for w in ws]
 
 
 def sort_key(x: AffineElement):
     """The order of listed elements: length, translation, finite part.
     ``weyl_elements`` is sorted, so index order is matrix order."""
     return (length(x), x.translation, x.w)
+
+
+def _translation_key(datum: RootDatum, s_apply, lam: Vector) -> Tuple[Vector, Vector]:
+    """(<alpha_i, lam> over the simple roots, sigma lam - lam), for s_apply
+    sigma's action on translations: t^lam w and t^lam' w with one key
+    conjugate every x alike (module docstring)."""
+    return (tuple([sum(map(mul, alpha, lam)) for alpha in datum.simple_roots]),
+            tuple(map(sub, s_apply(lam), lam)))
+
+
+def _distinct_conjugators(datum: RootDatum, window, s_apply) -> Iterator[AffineElement]:
+    """The conjugators of a ``_window`` list that the sigma-class sweep
+    needs: one per key (w, ``_translation_key``), skipping a translation
+    whose key was seen and, once g is swept, the key of g^-1 (module
+    docstring).  An element is built only for a conjugator yielded."""
+    seen, swept = set(), set()
+    for lam, ws in window:
+        key = _translation_key(datum, s_apply, lam)
+        if key in seen:
+            continue
+        seen.add(key)
+        for w in ws:
+            if (w, key) not in swept:
+                g = AffineElement(datum, lam, w)
+                yield g
+                inverse = invert(g)
+                swept.add((inverse.w, _translation_key(datum, s_apply, inverse.translation)))
 
 
 class SigmaClassPartition(NamedTuple):
@@ -435,13 +480,14 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     if coord_bound is None:
         coord_bound = length_cap + 2
     elements = enumerate_elements(datum, length_cap, coord_bound)
-    conjugators = enumerate_elements(datum, conjugator_cap, coord_bound + 1)
-    if len(elements) * len(conjugators) > _CLASS_BUDGET:
+    window = _window(datum, conjugator_cap, coord_bound + 1)
+    conjugators = sum(len(ws) for _, ws in window)
+    if len(elements) * conjugators > _CLASS_BUDGET:
         # the singleton partition is itself a valid upper-bound refinement
         singleton = SigmaClassPartition(
             tuple((x,) for x in sorted(elements, key=sort_key)))
         raise BudgetExceededError(
-            f"{len(elements)} elements x {len(conjugators)} conjugators "
+            f"{len(elements)} elements x {conjugators} conjugators "
             f"exceeds the budget of {_CLASS_BUDGET}",
             partial=singleton)
     table = datum.sigma_table(sigma)
@@ -494,15 +540,7 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
     # w_g l_x for each x, and w w_h for each w; per g: the code of
     # (l_g + w mu_h, w w_h) for each w = w_g w_x.  A step is one add.
     left: Dict[int, Tuple[List[int], List[int], int, List[int]]] = {}
-    simple_roots, swept = datum.simple_roots, set()
-    for g in conjugators:
-        # g and t^c g conjugate alike for a central, sigma-fixed t^c
-        s_lam = s_apply(g.translation)
-        key = (g.w, tuple([sum(map(mul, alpha, g.translation)) for alpha in simple_roots]),
-               tuple(map(sub, s_lam, g.translation)))
-        if key in swept:
-            continue
-        swept.add(key)
+    for g in _distinct_conjugators(datum, window, s_apply):
         row = left.get(g.w)
         if row is None:
             cols = columns[g.w]
@@ -511,7 +549,7 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
                                [sum(map(mul, x.translation, cols)) for x in elements],
                                wh, [datum.weyl_mul(k, wh) for k in range(order)])
         wgx, moved, wh, right = row
-        minus_mu = actions[wh].apply(s_lam)
+        minus_mu = actions[wh].apply(s_apply(g.translation))
         base = order * sum(map(mul, g.translation, powers))
         tail = [base - sum(map(mul, minus_mu, col)) + wy for col, wy in zip(columns, right)]
         for i, j in enumerate(map(index.get, map(add, moved, map(tail.__getitem__, wgx)))):
@@ -519,12 +557,12 @@ def enumerate_sigma_classes(datum: RootDatum, length_cap: int,
             if j is not None and parent[i] != parent[j]:
                 union(i, j)
 
+    # filled in sort_key order, each block is sorted and the blocks are
+    # ordered by their first elements
     groups: Dict[int, List[AffineElement]] = {}
-    for i, x in enumerate(elements):
-        groups.setdefault(find(i), []).append(x)
-    blocks = tuple(sorted((tuple(sorted(block, key=sort_key))
-                           for block in groups.values()),
-                          key=lambda block: sort_key(block[0])))
+    for i in sorted(range(len(elements)), key=lambda i: sort_key(elements[i])):
+        groups.setdefault(find(i), []).append(elements[i])
+    blocks = tuple(map(tuple, groups.values()))
     for block in blocks:
         dominants = {_newton_key(x, sigma) for x in block}
         kappas = {table.pi1.project(x.translation) for x in block}

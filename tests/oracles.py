@@ -5,22 +5,28 @@ slower derivation of something the library computes another way:
 
 * ``bruhat_leq``: the Bruhat order by the subword recursion; a window
   filtered by it re-derives the admissible set;
+* ``permissible_set``: the mu-permissible set of Kottwitz-Rapoport, read
+  from the action on the base alcove's vertices and the dominance order,
+  with no Bruhat order;
 * ``decent_representative``: the monomial lift of x with the least period
   at which the decency equation holds, verified symbolically in p;
 * ``slopes_via_restriction``: slopes as the Newton polygon of the
   characteristic polynomial of the restriction-of-scalars expansion.
 """
 
+import itertools
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
+from centralleaf import linalg
 from centralleaf.affine import (_SIGMA_ORDER_CAP, AffineElement, NewtonPoint,
                                 _lift, _same_datum, affine_generators,
-                                compose, identity_element, invert, length,
-                                newton_point, omega_and_word)
+                                compose, identity_element, invert, kottwitz, length,
+                                newton_point, omega_and_word, translation_element)
 from centralleaf.errors import ConsistencyError, DatumMismatchError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     restriction_of_scalars, slopes_charpoly)
+from centralleaf.rootdata import RootDatum, dominance_leq, dominant_rep
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -66,6 +72,55 @@ def bruhat_leq(x: AffineElement, y: AffineElement) -> bool:
     if length(u) == 0:
         return u == identity_element(x.datum)
     return recurse(u, word_y)
+
+
+# ---------------------------------------------------------------------------
+# permissible sets
+
+def alcove_vertices(datum: RootDatum) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The vertices of the base alcove {<alpha_i, v> >= 0, <theta, v> <= 1}
+    modulo the centre, for an irreducible root system with highest root
+    theta = sum_i c_i alpha_i: 0 and, for each i, the point of the coroot
+    span with <alpha_j, v> = delta_ij / c_i."""
+    coords = dict(zip(datum.positive_roots, datum.positive_coordinates))
+    theta = max(datum.positive_roots, key=lambda chi: sum(coords[chi]))
+    cartan = [[datum.pair(alpha, check) for alpha in datum.simple_roots]
+              for check in datum.simple_coroots]
+    vertices = [(Fraction(0),) * datum.cochar_rank]
+    for i, c in enumerate(coords[theta]):
+        target = [Fraction(int(i == j)) / c for j in range(datum.rank)]
+        ys = linalg.solve_columns(cartan, target)
+        vertices.append(tuple(sum(Fraction(y) * check[k] for y, check
+                                  in zip(ys, datum.simple_coroots))
+                              for k in range(datum.cochar_rank)))
+    return tuple(vertices)
+
+
+def permissible_set(datum: RootDatum, mu) -> FrozenSet[AffineElement]:
+    """Perm(mu): the x = t^lambda w in the Kottwitz class of t^mu with
+    x(a) - a = lambda + w a - a in Conv(W mu) for every vertex a of the base
+    alcove (Kottwitz-Rapoport).  v lies in Conv(W mu) exactly when its
+    dominant representative is below mu in the dominance order.  The vertex
+    a = 0 asks lambda itself to lie in the hull, which prunes the window to
+    the box of the orbit W mu first."""
+    mu = tuple(int(v) for v in mu)
+    orbit = [linalg.mat_vec(w, mu) for w in datum.weyl_elements]
+    lo, hi = min(map(min, orbit)), max(map(max, orbit))
+
+    def in_hull(v):
+        return dominance_leq(datum, dominant_rep(datum, v), mu)
+
+    target = kottwitz(translation_element(datum, mu))
+    vertices = alcove_vertices(datum)[1:]
+    out = set()
+    for lam in itertools.product(range(lo, hi + 1), repeat=datum.cochar_rank):
+        if not in_hull(lam) or kottwitz(translation_element(datum, lam)) != target:
+            continue
+        for w, finite in enumerate(datum.weyl_elements):
+            if all(in_hull(tuple(l + m - v for l, m, v in zip(lam, linalg.mat_vec(finite, a), a)))
+                   for a in vertices):
+                out.add(AffineElement(datum, lam, w))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

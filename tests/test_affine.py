@@ -24,7 +24,7 @@ from centralleaf.isocrystal import (MonomialIsocrystal, monomial_from_rational,
                                     slopes_monomial)
 from centralleaf.rootdata import RootDatum, build_classical, dominant_rep, is_dominant
 
-from oracles import bruhat_leq, decent_representative, monomial_compose
+from oracles import bruhat_leq, decent_representative, monomial_compose, permissible_set
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -345,6 +345,22 @@ def test_admissible_hyperspecial_matches_dominance_characterisation():
         assert got == expected
 
 
+# minuscule mu, where Adm(mu) = Perm(mu) (Kottwitz-Rapoport, "Minuscule
+# alcoves for GL_n and GSp_2n", Manuscripta Math. 102, 2000); Perm(mu) reads
+# no Bruhat order
+@pytest.mark.parametrize("tag, n, mu", [
+    ("GL", 2, (1, 0)), ("GL", 3, (1, 0, 0)), ("GL", 3, (1, 1, 0)),
+    ("GL", 4, (1, 0, 0, 0)), ("GL", 4, (1, 1, 0, 0)), ("GL", 4, (1, 1, 1, 0)),
+    ("GSp", 4, (1, 1, 1)), ("GSp", 6, (1, 1, 1, 1)),
+], ids=["GL2-(1,0)", "GL3-(1,0,0)", "GL3-(1,1,0)", "GL4-(1,0,0,0)", "GL4-(1,1,0,0)",
+        "GL4-(1,1,1,0)", "GSp4-Siegel", "GSp6-Siegel"])
+def test_admissible_set_is_the_permissible_set_for_minuscule_mu(tag, n, mu):
+    datum = build_classical(tag, n)
+    adm = admissible_set(datum, mu)
+    assert adm == permissible_set(datum, mu)
+    assert len(adm) > len({action.apply(mu) for action in datum.weyl_actions})
+
+
 def test_sigma_class_examples():
     partition = enumerate_sigma_classes(GL2, 1)
     t10 = translation_element(GL2, (1, 0))
@@ -643,13 +659,63 @@ GL3_DUAL = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
     (GL2, 2, None, None), (GL3, 1, None, None), (SP4, 2, None, None),
     (build_classical("GSp", 4), 1, None, None), (GL3, 2, rotation3(), 2),
     (GL4, 0, GL4_DUAL, 1), (GL3, 1, GL3_DUAL, 2),
+    (build_classical("GSp", 4), 2, None, None), (GL3, 2, GL3_DUAL, 2),
 ], ids=["GL2-cap2", "GL3-cap1", "Sp4-cap2", "GSp4-cap1", "GL3-rotation-cap2",
-        "GL4-dual-cap0", "GL3-dual-cap1"])
+        "GL4-dual-cap0", "GL3-dual-cap1", "GSp4-cap2", "GL3-dual-cap2"])
 def test_coded_sweep_matches_the_matrix_sweep(datum, cap, sigma, bound):
     partition = enumerate_sigma_classes(datum, cap, sigma=sigma, coord_bound=bound)
     expected = matrix_sigma_classes(datum, cap, sigma, bound)
     assert {frozenset(block) for block in partition.blocks} == expected
     assert len(expected) > 1
+
+
+def conjugation_pairs(g, window, sigma):
+    """The pairs (x, g x sigma(g)^-1) of the window with both ends in it:
+    the unions the sweep makes for the conjugator g."""
+    members = set(window)
+    return frozenset((x, y) for x in window
+                     for y in (sigma_conjugate(g, x, sigma),) if y in members)
+
+
+# (datum, sigma, element cap and bound, conjugator cap and bound)
+@pytest.mark.parametrize("datum, sigma, cap, bound, g_cap, g_bound", [
+    (GL3, GL3_DUAL, 1, 1, 2, 2), (build_classical("GSp", 4), None, 1, 2, 2, 2),
+    (GL2, None, 2, 2, 3, 3),
+], ids=["GL3-dual", "GSp4", "GL2"])
+def test_the_sweep_skips_only_conjugators_that_repeat_a_swept_one(
+        datum, sigma, cap, bound, g_cap, g_bound):
+    # partitions alone cannot tell a wrong skip rule: the full sweep makes
+    # each union many times over
+    s_apply = datum.sigma_table(sigma).rows.apply
+    window = enumerate_elements(datum, cap, bound)
+    conjugators = enumerate_elements(datum, g_cap, g_bound)
+
+    def key(g):
+        return g.w, affine._translation_key(datum, s_apply, g.translation)
+
+    pairs_of = {}
+    for g in conjugators:
+        pairs = conjugation_pairs(g, window, sigma)
+        inverse = invert(g)
+        # g^-1 y sigma(g^-1)^-1 = x exactly when y = g x sigma(g)^-1
+        inverse_pairs = conjugation_pairs(inverse, window, sigma)
+        assert inverse_pairs == {(y, x) for x, y in pairs}
+        # one key, one map: so for g^-1, which may leave the window
+        for h, h_pairs in ((g, pairs), (inverse, inverse_pairs)):
+            assert pairs_of.setdefault(key(h), h_pairs) == h_pairs
+    swept = list(affine._distinct_conjugators(
+        datum, affine._window(datum, g_cap, g_bound), s_apply))
+    # one swept g for each {key, key of the inverse} of the window: so every
+    # conjugator makes g's pairs or their reversal, and no two swept make both
+    classes = [frozenset((key(g), key(invert(g)))) for g in swept]
+    assert set(classes) == {frozenset((key(g), key(invert(g)))) for g in conjugators}
+    assert len(set(classes)) == len(classes)
+    # the inverse rule skips something, and so does the translation rule
+    # but where no central translation is sigma-fixed (lambda -> -w0 lambda)
+    keys = len({key(g) for g in conjugators})
+    assert len(swept) < keys
+    assert (keys < len(conjugators)) == (sigma is None)
+    assert any(x != y for pairs in pairs_of.values() for x, y in pairs)
 
 
 def search_lift(datum, lam, g, weights):
