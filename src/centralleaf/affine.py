@@ -15,9 +15,10 @@ built on first use), and sigma lambda and the Weyl index of sigma^k from
 the ``SigmaRows`` of sigma's table.  Products and inverses of indices,
 inversion sets, the sigma action and pi_1(G)_sigma are ``rootdata``'s other
 tables; this module only reads them.  One helper,
-``_lift``, builds every monomial lift (``rep_lift``, ``adjoint_lift``): it
-composes w's permutation of the weights or roots with sigma's, both read
-from those tables.
+``_lift``, builds every monomial lift from a permutation of its lines:
+``rep_lift`` reads w's permutation of the weights, and ``adjoint_lift``
+composes w's permutation of the roots with sigma's, both read from those
+tables.
 
 The sweep codes each (translation, index) pair as one int,
 enc(lambda) |W| + w with enc(v) = sum_i v_i B^i, for a radix B derived from
@@ -267,26 +268,16 @@ def kottwitz(x: AffineElement, sigma: Optional[Matrix] = None) -> KottwitzClass:
 # ---------------------------------------------------------------------------
 # monomial lifts: the attached representation, the adjoint isocrystal
 
-def _lift(datum: RootDatum, lam, w: int, sigma: Optional[Matrix],
-          on_roots: bool = False) -> MonomialIsocrystal:
-    """The monomial matrix of t^lam * g, g = w sigma (w for sigma None), on
-    the lines of the representation weights, or of the roots for on_roots.
-
-    Column j carries the line of chi_j to that of g chi_j = w (sigma chi_j)
-    and scales it by p^<g chi_j, lam>; the permutation is w's from
-    ``datum.weyl_actions`` after sigma's from ``datum.sigma_table``.
-    """
-    lines = datum.roots if on_roots else datum.rep_weights
+def _lift(datum: RootDatum, lines, perm, lam) -> MonomialIsocrystal:
+    """The monomial matrix on ``lines`` whose column j carries the line of
+    chi_j to that of chi_perm[j] and scales it by p^<chi_perm[j], lam>."""
     if lines is None:
         raise UnsupportedOperationError("no faithful representation attached")
-    action, table = datum.weyl_actions[w], datum.sigma_table(sigma)
-    perm, first = (action.roots, table.roots) if on_roots else (action.weights, table.weights)
-    if perm is None or first is None:
+    if perm is None:
         raise UnsupportedOperationError(
             "automorphism does not permute the representation weights")
-    perm = tuple(map(perm.__getitem__, first))
-    exps = tuple(int(datum.pair(lines[k], lam)) for k in perm)
-    return MonomialIsocrystal(len(perm), perm, exps)
+    return MonomialIsocrystal(len(perm), perm,
+                              tuple(int(datum.pair(lines[k], lam)) for k in perm))
 
 
 def rep_lift(x: AffineElement) -> MonomialIsocrystal:
@@ -294,13 +285,18 @@ def rep_lift(x: AffineElement) -> MonomialIsocrystal:
     conjugates to x = t^lambda * w, in the attached faithful representation:
     column j carries p^<omega_j, lambda> to the line of w omega_j."""
     datum = x.datum
-    return _lift(datum, datum.weyl_actions[x.w].apply(x.translation), x.w, None)
+    action = datum.weyl_actions[x.w]
+    return _lift(datum, datum.rep_weights, action.weights, action.apply(x.translation))
 
 
 def adjoint_lift(x: AffineElement, sigma: Optional[Matrix] = None) -> MonomialIsocrystal:
     """The adjoint isocrystal of x sigma on the root lines: the monomial
-    matrix of t^lambda * w sigma, whose slopes are <alpha, nu>, one per root."""
-    return _lift(x.datum, x.translation, x.w, sigma, on_roots=True)
+    matrix of t^lambda * w sigma, whose slopes are <alpha, nu>, one per root.
+    Root a goes to w (sigma alpha_a): w's root permutation after sigma's."""
+    datum = x.datum
+    first, then = datum.sigma_table(sigma).roots, datum.weyl_actions[x.w].roots
+    return _lift(datum, datum.roots,
+                 None if first is None else tuple(map(then.__getitem__, first)), x.translation)
 
 
 # ---------------------------------------------------------------------------

@@ -248,21 +248,21 @@ class SlopeDivisibilityReport(NamedTuple):
 
 
 def _csd_monomial(m: MonomialIsocrystal) -> SlopeDivisibilityReport:
-    slopes = slopes_monomial(m)
-    period = 1
+    """The period, the slopes and the pieces, in one pass over the cycles."""
+    period, by_slope = 1, {}
     for cycle in m.cycles():
-        period = lcm(period, len(cycle) * m.frobenius_power)
-    by_slope = {}
-    for cycle in m.cycles():
-        s = Fraction(sum(m.exponents[j] for j in cycle), len(cycle) * m.frobenius_power)
-        by_slope.setdefault(s, []).extend(cycle)
-    pieces = []
+        length = len(cycle) * m.frobenius_power
+        period = lcm(period, length)
+        by_slope.setdefault(Fraction(sum(m.exponents[j] for j in cycle), length),
+                            []).extend(cycle)
+    slopes, pieces = [], []
     for s in sorted(by_slope, reverse=True):
         idxs = sorted(by_slope[s])
+        slopes += [s] * len(idxs)
         pieces.append(linalg.freeze(
             tuple(1 if i == j else 0 for j in idxs) for i in range(m.size)))
     return SlopeDivisibilityReport(
-        True, slopes, period, tuple(pieces),
+        True, tuple(slopes), period, tuple(pieces),
         "monomial datum: cycle basis splits the lattice and the decency "
         "equation certifies the slope grading")
 

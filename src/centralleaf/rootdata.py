@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
@@ -71,7 +71,6 @@ class RootDatum:
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
         self._sigma_tables = {None: SigmaTable(
             tuple(range(len(self.weyl_elements))), self.pi1, tuple(range(len(self.roots))),
-            None if self.rep_weights is None else tuple(range(len(self.rep_weights))),
             SigmaRows(linalg.identity(self.cochar_rank), self.weyl_index))}
 
     # -- construction-time validation -------------------------------------
@@ -222,8 +221,10 @@ class RootDatum:
         """Per index w, its permutations of the roots and of the weights, as
         w s_i chi = w (s_i chi); None for weights that some s_i does not permute."""
         def walk(chars):
+            if chars is None:
+                return None
             images = [_permutation(chars, linalg.transpose(s)) for s in self.simple_reflections]
-            if chars is None or None in images:
+            if None in images:
                 return None
             return self._walk(tuple(range(len(chars))),
                               lambda prev, i: tuple([prev[b] for b in images[i]]))
@@ -284,8 +285,7 @@ class RootDatum:
             table = self._sigma_tables[sigma] = SigmaTable(
                 tuple(self._walk(self.weyl_identity, lambda k, i: self._follow(k, words[i]))),
                 present_quotient(n, list(self.coroots) + _moved_columns(sigma)),
-                _permutation(self.roots, on_chars), _permutation(self.rep_weights, on_chars),
-                SigmaRows(sigma, self.weyl_index))
+                _permutation(self.roots, on_chars), SigmaRows(sigma, self.weyl_index))
         return table
 
     @cached_property
@@ -367,14 +367,13 @@ class SigmaTable(NamedTuple):
     ``weyl_action[w]`` is the index of sigma w sigma^-1; ``pi1`` presents
     pi_1(G)_sigma = X_* / (coroots + (1 - sigma) X_*), where kappa lives.
     ``roots[a]`` is the index of sigma alpha_a = alpha_a o sigma^-1 in
-    ``roots``, ``weights[a]`` that of sigma chi_a in ``rep_weights``; None
-    where sigma does not permute those lines.  ``rows`` is sigma's ``SigmaRows``.
+    ``roots``, None where sigma does not permute the roots.  ``rows`` is
+    sigma's ``SigmaRows``.
     """
 
     weyl_action: Tuple[int, ...]
     pi1: CoinvariantLattice
     roots: Optional[Tuple[int, ...]]
-    weights: Optional[Tuple[int, ...]]
     rows: "SigmaRows"
 
 
@@ -441,8 +440,6 @@ def _sparse_rows(matrix):
 def _permutation(chars, on_chars) -> Optional[Tuple[int, ...]]:
     """The index in ``chars`` of on_chars chi for each chi in ``chars``, for an
     invertible on_chars; None unless that permutes distinct ``chars``."""
-    if chars is None:
-        return None
     position = {chi: a for a, chi in enumerate(chars)}
     perm = tuple(position.get(linalg.mat_vec(on_chars, chi)) for chi in chars)
     return None if len(position) != len(chars) or None in perm else perm
@@ -507,123 +504,62 @@ def dominance_leq(datum: RootDatum, v1, v2) -> bool:
 
 # -- builders -----------------------------------------------------------------
 
-def _basis_vector(n, i, value=1):
-    return tuple(value if j == i else 0 for j in range(n))
+def _vec(m, *entries):
+    """The vector of Z^m with the given (index, coefficient) entries; an
+    entry with coefficient 0 is skipped, whatever its index."""
+    v = [0] * m
+    for i, c in entries:
+        if c:
+            v[i] += c
+    return tuple(v)
+
+
+def _type_a(m: int, n: int):
+    """The roots e_i - e_j (i != j < n) of Z^m, their coroots (the same
+    vectors) and the indices of the simple roots e_i - e_(i+1)."""
+    roots = [_vec(m, (i, 1), (j, -1)) for i in range(n) for j in range(n) if i != j]
+    return roots, list(roots), [i * n for i in range(n - 1)]
 
 
 def _build_gl(n: int) -> RootDatum:
-    roots, coroots = [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                chi = tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(n))
-                roots.append(chi)
-                coroots.append(chi)
-    simple = [roots.index(tuple((1 if k == i else 0) - (1 if k == i + 1 else 0)
-                                for k in range(n))) for i in range(n - 1)]
-    weights = [_basis_vector(n, i) for i in range(n)]
-    return RootDatum("GL", roots, coroots, simple, n, rep_weights=weights)
+    return RootDatum("GL", *_type_a(n, n), n, rep_weights=linalg.identity(n))
 
 
 def _build_sl(n: int) -> RootDatum:
     """SL(n) with cocharacters in the simple-coroot basis, characters in the
-    fundamental-weight basis, which is dual to it."""
-    rank = n - 1
-    roots, coroots = [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            chi = tuple((1 if k == i else 0) - (1 if k == i - 1 else 0)
-                        - (1 if k == j else 0) + (1 if k == j - 1 else 0)
-                        for k in range(rank))
-            lo, hi = min(i, j), max(i, j)
-            body = tuple(1 if lo <= k < hi else 0 for k in range(rank))
-            v = body if i < j else tuple(-x for x in body)
-            roots.append(chi)
-            coroots.append(v)
-    simple = []
-    for i in range(rank):
-        target = tuple(2 if k == i else (-1 if abs(k - i) == 1 else 0) for k in range(rank))
-        simple.append(roots.index(target))
-    weights = []
-    for i in range(n):
-        chi = tuple((1 if k == i else 0) - (1 if k == i - 1 else 0) for k in range(rank))
-        weights.append(chi)
-    return RootDatum("SL", roots, coroots, simple, rank, rep_weights=weights)
+    fundamental-weight basis, which is dual to it: GL(n)'s lists, a character
+    read by its pairings with the e_k - e_(k+1) and a cocharacter (of sum 0)
+    by its prefix sums."""
+    roots, _, simple = _type_a(n, n)
+
+    def on_coroots(chi):
+        return tuple(chi[k] - chi[k + 1] for k in range(n - 1))
+
+    return RootDatum("SL", list(map(on_coroots, roots)),
+                     [tuple(accumulate(v[:-1])) for v in roots], simple, n - 1,
+                     rep_weights=list(map(on_coroots, linalg.identity(n))))
 
 
-def _build_sp(n: int) -> RootDatum:
-    g = n // 2
-    roots, coroots = [], []
-    for i in range(g):
-        for j in range(g):
-            if i != j:
-                chi = tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(g))
-                roots.append(chi)
-                coroots.append(chi)
-    for i in range(g):
-        for j in range(i + 1, g):
-            for sign in (1, -1):
-                chi = tuple(sign * ((1 if k == i else 0) + (1 if k == j else 0))
-                            for k in range(g))
-                roots.append(chi)
-                coroots.append(chi)
-    for i in range(g):
-        for sign in (1, -1):
-            roots.append(_basis_vector(g, i, 2 * sign))
-            coroots.append(_basis_vector(g, i, sign))
-    simple = []
-    for i in range(g - 1):
-        target = tuple((1 if k == i else 0) - (1 if k == i + 1 else 0) for k in range(g))
-        simple.append(roots.index(target))
-    simple.append(roots.index(_basis_vector(g, g - 1, 2)))
-    weights = [_basis_vector(g, i) for i in range(g)]
-    weights += [_basis_vector(g, i, -1) for i in range(g - 1, -1, -1)]
-    return RootDatum("Sp", roots, coroots, simple, g, rep_weights=weights)
-
-
-def _build_gsp(n: int) -> RootDatum:
-    """GSp(2g) as Sp coordinates plus one similitude coordinate (the last).
+def _build_symplectic(tag: str, g: int) -> RootDatum:
+    """Sp(2g) on Z^g, or GSp(2g) with one similitude coordinate (the last).
 
     Cocharacters (a_1, ..., a_g, c) act on the standard 2g-dimensional
     space with exponents (a_1, ..., a_g, c - a_g, ..., c - a_1); the
-    similitude valuation realises pi_1(GSp) = Z.
+    similitude valuation realises pi_1(GSp) = Z.  Sp is the same lists with
+    similitude 0 and without its coordinate.
     """
-    g = n // 2
-    m = g + 1
-    roots, coroots = [], []
-    for i in range(g):
-        for j in range(g):
-            if i != j:
-                chi = tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(m))
-                roots.append(chi)
-                coroots.append(chi)
-    f = _basis_vector(m, g)
-    for i in range(g):
-        for j in range(i + 1, g):
-            base = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(m))
-            chi_plus = tuple(b - fb for b, fb in zip(base, f))
-            roots.append(chi_plus)
-            coroots.append(tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(m)))
-            roots.append(tuple(-x for x in chi_plus))
-            coroots.append(tuple(-((1 if k == i else 0) + (1 if k == j else 0)) for k in range(m)))
-    for i in range(g):
-        chi_long = tuple(2 * (1 if k == i else 0) - fb for k, fb in zip(range(m), f))
-        roots.append(chi_long)
-        coroots.append(_basis_vector(m, i))
-        roots.append(tuple(-x for x in chi_long))
-        coroots.append(_basis_vector(m, i, -1))
-    simple = []
-    for i in range(g - 1):
-        target = tuple((1 if k == i else 0) - (1 if k == i + 1 else 0) for k in range(m))
-        simple.append(roots.index(target))
-    long_simple = tuple(2 * (1 if k == g - 1 else 0) - (1 if k == g else 0) for k in range(m))
-    simple.append(roots.index(long_simple))
-    weights = [_basis_vector(m, i) for i in range(g)]
-    for i in range(g - 1, -1, -1):
-        weights.append(tuple((1 if k == g else 0) - (1 if k == i else 0) for k in range(m)))
-    return RootDatum("GSp", roots, coroots, simple, m, rep_weights=weights)
+    f = int(tag == "GSp")  # the coefficient of the similitude coordinate e_g
+    m = g + f
+    roots, coroots, simple = _type_a(m, g)
+    # +-(e_i + e_j - f e_g) with coroot +-(e_i + e_j) for i < j, then the
+    # long roots +-(2 e_i - f e_g), the pairs i = j, with coroot +-e_i
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)] + [(i, i) for i in range(g)]
+    for i, j in pairs:
+        for sign in (1, -1):
+            roots.append(_vec(m, (i, sign), (j, sign), (g, -sign * f)))
+            coroots.append(_vec(m, (i, sign), (j, sign * (i != j))))
+    weights = list(linalg.identity(m)[:g]) + [_vec(m, (g, f), (i, -1)) for i in reversed(range(g))]
+    return RootDatum(tag, roots, coroots, simple + [len(roots) - 2], m, rep_weights=weights)
 
 
 def build_classical(tag: str, n: int) -> RootDatum:
@@ -635,14 +571,13 @@ def build_classical(tag: str, n: int) -> RootDatum:
         if n < 1:
             raise ConfigurationError("GL/SL need n >= 1")
         if tag == "GL":
-            return _build_gl(n) if n > 1 else RootDatum("GL", [], [], [], 1,
-                                                        rep_weights=[(1,)])
+            return _build_gl(n)
         if n == 1:
             raise ConfigurationError("SL(1) is trivial; use GL(1)")
         return _build_sl(n)
     if n < 2 or n % 2 != 0:
         raise ConfigurationError("Sp/GSp need even n >= 2")
-    return _build_sp(n) if tag == "Sp" else _build_gsp(n)
+    return _build_symplectic(tag, n // 2)
 
 
 def datum_from_document(doc: dict) -> RootDatum:

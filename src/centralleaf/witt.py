@@ -464,24 +464,16 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
         raise NotPDivisibleError(
             "standard lattice is not display-compatible: (b sigma)^-1 M is "
             "not contained in M (or p*Phi1 is not integral)")
-    n = b.size
-    q = p ** level
-    m1_cols = []
-    phi1_cols = []
-    for j in range(n):
-        target_row = b.permutation[j]
-        col = [0] * n
-        col[j] = p ** (-b.exponents[j])
-        m1_cols.append(tuple(c % q for c in col))
-        image = [0] * n
-        image[target_row] = 1
-        phi1_cols.append(tuple(image))
-    phi = [[0] * n for _ in range(n)]
-    for j in range(n):
-        phi[b.permutation[j]][j] = p ** (1 + b.exponents[j]) % q
-    m1_matrix = linalg.freeze([[m1_cols[j][i] for j in range(n)] for i in range(n)])
-    phi1_matrix = linalg.freeze([[phi1_cols[j][i] for j in range(n)] for i in range(n)])
-    datum = DisplayDatum(p, level, n, m1_matrix, linalg.freeze(phi), phi1_matrix)
+    n, q, perm, exps = b.size, p ** level, b.permutation, b.exponents
+
+    def monomial(rows, entry):
+        """The n x n matrix with entry(j) at (rows[j], j), zero elsewhere."""
+        return linalg.freeze([[entry(j) if rows[j] == i else 0 for j in range(n)]
+                              for i in range(n)])
+
+    datum = DisplayDatum(p, level, n, monomial(range(n), lambda j: p ** -exps[j] % q),
+                         monomial(perm, lambda j: p ** (1 + exps[j]) % q),
+                         monomial(perm, lambda j: 1))
     report = display_check(datum)
     if not report.passed:
         raise ConsistencyError("constructed display failed its own axioms")

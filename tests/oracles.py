@@ -23,7 +23,8 @@ from centralleaf.affine import (_SIGMA_ORDER_CAP, AffineElement, NewtonPoint,
                                 _lift, _same_datum, affine_generators,
                                 compose, identity_element, invert, kottwitz, length,
                                 newton_point, omega_and_word, translation_element)
-from centralleaf.errors import ConsistencyError, DatumMismatchError
+from centralleaf.errors import (ConsistencyError, DatumMismatchError,
+                               UnsupportedOperationError)
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     restriction_of_scalars, slopes_charpoly)
 from centralleaf.rootdata import RootDatum, dominance_leq, dominant_rep
@@ -145,6 +146,21 @@ class DecentLift(NamedTuple):
     nu: NewtonPoint
 
 
+def _sigma_on_weights(datum: RootDatum, sigma: Optional[Matrix]) -> Tuple[int, ...]:
+    """The index of sigma chi = sigma^-T chi in ``rep_weights`` for each
+    weight chi, found by search; UnsupportedOperationError unless sigma
+    permutes the weights."""
+    weights = datum.rep_weights
+    if sigma is None:
+        return tuple(range(len(weights)))
+    on_chars = linalg.transpose(linalg.mat_inv(sigma))
+    images = [linalg.mat_vec(on_chars, chi) for chi in weights]
+    if len(set(weights)) != len(weights) or sorted(images) != sorted(weights):
+        raise UnsupportedOperationError(
+            "automorphism does not permute the representation weights")
+    return tuple(map(weights.index, images))
+
+
 def decent_representative(x: AffineElement,
                           sigma: Optional[Matrix] = None) -> DecentLift:
     """The monomial lift b of x in the attached representation, with the
@@ -158,9 +174,9 @@ def decent_representative(x: AffineElement,
     """
     datum = x.datum
     nu = newton_point(x, sigma)
-    lift = _lift(datum, x.translation, x.w, None)
+    lift = _lift(datum, datum.rep_weights, datum.weyl_actions[x.w].weights, x.translation)
     n = lift.size
-    s_mono = _lift(datum, (0,) * datum.cochar_rank, datum.weyl_identity, sigma)
+    s_mono = MonomialIsocrystal(n, _sigma_on_weights(datum, sigma), (0,) * n)
     r = nu.period
     nu_exps = []
     for chi in datum.rep_weights:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,54 @@ def test_build_examples():
     assert gl3.two_rho == (2, 0, -2)
     sp4 = build_classical("Sp", 4)
     assert sp4.two_rho == (4, 2)
+
+
+CLASSICAL = ([("GL", n) for n in range(1, 7)] + [("SL", n) for n in range(2, 7)]
+             + [("Sp", n) for n in range(2, 9, 2)] + [("GSp", n) for n in range(2, 9, 2)])
+
+
+def test_classical_data_keep_their_coordinates_and_order():
+    # one repr line per datum; a reordered root list changes the digest
+    # even where the root set does not
+    text = "".join(repr((d.group_tag, d.cochar_rank, d.roots, d.coroots, d.simple_indices,
+                         d.rep_weights)) + "\n"
+                   for d in (build_classical(tag, n) for tag, n in CLASSICAL))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "26996e626947feaffadaf2b252114276de1d58046a121fee8f136ca50d9d7ee7"
+
+
+def _cartan(kind, r):
+    """The textbook Cartan matrix <alpha_i, alpha_j_check> of A_r or C_r:
+    2 on the diagonal, -1 between neighbours, and for C_r -2 where the long
+    simple root alpha_r meets alpha_(r-1)_check."""
+    matrix = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)]
+              for i in range(r)]
+    if kind == "C" and r > 1:
+        matrix[r - 1][r - 2] = -2
+    return tuple(map(tuple, matrix))
+
+
+@pytest.mark.parametrize("tag, n", CLASSICAL, ids=[f"{t}{n}" for t, n in CLASSICAL])
+def test_classical_cartan_matrices(tag, n):
+    datum = build_classical(tag, n)
+    expected = _cartan("A", n - 1) if tag in ("GL", "SL") else _cartan("C", n // 2)
+    assert tuple(tuple(datum.pair(alpha, check) for check in datum.simple_coroots)
+                 for alpha in datum.simple_roots) == expected
+
+
+def test_cartan_matrices_known_answers():
+    assert _cartan("A", 3) == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert _cartan("C", 3) == ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
+    assert _cartan("C", 1) == ((2,),)
+
+
+def test_gl1_goes_through_the_general_builder():
+    for gl1 in (build_classical("GL", 1), rootdata._build_gl(1)):
+        assert (gl1.group_tag, gl1.cochar_rank, gl1.roots, gl1.coroots, gl1.simple_indices,
+                gl1.rep_weights) == ("GL", 1, (), (), (), ((1,),))
+        assert len(gl1.weyl_elements) == 1 and gl1.two_rho == (0,)
+        assert gl1.pi1 == present_quotient(1, [])
+        assert gl1.weyl_actions[gl1.weyl_identity].weights == (0,)
 
 
 def test_build_errors():
@@ -412,7 +461,6 @@ def test_sigma_table_matches_the_matrix_conjugation(datum, sigma):
         conjugate = linalg.mat_mul(linalg.mat_mul(sigma, w), s_inv)
         assert datum.weyl_elements[table.weyl_action[k]] == conjugate
     assert table.roots == _searched_permutation(datum.roots, sigma)
-    assert table.weights == _searched_permutation(datum.rep_weights, sigma)
 
 
 def test_sigma_tables_of_the_identity_permute_nothing():
@@ -420,8 +468,6 @@ def test_sigma_tables_of_the_identity_permute_nothing():
         table = datum.sigma_table(None)
         assert table.weyl_action == tuple(range(len(datum.weyl_elements)))
         assert table.roots == tuple(range(len(datum.roots)))
-        assert table.weights == (None if datum.rep_weights is None
-                                 else tuple(range(len(datum.rep_weights))))
 
 
 def test_sigma_entries_must_be_exact():
