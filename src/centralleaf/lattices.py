@@ -14,11 +14,17 @@ inv is read off its p-adic elementary-divisor exponents
 (``linalg.local_exponents``).  No inverse, Smith form or
 rational matrix is computed per lattice; a census builds the Fraction
 certificate for its points only.
+
+A window depends only on (n, p, depth), so a process walks each one once:
+the walk is memoised with its node budget in the key, keeps the last 8
+windows, and stores S by rows, which every census then reads as is.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -50,16 +56,17 @@ class LatticeModel(NamedTuple):
 _ENUM_BUDGET = 2_000_000
 
 
-def _hermite_walk(n: int, p: int, depth: int) -> List[Tuple[Matrix, Matrix]]:
-    """Every lattice of the window as (basis rows, scaled-inverse columns),
+def _hermite_walk(n: int, p: int, depth: int,
+                  budget: int) -> List[Tuple[Matrix, Matrix]]:
+    """Every lattice of the window as (basis rows, scaled-inverse rows),
     sorted by basis.
 
     Generates canonical Hermite forms B column by column.  Column j is kept
     only when q e_j (q = p^{2 depth}) lies in the integer span of columns
     0..j; the back-substitution that decides it returns column j of
-    q B^-1, so each lattice leaves the walk with its scaled inverse.
-    More than ``_ENUM_BUDGET`` nodes raise BudgetExceededError with the
-    lattices found so far.
+    S = q B^-1, so each lattice leaves the walk with the rows of S.
+    More than ``budget`` nodes raise BudgetExceededError with the lattices
+    found so far.
     """
     linalg.require_prime(p)
     if n < 1 or depth < 1:
@@ -77,15 +84,15 @@ def _hermite_walk(n: int, p: int, depth: int) -> List[Tuple[Matrix, Matrix]]:
     def recurse(j: int):
         nonlocal nodes
         if j == n:
-            found.append((tuple(zip(*columns)), tuple(inverse)))
+            found.append((tuple(zip(*columns)), tuple(zip(*inverse))))
             return
         offdiag_ranges = [range(columns[i][i]) for i in range(j)]
         for d in divisors:
             for off in itertools.product(*offdiag_ranges):
                 nodes += 1
-                if nodes > _ENUM_BUDGET:
+                if nodes > budget:
                     raise BudgetExceededError(
-                        f"lattice enumeration exceeded {_ENUM_BUDGET} nodes",
+                        f"lattice enumeration exceeded {budget} nodes",
                         partial=tuple(LatticeModel(n, p, depth, basis)
                                       for basis, _ in found))
                 columns.append(list(off) + [d] + [0] * (n - 1 - j))
@@ -101,17 +108,31 @@ def _hermite_walk(n: int, p: int, depth: int) -> List[Tuple[Matrix, Matrix]]:
     return found
 
 
+@functools.lru_cache(maxsize=8)
+def _window(n: int, p: int, depth: int,
+            budget: int) -> Tuple[Tuple[Matrix, Matrix], ...]:
+    """The walk's lattices as an immutable tuple, walked once per key.
+
+    Callers pass ``_ENUM_BUDGET`` as the budget, so a call under a smaller
+    budget misses the cache and walks again; a walk that raises caches
+    nothing.  The GL2 criterion-5 grid at p in {2, 3} and depths 1 and 2,
+    with GL3 at depth 1, reads six windows, inside the 8 kept.
+    """
+    return tuple(_hermite_walk(n, p, depth, budget))
+
+
 def enumerate_lattices(n: int, p: int, depth: int) -> Tuple[LatticeModel, ...]:
     """All lattices L with p^depth Lambda <= L <= p^-depth Lambda.
 
     One output per lattice, sorted, from the Hermite walk, which prunes by
-    the containment p^{2 depth} Lambda <= L as soon as a column is fixed.
+    the containment p^{2 depth} Lambda <= L as soon as a column is fixed;
+    the walk is shared with ``adlv_points`` and made once per process.
     p must be a prime and n, depth at least 1; the only limit on the size
     of the census is the node budget, whose overrun raises
     BudgetExceededError with the lattices found so far.
     """
     return tuple(LatticeModel(n, p, depth, basis)
-                 for basis, _ in _hermite_walk(n, p, depth))
+                 for basis, _ in _window(n, p, depth, _ENUM_BUDGET))
 
 
 def _invariant_exponents(transition, p: int, shift: int) -> Tuple[int, ...]:
@@ -157,9 +178,10 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     its determinant-valuation (Kottwitz) invariant and a complete-slope-
     divisibility certificate for the module (L, b sigma).  Twisted data
     (frobenius_power r > 1) are expanded by restriction of scalars, with mu
-    repeated blockwise.  The window comes from one Hermite walk, each
-    lattice with its scaled inverse S; since b is monomial, b B is a row
-    gather of B, and the check reads the transition S (b B).  A lattice's
+    repeated blockwise.  The window comes from the Hermite walk, made
+    once per process for each (n, p, depth), with every lattice's scaled
+    inverse S stored by rows; since b is monomial, b B is a row gather of
+    B, and the check reads the transition S (b B) from those rows.  A lattice's
     model and Fraction certificate are built only when it is a point.
     p must be a prime; the only limit on the census is the node budget of
     the walk, whose overrun raises BudgetExceededError before any lattice
@@ -177,27 +199,23 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     if len(mu) != b.size:
         raise PreconditionError("mu has the wrong length for the datum")
     mu_eff = tuple(sorted(mu * r, reverse=True))
-    walk = _hermite_walk(n, p, depth)
+    window = _window(n, p, depth, _ENUM_BUDGET)
     # b carries row j of a basis to row perm[j], scaled by p^e_j; p^c b is
     # integral, and the transition B^-1 b B is S (p^c b B) / p^shift with
-    # S = p^{2 depth} B^-1 upper triangular, read from the walk's columns
+    # S = p^{2 depth} B^-1 upper triangular, stored by rows in the window;
+    # gather[m] names the basis row that lands in row m, with its scale
     perm = expanded.permutation
     c = max(0, -min(expanded.exponents))
-    scales = [p ** (c + e) for e in expanded.exponents]
+    gather = sorted((perm[j], j, p ** (c + e))
+                    for j, e in enumerate(expanded.exponents))
     shift = 2 * depth + c
     den = p ** shift
+    mul = operator.mul
     points = []
-    for basis, inverse in walk:
-        image = [None] * n
-        for j, row in enumerate(basis):
-            image[perm[j]] = [scales[j] * x for x in row]
-        transition = []
-        for srow in zip(*inverse):
-            acc = [0] * n
-            for s, row in zip(srow, image):
-                if s:
-                    acc = [a + s * x for a, x in zip(acc, row)]
-            transition.append(acc)
+    for basis, srows in window:
+        columns = tuple(zip(*[[s * x for x in basis[j]] for _, j, s in gather]))
+        transition = [[sum(map(mul, srow, col)) for col in columns]
+                      for srow in srows]
         inv = _invariant_exponents(transition, p, shift)
         if inv != mu_eff:
             continue
@@ -206,4 +224,4 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
             tuple(tuple(Fraction(x, den) for x in row) for row in transition), p)
         sd = is_completely_slope_divisible(certificate)
         points.append(ADLVPoint(model, inv, model.det_valuation(), sd))
-    return ADLVCensus(tuple(points), mu_eff, p, depth, len(walk))
+    return ADLVCensus(tuple(points), mu_eff, p, depth, len(window))

@@ -296,3 +296,74 @@ def test_census_budget_refuses_before_any_check(monkeypatch):
     assert all(isinstance(m, LatticeModel) for m in info.value.partial)
     with pytest.raises(BudgetExceededError):
         enumerate_lattices(3, 3, 1)
+
+
+def test_a_filled_window_cache_still_keeps_the_budget(monkeypatch):
+    # the budget is part of the window's key: a window cached under the
+    # default budget does not answer a call made under a smaller one
+    b = MonomialIsocrystal(3, (1, 2, 0), (1, 0, 0))
+    full = set(enumerate_lattices(3, 3, 1))
+    adlv_points(b, (1, 0, 0), 3, 1)
+    checks = []
+    check = lattices._invariant_exponents
+
+    def record(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(lattices, "_invariant_exponents", record)
+    monkeypatch.setattr(lattices, "_ENUM_BUDGET", 50)
+    for call in (lambda: enumerate_lattices(3, 3, 1),
+                 lambda: adlv_points(b, (1, 0, 0), 3, 1)):
+        with pytest.raises(BudgetExceededError) as info:
+            call()
+        partial = info.value.partial
+        assert partial and all(isinstance(m, LatticeModel) and m in full
+                               for m in partial)
+    assert not checks
+
+
+def test_a_process_walks_each_window_once(monkeypatch):
+    lattices._window.cache_clear()
+    walks = []
+    walk = lattices._hermite_walk
+
+    def record(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(lattices, "_hermite_walk", record)
+    grid = list(enumerate_elements(GL2, 2, 2))
+    assert len(grid) == 37
+    for x in grid:
+        b = rep_lift(x)
+        for p in (2, 3):
+            adlv_points(b, (1, 0), p, 1)
+    for p in (2, 3):
+        enumerate_lattices(2, p, 1)
+    assert len(walks) == len(set(walks)) == 2
+
+
+@pytest.mark.parametrize("b, mu", [
+    (rep_lift(next(iter(enumerate_elements(GL2, 2, 2)))), (1, 0)),
+    (MonomialIsocrystal(2, (1, 0), (1, 0)), (1, 0)),
+    (MonomialIsocrystal(1, (0,), (1,), frobenius_power=2), (1,)),
+    (MonomialIsocrystal(2, (1, 0), (1, 0), frobenius_power=2), (1, 0)),
+])
+def test_a_census_from_the_cache_equals_a_fresh_one(b, mu):
+    adlv_points(b, mu, 2, 1)
+    hits = lattices._window.cache_info().hits
+    cached = adlv_points(b, mu, 2, 1)
+    assert lattices._window.cache_info().hits == hits + 1
+    lattices._window.cache_clear()
+    assert adlv_points(b, mu, 2, 1) == cached
+
+
+def test_the_window_cache_keeps_at_most_maxsize_windows():
+    info = lattices._window.cache_info
+    windows = [(1, p, depth) for p in (2, 3, 5, 7, 11) for depth in (1, 2)]
+    assert len(windows) > info().maxsize
+    for n, p, depth in windows:
+        assert len(enumerate_lattices(n, p, depth)) == 2 * depth + 1
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize

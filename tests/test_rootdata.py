@@ -427,8 +427,6 @@ def _minus_w0(n):
 def _searched_permutation(chars, sigma):
     """The index of sigma chi = sigma^-T chi in chars for each chi, found by
     search; None unless that permutes distinct chars."""
-    if chars is None:
-        return None
     on_chars = linalg.transpose(linalg.mat_inv(sigma))
     images = [linalg.mat_vec(on_chars, chi) for chi in chars]
     if len(set(chars)) != len(chars) or sorted(images) != sorted(chars):
