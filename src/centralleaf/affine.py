@@ -133,8 +133,6 @@ def invert(x: AffineElement) -> AffineElement:
 
 def sigma_apply(x: AffineElement, sigma: Optional[Matrix]) -> AffineElement:
     """Apply the lattice automorphism sigma: (l, w) -> (s l, s w s^-1)."""
-    if sigma is None:
-        return x
     table = x.datum.sigma_table(sigma)
     return AffineElement(x.datum, table.rows.apply(x.translation), table.weyl_action[x.w])
 

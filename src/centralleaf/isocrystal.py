@@ -97,6 +97,7 @@ def monomial_from_rational(matrix, p: int,
                            frobenius_power: int = 1) -> MonomialIsocrystal:
     """Read a monomial datum off a rational matrix whose entries are
     p-powers, one per row and column."""
+    linalg.require_prime(p)
     n = len(matrix)
     perm = [None] * n
     exps = [0] * n
@@ -122,8 +123,6 @@ def restriction_of_scalars(m: MonomialIsocrystal) -> MonomialIsocrystal:
     (each slope of the input shows up r times in the expansion).
     """
     n, r = m.size, m.frobenius_power
-    if r == 1:
-        return m
     perm = [0] * (n * r)
     exps = [0] * (n * r)
     for k in range(r):
@@ -152,19 +151,24 @@ def slopes_monomial(m: MonomialIsocrystal) -> Tuple[Fraction, ...]:
 
 class RationalIsocrystal(NamedTuple("RationalIsocrystal", [
         ("matrix", Matrix), ("prime", int)])):
-    """A plain rational Frobenius matrix; sigma acts trivially on entries."""
+    """A plain rational Frobenius matrix, square and nonempty, at a prime;
+    sigma acts trivially on entries."""
 
     __slots__ = ()
 
     def __new__(cls, matrix, prime: int):
-        return super().__new__(cls, linalg.freeze(
-            tuple(Fraction(x) for x in row) for row in matrix), prime)
+        linalg.require_prime(prime)
+        matrix = linalg.freeze(tuple(Fraction(x) for x in row) for row in matrix)
+        if not matrix or any(len(row) != len(matrix) for row in matrix):
+            raise ConfigurationError("isocrystal matrix must be square and nonempty")
+        return super().__new__(cls, matrix, prime)
 
 
 def newton_polygon_slopes(coeffs: Sequence[Fraction], p: int) -> Tuple[Fraction, ...]:
     """Slopes (descending, with multiplicity) of the isocrystal whose
     characteristic polynomial has the given monic coefficient list
     (constant term first)."""
+    linalg.require_prime(p)
     n = len(coeffs) - 1
     points = [(i, linalg.valuation(c, p)) for i, c in enumerate(coeffs)
               if c != 0]

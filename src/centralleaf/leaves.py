@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Tuple
 
 from .affine import (AffineElement, KottwitzClass, adjoint_lift, kottwitz,
                      newton_point)
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, DatumMismatchError, PreconditionError
 from .isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from .rootdata import RootDatum, dominance_leq, dominant_rep, is_dominant
 
@@ -29,12 +29,17 @@ class LeafReport(NamedTuple):
     leaf_dim: int
     jb_dim: int
     adjoint_slopes: Tuple[Fraction, ...]
-    checked: bool
+
+
+def _require_datum(datum: RootDatum, x: AffineElement):
+    if x.datum is not datum:
+        raise DatumMismatchError("element lives over a different root datum")
 
 
 def _leaf_dimension(datum: RootDatum, x: AffineElement, sigma):
     """(nu_dominant, <2 rho, nu>, oracle), the oracle being the sum of the
     positive slopes of ``adjoint_lift(x, sigma)``."""
+    _require_datum(datum, x)
     nu_dom = newton_point(x, sigma).dominant
     closed = Fraction(datum.pair(datum.two_rho, nu_dom))
     if closed.denominator != 1:
@@ -48,14 +53,12 @@ def leaf_report(datum: RootDatum, x: AffineElement,
     """Full invariant report for one element.
 
     leaf_dim is the central-leaf dimension <2 rho, nu>; jb_dim the dimension
-    of the twisted centraliser group (the Levi centralising nu); checked is
-    the agreement flag of the closed formula with the slope-decomposition
-    oracle and must be True for the report to be returned; kappa lies in
-    pi_1(G)_sigma.
+    of the twisted centraliser group (the Levi centralising nu); kappa lies
+    in pi_1(G)_sigma.  A closed formula that disagrees with the slope
+    oracle raises ConsistencyError: no report is returned unchecked.
     """
     nu_dom, closed, oracle = _leaf_dimension(datum, x, sigma)
-    checked = closed == oracle
-    if not checked:
+    if closed != oracle:
         raise ConsistencyError(
             f"leaf dimension mismatch: closed formula {closed} vs "
             f"slope oracle {oracle}")
@@ -65,7 +68,7 @@ def leaf_report(datum: RootDatum, x: AffineElement,
     basic = zero_pairings == len(datum.roots)
     adjoint = slopes_via_weights(adjoint_rep(datum), nu_dom)
     return LeafReport(x, nu_dom, kottwitz(x, sigma), basic, closed, jb_dim,
-                      adjoint, checked)
+                      adjoint)
 
 
 def mu_average(datum: RootDatum, mu, sigma=None) -> Tuple[Fraction, ...]:
@@ -83,6 +86,7 @@ def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,
     For GL(n) and minuscule mu this is the group-theoretic form of Mazur's
     inequality.
     """
+    _require_datum(datum, x)
     mu = tuple(int(v) for v in mu)
     if not is_dominant(datum, mu):
         raise PreconditionError("mu must be dominant")

@@ -37,7 +37,7 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
+    return tuple(zip(*m))
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -150,8 +150,6 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> Optional[tup
     (columns linearly independent), None when the system is inconsistent.
     Raises SingularInputError when the columns are dependent.
     """
-    if not columns:
-        return () if all(x == 0 for x in target) else None
     k = len(columns)
     aug = [[c[i] for c in columns] + [t] for i, t in enumerate(target)]
     reduced, pivots, _ = _gauss_jordan(aug, k)

@@ -97,11 +97,10 @@ class RootDatum:
     def _split_positivity(self):
         """Indices of roots that are nonnegative combinations of the base,
         and their coordinates in the base."""
-        cols = list(self.simple_roots)
         positive, coordinates = [], []
         for idx, chi in enumerate(self.roots):
             try:
-                coeffs = linalg.solve_columns(cols, chi) if cols else None
+                coeffs = linalg.solve_columns(self.simple_roots, chi)
             except SingularInputError:
                 raise ConfigurationError(
                     "the simple roots are not linearly independent, "
@@ -338,8 +337,6 @@ class CoinvariantLattice(NamedTuple):
 
 def present_quotient(rank: int, relation_columns) -> CoinvariantLattice:
     """Present Z^rank modulo the integer span of the given columns."""
-    if not relation_columns:
-        return CoinvariantLattice(rank, (), linalg.identity(rank))
     rows = [[int(col[i]) for col in relation_columns] for i in range(rank)]
     divisors, s, _t = linalg.smith_full(rows)
     divisors += (0,) * (rank - len(divisors))
@@ -494,9 +491,7 @@ def dominance_leq(datum: RootDatum, v1, v2) -> bool:
         if not is_dominant(datum, v):
             raise PreconditionError(f"{name} argument is not dominant")
     diff = tuple(Fraction(b) - Fraction(a) for a, b in zip(v1, v2))
-    if not datum.simple_coroots:
-        return all(x == 0 for x in diff)
-    coeffs = linalg.solve_columns(list(datum.simple_coroots), diff)
+    coeffs = linalg.solve_columns(datum.simple_coroots, diff)
     if coeffs is None:
         return False
     return all(c >= 0 for c in coeffs)

@@ -213,7 +213,7 @@ def leaf_report_row(report: LeafReport) -> Tuple[str, ...]:
             str(report.leaf_dim),
             str(report.jb_dim),
             slopes_str(report.adjoint_slopes),
-            "true" if report.checked else "false")
+            "true")  # schema 1's "checked": leaf_report raises on a failed check
 
 
 def leaf_report_from_row(datum: RootDatum, row: Sequence[str],
@@ -225,6 +225,8 @@ def leaf_report_from_row(datum: RootDatum, row: Sequence[str],
             f"leaf report row has {len(row)} fields, expected {len(LEAF_HEADER)}")
     if {row[4], row[8]} - {"true", "false"}:
         raise ConfigurationError("leaf report flags must be 'true' or 'false'")
+    if row[8] != "true":
+        raise ConfigurationError("a leaf report's 'checked' column must be 'true'")
     try:
         leaf_dim, jb_dim = int(row[5]), int(row[6])
     except ValueError:
@@ -234,7 +236,7 @@ def leaf_report_from_row(datum: RootDatum, row: Sequence[str],
     kappa = parse_kappa(datum, row[3], sigma)
     slopes = parse_vector(row[7])
     return LeafReport(element, nu, kappa, row[4] == "true", leaf_dim, jb_dim,
-                      slopes, row[8] == "true")
+                      slopes)
 
 
 CLASS_HEADER = ("block", "element", "length", "nu", "kappa", "basic")

@@ -226,9 +226,6 @@ class ZModRing(_Ring):
     def zero(self) -> int:
         return 0
 
-    def one(self) -> int:
-        return 1
-
 
 class NilpotentPolyRing(_Ring):
     """(Z/p^k)[x_1..x_n] with each variable nilpotent: x_i^trunc[i] = 0.
@@ -266,9 +263,6 @@ class NilpotentPolyRing(_Ring):
     def mul(self, a: tuple, b: tuple) -> tuple:
         return self._norm(_pmul(dict(a), dict(b)))
 
-    def neg(self, a: tuple) -> tuple:
-        return self._norm({exps: -c for exps, c in a})
-
     def divide(self, a: tuple, q: int) -> Optional[tuple]:
         if any(c % q for _, c in a):
             return None
@@ -291,6 +285,8 @@ class WittVector(NamedTuple("WittVector", [
     def __new__(cls, ring, prime: int, components: tuple):
         if not components:
             raise ConfigurationError("Witt vector needs at least one component")
+        if ring.p != prime:
+            raise ConfigurationError(f"Witt prime {prime} is not the ring's prime {ring.p}")
         return super().__new__(cls, ring, prime, components)
 
     @property
@@ -308,22 +304,22 @@ def _solve_lifted(ring, p: int, m: int, targets) -> WittVector:
     targets(lift), lift being ring at precision p^(k+m-1).
 
     Reduction to p^k is a ring map and solving for component i divides by
-    p^i, so every component is exact mod p^k.
+    p^i, so every component is exact mod p^k.  The solve and the lift it
+    keeps use ring.p, so a p that the WittVector refuses leaves no lift at
+    another prime behind.
     """
-    if ring.p != p:
-        raise ConfigurationError(f"Witt prime {p} is not the ring's prime {ring.p}")
     # made once per ring and length: the copy costs more than a small operation
     lift = ring._lifts.get(m)
     if lift is None:
-        lift = ring._lifts[m] = type(ring)(p, ring.k + m - 1, *ring._values()[2:])
-    comps = _solve_components(lift, p, targets(lift))
+        lift = ring._lifts[m] = type(ring)(ring.p, ring.k + m - 1, *ring._values()[2:])
+    comps = _solve_components(lift, ring.p, targets(lift))
     # adding zero in ring reduces a lifted component mod p^k
     return WittVector(ring, p, tuple(ring.add(ring.zero(), c) for c in comps))
 
 
 def _operate(op: str, a: WittVector, *others: WittVector) -> WittVector:
     """op on Witt vectors, through their ghost components in the lift."""
-    if any((b.ring, b.prime, b.length) != (a.ring, a.prime, a.length) for b in others):
+    if any((b.ring, b.length) != (a.ring, a.length) for b in others):
         raise DatumMismatchError("Witt vectors over different rings or lengths")
 
     def targets(lift):
@@ -433,19 +429,16 @@ class DisplayDatum(NamedTuple):
 
 
 class DisplayReport(NamedTuple):
-    contains_ir: bool
-    quotient_free: bool
     phi_compatible: bool
     phi1_generates: bool
     psi_matrix: Optional[Tuple[Tuple[int, ...], ...]]
     psi_invertible: bool
-    hodge_rank: Optional[int]
+    hodge_rank: int
     witness: Optional[int]
 
     @property
     def passed(self) -> bool:
-        return (self.contains_ir and self.quotient_free
-                and self.phi_compatible and self.phi1_generates)
+        return self.phi_compatible and self.phi1_generates
 
 
 def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> DisplayDatum:
@@ -456,6 +449,7 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
     {-1, 0} so that (b sigma)^-1 M sits inside M and p*b is integral at the
     standard lattice (otherwise the element defines no display on it).
     """
+    linalg.require_prime(p)
     slopes = slopes_monomial(b)
     if any(s < -1 or s > 0 for s in slopes):
         raise NotPDivisibleError(
@@ -481,13 +475,14 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
 
 
 def display_check(d: DisplayDatum) -> DisplayReport:
-    """Check the four display axioms at truncation and linearise Phi1.
+    """Check the two display axioms at truncation and linearise Phi1.
 
-    Returns a report rather than raising: each axiom gets its own flag, a
-    failing p*Phi1 = Phi comparison also reports a witness column.  The
-    linearisation Psi is computed only when all four axioms hold; otherwise
-    it is reported as None and not invertible.
+    M1 = span(m1_columns) + p*M holds I_R*M, and M/M1 is killed by p, so a
+    report, not an exception, flags p*Phi1 = Phi on M1 (with a witness
+    column when it fails) and that Phi1(M1) generates M.  Psi is computed
+    only when both hold; otherwise it is None and not invertible.
     """
+    linalg.require_prime(d.prime)
     p, n, q = d.prime, d.rank, d.prime ** d.level
     if len(d.phi) != n or len(d.m1_columns) != n or \
             len(d.phi1[0]) != len(d.m1_columns[0]):
@@ -496,17 +491,8 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     gens = m1_cols + [tuple(p * (1 if i == j else 0) for i in range(n)) for j in range(n)]
     padded = gens + [tuple(q * (1 if i == j else 0) for i in range(n)) for j in range(n)]
     basis = linalg.hnf_columns([[col[i] for col in padded] for i in range(n)])
-
-    basis_cols = linalg.transpose(basis)
-    contains_ir = all(
-        linalg.solve_triangular(basis_cols, tuple(p * (1 if i == j else 0)
-                                                  for i in range(n))) is not None
-        for j in range(n))
-
-    # basis contains p^level Z^n, so every elementary divisor is a power of p
-    exps = linalg.local_exponents(basis, p)
-    quotient_free = all(e <= 1 for e in exps)
-    hodge_rank = exps.count(1) if quotient_free else None
+    # p*M lies in M1, so every elementary divisor of M1 is 1 or p
+    hodge_rank = linalg.local_exponents(basis, p).count(1)
 
     phi_compatible = True
     witness = None
@@ -526,7 +512,7 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     # system the Smith transform returns
     psi_matrix = None
     psi_invertible = False
-    if contains_ir and quotient_free and phi_compatible and phi1_generates:
+    if phi_compatible and phi1_generates:
         psi_cols = []
         for j in range(n):
             target = [basis[i][j] for i in range(n)]
@@ -547,6 +533,5 @@ def display_check(d: DisplayDatum) -> DisplayReport:
                                     for i in range(n)])
         psi_invertible = linalg.local_exponents(psi_matrix, p).count(0) == n
 
-    return DisplayReport(contains_ir, quotient_free, phi_compatible,
-                         phi1_generates, psi_matrix, psi_invertible,
-                         hodge_rank, witness)
+    return DisplayReport(phi_compatible, phi1_generates, psi_matrix,
+                         psi_invertible, hodge_rank, witness)

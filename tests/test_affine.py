@@ -64,6 +64,11 @@ def test_mixed_datum_rejected():
                 translation_element(build_classical("GL", 2), (0, 1)))
 
 
+def test_element_refuses_a_matrix_outside_the_weyl_group():
+    with pytest.raises(PreconditionError, match="not a Weyl group element"):
+        element(GL2, (0, 0), ((2, 0), (0, 1)))
+
+
 def rotation3():
     # cyclic coordinate rotation: an order-3 automorphism of GL3's lattice
     return ((0, 0, 1), (1, 0, 0), (0, 1, 0))

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from centralleaf import isocrystal, linalg
 from centralleaf.affine import (adjoint_lift, element, enumerate_elements,
                                 newton_point, rep_lift)
-from centralleaf.errors import ConfigurationError, SingularInputError
+from centralleaf.errors import (ConfigurationError, PreconditionError,
+                               SingularInputError)
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                                     WeightedRep, adjoint_rep,
                                     is_completely_slope_divisible,
@@ -567,3 +568,34 @@ def test_monomial_from_rational_round_trip():
         assert back == m
     with pytest.raises(ConfigurationError):
         monomial_from_rational(((1, 1), (0, 1)), 2)
+
+
+# p = 1 used to loop forever in the valuation loops, and the other
+# non-primes were accepted
+NOT_PRIMES = (1, 4, -2, 0)
+
+
+@pytest.mark.parametrize("p", NOT_PRIMES)
+def test_rational_isocrystal_refuses_a_non_prime(p):
+    with pytest.raises(PreconditionError, match="prime"):
+        RationalIsocrystal(((1, 0), (0, 2)), p)
+
+
+@pytest.mark.parametrize("p", NOT_PRIMES)
+def test_monomial_from_rational_refuses_a_non_prime(p):
+    with pytest.raises(PreconditionError, match="prime"):
+        monomial_from_rational(((0, 1), (2, 0)), p)
+
+
+@pytest.mark.parametrize("p", NOT_PRIMES)
+def test_newton_polygon_slopes_refuses_a_non_prime(p):
+    with pytest.raises(PreconditionError, match="prime"):
+        newton_polygon_slopes((2, 0, 1), p)
+
+
+def test_rational_isocrystal_refuses_a_non_square_or_empty_matrix():
+    # ((1, 2),) used to be reported divisible with slopes (0,), and the
+    # empty matrix ended in a ValueError from min()
+    for matrix in (((1, 2),), (), ((1, 0), (0,))):
+        with pytest.raises(ConfigurationError, match="square"):
+            RationalIsocrystal(matrix, 2)

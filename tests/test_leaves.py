@@ -7,7 +7,7 @@ from centralleaf.affine import (adjoint_lift, element, enumerate_elements,
                                 enumerate_sigma_classes, newton_point,
                                 sigma_conjugate, simple_element,
                                 translation_element)
-from centralleaf.errors import PreconditionError
+from centralleaf.errors import DatumMismatchError, PreconditionError
 from centralleaf.isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from centralleaf.leaves import (cross_check_dimension, leaf_report, mu_average,
                                 neutral_acceptable)
@@ -42,7 +42,7 @@ def test_leaf_report_examples():
     t10 = translation_element(GL2, (1, 0))
     r = leaf_report(GL2, t10)
     assert r.nu_dominant == (1, 0)
-    assert (r.leaf_dim, r.jb_dim, r.basic, r.checked) == (1, 2, False, True)
+    assert (r.leaf_dim, r.jb_dim, r.basic) == (1, 2, False)
 
     xs = element(GL2, (1, 0), simple_element(GL2, 1).finite)
     r2 = leaf_report(GL2, xs)
@@ -107,6 +107,21 @@ def test_neutral_acceptable_sigma_conjugation_invariant():
         assert neutral_acceptable(GL2, x, (1, 0)) == neutral_acceptable(GL2, y, (1, 0))
 
 
+def test_leaf_calculators_refuse_an_element_of_another_datum():
+    # each takes a datum beside x; an x over another datum used to give
+    # True, a ConsistencyError or a failing oracle row
+    x = translation_element(GL3, (1, 0, 0))
+    with pytest.raises(DatumMismatchError):
+        neutral_acceptable(GSP4, x, (1, 0, 0))
+    with pytest.raises(DatumMismatchError):
+        leaf_report(GL2, x)
+    with pytest.raises(DatumMismatchError):
+        cross_check_dimension(GL2, [x])
+    # a datum built again is another datum
+    with pytest.raises(DatumMismatchError):
+        leaf_report(build_classical("GL", 3), x)
+
+
 def test_mu_average_trivial_and_rotation():
     assert mu_average(GL2, (1, 0)) == (1, 0)
     rotation = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
@@ -140,7 +155,6 @@ def test_adjoint_lift_slopes_are_the_root_pairings(name, datum, sigma):
         cycles = tuple(sorted(slopes_monomial(adjoint_lift(x, sigma)) + zeros, reverse=True))
         assert cycles == slopes_via_weights(adjoint_rep(datum), nu_dom)
         report = leaf_report(datum, x, sigma)
-        assert report.checked
         assert report.leaf_dim == sum(s for s in cycles if s > 0)
 
 

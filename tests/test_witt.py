@@ -6,15 +6,15 @@ import pytest
 
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                ConsistencyError, DatumMismatchError,
-                               NotPDivisibleError)
+                               NotPDivisibleError, PreconditionError)
 from centralleaf.isocrystal import MonomialIsocrystal, slopes_monomial
 from centralleaf.witt import (NilpotentPolyRing, ZModRing, display_check,
                               display_from_element, int_of_witt_digits,
                               structure_polynomials, truncate, witt, witt_add,
                               witt_digits_of_int, witt_frobenius,
                               witt_from_int, witt_ghost, witt_mul, witt_neg,
-                              witt_scalar, witt_verschiebung, _IntPolys, _pvar,
-                              _solve_components)
+                              witt_scalar, witt_verschiebung, WittVector,
+                              _IntPolys, _pvar, _solve_components)
 
 
 def test_structure_polynomials_are_integral():
@@ -282,7 +282,7 @@ def test_display_psi_only_on_passing_displays():
 @pytest.mark.parametrize("p", [2, 3])
 def test_displays_for_all_small_monomials(p):
     # every monomial of size <= 4 with exponents in {-1, 0} builds a display
-    # passing all four axioms
+    # passing both axioms
     count = 0
     for n in (1, 2, 3, 4):
         for perm in itertools.permutations(range(n)):
@@ -294,3 +294,30 @@ def test_displays_for_all_small_monomials(p):
                 assert report.hodge_rank == sum(1 for e in exps if e == -1)
                 count += 1
     assert count > 100
+
+
+def test_a_witt_vector_has_its_rings_prime():
+    # witt_ghost used to read p = 2 ghost components over Z/3^5
+    ring = ZModRing(3, 5)
+    with pytest.raises(ConfigurationError, match="ring's prime"):
+        witt(ring, 2, (1, 2))
+    with pytest.raises(ConfigurationError, match="ring's prime"):
+        WittVector(NilpotentPolyRing(3, 2, (2,)), 2, ((),))
+    # a refused integer image leaves no lift at another prime behind
+    with pytest.raises(ConfigurationError, match="ring's prime"):
+        witt_from_int(ring, 2, 2, 5)
+    assert all(lift.p == 3 for lift in ring._lifts.values())
+    assert witt_ghost(witt_from_int(ring, 3, 2, 5)) == (5, 5)
+
+
+@pytest.mark.parametrize("p", (1, 4, -2, 0))
+def test_display_from_element_refuses_a_non_prime(p):
+    with pytest.raises(PreconditionError, match="prime"):
+        display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), p)
+
+
+@pytest.mark.parametrize("p", (1, 4, -2, 0))
+def test_display_check_refuses_a_non_prime(p):
+    base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
+    with pytest.raises(PreconditionError, match="prime"):
+        display_check(base._replace(prime=p))
