@@ -316,9 +316,6 @@ def admissible_set(datum: RootDatum, mu, level: str = "iwahori"):
     returns the dominant translation representatives of the double cosets.
     """
     mu = tuple(int(v) for v in mu)
-    if len(mu) != datum.cochar_rank:
-        raise PreconditionError(
-            f"mu has length {len(mu)}, expected {datum.cochar_rank}")
     if not is_dominant(datum, mu):
         raise PreconditionError("mu must be dominant")
     if level not in ("iwahori", "hyperspecial"):

@@ -95,10 +95,12 @@ class MonomialIsocrystal(NamedTuple("MonomialIsocrystal", [
 
 def monomial_from_rational(matrix, p: int,
                            frobenius_power: int = 1) -> MonomialIsocrystal:
-    """Read a monomial datum off a rational matrix whose entries are
+    """Read a monomial datum off a square rational matrix whose entries are
     p-powers, one per row and column."""
     linalg.require_prime(p)
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ConfigurationError("matrix is not square")
     perm = [None] * n
     exps = [0] * n
     for j in range(n):

@@ -18,7 +18,8 @@ from .affine import (AffineElement, KottwitzClass, adjoint_lift, kottwitz,
                      newton_point)
 from .errors import ConsistencyError, DatumMismatchError, PreconditionError
 from .isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
-from .rootdata import RootDatum, dominance_leq, dominant_rep, is_dominant
+from .rootdata import (RootDatum, dominance_leq, dominant_rep, is_dominant,
+                       require_rank)
 
 
 class LeafReport(NamedTuple):
@@ -74,6 +75,7 @@ def leaf_report(datum: RootDatum, x: AffineElement,
 def mu_average(datum: RootDatum, mu, sigma=None) -> Tuple[Fraction, ...]:
     """Average of mu over the sigma-orbit; mu itself for trivial sigma."""
     mu = tuple(Fraction(v) for v in mu)
+    require_rank(datum, mu)
     return newton_point(AffineElement(datum, mu, datum.weyl_identity), sigma).vector
 
 

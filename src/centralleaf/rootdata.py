@@ -2,9 +2,11 @@
 
 Cocharacters are integer (or Fraction) vectors of length ``cochar_rank``;
 roots are integer character vectors of the same length, written in the
-basis dual to that of X_*, so <chi, v> is the dot product.  All derived
-data (positive roots, 2*rho, the finite Weyl group, the fundamental-group
-presentation) is computed once at construction and never mutated.
+basis dual to that of X_*, so <chi, v> is the dot product.  Construction
+checks the axioms and derives only what dominance and <2 rho, nu> read: the
+positive roots, 2*rho, the simple reflections and the pi_1 presentation.
+The finite Weyl group is walked on the first read of a field that needs it,
+which WEYL_CAP bounds.  A field, once set, is never replaced.
 
 The finite Weyl group is coded here: element k is ``weyl_elements[k]`` (the
 matrices sorted), and the closure records ``weyl_right[k][i]``, the index
@@ -37,7 +39,7 @@ GROUP_TAGS = ("GL", "SL", "Sp", "GSp")
 
 
 class RootDatum:
-    """A based root datum together with its precomputed Weyl combinatorics."""
+    """A based root datum together with its Weyl combinatorics, walked on first read."""
 
     def __init__(self, group_tag, roots, coroots, simple_indices, cochar_rank,
                  rep_weights=None):
@@ -63,15 +65,7 @@ class RootDatum:
             self._reflection_matrix(self.roots[i], self.coroots[i])
             for i in self.simple_indices)
         self._check_reflections_permute_roots()
-        self.weyl_elements, self.weyl_right, self.weyl_words, self._by_length = \
-            self._generate_weyl()
-        self.weyl_index = {w: k for k, w in enumerate(self.weyl_elements)}
-        self.weyl_identity = self.weyl_index[linalg.identity(self.cochar_rank)]
-        self._weyl_products = [None] * len(self.weyl_elements)
         self.pi1 = present_quotient(self.cochar_rank, list(self.coroots))
-        self._sigma_tables = {None: SigmaTable(
-            tuple(range(len(self.weyl_elements))), self.pi1, tuple(range(len(self.roots))),
-            SigmaRows(linalg.identity(self.cochar_rank), self.weyl_index))}
 
     # -- construction-time validation -------------------------------------
 
@@ -171,7 +165,23 @@ class RootDatum:
         """<chi, v>, the dot product: characters are in the dual basis."""
         return sum(c * x for c, x in zip(chi, v))
 
-    # -- the coded Weyl group -----------------------------------------------
+    # -- the coded Weyl group: one walk fills these on the first read of any --
+
+    _weyl_closure = cached_property(lambda self: self._generate_weyl())
+    weyl_elements = cached_property(lambda self: self._weyl_closure[0])
+    weyl_right = cached_property(lambda self: self._weyl_closure[1])
+    weyl_words = cached_property(lambda self: self._weyl_closure[2])
+    _by_length = cached_property(lambda self: self._weyl_closure[3])
+    weyl_index = cached_property(lambda self: {w: k for k, w in enumerate(self.weyl_elements)})
+    weyl_identity = cached_property(lambda self: self.weyl_index[linalg.identity(self.cochar_rank)])
+    _weyl_products = cached_property(lambda self: [None] * len(self.weyl_elements))
+
+    @cached_property
+    def _sigma_tables(self):
+        """sigma -> its ``SigmaTable``, the identity's (sigma = None) built here."""
+        return {None: SigmaTable(
+            tuple(range(len(self.weyl_elements))), self.pi1, tuple(range(len(self.roots))),
+            SigmaRows(linalg.identity(self.cochar_rank), self.weyl_index))}
 
     def weyl_code(self, w) -> int:
         """The index of a Weyl group matrix."""
@@ -451,7 +461,15 @@ def _moved_columns(g):
 
 # -- dominance ----------------------------------------------------------------
 
+def require_rank(datum: RootDatum, v):
+    """Refuse a vector whose length is not the datum's ``cochar_rank``."""
+    if len(v) != datum.cochar_rank:
+        raise PreconditionError(
+            f"vector has length {len(v)}, expected {datum.cochar_rank}")
+
+
 def is_dominant(datum: RootDatum, v) -> bool:
+    require_rank(datum, v)
     return all(datum.pair(alpha, v) >= 0 for alpha in datum.simple_roots)
 
 
@@ -477,6 +495,7 @@ def dominant_walk(datum: RootDatum, v) -> tuple:
 
 def dominant_rep(datum: RootDatum, v) -> Tuple[Fraction, ...]:
     """Unique dominant element of the Weyl orbit of v, as Fractions."""
+    require_rank(datum, v)
     return tuple(map(Fraction, dominant_walk(datum, v)))
 
 

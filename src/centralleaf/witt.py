@@ -161,6 +161,7 @@ def structure_polynomials(p: int, m: int) -> Dict[str, List[Poly]]:
 # coefficient rings
 
 def _modulus(p: int, k: int) -> int:
+    linalg.require_prime(p)
     if k < 1:
         raise ConfigurationError(
             f"coefficient exponent must be at least 1, got {k}")

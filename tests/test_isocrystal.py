@@ -570,6 +570,14 @@ def test_monomial_from_rational_round_trip():
         monomial_from_rational(((1, 1), (0, 1)), 2)
 
 
+def test_monomial_from_rational_refuses_a_non_square_matrix():
+    # ((0, 1, 5), (2, 0, 7)) at p = 2 used to give a size-2 datum, its third
+    # column dropped
+    for matrix in (((0, 1, 5), (2, 0, 7)), ((0, 1), (2, 0, 7)), ((0, 1), (2,))):
+        with pytest.raises(ConfigurationError, match="square"):
+            monomial_from_rational(matrix, 2)
+
+
 # p = 1 used to loop forever in the valuation loops, and the other
 # non-primes were accepted
 NOT_PRIMES = (1, 4, -2, 0)

@@ -122,6 +122,16 @@ def test_leaf_calculators_refuse_an_element_of_another_datum():
         leaf_report(build_classical("GL", 3), x)
 
 
+@pytest.mark.parametrize("mu", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+def test_a_mu_of_the_wrong_length_is_refused(mu):
+    # on GL3, neutral_acceptable used to give True for (1, 0) and a bare
+    # IndexError for a length-4 mu
+    with pytest.raises(PreconditionError, match="length"):
+        mu_average(GL3, mu)
+    with pytest.raises(PreconditionError, match="length"):
+        neutral_acceptable(GL3, translation_element(GL3, (1, 0, 0)), mu)
+
+
 def test_mu_average_trivial_and_rotation():
     assert mu_average(GL2, (1, 0)) == (1, 0)
     rotation = ((0, 0, 1), (1, 0, 0), (0, 1, 0))

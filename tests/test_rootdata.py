@@ -11,7 +11,7 @@ from sympy.polys.matrices.normalforms import invariant_factors
 from centralleaf import linalg, rootdata, serialize
 from centralleaf.affine import element, length
 from centralleaf.errors import BudgetExceededError, ConfigurationError, PreconditionError
-from centralleaf.rootdata import (build_classical, datum_from_document,
+from centralleaf.rootdata import (RootDatum, build_classical, datum_from_document,
                                   dominance_leq, dominant_rep, is_dominant,
                                   parse_group_name, present_quotient)
 
@@ -289,8 +289,47 @@ def test_weyl_cap_is_a_size_budget(monkeypatch):
     monkeypatch.setattr(rootdata, "WEYL_CAP", 720)
     assert len(build_classical("GL", 6).weyl_elements) == 720
     monkeypatch.setattr(rootdata, "WEYL_CAP", 719)
+    # the datum builds; its first read of W meets the cap
+    gl6 = build_classical("GL", 6)
     with pytest.raises(BudgetExceededError, match="WEYL_CAP = 719"):
-        build_classical("GL", 6)
+        gl6.weyl_elements
+
+
+def test_a_datum_walks_its_weyl_group_on_first_read_only(monkeypatch):
+    # GL8 and GSp12 used to take over 6 s to build and GL9 met WEYL_CAP
+    walks = []
+    walk = RootDatum._generate_weyl
+
+    def record(datum):
+        walks.append(datum)
+        return walk(datum)
+
+    monkeypatch.setattr(RootDatum, "_generate_weyl", record)
+    gl9, gl10, gsp12 = (build_classical(tag, n) for tag, n in (("GL", 9), ("GL", 10),
+                                                               ("GSp", 12)))
+    assert gl9.two_rho == (8, 6, 4, 2, 0, -2, -4, -6, -8)
+    assert len(gl9.positive_roots) == len(gsp12.positive_roots) == 36
+    assert (gl9.pi1.free_rank, gl9.pi1.torsion) == (1, ())
+    assert dominance_leq(gl9, (F(4, 9),) * 9, (1, 1, 1, 1, 0, 0, 0, 0, 0))
+    assert dominant_rep(gl10, (0,) * 9 + (1,)) == (1,) + (0,) * 9
+    assert not walks
+    # one walk fills every field of W, whichever is read first
+    gl4 = build_classical("GL", 4)
+    assert gl4.weyl_right[gl4.weyl_identity] and gl4.sigma_table(None).pi1 == gl4.pi1
+    assert len(gl4.weyl_elements) == len(gl4.weyl_words) == len(gl4.weyl_index) == 24
+    assert walks == [gl4]
+
+
+@pytest.mark.parametrize("v", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+def test_dominance_refuses_a_vector_of_the_wrong_length(v):
+    # zip used to truncate: on GL3, is_dominant((1, 0)) and
+    # dominance_leq((1, 0, 0), (1, 0)) were True, dominant_rep((0, 1)) had length 2
+    gl3 = build_classical("GL", 3)
+    for call in (lambda: is_dominant(gl3, v), lambda: dominant_rep(gl3, v),
+                 lambda: dominance_leq(gl3, (1, 0, 0), v),
+                 lambda: dominance_leq(gl3, v, (1, 0, 0))):
+        with pytest.raises(PreconditionError, match="length"):
+            call()
 
 
 # A1 with the swap pairing: <(1,0), (0,2)> = 2, and s(v) = (v1, -v2)

@@ -119,6 +119,16 @@ def test_coefficient_rings_refuse_exponent_below_one():
             NilpotentPolyRing(3, k, (2,))
 
 
+@pytest.mark.parametrize("p", (1, 4, 6))
+def test_coefficient_rings_refuse_a_non_prime(p):
+    # witt_add over ZModRing(4, 2) used to raise ConsistencyError, the
+    # internal-bug error
+    with pytest.raises(PreconditionError, match="prime"):
+        ZModRing(p, 2)
+    with pytest.raises(PreconditionError, match="prime"):
+        NilpotentPolyRing(p, 2, (2,))
+
+
 def test_witt_operations_refuse_mismatched_inputs():
     ring = ZModRing(3, 2)
     with pytest.raises(ConfigurationError, match="at least one component"):
