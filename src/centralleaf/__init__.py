@@ -3,7 +3,14 @@
 Newton points, Kottwitz classes, central-leaf dimensions with a slope
 oracle, admissible sets, lattice censuses of affine Deligne-Lusztig sets,
 and truncated Witt-vector/display verification; all arithmetic exact.
+
+The names of ``lattices`` and ``witt``, which no invariant computation
+uses, load their module on first access: a cold import compiles neither.
 """
+
+import sys as _sys
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .affine import (AffineElement, KottwitzClass, NewtonPoint,
                      SigmaClassPartition, adjoint_lift, admissible_set,
@@ -21,17 +28,44 @@ from .isocrystal import (MonomialIsocrystal, RationalIsocrystal,
                          monomial_from_rational, restriction_of_scalars,
                          slopes_charpoly, slopes_monomial,
                          slopes_via_weights, standard_rep)
-from .lattices import (ADLVCensus, ADLVPoint, LatticeModel, adlv_points,
-                       enumerate_lattices)
 from .leaves import (CrossCheckReport, LeafReport, cross_check_dimension,
                      leaf_report, mu_average, neutral_acceptable)
 from .rootdata import (CoinvariantLattice, RootDatum, build_classical,
                        datum_from_document, dominance_leq, dominant_rep,
                        is_dominant, parse_group_name)
-from .witt import (DisplayDatum, DisplayReport, NilpotentPolyRing, WittVector,
-                   ZModRing, display_check, display_from_element,
-                   int_of_witt_digits, structure_polynomials, witt, witt_add,
-                   witt_digits_of_int, witt_frobenius, witt_ghost, witt_mul,
-                   witt_neg, witt_verschiebung)
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported on first access
+_HOME = dict.fromkeys(
+    ("ADLVCensus", "ADLVPoint", "LatticeModel", "adlv_points",
+     "enumerate_lattices"), "lattices") | dict.fromkeys(
+    ("DisplayDatum", "DisplayReport", "NilpotentPolyRing", "WittVector",
+     "ZModRing", "display_check", "display_from_element", "int_of_witt_digits",
+     "structure_polynomials", "witt", "witt_add", "witt_digits_of_int",
+     "witt_frobenius", "witt_ghost", "witt_mul", "witt_neg",
+     "witt_verschiebung"), "witt")
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
+
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        # the import system sets a newly loaded submodule on its package;
+        # the package's ``witt`` is the function, whichever loads first
+        if not (name == "witt" and isinstance(value, _ModuleType)):
+            super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

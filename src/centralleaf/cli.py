@@ -7,6 +7,9 @@ consistency failure, 3 budget/precision exhaustion.
 
 Each command's options are declared once, in ``_OPTIONS``: the parser's
 flags, the job-file check and the defaults all read that table.
+
+``lattices`` and ``witt`` are imported by the one command that runs each,
+so the other commands' cold processes do not compile them.
 """
 
 from __future__ import annotations
@@ -26,13 +29,8 @@ from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
                      NotPDivisibleError, PreconditionError, SingularInputError,
                      UnsupportedOperationError)
 from .isocrystal import MonomialIsocrystal, monomial_from_rational
-from .lattices import adlv_points
 from .leaves import cross_check_dimension, leaf_report
 from .rootdata import RootDatum, datum_from_document, parse_group_name
-from .witt import (ZModRing, display_check, display_from_element,
-                   int_of_witt_digits, structure_polynomials, truncate, witt,
-                   witt_add, witt_digits_of_int, witt_frobenius, witt_ghost,
-                   witt_mul, witt_scalar, witt_verschiebung)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -172,6 +170,7 @@ def _run_adm(spec: JobSpec):
 
 
 def _run_adlv(spec: JobSpec):
+    from .lattices import adlv_points
     linalg.require_prime(spec.p)
     mu = _parse_mu(spec)
     if spec.matrix is not None and (spec.elements or spec.group is not None):
@@ -196,6 +195,10 @@ def _run_adlv(spec: JobSpec):
 
 
 def _run_witt_selfcheck(spec: JobSpec):
+    from .witt import (ZModRing, display_check, display_from_element,
+                       int_of_witt_digits, structure_polynomials, truncate,
+                       witt, witt_add, witt_digits_of_int, witt_frobenius,
+                       witt_ghost, witt_mul, witt_scalar, witt_verschiebung)
     linalg.require_prime(spec.p)
     p, m, k = spec.p, spec.length, spec.coeff_exponent
     if spec.count < 1:

@@ -45,7 +45,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import linalg
 from .errors import (ConfigurationError, DatumMismatchError, ConsistencyError,
                      InconclusiveError, SingularInputError)
-from .rootdata import RootDatum
+from .rootdata import RootDatum, require_rank
 
 Matrix = linalg.Matrix
 
@@ -233,8 +233,7 @@ def adjoint_rep(datum: RootDatum) -> WeightedRep:
 def slopes_via_weights(rep: WeightedRep, nu) -> Tuple[Fraction, ...]:
     """Multiset {<chi, nu>} over the weights, sorted descending."""
     vector = getattr(nu, "vector", nu)
-    if len(vector) != rep.datum.cochar_rank:
-        raise DatumMismatchError("Newton vector has wrong length for this datum")
+    require_rank(rep.datum, vector)
     values = [Fraction(rep.datum.pair(w, vector)) for w in rep.weights]
     return tuple(sorted(values, reverse=True))
 

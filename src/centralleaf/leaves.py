@@ -76,6 +76,8 @@ def mu_average(datum: RootDatum, mu, sigma=None) -> Tuple[Fraction, ...]:
     """Average of mu over the sigma-orbit; mu itself for trivial sigma."""
     mu = tuple(Fraction(v) for v in mu)
     require_rank(datum, mu)
+    if sigma is None:
+        return mu
     return newton_point(AffineElement(datum, mu, datum.weyl_identity), sigma).vector
 
 

@@ -106,6 +106,13 @@ def test_slopes_via_weights_examples():
     assert slopes_via_weights(rep, (2, 2, 2)) == (2, 2, 2)
 
 
+@pytest.mark.parametrize("nu", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+def test_slopes_via_weights_refuses_a_vector_of_the_wrong_length(nu):
+    # used to raise DatumMismatchError, the error for an element of another datum
+    with pytest.raises(PreconditionError, match="length"):
+        slopes_via_weights(adjoint_rep(GL3), nu)
+
+
 def test_weight_consistency_with_decent_lifts():
     # standard-rep pairings of nu agree with the cycle slopes of the lift
     rng = random.Random(99)

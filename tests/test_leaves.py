@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -136,6 +137,30 @@ def test_mu_average_trivial_and_rotation():
     assert mu_average(GL2, (1, 0)) == (1, 0)
     rotation = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     assert mu_average(GL3, (1, 0, 0), rotation) == (F(1, 3),) * 3
+
+
+def test_mu_average_for_trivial_sigma_walks_no_weyl_group(monkeypatch):
+    # mu_average(GL9, (1, 0, ..., 0)) used to walk W and meet WEYL_CAP after 11 s
+    walks = []
+    walk = RootDatum._generate_weyl
+
+    def record(datum):
+        walks.append(datum)
+        return walk(datum)
+
+    monkeypatch.setattr(RootDatum, "_generate_weyl", record)
+    for datum in (build_classical("GL", 9), build_classical("GSp", 12)):
+        mu = (1,) + (0,) * (datum.cochar_rank - 1)
+        average = mu_average(datum, mu)
+        assert average == mu and all(type(v) is F for v in average)
+    assert not walks
+
+
+@pytest.mark.parametrize("datum", [build_classical("GL", n) for n in (2, 3, 4)] + [GSP4],
+                         ids=["GL2", "GL3", "GL4", "GSp4"])
+def test_mu_average_is_the_newton_point_of_t_mu(datum):
+    for mu in itertools.product(range(-1, 2), repeat=datum.cochar_rank):
+        assert mu_average(datum, mu) == newton_point(translation_element(datum, mu)).vector
 
 
 def test_cross_check_examples():
