@@ -8,8 +8,8 @@ consistency failure, 3 budget/precision exhaustion.
 Each command's options are declared once, in ``_OPTIONS``: the parser's
 flags, the job-file check and the defaults all read that table.
 
-``lattices`` and ``witt`` are imported by the one command that runs each,
-so the other commands' cold processes do not compile them.
+Each command imports the library modules it calls when it runs, so a cold
+process compiles only ``errors``, ``linalg``, ``serialize`` and those.
 """
 
 from __future__ import annotations
@@ -22,15 +22,10 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from . import linalg, serialize
-from .affine import (admissible_set, enumerate_elements,
-                     enumerate_sigma_classes, length, rep_lift, sort_key)
 from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
                      ConsistencyError, DatumMismatchError, InconclusiveError,
                      NotPDivisibleError, PreconditionError, SingularInputError,
                      UnsupportedOperationError)
-from .isocrystal import MonomialIsocrystal, monomial_from_rational
-from .leaves import cross_check_dimension, leaf_report
-from .rootdata import RootDatum, datum_from_document, parse_group_name
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,6 +101,7 @@ def _check_kind(option: Option, value):
 
 
 def _resolve_group(spec: JobSpec) -> RootDatum:
+    from .rootdata import datum_from_document, parse_group_name
     if spec.group is None:
         raise PreconditionError("this command needs --group")
     if isinstance(spec.group, dict):
@@ -137,6 +133,7 @@ def _table(spec: JobSpec, header, rows, wrap=lambda records: records) -> str:
 # command bodies: each returns (text artifact, exit code)
 
 def _run_report(spec: JobSpec):
+    from .leaves import leaf_report
     datum = _resolve_group(spec)
     if not spec.elements:
         raise PreconditionError("report needs at least one --element")
@@ -147,6 +144,7 @@ def _run_report(spec: JobSpec):
 
 
 def _run_classes(spec: JobSpec):
+    from .affine import enumerate_sigma_classes
     datum = _resolve_group(spec)
     partition = enumerate_sigma_classes(datum, spec.cap,
                                         conjugator_cap=spec.conj_cap,
@@ -156,6 +154,7 @@ def _run_classes(spec: JobSpec):
 
 
 def _run_adm(spec: JobSpec):
+    from .affine import admissible_set, length, sort_key
     datum = _resolve_group(spec)
     mu = _parse_mu(spec)
     result = admissible_set(datum, mu, spec.level)
@@ -170,6 +169,7 @@ def _run_adm(spec: JobSpec):
 
 
 def _run_adlv(spec: JobSpec):
+    from .isocrystal import monomial_from_rational
     from .lattices import adlv_points
     linalg.require_prime(spec.p)
     mu = _parse_mu(spec)
@@ -179,12 +179,11 @@ def _run_adlv(spec: JobSpec):
         raise ConfigurationError(
             f"adlv takes one --element, got {len(spec.elements)}")
     if spec.matrix is not None:
-        mat = serialize.parse_matrix(spec.matrix)
-        b = monomial_from_rational(mat, spec.p)
+        b = monomial_from_rational(serialize.parse_matrix(spec.matrix), spec.p)
     elif spec.elements:
+        from .affine import rep_lift
         datum = _resolve_group(spec)
-        x = serialize.element_from_doc(datum, spec.elements[0])
-        b = rep_lift(x)
+        b = rep_lift(serialize.element_from_doc(datum, spec.elements[0]))
     else:
         raise PreconditionError("adlv needs --matrix or --group/--element")
     census = adlv_points(b, mu, spec.p, spec.depth)
@@ -199,6 +198,7 @@ def _run_witt_selfcheck(spec: JobSpec):
                        int_of_witt_digits, structure_polynomials, truncate,
                        witt, witt_add, witt_digits_of_int, witt_frobenius,
                        witt_ghost, witt_mul, witt_scalar, witt_verschiebung)
+    from .isocrystal import MonomialIsocrystal
     linalg.require_prime(spec.p)
     p, m, k = spec.p, spec.length, spec.coeff_exponent
     if spec.count < 1:
@@ -258,6 +258,8 @@ def _run_witt_selfcheck(spec: JobSpec):
 
 
 def _run_crosscheck(spec: JobSpec):
+    from .affine import enumerate_elements
+    from .leaves import cross_check_dimension
     datum = _resolve_group(spec)
     bound = spec.bound if spec.bound is not None else spec.cap + 1
     sample = enumerate_elements(datum, spec.cap, bound)

@@ -14,10 +14,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .affine import AffineElement, KottwitzClass, kottwitz, length, newton_point
 from .errors import ConfigurationError, PreconditionError
-from .leaves import LeafReport
-from .rootdata import RootDatum
 
 SCHEMA_COMMENT = "# schema=1"
 
@@ -119,6 +116,7 @@ def loads_tolerant(text: str):
 
 
 def element_from_doc(datum: RootDatum, doc) -> AffineElement:
+    from .affine import AffineElement
     if isinstance(doc, str):
         doc = loads_tolerant(doc)
     if not isinstance(doc, dict) or set(doc) - {"lambda", "w"}:
@@ -152,6 +150,7 @@ def parse_kappa(datum: RootDatum, text: str, sigma=None) -> KottwitzClass:
     Text that ``kappa_str`` does not write for this group raises
     ConfigurationError: a wrong number of free or torsion coordinates, a
     modulus other than pi_1(G)_sigma's, or a residue outside [0, d)."""
+    from .affine import KottwitzClass
     pi1 = datum.sigma_table(sigma).pi1
     moduli = pi1.torsion
     if text == "0" and pi1.free_rank == 0 and not moduli:
@@ -205,6 +204,7 @@ LEAF_HEADER = ("element", "length", "nu", "kappa", "basic", "leaf_dim",
 
 
 def leaf_report_row(report: LeafReport) -> Tuple[str, ...]:
+    from .affine import length
     return (element_str(report.element),
             str(length(report.element)),
             vector_str(report.nu_dominant),
@@ -220,6 +220,7 @@ def leaf_report_from_row(datum: RootDatum, row: Sequence[str],
                          sigma=None) -> LeafReport:
     """Inverse of ``leaf_report_row`` for a report made under sigma; a row
     of the wrong width or with a malformed field raises ConfigurationError."""
+    from .leaves import LeafReport
     if len(row) != len(LEAF_HEADER):
         raise ConfigurationError(
             f"leaf report row has {len(row)} fields, expected {len(LEAF_HEADER)}")
@@ -251,6 +252,7 @@ CROSSCHECK_HEADER = ("element", "closed", "oracle", "pass")
 
 
 def class_rows(partition, datum: RootDatum, sigma=None) -> List[Tuple[str, ...]]:
+    from .affine import kottwitz, length, newton_point
     rows = []
     for b_idx, block in enumerate(partition.blocks):
         for x in block:
@@ -263,13 +265,9 @@ def class_rows(partition, datum: RootDatum, sigma=None) -> List[Tuple[str, ...]]
 
 
 def adlv_rows(census) -> List[Tuple[str, ...]]:
-    rows = []
-    for pt in census.points:
-        rows.append((matrix_str(pt.lattice.basis),
-                     vector_str(pt.inv),
-                     str(pt.kappa),
-                     "true" if pt.slope_divisible.divisible else "false"))
-    return rows
+    return [(matrix_str(pt.lattice.basis), vector_str(pt.inv), str(pt.kappa),
+             "true" if pt.slope_divisible.divisible else "false")
+            for pt in census.points]
 
 
 def structured_text(document) -> str:

@@ -8,10 +8,15 @@ and the ``inspect`` it imports, which cost a cold process tens of ms.
 A cold CLI process compiles every module it imports from source, so it
 must compile only what its command runs.  Code that only the tests call
 lives under ``tests/`` (the reference implementations in ``oracles.py``)
-or is gone.  ``lattices`` and ``witt`` load on first use: the package
-resolves their names when they are read, and the CLI imports each inside
-the one command that needs it, so ``import centralleaf`` and the
-invariant jobs (report, classes, adm) compile neither."""
+or is gone.  Every package name loads its module when it is read, and the
+CLI imports, at module level, only ``errors``, ``linalg`` and
+``serialize``; each command imports the names it calls when it runs.  So
+``import centralleaf`` compiles no submodule; ``adm`` and ``classes``
+compile none of ``isocrystal``, ``leaves``, ``lattices`` and ``witt``;
+``adlv`` none of ``affine``, ``leaves`` and ``witt``; ``witt-selfcheck``
+none of ``affine``, ``leaves`` and ``lattices``; ``report`` and
+``crosscheck`` neither ``lattices`` nor ``witt``.  The tests below pin
+each of these module sets."""
 
 import os
 import pathlib
@@ -25,38 +30,47 @@ import centralleaf
 SRC = str(pathlib.Path(centralleaf.__file__).resolve().parent.parent)
 
 
-LAZY = ("centralleaf.lattices", "centralleaf.witt")
+SUBMODULES = ("affine", "cli", "errors", "isocrystal", "lattices", "leaves",
+              "linalg", "rootdata", "serialize", "witt")
+
+
+def _absent(*modules):
+    return tuple("centralleaf." + m for m in modules)
 
 
 @pytest.mark.parametrize("statement, absent", [
-    ("import centralleaf", LAZY),
+    ("import centralleaf", _absent(*SUBMODULES)),
     ("from centralleaf import cli; "
      "assert cli.main(['adm', '--group', 'GL2', '--mu', '1,0', '--output', os.devnull]) == 0",
-     LAZY),
+     _absent("isocrystal", "leaves", "lattices", "witt")),
     ("from centralleaf import cli; "
      "assert cli.main(['witt-selfcheck', '--p', '2', '--length', '3', '--count', '50', "
-     "'--output', os.devnull]) == 0", ("centralleaf.lattices",)),
+     "'--output', os.devnull]) == 0", _absent("affine", "leaves", "lattices")),
     ("from fractions import Fraction\n"
      "from centralleaf.isocrystal import RationalIsocrystal, is_completely_slope_divisible\n"
      "m = ((4, Fraction(-3, 2)), (0, 1))\n"
      "report = is_completely_slope_divisible(RationalIsocrystal(m, 2))\n"
      "assert not report.divisible and len(set(report.slopes)) == 2\n"
-     "assert 'precision' not in report.reason", LAZY),
+     "assert 'precision' not in report.reason",
+     _absent("affine", "leaves", "lattices", "witt")),
     ("from centralleaf import cli, serialize\n"
      "import tempfile\n"
      "path = os.path.join(tempfile.mkdtemp(), 'adlv.csv')\n"
      "assert cli.main(['adlv', '--matrix', '3,0;0,1', '--mu', '1,0', '--p', '3', "
      "'--depth', '1', '--output', path]) == 0\n"
      "assert serialize.parse_csv(open(path).read())[1], 'no matched lattice'",
-     ("centralleaf.witt",)),
+     _absent("affine", "leaves", "witt")),
     ("from centralleaf import cli; "
      "assert cli.main(['report', '--group', 'GL2', '--element', '{lambda:[1,0],w:s}', "
-     "'--output', os.devnull]) == 0", LAZY),
+     "'--output', os.devnull]) == 0", _absent("lattices", "witt")),
     ("from centralleaf import cli; "
      "assert cli.main(['classes', '--group', 'GL2', '--cap', '2', "
-     "'--output', os.devnull]) == 0", LAZY),
+     "'--output', os.devnull]) == 0", _absent("isocrystal", "leaves", "lattices", "witt")),
+    ("from centralleaf import cli; "
+     "assert cli.main(['crosscheck', '--group', 'GL2', '--cap', '1', "
+     "'--output', os.devnull]) == 0", _absent("lattices", "witt")),
 ], ids=["import", "adm", "witt-selfcheck", "certify-rational", "adlv", "report",
-        "classes"])
+        "classes", "crosscheck"])
 def test_sympy_not_imported(statement, absent):
     env = dict(os.environ, PYTHONPATH=SRC)
     code = (f"import os, sys\n{statement}\n"
@@ -95,8 +109,7 @@ def test_package_defines_no_test_only_name():
     assert result.returncode == 0, result.stderr
 
 
-# every name the package exported when it imported lattices and witt
-# eagerly, by the module that defines it
+# every name the package exports, by the module that defines it
 EXPORTS = {
     "affine": ("AffineElement", "KottwitzClass", "NewtonPoint",
                "SigmaClassPartition", "adjoint_lift", "admissible_set",
@@ -128,11 +141,14 @@ EXPORTS = {
 }
 
 
-# the package first, or the lazy modules first: importing the module witt
-# must not rebind the package's name witt, the function
+# the package first, the modules first, or the CLI, whose commands import
+# the names from their modules: importing the module witt must not rebind
+# the package's name witt, the function, and the package must resolve each
+# name to the object its module defines
 @pytest.mark.parametrize("first", ["import centralleaf",
-                                   "import centralleaf.witt, centralleaf.lattices"],
-                         ids=["package-first", "modules-first"])
+                                   "import centralleaf.witt, centralleaf.lattices",
+                                   "import centralleaf.cli"],
+                         ids=["package-first", "modules-first", "cli-first"])
 def test_package_keeps_its_names(first):
     env = dict(os.environ, PYTHONPATH=SRC)
     code = (f"{first}\n"
@@ -147,6 +163,27 @@ def test_package_keeps_its_names(first):
             "        assert name in dir(centralleaf), name\n"
             "assert centralleaf.__version__ == '0.1.0'\n"
             "assert not hasattr(centralleaf, 'no_such_name')")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_all_is_the_export_table():
+    assert sorted(centralleaf.__all__) == sorted(
+        [name for names in EXPORTS.values() for name in names] + ["__version__"])
+    assert centralleaf._HOME == {name: module for module, names in EXPORTS.items()
+                                 for name in names}
+
+
+def test_star_import_binds_every_name():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import importlib\n"
+            "from centralleaf import *\n"
+            f"for module, names in {EXPORTS!r}.items():\n"
+            "    home = importlib.import_module('centralleaf.' + module)\n"
+            "    for name in names:\n"
+            "        assert globals().get(name) is getattr(home, name), name\n"
+            "assert __version__ == '0.1.0'")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
