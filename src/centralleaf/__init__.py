@@ -8,9 +8,7 @@ Each exported name loads its module on first access: ``import centralleaf``
 compiles no submodule, and a caller compiles only the modules it reads.
 """
 
-import sys as _sys
 from importlib import import_module as _import_module
-from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -40,7 +38,7 @@ _HOME = {name: module for module, names in {
                  "is_dominant", "parse_group_name"),
     "witt": ("DisplayDatum", "DisplayReport", "NilpotentPolyRing", "WittVector",
              "ZModRing", "display_check", "display_from_element",
-             "int_of_witt_digits", "structure_polynomials", "witt", "witt_add",
+             "int_of_witt_digits", "structure_polynomials", "witt_add",
              "witt_digits_of_int", "witt_frobenius", "witt_ghost", "witt_mul",
              "witt_neg", "witt_verschiebung"),
 }.items() for name in names}
@@ -59,13 +57,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_HOME))
 
-
-class _Package(_ModuleType):
-    def __setattr__(self, name, value):
-        # the import system sets a newly loaded submodule on its package;
-        # the package's ``witt`` is the function, whichever loads first
-        if not (name == "witt" and isinstance(value, _ModuleType)):
-            super().__setattr__(name, value)
-
-
-_sys.modules[__name__].__class__ = _Package

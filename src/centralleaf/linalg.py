@@ -438,23 +438,3 @@ def kernel_mod_prime_power(rows, p: int, k: int) -> Matrix:
             for i in range(m)]
     return hnf_columns(gens)
 
-
-def solve_mod(columns: Sequence[Sequence[int]], target: Sequence[int],
-              q: int) -> Optional[Tuple[int, ...]]:
-    """Integers x, reduced mod q, with sum_j x_j * columns[j] == target mod q;
-    None when there are none.
-
-    Solves [B | q I] (x, z) = target exactly through a Smith decomposition;
-    the matrix has full row rank, so every divisor is nonzero.
-    """
-    n, k = len(target), len(columns)
-    rows = [[c[i] for c in columns] + [q * (i == j) for j in range(n)]
-            for i in range(n)]
-    divisors, s, t = smith_full(rows)
-    y = []
-    for d, srow in zip(divisors, s):
-        r = sum(a * b for a, b in zip(srow, target))
-        if r % d:
-            return None
-        y.append(r // d)
-    return tuple(sum(a * b for a, b in zip(t[i], y)) % q for i in range(k))

@@ -54,10 +54,6 @@ def parse_matrix(s: str) -> Tuple[Tuple[Fraction, ...], ...]:
     return rows
 
 
-def slopes_str(slopes) -> str:
-    return ",".join(rational_str(s) for s in slopes)
-
-
 # ---------------------------------------------------------------------------
 # Weyl words
 
@@ -212,7 +208,7 @@ def leaf_report_row(report: LeafReport) -> Tuple[str, ...]:
             "true" if report.basic else "false",
             str(report.leaf_dim),
             str(report.jb_dim),
-            slopes_str(report.adjoint_slopes),
+            vector_str(report.adjoint_slopes),
             "true")  # schema 1's "checked": leaf_report raises on a failed check
 
 

@@ -430,10 +430,14 @@ class DisplayDatum(NamedTuple):
 
 
 class DisplayReport(NamedTuple):
+    """What ``display_check`` reads off a ``DisplayDatum``; every field is
+    a function of the display, not of how its generators are listed, except
+    ``witness``, the index of the first m1_columns generator on which
+    p*Phi1 = Phi fails.  ``hodge_rank`` is the dimension of M/M1 over F_p,
+    the number of elementary divisors p of M1 in M."""
+
     phi_compatible: bool
     phi1_generates: bool
-    psi_matrix: Optional[Tuple[Tuple[int, ...], ...]]
-    psi_invertible: bool
     hodge_rank: int
     witness: Optional[int]
 
@@ -450,7 +454,7 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
     {-1, 0} so that (b sigma)^-1 M sits inside M and p*b is integral at the
     standard lattice (otherwise the element defines no display on it).
     """
-    linalg.require_prime(p)
+    q = _modulus(p, level)
     slopes = slopes_monomial(b)
     if any(s < -1 or s > 0 for s in slopes):
         raise NotPDivisibleError(
@@ -459,7 +463,7 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
         raise NotPDivisibleError(
             "standard lattice is not display-compatible: (b sigma)^-1 M is "
             "not contained in M (or p*Phi1 is not integral)")
-    n, q, perm, exps = b.size, p ** level, b.permutation, b.exponents
+    n, perm, exps = b.size, b.permutation, b.exponents
 
     def monomial(rows, entry):
         """The n x n matrix with entry(j) at (rows[j], j), zero elsewhere."""
@@ -476,27 +480,25 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
 
 
 def display_check(d: DisplayDatum) -> DisplayReport:
-    """Check the two display axioms at truncation and linearise Phi1.
+    """Check the two display axioms at truncation.
 
     M1 = span(m1_columns) + p*M holds I_R*M, and M/M1 is killed by p, so a
     report, not an exception, flags p*Phi1 = Phi on M1 (with a witness
-    column when it fails) and that Phi1(M1) generates M.  Psi is computed
-    only when both hold; otherwise it is None and not invertible.
+    column when it fails) and that Phi1(M1) generates M.  Level and prime
+    are refused as the coefficient ring Z/p^level refuses them.
     """
-    linalg.require_prime(d.prime)
-    p, n, q = d.prime, d.rank, d.prime ** d.level
+    p, n, q = d.prime, d.rank, _modulus(d.prime, d.level)
     if len(d.phi) != n or len(d.m1_columns) != n or \
             len(d.phi1[0]) != len(d.m1_columns[0]):
         raise ConfigurationError("display matrices have inconsistent shapes")
-    m1_cols = [tuple(d.m1_columns[i][j] for i in range(n)) for j in range(len(d.m1_columns[0]))]
-    gens = m1_cols + [tuple(p * (1 if i == j else 0) for i in range(n)) for j in range(n)]
-    padded = gens + [tuple(q * (1 if i == j else 0) for i in range(n)) for j in range(n)]
-    basis = linalg.hnf_columns([[col[i] for col in padded] for i in range(n)])
     # p*M lies in M1, so every elementary divisor of M1 is 1 or p
-    hodge_rank = linalg.local_exponents(basis, p).count(1)
+    hodge_rank = linalg.local_exponents(
+        [list(row) + [p * (i == j) for j in range(n)]
+         for i, row in enumerate(d.m1_columns)], p).count(1)
 
     phi_compatible = True
     witness = None
+    m1_cols = [tuple(d.m1_columns[i][j] for i in range(n)) for j in range(len(d.m1_columns[0]))]
     for j, col in enumerate(m1_cols):
         lhs = tuple(p * d.phi1[i][j] % q for i in range(n))
         rhs = tuple(sum(d.phi[i][k] * col[k] for k in range(n)) % q for i in range(n))
@@ -508,31 +510,4 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     # rank mod p of [Phi1 | Phi] is its number of p-adic unit exponents
     images = [list(r1) + list(r) for r1, r in zip(d.phi1, d.phi)]
     phi1_generates = linalg.local_exponents(images, p).count(0) == n
-
-    # off a display Psi would depend on which solution of the generator
-    # system the Smith transform returns
-    psi_matrix = None
-    psi_invertible = False
-    if phi_compatible and phi1_generates:
-        psi_cols = []
-        for j in range(n):
-            target = [basis[i][j] for i in range(n)]
-            sol = linalg.solve_mod(gens, target, q)
-            if sol is None:
-                raise ConsistencyError("basis vector not expressible in generators")
-            image = [0] * n
-            for g_idx, coeff in enumerate(sol):
-                if coeff % q == 0:
-                    continue
-                if g_idx < len(m1_cols):
-                    gen_image = [d.phi1[i][g_idx] for i in range(n)]
-                else:
-                    gen_image = [d.phi[i][g_idx - len(m1_cols)] for i in range(n)]
-                image = [(a + coeff * b) % q for a, b in zip(image, gen_image)]
-            psi_cols.append(tuple(image))
-        psi_matrix = linalg.freeze([[psi_cols[j][i] for j in range(n)]
-                                    for i in range(n)])
-        psi_invertible = linalg.local_exponents(psi_matrix, p).count(0) == n
-
-    return DisplayReport(phi_compatible, phi1_generates, psi_matrix,
-                         psi_invertible, hodge_rank, witness)
+    return DisplayReport(phi_compatible, phi1_generates, hodge_rank, witness)

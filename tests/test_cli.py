@@ -48,6 +48,23 @@ def test_witt_selfcheck_example(capsys):
     assert document["passed"] is True
 
 
+@pytest.mark.parametrize("lift", [lambda d, p, m: d % p, lambda d, p, m: d % p + p],
+                         ids=["d-mod-p", "d-plus-p"])
+def test_witt_selfcheck_digit_check_fails_on_a_wrong_teichmuller_lift(
+        capsys, monkeypatch, lift):
+    # a round trip through the digits would use the wrong lift both ways
+    # and pass; Witt addition and multiplication of the digits cannot
+    from centralleaf import witt
+    monkeypatch.setattr(witt, "teichmuller", lift)
+    code, out, _ = run_cli(capsys, [
+        "witt-selfcheck", "--p", "3", "--length", "3", "--count", "5"])
+    document = json.loads(out)
+    assert document["checks"]["prime_field_digit_isomorphism"] is False
+    assert code == cli.EXIT_CONSISTENCY and document["passed"] is False
+    assert all(document["checks"][name] for name in document["checks"]
+               if name != "prime_field_digit_isomorphism")
+
+
 def test_adlv_command(capsys):
     for matrix, p in (("0,1;2,0", "2"), ("0,1;5,0", "5")):
         code, out, _ = run_cli(capsys, [

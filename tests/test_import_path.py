@@ -135,24 +135,29 @@ EXPORTS = {
                  "is_dominant", "parse_group_name"),
     "witt": ("DisplayDatum", "DisplayReport", "NilpotentPolyRing", "WittVector",
              "ZModRing", "display_check", "display_from_element",
-             "int_of_witt_digits", "structure_polynomials", "witt", "witt_add",
+             "int_of_witt_digits", "structure_polynomials", "witt_add",
              "witt_digits_of_int", "witt_frobenius", "witt_ghost", "witt_mul",
              "witt_neg", "witt_verschiebung"),
 }
 
 
 # the package first, the modules first, or the CLI, whose commands import
-# the names from their modules: importing the module witt must not rebind
-# the package's name witt, the function, and the package must resolve each
-# name to the object its module defines
+# the names from their modules: the package must resolve each name to the
+# object its module defines, and its name witt, like every submodule's
+# name, to the module (the constructor is centralleaf.witt.witt)
 @pytest.mark.parametrize("first", ["import centralleaf",
                                    "import centralleaf.witt, centralleaf.lattices",
-                                   "import centralleaf.cli"],
-                         ids=["package-first", "modules-first", "cli-first"])
+                                   "import centralleaf.cli",
+                                   "import centralleaf.witt as w\n"
+                                   "assert w.__name__ == 'centralleaf.witt', w",
+                                   "from centralleaf import witt\n"
+                                   "assert witt.__name__ == 'centralleaf.witt', witt"],
+                         ids=["package-first", "modules-first", "cli-first",
+                              "import-witt-as", "from-package-import-witt"])
 def test_package_keeps_its_names(first):
     env = dict(os.environ, PYTHONPATH=SRC)
     code = (f"{first}\n"
-            "import importlib, centralleaf\n"
+            "import importlib, sys, centralleaf\n"
             f"for module, names in {EXPORTS!r}.items():\n"
             "    home = importlib.import_module('centralleaf.' + module)\n"
             "    for name in names:\n"
@@ -161,6 +166,10 @@ def test_package_keeps_its_names(first):
             "        assert getattr(centralleaf, name) is getattr(home, name), name\n"
             "        assert scope[name] is getattr(home, name), name\n"
             "        assert name in dir(centralleaf), name\n"
+            "import centralleaf.witt as w\n"
+            "from centralleaf import witt\n"
+            "assert w is witt is sys.modules['centralleaf.witt'], w\n"
+            "assert w.witt_add is centralleaf.witt_add\n"
             "assert centralleaf.__version__ == '0.1.0'\n"
             "assert not hasattr(centralleaf, 'no_such_name')")
     result = subprocess.run([sys.executable, "-c", code], env=env,

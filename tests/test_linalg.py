@@ -352,21 +352,3 @@ def test_solve_triangular_matches_rational_solve(n, data):
     else:
         assert found is None
 
-
-@ORACLE_SETTINGS
-@given(int_matrices(max_n=3), st.sampled_from((2, 3, 4, 9)), st.data())
-def test_solve_mod_by_search(rows, q, data):
-    columns = [tuple(r[j] for r in rows) for j in range(len(rows[0]))][:3]
-    target = data.draw(st.lists(st.integers(0, q - 1), min_size=len(rows),
-                                max_size=len(rows)))
-
-    def solves(x):
-        return all((sum(c[i] * xj for c, xj in zip(columns, x)) - target[i]) % q == 0
-                   for i in range(len(rows)))
-
-    found = linalg.solve_mod(columns, target, q)
-    exists = any(solves(x) for x in itertools.product(range(q), repeat=len(columns)))
-    assert (found is not None) == exists
-    if found is not None:
-        assert solves(found) and all(0 <= x < q for x in found)
-

@@ -8,9 +8,10 @@ from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                ConsistencyError, DatumMismatchError,
                                NotPDivisibleError, PreconditionError)
 from centralleaf.isocrystal import MonomialIsocrystal, slopes_monomial
-from centralleaf.witt import (NilpotentPolyRing, ZModRing, display_check,
-                              display_from_element, int_of_witt_digits,
-                              structure_polynomials, truncate, witt, witt_add,
+from centralleaf.witt import (DisplayDatum, NilpotentPolyRing, ZModRing,
+                              display_check, display_from_element,
+                              int_of_witt_digits, structure_polynomials,
+                              truncate, witt, witt_add,
                               witt_digits_of_int, witt_frobenius,
                               witt_from_int, witt_ghost, witt_mul, witt_neg,
                               witt_scalar, witt_verschiebung, WittVector,
@@ -245,8 +246,7 @@ def test_display_ordinary_example():
     b = MonomialIsocrystal(2, (0, 1), (0, -1))  # diag(1, p^-1)
     datum = display_from_element(b, 2)
     report = display_check(datum)
-    assert report.passed and report.psi_invertible
-    assert report.hodge_rank == 1
+    assert report.passed and report.hodge_rank == 1
     # M1 = span(e1, p e2)
     assert datum.m1_columns == ((1, 0), (0, 2))
 
@@ -267,6 +267,7 @@ def test_display_supersingular_window():
 
 def test_display_degenerate_failures():
     base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
+    assert display_check(base).passed
     zero = tuple(tuple(0 for _ in range(2)) for _ in range(2))
     no_phi1 = base._replace(phi1=zero)
     report = display_check(no_phi1)
@@ -274,19 +275,64 @@ def test_display_degenerate_failures():
     broken = base._replace(phi=zero)
     report2 = display_check(broken)
     assert not report2.phi_compatible and report2.witness == 0
+    assert not report2.passed
 
 
-def test_display_psi_only_on_passing_displays():
-    # Psi of a failing display would depend on the generator solution chosen,
-    # so it is not reported
-    base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
-    assert display_check(base).psi_invertible
-    zero = tuple(tuple(0 for _ in range(2)) for _ in range(2))
-    for broken in (base._replace(phi1=zero),
-                   base._replace(phi=zero)):
-        report = display_check(broken)
-        assert not report.passed
-        assert report.psi_matrix is None and not report.psi_invertible
+def _random_display(rng):
+    """A display over Z/p^level with 1 to 5 generators of M1 whose entries
+    may be negative or past p^level: half are a monomial's display with
+    generators of M1 appended (so they pass), half are random matrices."""
+    p, level, n = rng.choice((2, 3, 5)), rng.randint(1, 4), rng.randint(1, 4)
+    q = p ** level
+
+    def entry():
+        return rng.randrange(-q, 2 * q)
+
+    if rng.random() < 0.5:
+        count = rng.randint(1, 5)
+        return DisplayDatum(p, level, n,
+                            tuple(tuple(entry() for _ in range(count)) for _ in range(n)),
+                            tuple(tuple(entry() for _ in range(n)) for _ in range(n)),
+                            tuple(tuple(entry() for _ in range(count)) for _ in range(n)))
+    b = MonomialIsocrystal(n, tuple(rng.sample(range(n), n)),
+                           tuple(rng.choice((-1, 0)) for _ in range(n)))
+    d = display_from_element(b, p, level)
+    gens = [list(col) for col in zip(*d.m1_columns)]
+    images = [list(col) for col in zip(*d.phi1)]
+    for _ in range(rng.randint(0, 5 - n)):
+        # sum a_j g_j + p v lies in M1, and Phi1 sends it to
+        # sum a_j Phi1(g_j) + Phi(v)
+        a = [entry() for _ in range(n)]
+        v = [entry() for _ in range(n)]
+        gens.append([sum(a[j] * gens[j][i] for j in range(n)) + p * v[i]
+                     for i in range(n)])
+        images.append([sum(a[j] * images[j][i] for j in range(n)) +
+                       sum(d.phi[i][k] * v[k] for k in range(n)) for i in range(n)])
+    return d._replace(m1_columns=tuple(zip(*gens)), phi1=tuple(zip(*images)))
+
+
+def test_display_check_is_a_function_of_the_display():
+    # listing a generator of M1 twice, or in another order, presents the
+    # same display: every flag and the Hodge rank must stay
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(400):
+        d = _random_display(rng)
+        report = display_check(d)
+        seen = (report.phi_compatible, report.phi1_generates, report.hodge_rank,
+                report.passed)
+        outcomes.add(report.passed)
+        count = len(d.m1_columns[0])
+        j = rng.randrange(count)
+        order = rng.sample(range(count), count)
+        for cols in ([*range(count), j], order):
+            other = d._replace(
+                m1_columns=tuple(tuple(row[c] for c in cols) for row in d.m1_columns),
+                phi1=tuple(tuple(row[c] for c in cols) for row in d.phi1))
+            again = display_check(other)
+            assert (again.phi_compatible, again.phi1_generates, again.hodge_rank,
+                    again.passed) == seen, (d, cols)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -300,7 +346,7 @@ def test_displays_for_all_small_monomials(p):
                 b = MonomialIsocrystal(n, perm, exps)
                 assert all(-1 <= s <= 0 for s in slopes_monomial(b))
                 report = display_check(display_from_element(b, p))
-                assert report.passed and report.psi_invertible
+                assert report.passed
                 assert report.hodge_rank == sum(1 for e in exps if e == -1)
                 count += 1
     assert count > 100
@@ -331,3 +377,15 @@ def test_display_check_refuses_a_non_prime(p):
     base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
     with pytest.raises(PreconditionError, match="prime"):
         display_check(base._replace(prime=p))
+
+
+@pytest.mark.parametrize("level", (0, -1))
+def test_display_entry_points_refuse_a_level_below_one(level):
+    # level 0 built and passed a display over the zero ring, and level -1
+    # put the float 0.0 into m1_columns and phi
+    b = MonomialIsocrystal(2, (0, 1), (0, -1))
+    with pytest.raises(ConfigurationError, match="at least 1"):
+        display_from_element(b, 2, level)
+    base = display_from_element(b, 2)
+    with pytest.raises(ConfigurationError, match="at least 1"):
+        display_check(base._replace(level=level))
