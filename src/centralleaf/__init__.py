@@ -24,11 +24,7 @@ _HOME = {name: module for module, names in {
                "ConsistencyError", "DatumMismatchError", "InconclusiveError",
                "NotPDivisibleError", "PreconditionError", "SingularInputError",
                "UnsupportedOperationError"),
-    "isocrystal": ("MonomialIsocrystal", "RationalIsocrystal",
-                   "SlopeDivisibilityReport", "WeightedRep", "adjoint_rep",
-                   "is_completely_slope_divisible", "monomial_from_rational",
-                   "restriction_of_scalars", "slopes_charpoly",
-                   "slopes_monomial", "slopes_via_weights", "standard_rep"),
+    "isocrystal": ("SlopeDivisibilityReport", "is_completely_slope_divisible"),
     "lattices": ("ADLVCensus", "ADLVPoint", "LatticeModel", "adlv_points",
                  "enumerate_lattices"),
     "leaves": ("CrossCheckReport", "LeafReport", "cross_check_dimension",
@@ -36,6 +32,10 @@ _HOME = {name: module for module, names in {
     "rootdata": ("CoinvariantLattice", "RootDatum", "build_classical",
                  "datum_from_document", "dominance_leq", "dominant_rep",
                  "is_dominant", "parse_group_name"),
+    "slopes": ("MonomialIsocrystal", "RationalIsocrystal", "WeightedRep",
+               "adjoint_rep", "monomial_from_rational", "restriction_of_scalars",
+               "slopes_charpoly", "slopes_monomial", "slopes_via_weights",
+               "standard_rep"),
     "witt": ("DisplayDatum", "DisplayReport", "NilpotentPolyRing", "WittVector",
              "ZModRing", "display_check", "display_from_element",
              "int_of_witt_digits", "structure_polynomials", "witt_add",

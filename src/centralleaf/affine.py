@@ -268,7 +268,7 @@ def kottwitz(x: AffineElement, sigma: Optional[Matrix] = None) -> KottwitzClass:
 def _lift(datum: RootDatum, lines, perm, lam) -> MonomialIsocrystal:
     """The monomial matrix on ``lines`` whose column j carries the line of
     chi_j to that of chi_perm[j] and scales it by p^<chi_perm[j], lam>."""
-    from .isocrystal import MonomialIsocrystal
+    from .slopes import MonomialIsocrystal
     if lines is None:
         raise UnsupportedOperationError("no faithful representation attached")
     if perm is None:

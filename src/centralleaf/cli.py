@@ -5,8 +5,11 @@ Output is deterministic for identical job specifications (fixed sorting,
 no timestamps); exit codes: 0 success, 1 validation error, 2 internal
 consistency failure, 3 budget/precision exhaustion.
 
-Each command's options are declared once, in ``_OPTIONS``: the parser's
-flags, the job-file check and the defaults all read that table.
+Each command's options are declared once, in ``_OPTIONS``: the flags,
+the --help text, the job-file check and the defaults all read that table.
+The command line is read off it directly (``_parse_argv``), without
+argparse, whose import and parser construction cost a cold process more
+than parsing does.
 
 Each command imports the library modules it calls when it runs, so a cold
 process compiles only ``errors``, ``linalg``, ``serialize`` and those.
@@ -14,12 +17,11 @@ process compiles only ``errors``, ``linalg``, ``serialize`` and those.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from . import linalg, serialize
 from .errors import (BudgetExceededError, CentralLeafError, ConfigurationError,
@@ -169,7 +171,7 @@ def _run_adm(spec: JobSpec):
 
 
 def _run_adlv(spec: JobSpec):
-    from .isocrystal import monomial_from_rational
+    from .slopes import monomial_from_rational
     from .lattices import adlv_points
     linalg.require_prime(spec.p)
     mu = _parse_mu(spec)
@@ -198,7 +200,7 @@ def _run_witt_selfcheck(spec: JobSpec):
                        structure_polynomials, truncate, witt, witt_add,
                        witt_digits_of_int, witt_frobenius, witt_ghost,
                        witt_mul, witt_scalar, witt_verschiebung)
-    from .isocrystal import MonomialIsocrystal
+    from .slopes import MonomialIsocrystal
     linalg.require_prime(spec.p)
     p, m, k = spec.p, spec.length, spec.coeff_exponent
     if spec.count < 1:
@@ -314,34 +316,83 @@ def run(spec: JobSpec) -> int:
     return code
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a rejected command line as a validation error (exit 1)
-    instead of argparse's exit 2, the internal-consistency code."""
-
-    def error(self, message):
-        raise ConfigurationError(message)
+_HELP = ("-h", "--help")
+_SPEC = Option("spec", str, help="job specification JSON file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built from ``_OPTIONS``; it records only typed flags."""
-    parser = _Parser(
-        prog="centralleaf",
-        description="Exact invariants of sigma-conjugacy classes: Newton "
-                    "points, central-leaf dimensions, admissible sets, "
-                    "lattice censuses, Witt/display self checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, options) in _OPTIONS.items():
-        sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
-        sp.add_argument("--spec", help="job specification JSON file")
-        for option in options:
-            if option.kind == ELEMENTS:
-                sp.add_argument("--element", dest=option.key, metavar="ELEMENT",
-                                action="append")
-            else:
-                choices = option.kind if isinstance(option.kind, tuple) else None
-                sp.add_argument("--" + option.key.replace("_", "-"), help=option.help,
-                                type=int if option.kind is int else None, choices=choices)
-    return parser
+def _flag(option: Option) -> str:
+    return "--element" if option.kind == ELEMENTS else "--" + option.key.replace("_", "-")
+
+
+def _usage(command: Optional[str] = None) -> str:
+    """The --help text, from ``_OPTIONS``: the commands, or one command's flags."""
+    if command is None:
+        return "\n".join(
+            ["usage: centralleaf COMMAND [flags]", "",
+             "Exact invariants of sigma-conjugacy classes: Newton points,",
+             "central-leaf dimensions, admissible sets, lattice censuses,",
+             "Witt/display self checks.", "", "commands:"]
+            + [f"  {name:<16}{text}" for name, (text, _) in _OPTIONS.items()]) + "\n"
+    text, options = _OPTIONS[command]
+    lines = [f"usage: centralleaf {command} [flags]", "", text, "", "flags:"]
+    for option in (_SPEC,) + options:
+        kind = option.kind
+        value = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else
+                 "INT" if kind is int else "ELEMENT" if kind == ELEMENTS else
+                 option.key.upper())
+        notes = [option.help] if option.help else []
+        if kind == ELEMENTS:
+            notes.append("repeatable")
+        elif option.default is not None:
+            notes.append(f"default {option.default}")
+        lines.append(f"  {_flag(option) + ' ' + value:<34}{'; '.join(notes)}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _parse_argv(argv) -> Tuple[str, dict]:
+    """The command and its typed flags, read off ``_OPTIONS``.
+
+    The first token is the command.  A flag is ``--flag VALUE`` or
+    ``--flag=VALUE``, the value being the next token whatever it starts
+    with; the last of a repeated flag wins, and ``--element`` appends.  Only
+    whole flag names are accepted.  -h or --help prints the usage and exits
+    0; any other token is a ``ConfigurationError``."""
+    if argv and argv[0] in _HELP:
+        sys.stdout.write(_usage())
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0] not in _OPTIONS:
+        got = f", not {argv[0]!r}" if argv else ""
+        raise ConfigurationError(f"the first argument must be a command, one of "
+                                 f"{', '.join(_OPTIONS)}{got}")
+    command, tokens = argv[0], iter(argv[1:])
+    flags = {_flag(option): option for option in (_SPEC,) + _OPTIONS[command][1]}
+    typed = {}
+    for token in tokens:
+        if token in _HELP:
+            sys.stdout.write(_usage(command))
+            raise SystemExit(EXIT_OK)
+        name, eq, value = token.partition("=")
+        option = flags.get(name)
+        if option is None:
+            raise ConfigurationError(f"{command} does not take {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigurationError(f"{name} needs a value")
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}") from None
+        elif isinstance(option.kind, tuple) and value not in option.kind:
+            raise ConfigurationError(
+                f"{name} must be one of {', '.join(option.kind)}, got {value!r}")
+        if option.kind == ELEMENTS:
+            typed.setdefault(option.key, []).append(value)
+        else:
+            typed[option.key] = value
+    return command, typed
 
 
 def spec_from_args(argv=None) -> JobSpec:
@@ -349,8 +400,7 @@ def spec_from_args(argv=None) -> JobSpec:
     which beats the defaults in ``_OPTIONS``.  The file may hold only its
     command's keys, each of its option's kind; a file naming another
     command than the typed subcommand is refused."""
-    typed = vars(build_parser().parse_args(argv))
-    command = typed.pop("command")
+    command, typed = _parse_argv(sys.argv[1:] if argv is None else argv)
     path = typed.pop("spec", None)
     doc = {}
     if path:

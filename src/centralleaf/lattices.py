@@ -30,9 +30,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .errors import BudgetExceededError, PreconditionError, SingularInputError
-from .isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                         SlopeDivisibilityReport, is_completely_slope_divisible,
-                         restriction_of_scalars)
+from .isocrystal import SlopeDivisibilityReport, is_completely_slope_divisible
+from .slopes import MonomialIsocrystal, RationalIsocrystal, restriction_of_scalars
 
 Matrix = Tuple[Tuple[int, ...], ...]
 

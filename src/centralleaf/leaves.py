@@ -17,9 +17,9 @@ from typing import Iterable, NamedTuple, Tuple
 from .affine import (AffineElement, KottwitzClass, adjoint_lift, kottwitz,
                      newton_point)
 from .errors import ConsistencyError, DatumMismatchError, PreconditionError
-from .isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from .rootdata import (RootDatum, dominance_leq, dominant_rep, is_dominant,
                        require_rank)
+from .slopes import adjoint_rep, slopes_monomial, slopes_via_weights
 
 
 class LeafReport(NamedTuple):

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import linalg
 from .errors import (BudgetExceededError, ConfigurationError, ConsistencyError,
                      DatumMismatchError, NotPDivisibleError, PreconditionError)
-from .isocrystal import MonomialIsocrystal, slopes_monomial
+from .slopes import MonomialIsocrystal, slopes_monomial
 
 # ---------------------------------------------------------------------------
 # sparse integer polynomials {exponent tuple: coefficient}
@@ -485,11 +485,14 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     M1 = span(m1_columns) + p*M holds I_R*M, and M/M1 is killed by p, so a
     report, not an exception, flags p*Phi1 = Phi on M1 (with a witness
     column when it fails) and that Phi1(M1) generates M.  Level and prime
-    are refused as the coefficient ring Z/p^level refuses them.
+    are refused as the coefficient ring Z/p^level refuses them, and so are
+    matrices of the wrong shape: phi n by n, phi1 and m1_columns n rows as
+    long as the first row of m1_columns.
     """
     p, n, q = d.prime, d.rank, _modulus(d.prime, d.level)
-    if len(d.phi) != n or len(d.m1_columns) != n or \
-            len(d.phi1[0]) != len(d.m1_columns[0]):
+    if len(d.phi) != n or len(d.phi1) != n or len(d.m1_columns) != n or \
+            any(len(row) != n for row in d.phi) or \
+            any(len(row) != len(d.m1_columns[0]) for row in (*d.m1_columns, *d.phi1)):
         raise ConfigurationError("display matrices have inconsistent shapes")
     # p*M lies in M1, so every elementary divisor of M1 is 1 or p
     hodge_rank = linalg.local_exponents(

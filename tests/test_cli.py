@@ -314,16 +314,46 @@ def test_spec_command_mismatch_is_a_validation_error(tmp_path, capsys):
 
 
 def test_rejected_command_lines_are_validation_errors(capsys):
-    # argparse used to exit with 2, the internal-consistency code
+    # argparse used to exit with 2, the internal-consistency code, and to
+    # read the prefix --gr as --group
     for argv in (["adm", "--group", "GL2", "--mu", "1,0", "--level", "foo"],
                  ["adm", "--group", "GL2", "--mu", "1,0", "--bogus"],
                  ["classes", "--group", "GL2", "--cap", "x"],
-                 []):
+                 [],
+                 ["adm", "--gr", "GL2", "--mu", "1,0"],
+                 ["adm", "--group", "GL2", "--mu"],
+                 ["adm", "GL2", "--mu", "1,0"],
+                 ["bogus", "--group", "GL2"]):
         code, out, err = run_cli(capsys, argv)
-        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out
+        assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out, argv
     with pytest.raises(SystemExit) as exc:
         cli.main(["adm", "--help"])
     assert exc.value.code == 0
+
+
+def test_a_flag_takes_the_next_token_or_the_text_after_an_equals_sign(capsys):
+    # argparse refused --mu -1,-1 ("expected one argument")
+    code, out, _ = run_cli(capsys, ["adm", "--group", "GL2", "--mu", "-1,-1"])
+    assert code == 0
+    element = serialize.element_str(translation_element(GL2, (-1, -1)))
+    assert serialize.parse_csv(out)[1] == [[element, "0"]]
+    # the last of a repeated flag wins
+    code, out, _ = run_cli(capsys, ["adm", "--group=GL2", "--mu=1,0", "--format=csv",
+                                    "--level", "hyperspecial", "--level=iwahori"])
+    assert code == 0 and len(serialize.parse_csv(out)[1]) == 3
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_help_lists_every_flag_of_its_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")}
+    _, options = cli._OPTIONS[command]
+    assert listed == {"--spec"} | {"--element" if option.key == "elements" else
+                                   "--" + option.key.replace("_", "-")
+                                   for option in options}
 
 
 def test_negative_caps_and_bounds_are_refused(capsys):

@@ -10,13 +10,19 @@ must compile only what its command runs.  Code that only the tests call
 lives under ``tests/`` (the reference implementations in ``oracles.py``)
 or is gone.  Every package name loads its module when it is read, and the
 CLI imports, at module level, only ``errors``, ``linalg`` and
-``serialize``; each command imports the names it calls when it runs.  So
-``import centralleaf`` compiles no submodule; ``adm`` and ``classes``
-compile none of ``isocrystal``, ``leaves``, ``lattices`` and ``witt``;
-``adlv`` none of ``affine``, ``leaves`` and ``witt``; ``witt-selfcheck``
-none of ``affine``, ``leaves`` and ``lattices``; ``report`` and
-``crosscheck`` neither ``lattices`` nor ``witt``.  The tests below pin
-each of these module sets."""
+``serialize``; each command imports the names it calls when it runs.  The
+slope readings (``slopes``) are a module of their own, apart from the
+slope-divisibility certificate (``isocrystal``), and import ``rootdata``
+only where they pair weights.  So ``import centralleaf`` compiles no
+submodule; ``adm`` and ``classes`` compile none of ``slopes``,
+``isocrystal``, ``leaves``, ``lattices`` and ``witt``; ``adlv`` none of
+``rootdata``, ``affine``, ``leaves`` and ``witt``; ``witt-selfcheck``
+none of ``rootdata``, ``isocrystal``, ``affine``, ``leaves`` and
+``lattices``; ``report`` and ``crosscheck`` none of ``isocrystal``,
+``lattices`` and ``witt``.  The CLI reads its flags off its option table
+without argparse, so no job, and no ``--help``, imports ``argparse`` or
+the ``gettext`` it pulls in.  The tests below pin each of these module
+sets."""
 
 import os
 import pathlib
@@ -31,7 +37,7 @@ SRC = str(pathlib.Path(centralleaf.__file__).resolve().parent.parent)
 
 
 SUBMODULES = ("affine", "cli", "errors", "isocrystal", "lattices", "leaves",
-              "linalg", "rootdata", "serialize", "witt")
+              "linalg", "rootdata", "serialize", "slopes", "witt")
 
 
 def _absent(*modules):
@@ -42,40 +48,51 @@ def _absent(*modules):
     ("import centralleaf", _absent(*SUBMODULES)),
     ("from centralleaf import cli; "
      "assert cli.main(['adm', '--group', 'GL2', '--mu', '1,0', '--output', os.devnull]) == 0",
-     _absent("isocrystal", "leaves", "lattices", "witt")),
+     _absent("slopes", "isocrystal", "leaves", "lattices", "witt")),
     ("from centralleaf import cli; "
      "assert cli.main(['witt-selfcheck', '--p', '2', '--length', '3', '--count', '50', "
-     "'--output', os.devnull]) == 0", _absent("affine", "leaves", "lattices")),
+     "'--output', os.devnull]) == 0",
+     _absent("rootdata", "isocrystal", "affine", "leaves", "lattices")),
     ("from fractions import Fraction\n"
      "from centralleaf.isocrystal import RationalIsocrystal, is_completely_slope_divisible\n"
      "m = ((4, Fraction(-3, 2)), (0, 1))\n"
      "report = is_completely_slope_divisible(RationalIsocrystal(m, 2))\n"
      "assert not report.divisible and len(set(report.slopes)) == 2\n"
      "assert 'precision' not in report.reason",
-     _absent("affine", "leaves", "lattices", "witt")),
+     _absent("rootdata", "affine", "leaves", "lattices", "witt")),
     ("from centralleaf import cli, serialize\n"
      "import tempfile\n"
      "path = os.path.join(tempfile.mkdtemp(), 'adlv.csv')\n"
      "assert cli.main(['adlv', '--matrix', '3,0;0,1', '--mu', '1,0', '--p', '3', "
      "'--depth', '1', '--output', path]) == 0\n"
      "assert serialize.parse_csv(open(path).read())[1], 'no matched lattice'",
-     _absent("affine", "leaves", "witt")),
+     _absent("rootdata", "affine", "leaves", "witt")),
     ("from centralleaf import cli; "
      "assert cli.main(['report', '--group', 'GL2', '--element', '{lambda:[1,0],w:s}', "
-     "'--output', os.devnull]) == 0", _absent("lattices", "witt")),
+     "'--output', os.devnull]) == 0", _absent("isocrystal", "lattices", "witt")),
     ("from centralleaf import cli; "
      "assert cli.main(['classes', '--group', 'GL2', '--cap', '2', "
-     "'--output', os.devnull]) == 0", _absent("isocrystal", "leaves", "lattices", "witt")),
+     "'--output', os.devnull]) == 0",
+     _absent("slopes", "isocrystal", "leaves", "lattices", "witt")),
     ("from centralleaf import cli; "
      "assert cli.main(['crosscheck', '--group', 'GL2', '--cap', '1', "
-     "'--output', os.devnull]) == 0", _absent("lattices", "witt")),
+     "'--output', os.devnull]) == 0", _absent("isocrystal", "lattices", "witt")),
+    ("from centralleaf import cli\n"
+     "for argv in (['--help'], ['adlv', '--help']):\n"
+     "    try:\n"
+     "        cli.main(argv)\n"
+     "    except SystemExit as exc:\n"
+     "        assert exc.code == 0, exc.code\n"
+     "    else:\n"
+     "        raise AssertionError(argv)",
+     _absent("affine", "isocrystal", "lattices", "leaves", "rootdata", "slopes", "witt")),
 ], ids=["import", "adm", "witt-selfcheck", "certify-rational", "adlv", "report",
-        "classes", "crosscheck"])
+        "classes", "crosscheck", "help"])
 def test_sympy_not_imported(statement, absent):
     env = dict(os.environ, PYTHONPATH=SRC)
     code = (f"import os, sys\n{statement}\n"
             "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
-            f"for name in ('dataclasses', 'inspect') + {absent!r}:\n"
+            f"for name in ('dataclasses', 'inspect', 'argparse', 'gettext') + {absent!r}:\n"
             "    assert name not in sys.modules, name + ' was imported'")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
@@ -94,6 +111,8 @@ TEST_ONLY = {
                                "slopes_via_restriction", "tensor_rep"),
     "centralleaf.lattices": ("_scaled_inverse", "lattice_from_columns",
                              "relative_position"),
+    "centralleaf.slopes": ("hom_rep", "monomial_compose", "monomial_identity",
+                           "slopes_via_restriction", "tensor_rep"),
     "centralleaf.witt": ("display_doc", "display_from_doc"),
 }
 
@@ -121,11 +140,7 @@ EXPORTS = {
                "ConsistencyError", "DatumMismatchError", "InconclusiveError",
                "NotPDivisibleError", "PreconditionError", "SingularInputError",
                "UnsupportedOperationError"),
-    "isocrystal": ("MonomialIsocrystal", "RationalIsocrystal",
-                   "SlopeDivisibilityReport", "WeightedRep", "adjoint_rep",
-                   "is_completely_slope_divisible", "monomial_from_rational",
-                   "restriction_of_scalars", "slopes_charpoly",
-                   "slopes_monomial", "slopes_via_weights", "standard_rep"),
+    "isocrystal": ("SlopeDivisibilityReport", "is_completely_slope_divisible"),
     "lattices": ("ADLVCensus", "ADLVPoint", "LatticeModel", "adlv_points",
                  "enumerate_lattices"),
     "leaves": ("CrossCheckReport", "LeafReport", "cross_check_dimension",
@@ -133,12 +148,25 @@ EXPORTS = {
     "rootdata": ("CoinvariantLattice", "RootDatum", "build_classical",
                  "datum_from_document", "dominance_leq", "dominant_rep",
                  "is_dominant", "parse_group_name"),
+    "slopes": ("MonomialIsocrystal", "RationalIsocrystal", "WeightedRep",
+               "adjoint_rep", "monomial_from_rational", "restriction_of_scalars",
+               "slopes_charpoly", "slopes_monomial", "slopes_via_weights",
+               "standard_rep"),
     "witt": ("DisplayDatum", "DisplayReport", "NilpotentPolyRing", "WittVector",
              "ZModRing", "display_check", "display_from_element",
              "int_of_witt_digits", "structure_polynomials", "witt_add",
              "witt_digits_of_int", "witt_frobenius", "witt_ghost", "witt_mul",
              "witt_neg", "witt_verschiebung"),
 }
+
+
+def test_isocrystal_keeps_the_slope_names():
+    # the certificate module imports the slope readings, so every name it
+    # exported before they moved is still the same object there
+    import centralleaf.isocrystal
+    import centralleaf.slopes
+    for name in EXPORTS["slopes"] + ("newton_polygon_slopes",):
+        assert getattr(centralleaf.isocrystal, name) is getattr(centralleaf.slopes, name), name
 
 
 # the package first, the modules first, or the CLI, whose commands import

@@ -278,6 +278,17 @@ def test_display_degenerate_failures():
     assert not report2.passed
 
 
+@pytest.mark.parametrize("field, reshape", [
+    ("phi1", lambda rows: rows + rows[:1]),  # used to pass, the extra row unread
+    ("phi1", lambda rows: rows[:1]),  # used to raise IndexError
+    ("phi", lambda rows: (rows[0][:1],) + rows[1:]),  # used to raise IndexError
+], ids=["extra-phi1-row", "short-phi1", "short-phi-row"])
+def test_display_check_refuses_misshapen_matrices(field, reshape):
+    base = display_from_element(MonomialIsocrystal(2, (0, 1), (0, -1)), 2)
+    with pytest.raises(ConfigurationError, match="inconsistent shapes"):
+        display_check(base._replace(**{field: reshape(getattr(base, field))}))
+
+
 def _random_display(rng):
     """A display over Z/p^level with 1 to 5 generators of M1 whose entries
     may be negative or past p^level: half are a monomial's display with
