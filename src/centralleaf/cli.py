@@ -403,7 +403,7 @@ def spec_from_args(argv=None) -> JobSpec:
     command, typed = _parse_argv(sys.argv[1:] if argv is None else argv)
     path = typed.pop("spec", None)
     doc = {}
-    if path:
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):

@@ -514,7 +514,7 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
         "slope pieces could not be certified within the precision schedule")
 
 
-def is_completely_slope_divisible(m) -> SlopeDivisibilityReport:
+def is_completely_slope_divisible(m, *, memo=None) -> SlopeDivisibilityReport:
     """Decide complete slope divisibility with an exact certificate.
 
     Monomial inputs are always divisible (cycle splitting plus the decency
@@ -526,9 +526,20 @@ def is_completely_slope_divisible(m) -> SlopeDivisibilityReport:
     are certified; InconclusiveError means only that a budget ran out: the
     precision schedule before the p-adic pieces decided the answer, or the
     orbit walk's hard cap.
+
+    ``memo`` is an optional dict owned by the caller: a rational input
+    whose (matrix, prime) it already holds gets the stored report, and a
+    new one is decided and stored.  The report is the same with or
+    without it.
     """
     if isinstance(m, MonomialIsocrystal):
         return _csd_monomial(m)
     if isinstance(m, RationalIsocrystal):
-        return _csd_rational(m)
+        if memo is None:
+            return _csd_rational(m)
+        key = (m.matrix, m.prime)
+        report = memo.get(key)
+        if report is None:
+            report = memo[key] = _csd_rational(m)
+        return report
     raise DatumMismatchError("expected a monomial or rational isocrystal")

@@ -13,7 +13,9 @@ map is then S times an integer matrix, divided by a known power of p, and
 inv is read off its p-adic elementary-divisor exponents
 (``linalg.local_exponents``).  No inverse, Smith form or
 rational matrix is computed per lattice; a census builds the Fraction
-certificate for its points only.
+certificate for its points only, and certifies each distinct transition
+once: points that share a transition share its report, through a memo
+that lives only as long as the census call.
 
 A window depends only on (n, p, depth), so a process walks each one once:
 the walk is memoised with its node budget in the key, keeps the last 8
@@ -181,7 +183,11 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     once per process for each (n, p, depth), with every lattice's scaled
     inverse S stored by rows; since b is monomial, b B is a row gather of
     B, and the check reads the transition S (b B) from those rows.  A lattice's
-    model and Fraction certificate are built only when it is a point.
+    model and Fraction certificate are built only when it is a point.  A
+    census certifies each distinct transition once: every point still makes
+    its own ``is_completely_slope_divisible`` call, with a memo dict that is
+    made fresh for each census, so a repeated transition gets the report
+    already decided and no certificate outlives the call.
     p must be a prime; the only limit on the census is the node budget of
     the walk, whose overrun raises BudgetExceededError before any lattice
     is checked.  Nonemptiness here is a one-sided certificate: emptiness at
@@ -211,6 +217,7 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     den = p ** shift
     mul = operator.mul
     points = []
+    certificates = {}
     for basis, srows in window:
         columns = tuple(zip(*[[s * x for x in basis[j]] for _, j, s in gather]))
         transition = [[sum(map(mul, srow, col)) for col in columns]
@@ -221,6 +228,6 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
         model = LatticeModel(n, p, depth, basis)
         certificate = RationalIsocrystal(
             tuple(tuple(Fraction(x, den) for x in row) for row in transition), p)
-        sd = is_completely_slope_divisible(certificate)
+        sd = is_completely_slope_divisible(certificate, memo=certificates)
         points.append(ADLVPoint(model, inv, model.det_valuation(), sd))
     return ADLVCensus(tuple(points), mu_eff, p, depth, len(window))

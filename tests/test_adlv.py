@@ -10,7 +10,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
-from centralleaf import lattices, linalg
+from centralleaf import isocrystal, lattices, linalg
 from centralleaf.affine import enumerate_elements, rep_lift
 from centralleaf.errors import BudgetExceededError, PreconditionError
 from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
@@ -19,6 +19,7 @@ from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
 from centralleaf.lattices import LatticeModel, adlv_points, enumerate_lattices
 from centralleaf.leaves import neutral_acceptable
 from centralleaf.rootdata import build_classical
+from centralleaf.serialize import element_from_doc
 
 GL2 = build_classical("GL", 2)
 
@@ -342,6 +343,56 @@ def test_a_process_walks_each_window_once(monkeypatch):
     for p in (2, 3):
         enumerate_lattices(2, p, 1)
     assert len(walks) == len(set(walks)) == 2
+
+
+def _count_rational_certificates(monkeypatch):
+    """Record every matrix that reaches the rational certificate."""
+    decided = []
+    decide = isocrystal._csd_rational
+
+    def record(m):
+        decided.append(m.matrix)
+        return decide(m)
+
+    monkeypatch.setattr(isocrystal, "_csd_rational", record)
+    return decided
+
+
+def test_a_census_certifies_each_transition_once(monkeypatch):
+    # GL2 t^(1,0), p = 3, depth 2: 25 points, all with one transition
+    decided = _count_rational_certificates(monkeypatch)
+    calls = []
+    certify = lattices.is_completely_slope_divisible
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(lattices, "is_completely_slope_divisible", record)
+    census = adlv_points(MonomialIsocrystal(2, (0, 1), (1, 0)), (1, 0), 3, 2)
+    assert len(census.points) == len(calls) == 25
+    assert len(decided) == 1
+
+
+def test_a_census_certifies_each_distinct_transition(monkeypatch):
+    # GL3 depth 1, the basic element {lambda: [0,1,0], w: s2*s1} at p = 3:
+    # 7 points and 3 distinct transitions
+    decided = _count_rational_certificates(monkeypatch)
+    GL3 = build_classical("GL", 3)
+    b = rep_lift(element_from_doc(GL3, {"lambda": [0, 1, 0], "w": "s2*s1"}))
+    census = adlv_points(b, (1, 0, 0), 3, 1)
+    assert len(census.points) == 7
+    assert len(decided) == len(set(decided)) == 3
+
+
+def test_no_certificate_outlives_a_census(monkeypatch):
+    decided = _count_rational_certificates(monkeypatch)
+    b = MonomialIsocrystal(2, (0, 1), (1, 0))
+    first = adlv_points(b, (1, 0), 3, 2)
+    once = len(decided)
+    assert once >= 1
+    assert adlv_points(b, (1, 0), 3, 2) == first
+    assert len(decided) == 2 * once
 
 
 @pytest.mark.parametrize("b, mu", [

@@ -323,7 +323,8 @@ def test_rejected_command_lines_are_validation_errors(capsys):
                  ["adm", "--gr", "GL2", "--mu", "1,0"],
                  ["adm", "--group", "GL2", "--mu"],
                  ["adm", "GL2", "--mu", "1,0"],
-                 ["bogus", "--group", "GL2"]):
+                 ["bogus", "--group", "GL2"],
+                 ["adm", "--spec", "", "--group", "GL2", "--mu", "1,0"]):
         code, out, err = run_cli(capsys, argv)
         assert code == cli.EXIT_VALIDATION and err.startswith("error:") and not out, argv
     with pytest.raises(SystemExit) as exc:
