@@ -143,7 +143,7 @@ def _invariant_exponents(transition, p: int, shift: int) -> Tuple[int, ...]:
     exps = linalg.local_exponents(transition, p)
     if len(exps) < len(transition):
         raise SingularInputError("matrix is singular")
-    return tuple(e - shift for e in reversed(exps))
+    return tuple([e - shift for e in reversed(exps)])
 
 
 # ---------------------------------------------------------------------------

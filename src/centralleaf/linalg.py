@@ -7,19 +7,20 @@ input of denominators once, eliminates fraction-free on Python ints
 (Bareiss) and divides once at the end, so Fractions appear only in its
 results.  The p-adic elementary-divisor exponents (all the ADLV census
 reads per lattice) come from integer row operations that scale rows only
-by p-adic units, and kernels modulo p^k from the same elimination over
-Z/p^k.  Smith and Hermite forms with their transforms are
-computed with integer row and column operations (H. Cohen, *A Course in
-Computational Algebraic Number Theory*, GTM 138, section 2.4),
-characteristic polynomials by Berkowitz's division-free algorithm on the
-integer matrix d*M, rescaled once.  Everything is pure Python: there is
+by p-adic units, closed by the gcd and determinant of a last 2x2 block,
+and kernels modulo p^k from the same elimination over Z/p^k.  Smith and
+Hermite forms with their transforms are computed with integer row and
+column operations (H. Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, section 2.4), characteristic polynomials by
+Berkowitz's division-free algorithm on the integer matrix d*M, rescaled
+once.  Everything is pure Python: there is
 no dependency outside the standard library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SingularInputError
@@ -239,12 +240,36 @@ def local_exponents(rows, p: int) -> Tuple[int, ...]:
     column with row operations that scale rows only by p-adic units.  The
     pivot row's other entries then have at least the pivot's valuation, so
     column operations would clear them without touching the rest: the
-    pivot's row and column are dropped.  The loop stops when the remaining
-    block is zero.
+    pivot's row and column are dropped, and the other rows, so reduced,
+    are built anew as the next block.  The loop stops when the block is
+    zero, or closes on a 2x2 block [[a, b], [c, d]], which every n x n
+    input of rank at least n - 2 reaches (a rectangular one never does):
+    with g = gcd(a, b, c, d) and D = ad - bc, its Smith form over Z_p
+    gives v_p(g) and then v_p(D) - v_p(g) = v_p(g) + v_p(D / g^2), the
+    latter only when D is nonzero, and nothing when g is 0.  No exponent
+    is less than one found before it, so they come out in order.  The
+    input (rows of Python ints, lists or tuples) is only read: it is
+    never copied up front or mutated.
     """
-    work = [list(map(int, r)) for r in rows]
     exps = []
+    work = rows
     while work:
+        if len(work) == 2 and len(work[0]) == 2:
+            (a, b), (c, d) = work
+            g = gcd(a, b, c, d)
+            if g:
+                det = (a * d - b * c) // (g * g)
+                v = 0
+                while g % p == 0:
+                    g //= p
+                    v += 1
+                exps.append(v)
+                if det:
+                    while det % p == 0:
+                        det //= p
+                        v += 1
+                    exps.append(v)
+            break
         best_v = best_i = best_j = None
         for i, row in enumerate(work):
             for j, x in enumerate(row):
@@ -264,15 +289,21 @@ def local_exponents(rows, p: int) -> Tuple[int, ...]:
                 break
         if best_v is None:
             break
-        pivot_row = work.pop(best_i)
+        pivot = work[best_i]
         scale = p ** best_v
-        unit = pivot_row.pop(best_j) // scale
-        for row in work:
-            factor = row.pop(best_j) // scale
-            if factor:
-                row[:] = [unit * x - factor * y for x, y in zip(row, pivot_row)]
+        unit = pivot[best_j] // scale
+        rest = pivot[:best_j] + pivot[best_j + 1:]
+        block = []
+        for i, row in enumerate(work):
+            if i != best_i:
+                factor = row[best_j] // scale
+                row = row[:best_j] + row[best_j + 1:]
+                if factor:
+                    row = [unit * x - factor * y for x, y in zip(row, rest)]
+                block.append(row)
+        work = block
         exps.append(best_v)
-    return tuple(sorted(exps))
+    return tuple(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +433,11 @@ def solve_triangular(columns: Sequence[Sequence[int]],
 def kernel_mod_prime_power(rows, p: int, k: int) -> Matrix:
     """Basis (columns) of the lattice {v : A v == 0 mod p^k}, containing p^k Z^m.
 
-    Elimination over Z/p^k, as in ``local_exponents``: each step pivots on
-    an entry of least valuation v < k, clears its column with row
-    operations, and clears its row by column operations, which are applied
-    to a transform T only (the pivot row is then dropped).  A then becomes
+    Elimination over Z/p^k with the pivot rule of ``local_exponents``: each
+    step pivots on an entry of least valuation v < k, clears its column
+    with row operations, and clears its row by column operations, which
+    are applied to a transform T only (the pivot row is then dropped).  It
+    has no closing step, because every pivot adds to T.  A then becomes
     diagonal, with entries p^v, so v = T y lies in the lattice exactly when
     p^(k - v) divides the y of each pivot column; the result is the Hermite
     form of the columns of T so scaled, together with p^k Z^m.

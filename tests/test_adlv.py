@@ -215,7 +215,9 @@ def sympy_relative_position(l1_basis, image_basis, p):
 
 
 def test_every_census_check_matches_sympy_oracle(monkeypatch):
-    # GL2 depth-1 grid: every lattice's exponents, not only the matches
+    # every lattice's exponents, not only the matches: the GL2 grid at
+    # depth 1 and, at p = 2, at depth 2 (83 lattices), and GL3 at depth 1
+    # (129 lattices at p = 2), whose 3x3 checks close on a 2x2 block
     recorded = []
     check = lattices._invariant_exponents
 
@@ -224,19 +226,24 @@ def test_every_census_check_matches_sympy_oracle(monkeypatch):
         return recorded[-1]
 
     monkeypatch.setattr(lattices, "_invariant_exponents", record)
-    for x in enumerate_elements(GL2, 2, 2):
-        b = rep_lift(x)
-        for p in (2, 3, 5):
-            recorded.clear()
-            census = adlv_points(b, (1, 0), p, 1)
-            models = enumerate_lattices(2, p, 1)
-            assert len(recorded) == len(models) == census.lattice_count
-            matrix = b.rational_matrix(p)
-            expected = [sympy_relative_position(
-                m.basis, linalg.mat_mul(matrix, m.basis), p) for m in models]
-            assert recorded == expected, (x, p)
-            assert [pt.lattice for pt in census.points] == \
-                [m for m, inv in zip(models, expected) if inv == (1, 0)]
+    GL3 = build_classical("GL", 3)
+    gl2 = [rep_lift(x) for x in enumerate_elements(GL2, 2, 2)]
+    gl3 = [rep_lift(element_from_doc(GL3, doc)) for doc in
+           ({"lambda": [1, 0, 0], "w": "e"}, {"lambda": [1, 0, 0], "w": "s1*s2"})]
+    cases = [(b, (1, 0), p, 1) for b in gl2 for p in (2, 3, 5)]
+    cases += [(b, (1, 0), 2, 2) for b in gl2]
+    cases += [(b, (1, 0, 0), 2, 1) for b in gl3]
+    for b, mu, p, depth in cases:
+        recorded.clear()
+        census = adlv_points(b, mu, p, depth)
+        models = enumerate_lattices(b.size, p, depth)
+        assert len(recorded) == len(models) == census.lattice_count
+        matrix = b.rational_matrix(p)
+        expected = [sympy_relative_position(
+            m.basis, linalg.mat_mul(matrix, m.basis), p) for m in models]
+        assert recorded == expected, (b, p, depth)
+        assert [pt.lattice for pt in census.points] == \
+            [m for m, inv in zip(models, expected) if inv == mu]
 
 
 @st.composite

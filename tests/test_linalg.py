@@ -65,6 +65,11 @@ def test_elementary_divisor_exponents_examples():
     assert lattices._invariant_exponents([[0, 1], [8, 0]], 2, 0) == (3, 0)
     assert lattices._invariant_exponents([[-7]], 5, 0) == (0,)
     assert linalg.local_exponents([[0, 1], [8, 0]], 2) == (0, 3)
+    # the input is only read, and tuple rows give the same answer
+    rows = [[2, 4, 6], [1, 8, 3], [4, 0, 20]]
+    assert linalg.local_exponents(rows, 2) == \
+        linalg.local_exponents(tuple(map(tuple, rows)), 2) and \
+        rows == [[2, 4, 6], [1, 8, 3], [4, 0, 20]]
 
 
 def test_elementary_divisor_exponents_singular():
@@ -265,6 +270,11 @@ def test_kernel_matches_sympy(rows):
 @example(rows=[[0, 0], [0, 0]], p=3)  # rank 0
 @example(rows=[[3, 6, 9, 0], [2, 0, 4, 8]], p=3)  # wide
 @example(rows=[[6], [9], [18]], p=3)  # tall
+@example(rows=[[1, 0, 0], [0, 2, 4], [0, 1, 2]], p=2)  # closes on a rank-1 2x2
+@example(rows=[[3, 0, 0], [0, 0, 0], [0, 0, 0]], p=3)  # closes on a zero 2x2
+@example(rows=[[-4, 8], [12, -8]], p=2)  # gcd 4, det -64
+@example(rows=[[4, 2, 0, 8], [6, 1, 12, 0], [0, 8, 16, 4], [2, 0, 4, 24]],
+         p=2)  # closes on a nonsingular 2x2
 def test_local_exponents_and_rank_mod_p_match_sympy(rows, p):
     exps = linalg.local_exponents(rows, p)
     factors = sympy_invariant_factors(rows)
