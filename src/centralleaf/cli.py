@@ -215,8 +215,8 @@ def _run_witt_selfcheck(spec: JobSpec):
 
     ghost_ok = True
     for _ in range(spec.count):
-        a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(m)))
-        b = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(m)))
+        a = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(m)))
+        b = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(m)))
         ga, gb = witt_ghost(a), witt_ghost(b)
         if witt_ghost(witt_add(a, b)) != tuple(ring.add(x, y) for x, y in zip(ga, gb)) \
                 or witt_ghost(witt_mul(a, b)) != tuple(ring.mul(x, y) for x, y in zip(ga, gb)):
@@ -227,11 +227,11 @@ def _run_witt_selfcheck(spec: JobSpec):
     fv_ok = True
     vf_ok = True
     for _ in range(50):
-        a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(m)))
+        a = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(m)))
         if witt_frobenius(witt_verschiebung(a)).components != \
                 truncate(witt_scalar(a, p), m - 1).components:
             fv_ok = False
-        one = witt(ring, p, (1,) + (0,) * (m - 1))
+        one = witt(ring, (1,) + (0,) * (m - 1))
         lhs = witt_verschiebung(witt_frobenius(a))
         rhs = truncate(witt_mul(a, witt_verschiebung(one)), m - 1)
         if truncate(lhs, m - 1).components != rhs.components:
@@ -245,8 +245,8 @@ def _run_witt_selfcheck(spec: JobSpec):
     digits_ok = True
     for x in range(p ** m):
         y = rng.randrange(p ** m)
-        a = witt(prime_field, p, witt_digits_of_int(x, p, m))
-        b = witt(prime_field, p, witt_digits_of_int(y, p, m))
+        a = witt(prime_field, witt_digits_of_int(x, p, m))
+        b = witt(prime_field, witt_digits_of_int(y, p, m))
         if witt_add(a, b).components != witt_digits_of_int(x + y, p, m) or \
                 witt_mul(a, b).components != witt_digits_of_int(x * y, p, m):
             digits_ok = False

@@ -1,11 +1,9 @@
 """Complete slope divisibility of a lattice under a rational Frobenius
 matrix, decided with certificates in both directions.
 
-The isocrystal records and the slope readings live in ``slopes``; this
-module imports them at module level, so ``centralleaf.isocrystal.X`` is
-``centralleaf.slopes.X`` for each of them, and a caller that only reads
-slopes (leaf reports, the Witt self check) compiles none of the
-certificate.
+The isocrystal records and the slope readings live in ``slopes``, which
+this module imports from, so a caller that only reads slopes (leaf
+reports, the Witt self check) compiles none of the certificate.
 
 The slope factors of the characteristic polynomial come from one p-adic
 Hensel lift (``_slope_factors_mod``); whether they lie in Q[x] is read off
@@ -38,10 +36,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import ConsistencyError, DatumMismatchError, InconclusiveError
-from .slopes import (Matrix, MonomialIsocrystal, RationalIsocrystal, WeightedRep,
-                     adjoint_rep, monomial_from_rational, newton_polygon_slopes,
-                     restriction_of_scalars, slopes_charpoly, slopes_monomial,
-                     slopes_via_weights, standard_rep)
+from .slopes import (Matrix, MonomialIsocrystal, RationalIsocrystal,
+                     newton_polygon_slopes, slopes_charpoly)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +275,8 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
     Returns ({slope: (basis columns, s)}, margin), the pieces agreeing with
     the true ones modulo p^margin, or None to retry when the margin is not
     above 2; each slope's window is checked before its kernel is built.
+    The Newton polygon fixes the split degrees at the padded precision, so
+    factors whose degrees are not ``expected`` are a fault, not a retry.
     """
     n = len(t)
     t_val = linalg.valuation(t_den, p)
@@ -287,10 +285,8 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
     prec_pad = prec + n * (max(slopes_desc) + shift + 1)
     factors = _slope_factors_mod(coeffs, p, prec_pad)
     by_slope = {offset - shift: fac for offset, fac in factors}
-    if set(by_slope) != set(expected):
-        return None
-    if any(len(by_slope[s]) - 1 != expected[s] for s in expected):
-        return None
+    if {s: len(fac) - 1 for s, fac in by_slope.items()} != expected:
+        raise ConsistencyError("Hensel slope factors disagree with polygon slopes")
 
     pieces = {}
     margin = prec  # every window is below prec

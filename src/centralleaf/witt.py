@@ -279,35 +279,32 @@ class NilpotentPolyRing(_Ring):
 # ---------------------------------------------------------------------------
 # Witt vectors
 
-class WittVector(NamedTuple("WittVector", [
-        ("ring", object), ("prime", int), ("components", tuple)])):
+class WittVector(NamedTuple("WittVector", [("ring", object), ("components", tuple)])):
+    """A truncated Witt vector over ring, at the ring's prime ring.p."""
+
     __slots__ = ()
 
-    def __new__(cls, ring, prime: int, components: tuple):
+    def __new__(cls, ring, components: tuple):
         if not components:
             raise ConfigurationError("Witt vector needs at least one component")
-        if ring.p != prime:
-            raise ConfigurationError(f"Witt prime {prime} is not the ring's prime {ring.p}")
-        return super().__new__(cls, ring, prime, components)
+        return super().__new__(cls, ring, components)
 
     @property
     def length(self) -> int:
         return len(self.components)
 
 
-def witt(ring, p: int, components) -> WittVector:
-    return WittVector(ring, p, tuple(ring.from_int(c) if isinstance(c, int) else c
-                                     for c in components))
+def witt(ring, components) -> WittVector:
+    return WittVector(ring, tuple(ring.from_int(c) if isinstance(c, int) else c
+                                  for c in components))
 
 
-def _solve_lifted(ring, p: int, m: int, targets) -> WittVector:
+def _solve_lifted(ring, m: int, targets) -> WittVector:
     """The Witt vector of length m over ring whose ghost components are
     targets(lift), lift being ring at precision p^(k+m-1).
 
     Reduction to p^k is a ring map and solving for component i divides by
-    p^i, so every component is exact mod p^k.  The solve and the lift it
-    keeps use ring.p, so a p that the WittVector refuses leaves no lift at
-    another prime behind.
+    p^i, so every component is exact mod p^k.
     """
     # made once per ring and length: the copy costs more than a small operation
     lift = ring._lifts.get(m)
@@ -315,7 +312,7 @@ def _solve_lifted(ring, p: int, m: int, targets) -> WittVector:
         lift = ring._lifts[m] = type(ring)(ring.p, ring.k + m - 1, *ring._values()[2:])
     comps = _solve_components(lift, ring.p, targets(lift))
     # adding zero in ring reduces a lifted component mod p^k
-    return WittVector(ring, p, tuple(ring.add(ring.zero(), c) for c in comps))
+    return WittVector(ring, tuple(ring.add(ring.zero(), c) for c in comps))
 
 
 def _operate(op: str, a: WittVector, *others: WittVector) -> WittVector:
@@ -324,9 +321,9 @@ def _operate(op: str, a: WittVector, *others: WittVector) -> WittVector:
         raise DatumMismatchError("Witt vectors over different rings or lengths")
 
     def targets(lift):
-        return _combine(lift, op, *(_ghosts(lift, a.prime, v.components)
+        return _combine(lift, op, *(_ghosts(lift, lift.p, v.components)
                                     for v in (a,) + others))
-    return _solve_lifted(a.ring, a.prime, a.length, targets)
+    return _solve_lifted(a.ring, a.length, targets)
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
@@ -350,29 +347,28 @@ def witt_frobenius(a: WittVector) -> WittVector:
 
 def witt_verschiebung(a: WittVector) -> WittVector:
     """Shift: (a_0, ..., a_{m-1}) -> (0, a_0, ..., a_{m-2})."""
-    return WittVector(a.ring, a.prime,
-                      (a.ring.zero(),) + a.components[:-1])
+    return WittVector(a.ring, (a.ring.zero(),) + a.components[:-1])
 
 
 def witt_ghost(a: WittVector) -> tuple:
     """Ghost components w_i = sum p^j a_j^{p^(i-j)}, evaluated in the ring."""
-    return tuple(_ghosts(a.ring, a.prime, a.components))
+    return tuple(_ghosts(a.ring, a.ring.p, a.components))
 
 
-def witt_from_int(ring, p: int, m: int, n: int) -> WittVector:
+def witt_from_int(ring, m: int, n: int) -> WittVector:
     """Image of the integer n in the truncated Witt ring: every ghost
     component is n."""
-    return _solve_lifted(ring, p, m, lambda lift: [lift.from_int(n)] * m)
+    return _solve_lifted(ring, m, lambda lift: [lift.from_int(n)] * m)
 
 
 def witt_scalar(a: WittVector, n: int) -> WittVector:
-    return witt_mul(witt_from_int(a.ring, a.prime, a.length, n), a)
+    return witt_mul(witt_from_int(a.ring, a.length, n), a)
 
 
 def truncate(a: WittVector, m: int) -> WittVector:
     if m > a.length:
         raise PreconditionError("cannot extend a Witt vector by truncation")
-    return WittVector(a.ring, a.prime, a.components[:m])
+    return WittVector(a.ring, a.components[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +411,14 @@ def int_of_witt_digits(digits: Sequence[int], p: int) -> int:
 class DisplayDatum(NamedTuple):
     """Display data over W_level(F_p) = Z/p^level.
 
-    M is free of rank n with the identity basis; M1 is presented by the
-    column span of m1_columns plus p*M; phi and phi1 are the matrices of
-    the sigma-linear maps (sigma acts trivially on the prime field model),
-    with phi1 given on the m1_columns generators.
+    M is free of rank n = len(phi) with the identity basis; M1 is presented
+    by the column span of m1_columns plus p*M; phi and phi1 are the matrices
+    of the sigma-linear maps (sigma acts trivially on the prime field
+    model), with phi1 given on the m1_columns generators.
     """
 
     prime: int
     level: int
-    rank: int
     m1_columns: Tuple[Tuple[int, ...], ...]
     phi: Tuple[Tuple[int, ...], ...]
     phi1: Tuple[Tuple[int, ...], ...]
@@ -470,7 +465,7 @@ def display_from_element(b: MonomialIsocrystal, p: int, level: int = 3) -> Displ
         return linalg.freeze([[entry(j) if rows[j] == i else 0 for j in range(n)]
                               for i in range(n)])
 
-    datum = DisplayDatum(p, level, n, monomial(range(n), lambda j: p ** -exps[j] % q),
+    datum = DisplayDatum(p, level, monomial(range(n), lambda j: p ** -exps[j] % q),
                          monomial(perm, lambda j: p ** (1 + exps[j]) % q),
                          monomial(perm, lambda j: 1))
     report = display_check(datum)
@@ -486,11 +481,13 @@ def display_check(d: DisplayDatum) -> DisplayReport:
     report, not an exception, flags p*Phi1 = Phi on M1 (with a witness
     column when it fails) and that Phi1(M1) generates M.  Level and prime
     are refused as the coefficient ring Z/p^level refuses them, and so are
-    matrices of the wrong shape: phi n by n, phi1 and m1_columns n rows as
-    long as the first row of m1_columns.
+    an empty display and matrices of the wrong shape: phi n by n, phi1 and
+    m1_columns n rows as long as the first row of m1_columns.
     """
-    p, n, q = d.prime, d.rank, _modulus(d.prime, d.level)
-    if len(d.phi) != n or len(d.phi1) != n or len(d.m1_columns) != n or \
+    p, n, q = d.prime, len(d.phi), _modulus(d.prime, d.level)
+    if n == 0:
+        raise ConfigurationError("a display needs rank at least 1")
+    if len(d.phi1) != n or len(d.m1_columns) != n or \
             any(len(row) != n for row in d.phi) or \
             any(len(row) != len(d.m1_columns[0]) for row in (*d.m1_columns, *d.phi1)):
         raise ConfigurationError("display matrices have inconsistent shapes")

@@ -25,9 +25,9 @@ from centralleaf.affine import (_SIGMA_ORDER_CAP, AffineElement, NewtonPoint,
                                 newton_point, omega_and_word, translation_element)
 from centralleaf.errors import (ConsistencyError, DatumMismatchError,
                                UnsupportedOperationError)
-from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    restriction_of_scalars, slopes_charpoly)
 from centralleaf.rootdata import RootDatum, dominance_leq, dominant_rep
+from centralleaf.slopes import (MonomialIsocrystal, RationalIsocrystal,
+                                restriction_of_scalars, slopes_charpoly)
 
 Matrix = Tuple[Tuple[int, ...], ...]
 

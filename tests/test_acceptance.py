@@ -24,13 +24,12 @@ from centralleaf.affine import (adjoint_lift, admissible_set, element,
                                 enumerate_sigma_classes, kottwitz, length,
                                 newton_point, rep_lift, sigma_conjugate,
                                 simple_element, translation_element)
-from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    is_completely_slope_divisible,
-                                    slopes_monomial, slopes_via_weights,
-                                    standard_rep)
+from centralleaf.isocrystal import is_completely_slope_divisible
 from centralleaf.lattices import adlv_points
 from centralleaf.leaves import leaf_report, neutral_acceptable
 from centralleaf.rootdata import build_classical, dominance_leq, is_dominant
+from centralleaf.slopes import (MonomialIsocrystal, RationalIsocrystal,
+                                slopes_monomial, slopes_via_weights, standard_rep)
 
 from oracles import bruhat_leq, slopes_via_restriction
 
@@ -182,15 +181,15 @@ def test_criterion_6_witt_display_suite():
         ring = ZModRing(p, 5)
         rng = random.Random(4000 + p)
         for _ in range(500):
-            a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(3)))
-            b = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(3)))
+            a = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(3)))
+            b = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(3)))
             ga, gb = witt_ghost(a), witt_ghost(b)
             assert witt_ghost(witt_add(a, b)) == tuple(
                 ring.add(u, v) for u, v in zip(ga, gb))
             assert witt_ghost(witt_mul(a, b)) == tuple(
                 ring.mul(u, v) for u, v in zip(ga, gb))
         for _ in range(25):
-            a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(3)))
+            a = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(3)))
             fv = witt_frobenius(witt_verschiebung(a))
             assert fv.components == truncate(witt_scalar(a, p), 2).components
         ordinary = MonomialIsocrystal(2, (0, 1), (0, -1))

@@ -13,13 +13,13 @@ from sympy.polys.matrices.normalforms import invariant_factors
 from centralleaf import isocrystal, lattices, linalg
 from centralleaf.affine import enumerate_elements, rep_lift
 from centralleaf.errors import BudgetExceededError, PreconditionError
-from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    is_completely_slope_divisible,
-                                    restriction_of_scalars)
+from centralleaf.isocrystal import is_completely_slope_divisible
 from centralleaf.lattices import LatticeModel, adlv_points, enumerate_lattices
 from centralleaf.leaves import neutral_acceptable
 from centralleaf.rootdata import build_classical
 from centralleaf.serialize import element_from_doc
+from centralleaf.slopes import (MonomialIsocrystal, RationalIsocrystal,
+                                restriction_of_scalars)
 
 GL2 = build_classical("GL", 2)
 

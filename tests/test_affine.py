@@ -20,9 +20,9 @@ from centralleaf.affine import (KottwitzClass, _newton_key, adjoint_lift, admiss
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                 ConsistencyError, DatumMismatchError,
                                 PreconditionError, UnsupportedOperationError)
-from centralleaf.isocrystal import (MonomialIsocrystal, monomial_from_rational,
-                                    slopes_monomial)
 from centralleaf.rootdata import RootDatum, build_classical, dominant_rep, is_dominant
+from centralleaf.slopes import (MonomialIsocrystal, monomial_from_rational,
+                                slopes_monomial)
 
 from oracles import bruhat_leq, decent_representative, monomial_compose, permissible_set
 

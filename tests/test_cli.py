@@ -131,6 +131,18 @@ def test_consistency_exit_code(monkeypatch, capsys):
     assert code == 2 and "consistency" in err
 
 
+def test_inconclusive_exit_code(monkeypatch, capsys):
+    from centralleaf.errors import InconclusiveError
+
+    def out_of_precision(spec):
+        raise InconclusiveError("slope pieces could not be certified")
+
+    monkeypatch.setitem(cli._COMMANDS, "adlv", out_of_precision)
+    code, out, err = run_cli(capsys, ["adlv", "--matrix", "0,1;2,0", "--mu", "1,0"])
+    assert code == cli.EXIT_BUDGET and not out
+    assert err == "budget exhausted: slope pieces could not be certified\n"
+
+
 def test_spec_file(tmp_path, capsys):
     spec = {"command": "report", "group": "GL2",
             "elements": [{"lambda": [1, 0], "w": "s1"}]}

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 from centralleaf import linalg
 from centralleaf.affine import (admissible_set, enumerate_elements, length,
                                 newton_point, rep_lift, translation_element)
-from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    is_completely_slope_divisible,
-                                    slopes_charpoly, slopes_monomial)
+from centralleaf.isocrystal import is_completely_slope_divisible
 from centralleaf.leaves import leaf_report, neutral_acceptable
 from centralleaf.rootdata import build_classical
+from centralleaf.slopes import (MonomialIsocrystal, RationalIsocrystal,
+                                slopes_charpoly, slopes_monomial)
 
 from oracles import bruhat_leq
 

@@ -15,19 +15,18 @@ from hypothesis import strategies as st
 from centralleaf import isocrystal, linalg
 from centralleaf.affine import (adjoint_lift, element, enumerate_elements,
                                 newton_point, rep_lift)
-from centralleaf.errors import (ConfigurationError, PreconditionError,
+from centralleaf.errors import (ConfigurationError, ConsistencyError,
+                               InconclusiveError, PreconditionError,
                                SingularInputError)
-from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    WeightedRep, adjoint_rep,
-                                    is_completely_slope_divisible,
-                                    monomial_from_rational,
-                                    newton_polygon_slopes,
-                                    restriction_of_scalars, slopes_charpoly,
-                                    slopes_monomial, slopes_via_weights,
-                                    standard_rep)
+from centralleaf.isocrystal import is_completely_slope_divisible
 from centralleaf.lattices import adlv_points
 from centralleaf.rootdata import build_classical
 from centralleaf.serialize import element_from_doc
+from centralleaf.slopes import (MonomialIsocrystal, RationalIsocrystal, WeightedRep,
+                                adjoint_rep, monomial_from_rational,
+                                newton_polygon_slopes, restriction_of_scalars,
+                                slopes_charpoly, slopes_monomial, slopes_via_weights,
+                                standard_rep)
 
 from oracles import decent_representative, slopes_via_restriction
 
@@ -267,6 +266,26 @@ def test_csd_irrational_slope_spaces():
     report = is_completely_slope_divisible(RationalIsocrystal(((0, -2), (1, -1)), 2))
     assert report.divisible
     assert _brute_force_two_slope_split(((F(0), F(-2)), (F(1), F(-1))), 2, (1, 0))
+
+
+def test_hensel_factors_of_other_degrees_are_a_fault():
+    # the Newton polygon fixes the split degrees at the padded precision, so
+    # slopes that disagree with the factors raise instead of retrying
+    t = ((0, -2), (1, -1))
+    coeffs = tuple(F(c) for c in linalg.charpoly(t))
+    assert isocrystal._approx_slope_pieces(t, 1, 2, {1: 1, 0: 1}, 0, coeffs, 12)[1] == 8
+    for expected in ({0: 1, 2: 1}, {0: 2}):
+        with pytest.raises(ConsistencyError, match="disagree with polygon slopes"):
+            isocrystal._approx_slope_pieces(t, 1, 2, expected, 0, coeffs, 12)
+
+
+def test_exhausted_precision_is_inconclusive(monkeypatch):
+    # companion(x^2 + x + 2) at p = 2 is decided at p^12, with margin 8
+    m = RationalIsocrystal(((0, -2), (1, -1)), 2)
+    assert "precision 8" in is_completely_slope_divisible(m).reason
+    monkeypatch.setattr(isocrystal, "_HENSEL_SCHEDULE", (6,))
+    with pytest.raises(InconclusiveError, match="precision schedule"):
+        is_completely_slope_divisible(m)
 
 
 def test_csd_single_slope_orbit_walk():

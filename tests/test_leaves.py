@@ -9,10 +9,10 @@ from centralleaf.affine import (adjoint_lift, element, enumerate_elements,
                                 sigma_conjugate, simple_element,
                                 translation_element)
 from centralleaf.errors import DatumMismatchError, PreconditionError
-from centralleaf.isocrystal import adjoint_rep, slopes_monomial, slopes_via_weights
 from centralleaf.leaves import (cross_check_dimension, leaf_report, mu_average,
                                 neutral_acceptable)
 from centralleaf.rootdata import RootDatum, build_classical, dominant_rep
+from centralleaf.slopes import adjoint_rep, slopes_monomial, slopes_via_weights
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)

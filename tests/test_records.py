@@ -8,11 +8,11 @@ import pytest
 
 from centralleaf.affine import (element, enumerate_sigma_classes, kottwitz,
                                 newton_point)
-from centralleaf.isocrystal import (MonomialIsocrystal, RationalIsocrystal,
-                                    is_completely_slope_divisible, standard_rep)
+from centralleaf.isocrystal import is_completely_slope_divisible
 from centralleaf.lattices import adlv_points
 from centralleaf.leaves import cross_check_dimension, leaf_report
 from centralleaf.rootdata import build_classical, present_quotient
+from centralleaf.slopes import MonomialIsocrystal, RationalIsocrystal, standard_rep
 from centralleaf.witt import (NilpotentPolyRing, ZModRing, display_check,
                               display_from_element, witt, witt_add)
 
@@ -56,7 +56,7 @@ RECORDS = {
     "SigmaTable": lambda: build_classical("GL", 2).sigma_table(SWAP),
     "ZModRing": lambda: ZModRing(2, 3),
     "NilpotentPolyRing": lambda: NilpotentPolyRing(2, 3, (2, 3)),
-    "WittVector": lambda: witt(ZModRing(2, 3), 2, (1, 0, 5)),
+    "WittVector": lambda: witt(ZModRing(2, 3), (1, 0, 5)),
     "DisplayDatum": _display,
     "DisplayReport": lambda: display_check(_display()),
 }
@@ -87,7 +87,7 @@ def test_rational_isocrystal_freezes_its_entries_to_fractions():
 
 def test_ring_equality_ignores_the_lift_cache():
     ring = ZModRing(2, 3)
-    witt_add(witt(ring, 2, (1, 1)), witt(ring, 2, (1, 0)))
+    witt_add(witt(ring, (1, 1)), witt(ring, (1, 0)))
     assert ring._lifts, "witt_add made no lifted ring"
     assert ring == ZModRing(2, 3) and hash(ring) == hash(ZModRing(2, 3))
     assert ring.modulus == 8 and ring._lifts[2] == ZModRing(2, 4)

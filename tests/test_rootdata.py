@@ -263,6 +263,25 @@ def test_malformed_datum_documents_are_refused():
     with pytest.raises(ConfigurationError, match="determinant"):
         datum_from_document({"roots": [[1], [-1]], "coroots": [[1], [-1]],
                              "simple_indices": [0], "pairing": [[2]]})
+    # each axiom of a root datum, with the message that names it
+    a1 = {"roots": [[2], [-2]], "coroots": [[1], [-1]], "simple_indices": [0]}
+    a2 = [[1, -1, 0], [-1, 1, 0], [0, 1, -1], [0, -1, 1], [1, 0, -1], [-1, 0, 1]]
+    for doc, message in (
+            ({**a1, "roots": [[2]], "coroots": [[1], [1]]}, "aligned lists"),
+            ({**a1, "roots": [[2, 0], [-2]]}, "^root of wrong length"),
+            ({**a1, "coroots": [[1], [-1, 0]]}, "^coroot of wrong length"),
+            ({**a1, "roots": [[2], [-2], [2]], "coroots": [[1], [-1], [1]]},
+             "duplicate roots"),
+            ({**a1, "roots": [[2], [4]], "coroots": [[1], [1]]},
+             "not stable under negation"),
+            ({**a1, "coroots": [[2], [-2]]}, "must equal 2"),
+            ({"roots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+              "coroots": [[2, 0], [-2, 0], [0, 2], [0, -2]], "simple_indices": [0]},
+             "outside the span of the base"),
+            ({"roots": a2, "coroots": a2, "simple_indices": [0, 4]},
+             "does not split the roots by sign")):
+        with pytest.raises(ConfigurationError, match=message):
+            datum_from_document(doc)
 
 
 def test_simple_reflections_must_permute_roots_and_coroots():

@@ -7,7 +7,7 @@ import pytest
 from centralleaf.errors import (BudgetExceededError, ConfigurationError,
                                ConsistencyError, DatumMismatchError,
                                NotPDivisibleError, PreconditionError)
-from centralleaf.isocrystal import MonomialIsocrystal, slopes_monomial
+from centralleaf.slopes import MonomialIsocrystal, slopes_monomial
 from centralleaf.witt import (DisplayDatum, NilpotentPolyRing, ZModRing,
                               display_check, display_from_element,
                               int_of_witt_digits, structure_polynomials,
@@ -101,7 +101,7 @@ def test_operations_match_structure_polynomials(p, m):
         for _ in range(count):
             xs = tuple(sample(ring) for _ in range(m))
             ys = tuple(sample(ring) for _ in range(m))
-            a, b = witt(ring, p, xs), witt(ring, p, ys)
+            a, b = witt(ring, xs), witt(ring, ys)
             expected = {op: tuple(_evaluate_polynomial(ring, s, xs + ys)
                                   for s in polys[op])
                         for op in ("add", "mul", "neg", "frob")}
@@ -133,14 +133,9 @@ def test_coefficient_rings_refuse_a_non_prime(p):
 def test_witt_operations_refuse_mismatched_inputs():
     ring = ZModRing(3, 2)
     with pytest.raises(ConfigurationError, match="at least one component"):
-        witt(ring, 3, ())
-    # the lift to precision p^(k+m-1) needs the ring's own prime
-    with pytest.raises(ConfigurationError):
-        witt_add(witt(ring, 2, (1, 1)), witt(ring, 2, (1, 2)))
-    with pytest.raises(ConfigurationError):
-        witt_from_int(ring, 2, 2, 5)
-    a = witt(ring, 3, (1, 1))
-    for b in (witt(ring, 3, (1, 1, 0)), witt(ZModRing(3, 3), 3, (1, 1))):
+        witt(ring, ())
+    a = witt(ring, (1, 1))
+    for b in (witt(ring, (1, 1, 0)), witt(ZModRing(3, 3), (1, 1))):
         with pytest.raises(DatumMismatchError):
             witt_mul(a, b)
 
@@ -148,15 +143,19 @@ def test_witt_operations_refuse_mismatched_inputs():
 def test_addition_example_prime_field():
     # W_2 over the prime field is Z/4: (1,0) + (1,0) = (0,1), the image of 2
     ring = ZModRing(2, 1)
-    a = witt(ring, 2, (1, 0))
+    a = witt(ring, (1, 0))
     assert witt_add(a, a).components == (0, 1)
     assert witt_digits_of_int(2, 2, 2) == (0, 1)
 
 
 def test_ghost_definitional():
     ring = ZModRing(2, 5)
-    a = witt(ring, 2, (3, 7))
+    a = witt(ring, (3, 7))
     assert witt_ghost(a) == (3, (3 ** 2 + 2 * 7) % 32)
+    # the prime is the ring's: ghosts over Z/3^5 are read at p = 3
+    assert WittVector._fields == ("ring", "components")
+    assert witt_ghost(witt(ZModRing(3, 5), (3, 7))) == (3, 3 ** 3 + 3 * 7)
+    assert witt_ghost(witt_from_int(ZModRing(3, 5), 2, 5)) == (5, 5)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -165,8 +164,8 @@ def test_ghost_is_ring_homomorphism(p):
     ring = ZModRing(p, 5)
     rng = random.Random(1000 + p)
     for _ in range(500):
-        a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(3)))
-        b = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(3)))
+        a = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(3)))
+        b = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(3)))
         ga, gb = witt_ghost(a), witt_ghost(b)
         assert witt_ghost(witt_add(a, b)) == tuple(ring.add(x, y)
                                                    for x, y in zip(ga, gb))
@@ -179,9 +178,9 @@ def test_ghost_is_ring_homomorphism(p):
 def test_frobenius_verschiebung_identities(p):
     ring = ZModRing(p, 5)
     rng = random.Random(55 + p)
-    one = witt(ring, p, (1, 0, 0))
+    one = witt(ring, (1, 0, 0))
     for _ in range(100):
-        a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(3)))
+        a = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(3)))
         # F(V(a)) = p * a, compared at the truncated length
         fv = witt_frobenius(witt_verschiebung(a))
         assert fv.components == truncate(witt_scalar(a, p), 2).components
@@ -196,7 +195,7 @@ def test_frobenius_reduces_to_p_power_mod_p():
         ring = ZModRing(p, 4)
         rng = random.Random(p)
         for _ in range(50):
-            a = witt(ring, p, tuple(rng.randrange(ring.modulus) for _ in range(3)))
+            a = witt(ring, tuple(rng.randrange(ring.modulus) for _ in range(3)))
             fa = witt_frobenius(a)
             for i in range(2):
                 assert (fa.components[i] - a.components[i] ** p) % p == 0
@@ -216,8 +215,8 @@ def test_digit_isomorphism_is_additive_oracle():
         rng = random.Random(77 + p)
         for _ in range(100):
             x, y = rng.randrange(p ** m), rng.randrange(p ** m)
-            a = witt(ring, p, witt_digits_of_int(x, p, m))
-            b = witt(ring, p, witt_digits_of_int(y, p, m))
+            a = witt(ring, witt_digits_of_int(x, p, m))
+            b = witt(ring, witt_digits_of_int(y, p, m))
             assert witt_add(a, b).components == witt_digits_of_int((x + y) % p ** m, p, m)
             assert witt_mul(a, b).components == witt_digits_of_int((x * y) % p ** m, p, m)
 
@@ -227,15 +226,15 @@ def test_integer_images_are_teichmuller_digits():
     for p, m in ((2, 3), (2, 5), (3, 3), (5, 2)):
         ring = ZModRing(p, 1)
         for n in list(range(-40, 41)) + [10 ** 9 + 7, -3 ** 20]:
-            assert witt_from_int(ring, p, m, n).components == \
+            assert witt_from_int(ring, m, n).components == \
                 witt_digits_of_int(n % p ** m, p, m)
 
 
 def test_nilpotent_coefficients():
     ring = NilpotentPolyRing(2, 3, (2,))
     x = ring.variable(0)
-    a = witt(ring, 2, (x, ring.one()))
-    b = witt(ring, 2, (ring.one(), x))
+    a = witt(ring, (x, ring.one()))
+    b = witt(ring, (ring.one(), x))
     ga, gb = witt_ghost(a), witt_ghost(b)
     gs = witt_ghost(witt_add(a, b))
     assert gs == tuple(ring.add(u, v) for u, v in zip(ga, gb))
@@ -289,6 +288,13 @@ def test_display_check_refuses_misshapen_matrices(field, reshape):
         display_check(base._replace(**{field: reshape(getattr(base, field))}))
 
 
+def test_display_rank_is_the_size_of_phi():
+    assert "rank" not in DisplayDatum._fields
+    # n is len(phi), so an empty display is refused before m1_columns[0] is read
+    with pytest.raises(ConfigurationError, match="rank at least 1"):
+        display_check(DisplayDatum(2, 1, (), (), ()))
+
+
 def _random_display(rng):
     """A display over Z/p^level with 1 to 5 generators of M1 whose entries
     may be negative or past p^level: half are a monomial's display with
@@ -301,7 +307,7 @@ def _random_display(rng):
 
     if rng.random() < 0.5:
         count = rng.randint(1, 5)
-        return DisplayDatum(p, level, n,
+        return DisplayDatum(p, level,
                             tuple(tuple(entry() for _ in range(count)) for _ in range(n)),
                             tuple(tuple(entry() for _ in range(n)) for _ in range(n)),
                             tuple(tuple(entry() for _ in range(count)) for _ in range(n)))
@@ -361,20 +367,6 @@ def test_displays_for_all_small_monomials(p):
                 assert report.hodge_rank == sum(1 for e in exps if e == -1)
                 count += 1
     assert count > 100
-
-
-def test_a_witt_vector_has_its_rings_prime():
-    # witt_ghost used to read p = 2 ghost components over Z/3^5
-    ring = ZModRing(3, 5)
-    with pytest.raises(ConfigurationError, match="ring's prime"):
-        witt(ring, 2, (1, 2))
-    with pytest.raises(ConfigurationError, match="ring's prime"):
-        WittVector(NilpotentPolyRing(3, 2, (2,)), 2, ((),))
-    # a refused integer image leaves no lift at another prime behind
-    with pytest.raises(ConfigurationError, match="ring's prime"):
-        witt_from_int(ring, 2, 2, 5)
-    assert all(lift.p == 3 for lift in ring._lifts.values())
-    assert witt_ghost(witt_from_int(ring, 3, 2, 5)) == (5, 5)
 
 
 @pytest.mark.parametrize("p", (1, 4, -2, 0))
