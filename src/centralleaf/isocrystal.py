@@ -7,24 +7,36 @@ reports, the Witt self check) compiles none of the certificate.
 
 The slope factors of the characteristic polynomial come from one p-adic
 Hensel lift (``_slope_factors_mod``); whether they lie in Q[x] is read off
-that lift, so no factorisation over Q is needed.  Each split of the lift is x^u * h mod p
-with h(0) a unit; Newton's iteration lifts only the factor of degree u,
-doubling the precision at each step, from the truncated inverse h^-1 mod
-x^u, so no Euclid over F_p[x] is run.  Exact integer polynomial products
-and divisions by monic polynomials serve the lift and the check that the
-candidate factors over Q multiply back to the characteristic polynomial;
-when they do not, the slope pieces are kernels mod p^k, found over Z/p^k.
-The saturated slope pieces are exact when they do and p-adic
-approximations otherwise; either way one decision (``_slope_report``)
-checks that they grade the lattice and reads the period off an orbit walk
-of the normalised Frobenius on each piece.
+that lift, so no factorisation over Q is needed.  Each split of the lift
+is x^u * h mod p with h(0) a unit; Newton's iteration lifts only the
+factor of degree u, doubling the precision at each step: for u = 1 as the
+root r of x - r, on integers, and otherwise from the truncated inverse
+h^-1 mod x^u, so no Euclid over F_p[x] is run.  Exact integer polynomial
+products and divisions by monic polynomials serve the lift and the check
+that the candidate factors over Q multiply back to the characteristic
+polynomial.  That lift is skipped when a slope is simple and the
+polynomial has no root modulo one of 2, 3, 5, 7 (other than p): its
+linear slope factor cannot then lie in Q[x].  When the factors do not lie
+in Q[x], the slope pieces are kernels mod p^k, found over Z/p^k, at the
+first precision of ``_HENSEL_SCHEDULE`` whose windows can exceed 2 (a
+bound read off the multiplicities of the slopes and the p-denominators of
+the normalised Frobenius, before any lift).  The saturated slope pieces
+are exact in the first case and p-adic approximations otherwise; either
+way one decision (``_slope_report``) checks that they grade the lattice
+and reads the period off an orbit walk of the normalised Frobenius on
+each piece.
 
-The certificate runs on Python ints: M = a/d is cleared of denominators
-once, t = a^r0 is carried over the denominator t_den = d^r0 (r0 the least
-common denominator of the slopes), the pieces are kernels of integer
-polynomials in t, and the coordinates of a piece's images are read off the
-unimodular transform that saturates it.  Fractions remain only in the
-input and in the report's slopes.
+M = a/d is cleared of denominators once, t = a^r0 is carried over the
+denominator t_den = d^r0 (r0 the least common denominator of the slopes),
+and the slopes are read off one characteristic polynomial of M.  For
+r0 = 1, rescaled, it is also the polynomial whose slope factors are
+lifted; for r0 > 1 that of t is computed as well.  Its coefficients are
+Fractions, which the lift embeds into Z/p^k and the Q[x] check clears to
+a monic integer model.  Exact pieces are kernels of integer polynomials
+in t, found over Q by ``linalg.kernel`` and saturated to integer columns;
+p-adic pieces are kernels over Z/p^k.  The coordinates of a piece's
+images are read off the unimodular transform that saturates it, and the
+orbit walk and the index of the pieces run on Python ints.
 """
 
 from __future__ import annotations
@@ -35,9 +47,9 @@ from math import gcd, isqrt, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import ConsistencyError, DatumMismatchError, InconclusiveError
-from .slopes import (Matrix, MonomialIsocrystal, RationalIsocrystal,
-                     newton_polygon_slopes, slopes_charpoly)
+from .errors import (ConsistencyError, DatumMismatchError, InconclusiveError,
+                     SingularInputError)
+from .slopes import Matrix, MonomialIsocrystal, RationalIsocrystal, newton_polygon_slopes
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +121,19 @@ def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift:
     Hensel lift mod p^k once p^k exceeds twice that.  The candidates are
     accepted only when each is isoclinic and their product is chi~; by the
     uniqueness of the slope factorisation over Z_p they are then the slope
-    factors, so both answers are certified.
+    factors, so both answers are certified.  A slope of multiplicity one
+    would have the factor y - r with r an integer root of chi~, so when
+    chi~ has no root modulo a small prime other than p the answer is None
+    before any lift.
     """
     n = len(t)
     den = lcm(*(c.denominator for c in coeffs))
     model = [c.numerator * (den ** (n - i) // c.denominator) for i, c in enumerate(coeffs)]
+    if 1 in expected.values() and any(
+            all(sum(c * pow(r, i, ell) for i, c in enumerate(model)) % ell
+                for r in range(ell))
+            for ell in (2, 3, 5, 7) if ell != p):
+        return None
     bound = 2 ** (n + 1) * (isqrt(sum(c * c for c in model)) + 1)
     prec = next(k for k in itertools.count(1) if p ** k > bound)
     q = p ** prec
@@ -190,15 +210,33 @@ def _hensel_split(coeffs: List[int], u: int, p: int, prec: int):
     u, F = x^u mod p, and H a unit at 0, by quadratic Hensel lifting of F
     alone (von zur Gathen-Gerhard, *Modern Computer Algebra*, 15.4).
 
-    Mod p, chi is x^u * h_bar with h_bar(0) a unit, so for F = x^u the
-    truncated power series s = h_bar^-1 mod x^u inverts H = chi div F
-    modulo (F, p).  While F divides chi mod p^k and s inverts H modulo
-    (F, p^k), F + (chi mod F) * s mod F divides chi mod p^2k, and
+    For u = 1, F = x - r and the split runs on integers: Newton's root
+    iteration r - chi(r) / chi'(r) from r = 0 doubles the precision of the
+    root at each step, with chi(r) and chi'(r) read by Horner's rule mod
+    p^k.  Otherwise, mod p, chi is x^u * h_bar with h_bar(0) a unit, so for
+    F = x^u the truncated power series s = h_bar^-1 mod x^u inverts
+    H = chi div F modulo (F, p).  While F divides chi mod p^k and s inverts
+    H modulo (F, p^k), F + (chi mod F) * s mod F divides chi mod p^2k, and
     s * (2 - s * H) mod F inverts the new H modulo p^2k (Newton's
-    iteration; for u = 1, Newton's root iteration).  H is the exact
-    quotient chi div F, reduced at the end.
+    iteration).  Either way H is the exact quotient chi div F, reduced at
+    the end.
     """
     q = p ** prec
+    if u == 1:
+        r, k = 0, 1
+        while k < prec:
+            k = min(2 * k, prec)
+            mod = p ** k
+            value = slope = 0
+            for c in reversed(coeffs):
+                slope = (slope * r + value) % mod
+                value = (value * r + c) % mod
+            r = (r - value * pow(slope, -1, mod)) % mod
+        f = [-r % q, 1]
+        h, rest = _poly_divmod(coeffs, f)
+        if rest[0] % q:
+            raise ConsistencyError("Hensel invariant violated")
+        return f, [c % q for c in h]
     h_bar = [c % p for c in coeffs[u:]]
     inv0 = pow(h_bar[0], -1, p)
     s = [inv0]
@@ -477,7 +515,10 @@ def _slope_report(t: Matrix, t_den: int, p: int, r0: int, slopes, pieces: dict,
 
 def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
     p = m.prime
-    slopes = slopes_charpoly(m)
+    chi = linalg.charpoly(m.matrix)
+    if chi[0] == 0:
+        raise SingularInputError("isocrystal matrix is not invertible")
+    slopes = newton_polygon_slopes(chi, p)
     r0 = lcm(*(s.denominator for s in slopes))
     expected = {}
     for s in slopes:
@@ -494,14 +535,22 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
         return _slope_report(t, t_den, p, r0, slopes,
                              {next(iter(expected)): (list(identity), identity)})
     shift = -min(min(expected), 0)
-    # the charpoly of p^shift * t / t_den
-    coeffs = tuple(Fraction(c.numerator * p ** (shift * (n - i)), t_den ** (n - i))
-                   for i, c in enumerate(linalg.charpoly(t)))
+    # the charpoly of p^shift * t / t_den; for r0 = 1 that is chi of
+    # p^shift * M, whose x^i coefficient is chi_i * p^(shift * (n - i))
+    coeffs = (tuple(c * p ** (shift * (n - i)) for i, c in enumerate(chi)) if r0 == 1 else
+              tuple(Fraction(c.numerator * p ** (shift * (n - i)), t_den ** (n - i))
+                    for i, c in enumerate(linalg.charpoly(t))))
     pieces = _rational_slope_pieces(t, t_den, p, expected, shift, coeffs)
     if pieces is not None:
         return _slope_report(t, t_den, p, r0, slopes, pieces)
-    # slope subspaces are not Q-rational: windowed mod-p^k decision
-    for prec in _HENSEL_SCHEDULE:
+    # slope subspaces are not Q-rational: windowed mod-p^k decision.  With
+    # p^omega the p-denominator of p^-s * t / t_den, the slope-s window of
+    # _approx_slope_pieces is at most prec - (m + 2) * omega - 1 for a slope
+    # of multiplicity m, and it must exceed 2, so lower precisions are skipped
+    t_val = linalg.valuation(t_den, p)
+    least = min(linalg.valuation(x, p) for row in t for x in row if x)
+    start = max((mult + 2) * max(t_val + s - least, 0) + 4 for s, mult in expected.items())
+    for prec in (k for k in _HENSEL_SCHEDULE if k >= start):
         approx = _approx_slope_pieces(t, t_den, p, expected, shift, coeffs, prec)
         report = approx and _slope_report(t, t_den, p, r0, slopes, *approx)
         if report is not None:

@@ -288,6 +288,101 @@ def test_exhausted_precision_is_inconclusive(monkeypatch):
         is_completely_slope_divisible(m)
 
 
+def test_csd_refuses_a_singular_matrix():
+    with pytest.raises(SingularInputError, match="^isocrystal matrix is not invertible$"):
+        is_completely_slope_divisible(RationalIsocrystal(((1, 1), (1, 1)), 2))
+
+
+def test_mod_pk_input_lifts_once_at_its_first_deciding_precision():
+    # chi = x^2 + x + 2 has no root mod 3, so no rational slope factor is
+    # lifted; at p^6 the slope-1 window is at most 6 - 3 - 1, so the one lift
+    # is at p^12, padded by n * (max slope + 1) = 4 digits
+    m = RationalIsocrystal(((0, -2), (1, -1)), 2)
+    with mock.patch.object(isocrystal, "_slope_factors_mod",
+                           wraps=isocrystal._slope_factors_mod) as lift:
+        report = is_completely_slope_divisible(m)
+    assert "precision 8" in report.reason
+    assert [c.args[2] for c in lift.call_args_list] == [16]
+
+
+# g diag(4, 2, 1) g^-1 with g in GL3(Z): slopes 2, 1, 0 at p = 2, Q-rational
+_DIAGONAL_SPLIT = linalg.mat_mul(linalg.mat_mul(
+    ((1, 2, 0), (0, 1, -1), (1, 2, 1)), ((4, 0, 0), (0, 2, 0), (0, 0, 1))),
+    linalg.mat_inv(((1, 2, 0), (0, 1, -1), (1, 2, 1))))
+
+
+def test_rational_input_makes_only_the_landau_mignotte_lift():
+    with mock.patch.object(isocrystal, "_slope_factors_mod",
+                           wraps=isocrystal._slope_factors_mod) as lift:
+        report = is_completely_slope_divisible(RationalIsocrystal(_DIAGONAL_SPLIT, 2))
+    assert report.divisible and report.slopes == (2, 1, 0)
+    assert "precision" not in report.reason
+    assert lift.call_count == 1
+
+
+@pytest.mark.parametrize("m,r0", [
+    (_DIAGONAL_SPLIT, 1),
+    # companion(x^3 + x^2 + 2) at p = 2: slopes 1/2, 1/2, 0, so t = M^2
+    (((0, 0, -2), (1, 0, 0), (0, 1, -1)), 2)])
+def test_the_slopes_and_the_lift_share_one_characteristic_polynomial(m, r0):
+    # for r0 = 1 the slopes' charpoly is also the one lifted; otherwise the
+    # charpoly of M^r0 is computed as well.  The pieces' own charpolys are
+    # of smaller matrices.
+    with mock.patch.object(linalg, "charpoly", wraps=linalg.charpoly) as charpoly:
+        is_completely_slope_divisible(RationalIsocrystal(m, 2))
+    assert sum(len(c.args[0]) == len(m) for c in charpoly.call_args_list) == r0
+
+
+def _mod_pk_route(m, p):
+    """(arguments, skipped) for an input that reaches the mod-p^k route: the
+    arguments it passes to _approx_slope_pieces before the precision, and
+    the precisions of _HENSEL_SCHEDULE below its first call (all of them
+    when it makes none).  None for an input decided before that route."""
+    reached, tried = [], []
+    rational, approx = isocrystal._rational_slope_pieces, isocrystal._approx_slope_pieces
+
+    def rational_spy(*args):
+        pieces = rational(*args)
+        if pieces is None:
+            reached.append(args)
+        return pieces
+
+    def approx_spy(*args):
+        tried.append(args[-1])
+        return approx(*args)
+
+    with mock.patch.object(isocrystal, "_rational_slope_pieces", rational_spy), \
+            mock.patch.object(isocrystal, "_approx_slope_pieces", approx_spy):
+        try:
+            is_completely_slope_divisible(RationalIsocrystal(m, p))
+        except InconclusiveError:
+            pass
+    if not reached:
+        return None
+    first = tried[0] if tried else math.inf
+    return reached[0], [k for k in isocrystal._HENSEL_SCHEDULE if k < first]
+
+
+def test_skipped_precisions_cannot_decide():
+    # the mod-p^k route skips every precision below the bound on its
+    # windows; called directly, each skipped precision must ask for a retry
+    rng = random.Random(39)
+    inputs = _mod_pk_inputs()
+    while len(inputs) < 1000:
+        p, n = rng.choice((2, 3, 5)), rng.choice((2, 3))
+        m = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, p))) for _ in range(n)]
+             for _ in range(n)]
+        if linalg.det(m) != 0 and len(set(slopes_charpoly(RationalIsocrystal(m, p)))) > 1:
+            inputs.append((m, p))
+    skipped = 0
+    for m, p in inputs:
+        route = _mod_pk_route(m, p)
+        for prec in route[1] if route else ():
+            assert isocrystal._approx_slope_pieces(*route[0], prec) is None, (m, p, prec)
+            skipped += 1
+    assert skipped > 500
+
+
 def test_csd_single_slope_orbit_walk():
     # [[0,4],[1,0]]: isoclinic slope 1, normalised square is the identity
     report = is_completely_slope_divisible(RationalIsocrystal(((0, 4), (1, 0)), 2))
