@@ -17,14 +17,14 @@ that the candidate factors over Q multiply back to the characteristic
 polynomial.  That lift is skipped when a slope is simple and the
 polynomial has no root modulo one of 2, 3, 5, 7 (other than p): its
 linear slope factor cannot then lie in Q[x].  When the factors do not lie
-in Q[x], the slope pieces are kernels mod p^k, found over Z/p^k, at the
-first precision of ``_HENSEL_SCHEDULE`` whose windows can exceed 2 (a
-bound read off the multiplicities of the slopes and the p-denominators of
-the normalised Frobenius, before any lift).  The saturated slope pieces
-are exact in the first case and p-adic approximations otherwise; either
-way one decision (``_slope_report``) checks that they grade the lattice
-and reads the period off an orbit walk of the normalised Frobenius on
-each piece.
+in Q[x], the slope pieces are kernels mod p^k, found over Z/p^k, lifted
+only at the precisions of ``_HENSEL_SCHEDULE`` whose windows can exceed 2
+(``_least_deciding_precision``, a bound read off the multiplicities of
+the slopes and the p-denominators of the normalised Frobenius).  The
+saturated slope pieces are exact in the first case and p-adic
+approximations otherwise; either way one decision (``_slope_report``)
+checks that they grade the lattice and reads the period off an orbit
+walk of the normalised Frobenius on each piece.
 
 M = a/d is cleared of denominators once, t = a^r0 is carried over the
 denominator t_den = d^r0 (r0 the least common denominator of the slopes),
@@ -47,9 +47,9 @@ from math import gcd, isqrt, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import (ConsistencyError, DatumMismatchError, InconclusiveError,
-                     SingularInputError)
-from .slopes import Matrix, MonomialIsocrystal, RationalIsocrystal, newton_polygon_slopes
+from .errors import ConsistencyError, DatumMismatchError, InconclusiveError
+from .slopes import (Matrix, MonomialIsocrystal, RationalIsocrystal, charpoly_and_slopes,
+                     newton_polygon_slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +303,14 @@ def _slope_factors_mod(coeffs_frac: Sequence[Fraction], p: int, prec: int):
     return factors
 
 
+def _least_deciding_precision(expected: dict, omegas: dict) -> int:
+    """The least precision at which ``_approx_slope_pieces`` can decide.
+
+    For a slope s of multiplicity m its window is prec - (m + 2) * omega_s
+    - 1 - emax with emax >= 0 (den_val cancels), and it must exceed 2."""
+    return max((m + 2) * omegas[s] + 4 for s, m in expected.items())
+
+
 def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: int,
                          coeffs: Sequence[Fraction],
                          prec: int) -> Optional[Tuple[dict, int]]:
@@ -312,13 +320,19 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
     p^shift * t / t_den, yields approximate saturated lattice pieces.
     Returns ({slope: (basis columns, s)}, margin), the pieces agreeing with
     the true ones modulo p^margin, or None to retry when the margin is not
-    above 2; each slope's window is checked before its kernel is built.
+    above 2; each slope's window is checked before its kernel is built, and
+    below ``_least_deciding_precision`` none is lifted.
     The Newton polygon fixes the split degrees at the padded precision, so
     factors whose degrees are not ``expected`` are a fault, not a retry.
     """
     n = len(t)
     t_val = linalg.valuation(t_den, p)
     least = min(linalg.valuation(x, p) for row in t for x in row if x)
+    # the slope-s factor is taken at u = p^-s t / t_den, whose entries have
+    # p-denominators up to p^omegas[s]
+    omegas = {s: max(t_val + s - least, 0) for s in expected}
+    if prec < _least_deciding_precision(expected, omegas):
+        return None
     slopes_desc = sorted(expected, reverse=True)
     prec_pad = prec + n * (max(slopes_desc) + shift + 1)
     factors = _slope_factors_mod(coeffs, p, prec_pad)
@@ -331,9 +345,8 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
     for slope in slopes_desc:
         fac = by_slope[slope]
         # factors live in the substituted variable y = x / p^slope, so the
-        # slope-s factor is taken at u = p^-slope t / t_den, whose entries have
-        # p-denominators up to p^omega; fac(u) = h / u_den^deg
-        omega = max(t_val + slope - least, 0)
+        # slope factor is taken at u; fac(u) = h / u_den^deg
+        omega = omegas[slope]
         u_den = t_den * p ** max(slope, 0)
         h = _poly_of_matrix(fac, t, p ** max(-slope, 0), u_den)
         common = gcd(u_den ** (len(fac) - 1), *(x for row in h for x in row))
@@ -515,10 +528,7 @@ def _slope_report(t: Matrix, t_den: int, p: int, r0: int, slopes, pieces: dict,
 
 def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
     p = m.prime
-    chi = linalg.charpoly(m.matrix)
-    if chi[0] == 0:
-        raise SingularInputError("isocrystal matrix is not invertible")
-    slopes = newton_polygon_slopes(chi, p)
+    chi, slopes = charpoly_and_slopes(m)
     r0 = lcm(*(s.denominator for s in slopes))
     expected = {}
     for s in slopes:
@@ -543,14 +553,8 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
     pieces = _rational_slope_pieces(t, t_den, p, expected, shift, coeffs)
     if pieces is not None:
         return _slope_report(t, t_den, p, r0, slopes, pieces)
-    # slope subspaces are not Q-rational: windowed mod-p^k decision.  With
-    # p^omega the p-denominator of p^-s * t / t_den, the slope-s window of
-    # _approx_slope_pieces is at most prec - (m + 2) * omega - 1 for a slope
-    # of multiplicity m, and it must exceed 2, so lower precisions are skipped
-    t_val = linalg.valuation(t_den, p)
-    least = min(linalg.valuation(x, p) for row in t for x in row if x)
-    start = max((mult + 2) * max(t_val + s - least, 0) + 4 for s, mult in expected.items())
-    for prec in (k for k in _HENSEL_SCHEDULE if k >= start):
+    # slope subspaces are not Q-rational: windowed mod-p^k decision
+    for prec in _HENSEL_SCHEDULE:
         approx = _approx_slope_pieces(t, t_den, p, expected, shift, coeffs, prec)
         report = approx and _slope_report(t, t_den, p, r0, slopes, *approx)
         if report is not None:

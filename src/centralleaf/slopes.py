@@ -170,12 +170,19 @@ def newton_polygon_slopes(coeffs: Sequence[Fraction], p: int) -> Tuple[Fraction,
     return tuple(sorted(slopes, reverse=True))
 
 
-def slopes_charpoly(m: RationalIsocrystal) -> Tuple[Fraction, ...]:
-    """Newton-polygon slopes of det(xI - M); the classical oracle."""
+def charpoly_and_slopes(m: RationalIsocrystal) -> Tuple[Tuple[Fraction, ...],
+                                                        Tuple[Fraction, ...]]:
+    """det(xI - M), constant term first, and its Newton-polygon slopes;
+    a singular M is refused."""
     coeffs = linalg.charpoly(m.matrix)
     if coeffs[0] == 0:
         raise SingularInputError("isocrystal matrix is not invertible")
-    return newton_polygon_slopes(coeffs, m.prime)
+    return coeffs, newton_polygon_slopes(coeffs, m.prime)
+
+
+def slopes_charpoly(m: RationalIsocrystal) -> Tuple[Fraction, ...]:
+    """Newton-polygon slopes of det(xI - M); the classical oracle."""
+    return charpoly_and_slopes(m)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -333,39 +333,9 @@ def test_the_slopes_and_the_lift_share_one_characteristic_polynomial(m, r0):
     assert sum(len(c.args[0]) == len(m) for c in charpoly.call_args_list) == r0
 
 
-def _mod_pk_route(m, p):
-    """(arguments, skipped) for an input that reaches the mod-p^k route: the
-    arguments it passes to _approx_slope_pieces before the precision, and
-    the precisions of _HENSEL_SCHEDULE below its first call (all of them
-    when it makes none).  None for an input decided before that route."""
-    reached, tried = [], []
-    rational, approx = isocrystal._rational_slope_pieces, isocrystal._approx_slope_pieces
-
-    def rational_spy(*args):
-        pieces = rational(*args)
-        if pieces is None:
-            reached.append(args)
-        return pieces
-
-    def approx_spy(*args):
-        tried.append(args[-1])
-        return approx(*args)
-
-    with mock.patch.object(isocrystal, "_rational_slope_pieces", rational_spy), \
-            mock.patch.object(isocrystal, "_approx_slope_pieces", approx_spy):
-        try:
-            is_completely_slope_divisible(RationalIsocrystal(m, p))
-        except InconclusiveError:
-            pass
-    if not reached:
-        return None
-    first = tried[0] if tried else math.inf
-    return reached[0], [k for k in isocrystal._HENSEL_SCHEDULE if k < first]
-
-
 def test_skipped_precisions_cannot_decide():
-    # the mod-p^k route skips every precision below the bound on its
-    # windows; called directly, each skipped precision must ask for a retry
+    # the mod-p^k route lifts nothing below _least_deciding_precision; with
+    # that bound lifted, each precision below it must still ask for a retry
     rng = random.Random(39)
     inputs = _mod_pk_inputs()
     while len(inputs) < 1000:
@@ -374,12 +344,31 @@ def test_skipped_precisions_cannot_decide():
              for _ in range(n)]
         if linalg.det(m) != 0 and len(set(slopes_charpoly(RationalIsocrystal(m, p)))) > 1:
             inputs.append((m, p))
+    approx, least = isocrystal._approx_slope_pieces, isocrystal._least_deciding_precision
     skipped = 0
     for m, p in inputs:
-        route = _mod_pk_route(m, p)
-        for prec in route[1] if route else ():
-            assert isocrystal._approx_slope_pieces(*route[0], prec) is None, (m, p, prec)
-            skipped += 1
+        calls, floors = [], []
+
+        def approx_spy(*args):
+            calls.append(args[:-1])
+            return approx(*args)
+
+        def least_spy(*args):
+            floors.append(least(*args))
+            return floors[-1]
+
+        with mock.patch.object(isocrystal, "_approx_slope_pieces", approx_spy), \
+                mock.patch.object(isocrystal, "_least_deciding_precision", least_spy):
+            try:
+                is_completely_slope_divisible(RationalIsocrystal(m, p))
+            except InconclusiveError:
+                pass
+        if not calls:
+            continue
+        with mock.patch.object(isocrystal, "_least_deciding_precision", lambda *args: 0):
+            for prec in (k for k in isocrystal._HENSEL_SCHEDULE if k < floors[0]):
+                assert approx(*calls[0], prec) is None, (m, p, prec)
+                skipped += 1
     assert skipped > 500
 
 
