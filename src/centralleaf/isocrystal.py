@@ -566,6 +566,19 @@ def _csd_rational(m: RationalIsocrystal) -> SlopeDivisibilityReport:
 def is_completely_slope_divisible(m, *, memo=None) -> SlopeDivisibilityReport:
     """Decide complete slope divisibility with an exact certificate.
 
+    The definition decided is the split one: True exactly when the standard
+    lattice L is the direct sum of saturated sublattices L_lambda of the
+    slope spaces, with p^(-lambda P) M^P mapping each L_lambda onto itself
+    for some P >= 1; the report's period is the least such P.  Oort and
+    Zink define complete slope divisibility by a filtration with such
+    steps instead (*J. Algebraic Geom.* 11, 2002).  For a Dieudonne lattice,
+    with p^-lo M and p^(lo+1) M^-1 integral (slopes in [lo, lo + 1]), the
+    two agree, since over a perfect field a completely slope divisible
+    p-divisible group is a product of isoclinic ones; every census point
+    is such a lattice.  Outside that range they differ: ((4, 1), (0, 2))
+    at p = 2 has the filtration Z_2 e1 in L, slope 2 then slope 1, and is
+    answered False, its slope lines spanning an index-p sublattice.
+
     Monomial inputs are always divisible (cycle splitting plus the decency
     equation).  Rational inputs are decided by computing the saturated
     lattice piece of every slope (exactly when the slope factors lie in

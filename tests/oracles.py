@@ -11,7 +11,11 @@ slower derivation of something the library computes another way:
 * ``decent_representative``: the monomial lift of x with the least period
   at which the decency equation holds, verified symbolically in p;
 * ``slopes_via_restriction``: slopes as the Newton polygon of the
-  characteristic polynomial of the restriction-of-scalars expansion.
+  characteristic polynomial of the restriction-of-scalars expansion;
+* ``replay_slope_certificate``: an exact slope-divisibility report checked
+  from the input matrix, p and the report alone, with Fraction
+  determinants, solves and matrix powers (no Smith form, Hensel lift or
+  kernel).
 """
 
 import itertools
@@ -219,3 +223,114 @@ def slopes_via_restriction(m: MonomialIsocrystal, p: int) -> Tuple[Fraction, ...
         out.extend([slopes[i]] * (len(run) // r))
         i += len(run)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# slope-divisibility certificates
+
+def _piece_columns(piece) -> Tuple[tuple, ...]:
+    return tuple(zip(*piece))
+
+
+def _on_span(matrix, cols) -> Optional[Matrix]:
+    """The matrix of ``matrix`` on the Q-span of ``cols``, in that basis
+    (rows), or None when the span is not stable."""
+    coords = [linalg.solve_columns(cols, linalg.mat_vec(matrix, c)) for c in cols]
+    return None if None in coords else linalg.transpose(coords)
+
+
+def _minor_valuation(rows, p: int) -> Optional[int]:
+    """v_p of the gcd of the maximal minors of a tall matrix (rows), None
+    when they all vanish."""
+    k = len(rows[0])
+    vals = [linalg.valuation(linalg.det([rows[i] for i in idx]), p)
+            for idx in itertools.combinations(range(len(rows)), k)]
+    return min((v for v in vals if v is not None), default=None)
+
+
+def _isoclinic(x, p: int, slope: Fraction) -> bool:
+    """Whether the Newton polygon of det(yI - x) is the line of ``slope``:
+    the sum e_j of the principal j-minors has valuation >= j * slope, and
+    the determinant exactly k * slope."""
+    k = len(x)
+    for j in range(1, k + 1):
+        e_j = sum(linalg.det([[x[a][b] for b in idx] for a in idx])
+                  for idx in itertools.combinations(range(k), j))
+        v = linalg.valuation(e_j, p)
+        if j == k and v != k * slope or v is not None and v < j * slope:
+            return False
+    return True
+
+
+def _normalised_power_is_unit(power, cols, p: int, slope: Fraction, steps: int) -> bool:
+    """Whether p^-(slope * steps) * power maps the Z_p-span of ``cols`` onto
+    itself: the span is stable and the matrix on it lies in GL_k(Z_p)."""
+    e = slope * steps
+    x = _on_span(power, cols)
+    if e.denominator != 1 or x is None:
+        return False
+    if any(v and linalg.valuation(v, p) < e for row in x for v in row):
+        return False
+    return linalg.valuation(linalg.det(x), p) == len(cols) * e
+
+
+def replay_slope_certificate(matrix, p: int, report) -> Optional[str]:
+    """Replay an exact ``SlopeDivisibilityReport`` of the rational Frobenius
+    matrix M from M, p and the report alone; None when it holds, else the
+    first check that fails.
+
+    Piece i (the pieces come in descending slope order) must be an integer
+    basis of rank the multiplicity of the i-th distinct slope lambda_i.
+    Only Fraction ``det``, ``solve_columns`` and matrix powers are used.
+
+    * True, with period P: the stacked pieces have unit determinant (they
+      grade the lattice); each piece is stable under M^P with
+      p^(-lambda_i P) M^P in GL_k(Z_p) on it (so it is isoclinic of slope
+      lambda_i, and the slopes are the reported ones); and no proper
+      divisor of P does the same.
+    * False: each piece is M-stable, p-saturated (its maximal minors have
+      a unit gcd) and isoclinic of slope lambda_i; slope spaces are
+      unique, so these are the slope sublattices, and the stacked
+      determinant has the positive valuation the reason states.
+    """
+    n = len(matrix)
+    distinct = sorted(set(report.slopes), reverse=True)
+    if len(report.slopes) != n or len(report.pieces) != len(distinct):
+        return "the slopes or pieces do not cover the rank"
+    pieces = [_piece_columns(piece) for piece in report.pieces]
+    for cols, slope in zip(pieces, distinct):
+        if len(cols) != report.slopes.count(slope) or any(len(c) != n for c in cols):
+            return f"the slope-{slope} piece has the wrong shape"
+        if any(Fraction(v).denominator % p == 0 for c in cols for v in c):
+            return f"the slope-{slope} piece is not p-integral"
+    index = linalg.valuation(linalg.det(linalg.transpose(
+        [c for cols in pieces for c in cols])), p)
+    if index is None:
+        return "the pieces are dependent"
+    if not report.divisible:
+        for cols, slope in zip(pieces, distinct):
+            x = _on_span(matrix, cols)
+            if x is None:
+                return f"the slope-{slope} piece is not M-stable"
+            if _minor_valuation(linalg.transpose(cols), p) != 0:
+                return f"the slope-{slope} piece is not saturated"
+            if not _isoclinic(x, p, slope):
+                return f"the slope-{slope} piece is not isoclinic of its slope"
+        if index == 0 or f"index-p^{index} " not in report.reason:
+            return f"the pieces span an index-p^{index} sublattice, against the reason"
+        return None
+    period = report.period
+    if index != 0:
+        return f"the pieces span an index-p^{index} sublattice of a True report"
+
+    def works(steps: int) -> bool:
+        power = linalg.mat_pow(matrix, steps)
+        return all(_normalised_power_is_unit(power, cols, p, slope, steps)
+                   for cols, slope in zip(pieces, distinct))
+
+    if not isinstance(period, int) or period < 1 or not works(period):
+        return f"the normalised Frobenius power at period {period} is not a unit"
+    shorter = next((d for d in range(1, period) if period % d == 0 and works(d)), None)
+    if shorter is not None:
+        return f"period {period} is not minimal: {shorter} works"
+    return None

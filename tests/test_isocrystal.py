@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -12,7 +14,7 @@ import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from centralleaf import isocrystal, linalg
+from centralleaf import isocrystal, lattices, linalg
 from centralleaf.affine import (adjoint_lift, element, enumerate_elements,
                                 newton_point, rep_lift)
 from centralleaf.errors import (ConfigurationError, ConsistencyError,
@@ -28,7 +30,7 @@ from centralleaf.slopes import (MonomialIsocrystal, RationalIsocrystal, Weighted
                                 slopes_charpoly, slopes_monomial, slopes_via_weights,
                                 standard_rep)
 
-from oracles import decent_representative, slopes_via_restriction
+from oracles import decent_representative, replay_slope_certificate, slopes_via_restriction
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -620,17 +622,115 @@ def _census_certificate_digest(censuses):
                                for pt in census.points)
 
 
-def test_census_certificates_pinned():
-    # Pinned from the Fraction implementation of the certificate: the GL2
-    # criterion-5 grid and the GL3 depth-1 ordinary and basic candidates.
+def _pinned_censuses():
+    """The GL2 criterion-5 grid and the GL3 depth-1 ordinary and basic
+    candidates."""
     censuses = [adlv_points(rep_lift(x), (1, 0), p, depth)
                 for x in enumerate_elements(GL2, 2, 2) for p in (2, 3) for depth in (1, 2)]
     censuses += [adlv_points(rep_lift(element_from_doc(GL3, {"lambda": lam, "w": w})),
                              (1, 0, 0), p, 1)
                  for w in ("e", "s1*s2", "s2*s1")
                  for lam in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for p in (2, 3)]
-    assert _census_certificate_digest(censuses) == (
+    return censuses
+
+
+def test_census_certificates_pinned():
+    # Pinned from the Fraction implementation of the certificate: the GL2
+    # criterion-5 grid and the GL3 depth-1 ordinary and basic candidates.
+    assert _census_certificate_digest(_pinned_censuses()) == (
         638, "0180457ca7329eb37ce7fdabb6a14d3e0b71679a39371811ad0fffbea2827d84")
+
+
+def _load_certify_cases():
+    """``certify_cases`` of the benchmark's workload module, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.certify_cases
+
+
+def _replay_exact(inputs):
+    """Replay every exact report of (matrix, p, report) triples; the counts
+    of True and False reports replayed."""
+    counts = Counter()
+    for m, p, report in inputs:
+        if "precision" in report.reason:
+            continue  # p-adic pieces are approximations: not replayed
+        fault = replay_slope_certificate(m, p, report)
+        assert fault is None, (m, p, report, fault)
+        counts[report.divisible] += 1
+    return counts
+
+
+def test_certify_family_certificates_replay():
+    certify_cases = _load_certify_cases()
+    inputs = []
+    for seed in range(1, 6):
+        for _, _, p, matrix, _, _ in certify_cases(random.Random(seed)):
+            iso = RationalIsocrystal(matrix, p)
+            inputs.append((iso.matrix, p, is_completely_slope_divisible(iso)))
+    assert _replay_exact(inputs) == {True: 240, False: 120}
+
+
+def test_census_certificates_replay():
+    # the censuses of test_census_certificates_pinned, with each point's
+    # certified matrix recorded beside its report
+    recorded = []
+    original = lattices.is_completely_slope_divisible
+
+    def record(m, **kwargs):
+        report = original(m, **kwargs)
+        recorded.append((m.matrix, m.prime, report))
+        return report
+
+    with mock.patch.object(lattices, "is_completely_slope_divisible", record):
+        censuses = _pinned_censuses()
+    assert [r for _, _, r in recorded] == [pt.slope_divisible for census in censuses
+                                           for pt in census.points]
+    assert _replay_exact(recorded) == {True: 638}
+
+
+def test_random_exact_certificates_replay():
+    # g T g^-1 with T upper triangular with p-power diagonal and g an
+    # integer matrix (splittings, gluings and periods up to 49 at this
+    # seed), beside plain random rational matrices
+    rng = random.Random(4101)
+    inputs = []
+    while len(inputs) < 300:
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(2, 4)
+        if rng.random() < 0.7:
+            t = [[p ** rng.randrange(3) * rng.choice((1, -1)) if i == j else
+                  rng.randint(-1, 1) * (i < j) for j in range(n)] for i in range(n)]
+            g = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+            if linalg.det(g) == 0:
+                continue
+            m = linalg.mat_mul(linalg.mat_mul(g, t), linalg.mat_inv(g))
+        else:
+            m = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, p))) for _ in range(n)]
+                 for _ in range(n)]
+        iso = RationalIsocrystal(m, p)
+        try:
+            report = is_completely_slope_divisible(iso)
+        except (SingularInputError, InconclusiveError):
+            continue
+        inputs.append((iso.matrix, p, report))
+    counts = _replay_exact(inputs)
+    assert counts[True] > 100 and counts[False] > 30
+
+
+def test_the_split_definition_outside_the_dieudonne_range():
+    # M = ((4, 1), (0, 2)) at p = 2 has the filtration Z_2 e1 inside the
+    # lattice, slope 2 then slope 1 with the normalised Frobenius a unit on
+    # each step, so it is completely slope divisible in Oort-Zink's sense.
+    # p^-1 M is not integral, so this is no Dieudonne lattice of slopes in
+    # [1, 2]; the slope-2 line e1 and the slope-1 line (1, -2) span an
+    # index-2 sublattice, and the split definition answers False
+    report = is_completely_slope_divisible(RationalIsocrystal(((4, 1), (0, 2)), 2))
+    assert not report.divisible and report.slopes == (2, 1)
+    assert "index-p^1 " in report.reason
+    assert replay_slope_certificate(((4, 1), (0, 2)), 2, report) is None
 
 
 # fixed unimodular conjugators, two per size
