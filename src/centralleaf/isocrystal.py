@@ -32,11 +32,13 @@ and the slopes are read off one characteristic polynomial of M.  For
 r0 = 1, rescaled, it is also the polynomial whose slope factors are
 lifted; for r0 > 1 that of t is computed as well.  Its coefficients are
 Fractions, which the lift embeds into Z/p^k and the Q[x] check clears to
-a monic integer model.  Exact pieces are kernels of integer polynomials
-in t, found over Q by ``linalg.kernel`` and saturated to integer columns;
-p-adic pieces are kernels over Z/p^k.  The coordinates of a piece's
-images are read off the unimodular transform that saturates it, and the
-orbit walk and the index of the pieces run on Python ints.
+a monic integer model.  Exact pieces are saturated kernels of integer
+polynomials in t, found by one integer elimination
+(``linalg.saturated_kernel``) and given in column Hermite form, so they
+depend only on the input; p-adic pieces are kernels over Z/p^k, saturated
+by a Smith form (``_saturate_columns``).  Either way the coordinates of a
+piece's images are read off the unimodular map s that comes with its
+basis, and the orbit walk and the index of the pieces run on Python ints.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def _saturate_columns(cols: Sequence[Sequence]) -> Tuple[List[tuple], Matrix]:
     """Basis of the saturation in Z^n (Q-span intersected with Z^n) of
     rational columns, and a unimodular s with s * basis the leading columns
     of the identity: s carries a vector of the span to its coordinates in
-    the basis, followed by zeros.
+    the basis, followed by zeros.  It saturates the p-adic pieces; exact
+    pieces come saturated from ``linalg.saturated_kernel``.
 
     With S*A*T = D for the integer columns A, the basis is the first
     columns of S^-1, and A*T = S^-1 * D gives them over the integers: the
@@ -110,7 +113,8 @@ def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift:
                            coeffs: Sequence[Fraction]) -> Optional[dict]:
     """Slope pieces when every slope factor of the characteristic polynomial
     lies in Q[x]: {slope: (saturated basis columns, s)} as returned by
-    ``_saturate_columns``, or None when one does not.
+    ``linalg.saturated_kernel``, the basis in column Hermite form, or None
+    when one does not.
 
     ``t`` is an integer matrix and t / t_den = M^r0.  ``coeffs`` is the
     charpoly chi of p^shift * t / t_den, p-integral with slopes >= 0.  With
@@ -124,7 +128,9 @@ def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift:
     factors, so both answers are certified.  A slope of multiplicity one
     would have the factor y - r with r an integer root of chi~, so when
     chi~ has no root modulo a small prime other than p the answer is None
-    before any lift.
+    before any lift.  The slope-s piece is the saturated kernel of the
+    integer matrix chi~_s(D p^shift t / t_den) with its denominators
+    cleared, found by one integer elimination.
     """
     n = len(t)
     den = lcm(*(c.denominator for c in coeffs))
@@ -156,10 +162,10 @@ def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift:
     g = gcd(den * p ** shift, t_den)
     pieces = {}
     for slope, cand in candidates.items():
-        kernel = linalg.kernel(_poly_of_matrix(cand, t, den * p ** shift // g, t_den // g))
-        if len(kernel) != expected[slope]:
+        pieces[slope] = linalg.saturated_kernel(
+            _poly_of_matrix(cand, t, den * p ** shift // g, t_den // g))
+        if len(pieces[slope][0]) != expected[slope]:
             raise ConsistencyError("kernel dimension disagrees with multiplicity")
-        pieces[slope] = _saturate_columns(kernel)
     return pieces
 
 
@@ -386,7 +392,8 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
 
 def _piece_frobenius(t: Matrix, t_den: int, p: int, slope: int, piece,
                      q: Optional[int] = None):
-    """(c, x) for the piece (basis, s) of ``_saturate_columns``: u =
+    """(c, x) for a piece (basis, s), s * basis the leading identity
+    columns as ``linalg.saturated_kernel`` and ``_saturate_columns`` give: u =
     p^-slope * t / t_den is the normalised Frobenius, c the least exponent
     >= 0 making the images of the basis under p^c * u p-integral, and x the
     integer matrix, in the basis, of p^c * u up to a p-adic unit factor.

@@ -2,15 +2,16 @@
 
 Matrices are tuples of row tuples with int or Fraction entries; no floats
 ever appear.  Everything rational goes through one Gauss-Jordan routine
-(``det``, ``mat_inv``, ``solve_columns``, ``kernel``).  It clears rational
-input of denominators once, eliminates fraction-free on Python ints
-(Bareiss) and divides once at the end, so Fractions appear only in its
-results.  The p-adic elementary-divisor exponents (all the ADLV census
-reads per lattice) come from integer row operations that scale rows only
-by p-adic units, closed by the gcd and determinant of a last 2x2 block,
-and kernels modulo p^k from the same elimination over Z/p^k.  Smith and
-Hermite forms with their transforms are computed with integer row and
-column operations (H. Cohen, *A Course in Computational Algebraic Number
+(``det``, ``mat_inv``, ``solve_columns``).  It clears rational input of
+denominators once, eliminates fraction-free on Python ints (Bareiss) and
+divides once at the end, so Fractions appear only in its results.  The
+p-adic elementary-divisor exponents (all the ADLV census reads per
+lattice) come from integer row operations that scale rows only by p-adic
+units, closed by the gcd and determinant of a last 2x2 block, and kernels
+modulo p^k from the same elimination over Z/p^k.  Smith and Hermite forms
+with their transforms, and saturated integer kernels in Hermite form with
+a unimodular coordinate map, are computed with integer row and column
+operations (H. Cohen, *A Course in Computational Algebraic Number
 Theory*, GTM 138, section 2.4), characteristic polynomials by
 Berkowitz's division-free algorithm on the integer matrix d*M, rescaled
 once.  Everything is pure Python: there is
@@ -21,11 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import PreconditionError, SingularInputError
 
-Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 
@@ -159,22 +159,6 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> Optional[tup
     if any(row[k] != 0 for row in reduced[k:]):
         return None
     return tuple(row[k] for row in reduced[:k])
-
-
-def kernel(m: Matrix) -> List[Vector]:
-    """Basis of the right kernel of m over Q, one vector per free column."""
-    reduced, pivots, _ = _gauss_jordan(m)
-    ncols = len(m[0]) if m else 0
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            vec[pc] = -reduced[row][free]
-        basis.append(tuple(vec))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +389,75 @@ def hnf_columns(rows) -> Matrix:
             if q:
                 h[j] = [x - q * y for x, y in zip(h[j], h[i])]
     return transpose(h)
+
+
+def saturated_kernel(rows) -> Tuple[Tuple[Tuple[int, ...], ...], Matrix]:
+    """Saturated basis (columns) of the right kernel of an integer matrix A,
+    a basis of ker(A) intersected with Z^n, and a unimodular s with
+    s * basis the leading columns of the identity.
+
+    Column operations clear A row by row, each row by a Euclidean reduction
+    among the columns that hold no pivot yet, and are applied to a
+    transform T; each column step on T is one row step on T^-1, which is
+    tracked beside it.  The columns of T left without a pivot span the
+    kernel, saturated because T is unimodular.  Column steps among them
+    then give the basis in column Hermite form, the convention of
+    ``hnf_columns`` (H. Cohen, GTM 138, algorithm 2.4.5): each column's
+    last nonzero entry is a positive pivot, in rising rows from left to
+    right, and the entries right of a pivot in its row lie in [0, pivot).
+    So the basis depends only on the kernel.  s is the rows of T^-1 that
+    match the basis, followed by the others.
+    """
+    a = [list(map(int, c)) for c in zip(*rows)]  # columns of A
+    n = len(a)
+    t = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of T
+    t_inv = [[int(i == j) for j in range(n)] for i in range(n)]  # rows of T^-1
+
+    def clear(cols, i, live):
+        """Reduce ``live`` until at most one holds a nonzero entry in row i;
+        that one, or None."""
+        while True:
+            nonzero = [j for j in live if cols[j][i]]
+            if len(nonzero) <= 1:
+                return nonzero[0] if nonzero else None
+            k = min(nonzero, key=lambda j: abs(cols[j][i]))
+            for j in nonzero:
+                if j != k:
+                    subtract(j, k, cols[j][i] // cols[k][i], cols is a)
+
+    def subtract(j, k, q, with_a):  # column j -= q * column k
+        if not q:
+            return
+        if with_a:
+            a[j] = [x - q * y for x, y in zip(a[j], a[k])]
+        t[j] = [x - q * y for x, y in zip(t[j], t[k])]
+        t_inv[k] = [x + q * y for x, y in zip(t_inv[k], t_inv[j])]
+
+    live, pivots = list(range(n)), []
+    for i in range(len(rows)):
+        if not live:
+            break
+        k = clear(a, i, live)
+        if k is not None:
+            live.remove(k)
+            pivots.append(k)
+    placed = []  # kernel columns by falling pivot row
+    for i in range(n - 1, -1, -1):
+        if not live:
+            break
+        k = clear(t, i, live)
+        if k is None:
+            continue
+        live.remove(k)
+        if t[k][i] < 0:
+            t[k] = [-x for x in t[k]]
+            t_inv[k] = [-x for x in t_inv[k]]
+        for j in placed:
+            subtract(j, k, t[j][i] // t[k][i], False)
+        placed.append(k)
+    placed.reverse()
+    return (tuple(tuple(t[j]) for j in placed),
+            freeze(t_inv[j] for j in placed + pivots))
 
 
 def solve_triangular(columns: Sequence[Sequence[int]],

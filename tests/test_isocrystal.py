@@ -11,6 +11,7 @@ from unittest import mock
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -407,38 +408,38 @@ def _poly_mul(a, b):
     return out
 
 
-def sympy_slope_pieces(t, p, expected):
-    """Oracle: the slope factors as products of the Q-irreducible factors
-    (sympy ``factor_list``) of each slope, when every irreducible factor is
-    isoclinic; None when one is not.  Pieces are saturated kernels of the
-    slope factors at t."""
+def _sympy_valuation(c, p):
+    """v_p of a nonzero sympy Rational."""
+    return sympy.multiplicity(p, c.p) - sympy.multiplicity(p, c.q)
+
+
+def sympy_slope_kernels(t, p, expected):
+    """Oracle, in sympy alone: for each slope, the kernel (``nullspace``) at
+    t of the product of the Q-irreducible factors (``factor_list``) of that
+    slope, when every irreducible factor is isoclinic; None when one is
+    not.  A monic factor of degree d is isoclinic when its Newton polygon
+    is the line from (0, v_p(c_0)) to (d, 0)."""
     x = sympy.Symbol("x")
-    chi = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                      for c in reversed(linalg.charpoly(t))], x)
+    tm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                       for row in t])
     grouped = {}
-    for f, mult in sympy.factor_list(chi)[1]:
-        fc = [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(f, x).all_coeffs())]
-        fslopes = set(newton_polygon_slopes(fc, p))
-        if len(fslopes) != 1:
+    for f, mult in sympy.factor_list(tm.charpoly(x).as_expr(), x)[1]:
+        coeffs = sympy.Poly(f, x).monic().all_coeffs()[::-1]
+        d, low = len(coeffs) - 1, _sympy_valuation(coeffs[0], p)
+        if any(c != 0 and _sympy_valuation(c, p) * d < (d - i) * low
+               for i, c in enumerate(coeffs)):
             return None
-        slope = int(fslopes.pop())
-        for _ in range(mult):
-            grouped[slope] = _poly_mul(grouped.get(slope, [F(1)]), fc)
-    assert {s: len(g) - 1 for s, g in grouped.items()} == expected
-    return {s: isocrystal._saturate_columns(linalg.kernel(_fraction_poly_of_matrix(g, t)))
-            for s, g in grouped.items()}
-
-
-def _fraction_poly_of_matrix(coeffs, t):
-    """sum_i coeffs[i] * t^i over Q, by powers of t."""
-    n = len(t)
-    result = linalg.mat_scale(coeffs[0], linalg.identity(n))
-    power = linalg.identity(n)
-    for c in coeffs[1:]:
-        power = linalg.mat_mul(power, t)
-        result = tuple(tuple(x + c * y for x, y in zip(r, pr))
-                       for r, pr in zip(result, power))
-    return result
+        slope = sympy.Rational(low, d)
+        assert slope.q == 1
+        grouped[int(slope)] = grouped.get(int(slope), 1) * f ** mult
+    assert {s: sympy.degree(g, x) for s, g in grouped.items()} == expected
+    kernels = {}
+    for slope, g in grouped.items():
+        value = sympy.zeros(len(t))
+        for c in sympy.Poly(g, x).all_coeffs():
+            value = value * tm + c * sympy.eye(len(t))
+        kernels[slope] = value.nullspace()
+    return kernels
 
 
 def _companion(coeffs):
@@ -505,14 +506,27 @@ def test_rational_slope_pieces_match_sympy_factorisation(q_rational, data):
     t = linalg.mat_pow(RationalIsocrystal(m, p).matrix, r0)
     shift = -min(min(expected), 0)
     coeffs = linalg.charpoly(linalg.mat_scale(F(p) ** shift, t))
-    oracle = sympy_slope_pieces(t, p, expected)
+    oracle = sympy_slope_kernels(t, p, expected)
     if q_rational:
         assert oracle is not None
     # the library takes t as an integer matrix over a denominator
     t_den = math.lcm(*(x.denominator for row in t for x in row))
     t_int = [[int(x * t_den) for x in row] for row in t]
-    assert isocrystal._rational_slope_pieces(t_int, t_den, p, expected, shift,
-                                             coeffs) == oracle
+    pieces = isocrystal._rational_slope_pieces(t_int, t_den, p, expected, shift, coeffs)
+    assert (pieces is None) == (oracle is None)
+    # each piece spans the oracle's kernel, is saturated (its Smith
+    # invariants are 1), is its own Hermite form, and s is unimodular with
+    # s * basis the leading identity columns
+    assert pieces is None or pieces.keys() == oracle.keys()
+    for slope, (basis, s) in (pieces or {}).items():
+        n, k = len(t), len(basis)
+        b = sympy.Matrix(basis).T
+        kernel = sympy.Matrix.hstack(*oracle[slope])
+        assert b.rank() == k == kernel.shape[1] == sympy.Matrix.hstack(b, kernel).rank()
+        assert list(invariant_factors(b)) == [1] * k
+        assert hermite_normal_form(b) == b
+        s = sympy.Matrix(s)
+        assert s.det() in (1, -1) and s * b == sympy.eye(n)[:, :k]
 
 
 def _slope_zero_blocks(p):

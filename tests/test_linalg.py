@@ -112,11 +112,10 @@ def int_matrices(draw, max_n=4):
 
 
 @st.composite
-def fraction_matrices(draw, max_n=5, square=True):
+def fraction_matrices(draw, max_n=5):
     n = draw(st.integers(1, max_n))
-    k = n if square else draw(st.integers(1, max_n))
     entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 4)))
-    return [[draw(entry) for _ in range(k)] for _ in range(n)]
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
 
 def _sym(rows):
@@ -209,7 +208,6 @@ def test_fraction_free_elimination_matches_fraction_loop(case):
 @ORACLE_SETTINGS
 @given(int_matrices())
 def test_elimination_return_types(rows):
-    assert all(type(x) is Fraction for v in linalg.kernel(rows) for x in v)
     square = [row[:len(rows)] for row in rows] if len(rows[0]) >= len(rows) else None
     if square is not None:
         assert type(linalg.det(square)) is Fraction
@@ -257,11 +255,51 @@ def test_det_and_inverse_match_sympy(rows):
             tuple(Fraction(x.p, x.q) for x in r) for r in sym.inv().tolist())
 
 
+@st.composite
+def kernel_cases(draw):
+    """(rows, u): an m x n integer matrix, m, n <= 5, of any rank from 0 to
+    min(m, n), as a product of thin factors, and a unimodular m x m matrix u
+    (a permutation of elementary row operations)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(m, n)))
+    entry = st.integers(-6, 6)
+    x = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    y = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    rows = [[sum(x[i][t] * y[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                                           st.integers(-3, 3)), max_size=6)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return rows, draw(st.permutations(u))
+
+
 @ORACLE_SETTINGS
-@given(fraction_matrices(square=False))
-def test_kernel_matches_sympy(rows):
-    expected = [tuple(Fraction(x.p, x.q) for x in v) for v in _sym(rows).nullspace()]
-    assert linalg.kernel(rows) == expected
+@given(kernel_cases())
+@example(([[0, 0, 0], [0, 0, 0]], [[0, 1], [1, 0]]))  # rank 0: the whole Z^3
+@example(([[2, 1], [1, 1]], [[1, 0], [0, 1]]))  # full rank: no basis
+@example(([[2, 4, 6]], [[1]]))  # a saturated kernel whose Hermite pivots exceed 1
+def test_saturated_kernel_matches_sympy(case):
+    rows, u = case
+    n = len(rows[0])
+    basis, s = linalg.saturated_kernel(rows)
+    k = len(basis)
+    # the basis spans sympy's kernel over Q, is saturated (its Smith
+    # invariants are 1) and is its own Hermite form; s is unimodular with
+    # s * basis the leading identity columns
+    kernel = SymMatrix(rows).nullspace()
+    assert k == len(kernel)
+    s = SymMatrix(s)
+    assert s.shape == (n, n) and s.det() in (1, -1)
+    if k:
+        b = SymMatrix(basis).T
+        assert SymMatrix(rows) * b == sympy.zeros(len(rows), k)
+        assert b.rank() == k == SymMatrix.hstack(b, *kernel).rank()
+        assert list(invariant_factors(DomainMatrix.from_Matrix(b).convert_to(ZZ))) == [1] * k
+        assert hermite_normal_form(b) == b
+        assert s * b == sympy.eye(n)[:, :k]
+    # the basis depends only on the kernel: a unimodular u leaves it alone
+    assert linalg.saturated_kernel(linalg.mat_mul(u, rows))[0] == basis
 
 
 @ORACLE_SETTINGS
