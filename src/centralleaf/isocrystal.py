@@ -128,9 +128,7 @@ def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift:
     factors, so both answers are certified.  A slope of multiplicity one
     would have the factor y - r with r an integer root of chi~, so when
     chi~ has no root modulo a small prime other than p the answer is None
-    before any lift.  The slope-s piece is the saturated kernel of the
-    integer matrix chi~_s(D p^shift t / t_den) with its denominators
-    cleared, found by one integer elimination.
+    before any lift.
     """
     n = len(t)
     den = lcm(*(c.denominator for c in coeffs))

@@ -228,10 +228,6 @@ def slopes_via_restriction(m: MonomialIsocrystal, p: int) -> Tuple[Fraction, ...
 # ---------------------------------------------------------------------------
 # slope-divisibility certificates
 
-def _piece_columns(piece) -> Tuple[tuple, ...]:
-    return tuple(zip(*piece))
-
-
 def _on_span(matrix, cols) -> Optional[Matrix]:
     """The matrix of ``matrix`` on the Q-span of ``cols``, in that basis
     (rows), or None when the span is not stable."""
@@ -297,7 +293,7 @@ def replay_slope_certificate(matrix, p: int, report) -> Optional[str]:
     distinct = sorted(set(report.slopes), reverse=True)
     if len(report.slopes) != n or len(report.pieces) != len(distinct):
         return "the slopes or pieces do not cover the rank"
-    pieces = [_piece_columns(piece) for piece in report.pieces]
+    pieces = [tuple(zip(*piece)) for piece in report.pieces]  # columns
     for cols, slope in zip(pieces, distinct):
         if len(cols) != report.slopes.count(slope) or any(len(c) != n for c in cols):
             return f"the slope-{slope} piece has the wrong shape"
