@@ -87,9 +87,7 @@ def identity_element(datum: RootDatum) -> AffineElement:
 
 
 def translation_element(datum: RootDatum, lam) -> AffineElement:
-    lam = tuple(int(x) for x in lam)
-    if len(lam) != datum.cochar_rank:
-        raise PreconditionError("translation vector of wrong length")
+    lam = linalg.integral_vector(lam, datum.cochar_rank)
     return AffineElement(datum, lam, datum.weyl_identity)
 
 
@@ -105,7 +103,7 @@ def element(datum: RootDatum, lam, finite=None) -> AffineElement:
     """t^lam * finite for a Weyl group matrix (the identity when None); a
     matrix outside the Weyl group raises PreconditionError."""
     w = datum.weyl_identity if finite is None else datum.weyl_code(linalg.freeze(finite))
-    return AffineElement(datum, tuple(int(x) for x in lam), w)
+    return AffineElement(datum, linalg.integral_vector(lam, datum.cochar_rank), w)
 
 
 def _same_datum(*xs: AffineElement):
@@ -315,7 +313,7 @@ def admissible_set(datum: RootDatum, mu, level: str = "iwahori"):
     Iwahori level returns the set of group elements; hyperspecial level
     returns the dominant translation representatives of the double cosets.
     """
-    mu = tuple(int(v) for v in mu)
+    mu = linalg.integral_vector(mu, datum.cochar_rank)
     if not is_dominant(datum, mu):
         raise PreconditionError("mu must be dominant")
     if level not in ("iwahori", "hyperspecial"):

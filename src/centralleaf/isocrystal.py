@@ -90,18 +90,16 @@ def _csd_monomial(m: MonomialIsocrystal) -> SlopeDivisibilityReport:
 
 def _saturate_columns(cols: Sequence[Sequence]) -> Tuple[List[tuple], Matrix]:
     """Basis of the saturation in Z^n (Q-span intersected with Z^n) of
-    rational columns, and a unimodular s with s * basis the leading columns
-    of the identity: s carries a vector of the span to its coordinates in
-    the basis, followed by zeros.  It saturates the p-adic pieces; exact
-    pieces come saturated from ``linalg.saturated_kernel``.
+    integer columns (the p-adic pieces, from ``kernel_mod_prime_power``),
+    and a unimodular s with s * basis the leading columns of the identity:
+    s carries a vector of the span to its coordinates in the basis, then
+    zeros.  Exact pieces come saturated from ``linalg.saturated_kernel``.
 
-    With S*A*T = D for the integer columns A, the basis is the first
-    columns of S^-1, and A*T = S^-1 * D gives them over the integers: the
-    columns of A*T divided by the divisors.
+    With S*A*T = D for the columns A, the basis is the first columns of
+    S^-1, and A*T = S^-1 * D gives them over the integers: the columns of
+    A*T divided by the divisors.
     """
-    rows = [[x.numerator * (d // x.denominator) for x in c]
-            for c, d in zip(cols, (lcm(*(x.denominator for x in c)) for c in cols))]
-    rows = linalg.transpose(rows)
+    rows = linalg.transpose(cols)
     divisors, s, t = linalg.smith_full(rows)
     if sum(1 for d in divisors if d != 0) != len(cols):
         raise ConsistencyError("saturation input not of full column rank")

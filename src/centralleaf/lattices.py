@@ -193,7 +193,7 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     is checked.  Nonemptiness here is a one-sided certificate: emptiness at
     this depth proves nothing about larger depths.
     """
-    mu = tuple(int(v) for v in mu)
+    mu = linalg.integral_vector(mu, b.size)
     if sorted(mu, reverse=True) != list(mu):
         raise PreconditionError("mu must be dominant (weakly decreasing)")
     if not _is_minuscule(mu):
@@ -201,8 +201,6 @@ def adlv_points(b: MonomialIsocrystal, mu, p: int, depth: int) -> ADLVCensus:
     r = b.frobenius_power
     expanded = restriction_of_scalars(b)
     n = expanded.size
-    if len(mu) != b.size:
-        raise PreconditionError("mu has the wrong length for the datum")
     mu_eff = tuple(sorted(mu * r, reverse=True))
     window = _window(n, p, depth, _ENUM_BUDGET)
     # b carries row j of a basis to row perm[j], scaled by p^e_j; p^c b is

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Tuple
 
+from . import linalg
 from .affine import (AffineElement, KottwitzClass, adjoint_lift, kottwitz,
                      newton_point)
 from .errors import ConsistencyError, DatumMismatchError, PreconditionError
@@ -91,7 +92,7 @@ def neutral_acceptable(datum: RootDatum, x: AffineElement, mu,
     inequality.
     """
     _require_datum(datum, x)
-    mu = tuple(int(v) for v in mu)
+    mu = linalg.integral_vector(mu, datum.cochar_rank)
     if not is_dominant(datum, mu):
         raise PreconditionError("mu must be dominant")
     pi1 = datum.sigma_table(sigma).pi1

@@ -8,14 +8,14 @@ divides once at the end, so Fractions appear only in its results.  The
 p-adic elementary-divisor exponents (all the ADLV census reads per
 lattice) come from integer row operations that scale rows only by p-adic
 units, closed by the gcd and determinant of a last 2x2 block, and kernels
-modulo p^k from the same elimination over Z/p^k.  Smith and Hermite forms
-with their transforms, and saturated integer kernels in Hermite form with
-a unimodular coordinate map, are computed with integer row and column
-operations (H. Cohen, *A Course in Computational Algebraic Number
-Theory*, GTM 138, section 2.4), characteristic polynomials by
-Berkowitz's division-free algorithm on the integer matrix d*M, rescaled
-once.  Everything is pure Python: there is
-no dependency outside the standard library.
+modulo p^k from the same elimination over Z/p^k.  Smith forms with their
+transforms come from integer row and column operations; column Hermite
+forms, of lattice generators and of saturated integer kernels with a
+unimodular coordinate map, from one Euclidean column step and one Hermite
+pass (H. Cohen, *A Course in Computational Algebraic Number Theory*, GTM
+138, section 2.4); characteristic polynomials from Berkowitz's
+division-free algorithm on the integer matrix d*M, rescaled once.  All of
+it is pure Python, with no dependency outside the standard library.
 """
 
 from __future__ import annotations
@@ -55,8 +55,11 @@ def mat_scale(c, m: Matrix) -> Matrix:
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:
-    """m^k by binary powering: no product with the identity, and no square
-    past the highest set bit of k."""
+    """m^k for an int k >= 0 by binary powering: no product with the
+    identity, and no square past the highest set bit of k.  A negative k
+    raises PreconditionError (invert first with ``mat_inv``)."""
+    if k < 0:
+        raise PreconditionError(f"mat_pow needs a power k >= 0, got {k}")
     if k == 0:
         return identity(len(m))
     base = freeze(m)
@@ -209,6 +212,17 @@ def valuation(x, p: int) -> Optional[int]:
     return v
 
 
+def integral_vector(v, length: Optional[int] = None) -> Tuple[int, ...]:
+    """v as a tuple of ints; PreconditionError unless each coordinate is an
+    int or an integral Fraction (never a float) and v has the length given."""
+    v = tuple(v)
+    if length is not None and len(v) != length:
+        raise PreconditionError(f"vector has length {len(v)}, expected {length}")
+    if not all(isinstance(x, (int, Fraction)) and x == int(x) for x in v):
+        raise PreconditionError(f"vector {v!r} is not integral")
+    return tuple(map(int, v))
+
+
 def require_prime(p) -> None:
     """Raise PreconditionError unless p is a prime (an int, by trial division)."""
     if not isinstance(p, int) or p < 2 or \
@@ -357,38 +371,69 @@ def smith_full(rows) -> Tuple[Tuple[int, ...], Matrix, Matrix]:
     return tuple(divisors), freeze(s), freeze(t)
 
 
-def hnf_columns(rows) -> Matrix:
-    """Canonical column-span Hermite form of an integer matrix.
+def _column_step(cols, j, k, q, inv):  # column j -= q * column k
+    if q:
+        cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
+        if inv is not None:
+            inv[k] = [x + q * y for x, y in zip(inv[k], inv[j])]
 
-    Upper triangular n x n with positive pivots and off-diagonal entries
-    reduced into [0, pivot) within each row; requires full row rank.  Rows
-    are processed from the bottom, each by a Euclidean reduction among the
-    generators not yet used as a pivot.
+
+def _euclid(cols, i, live, inv=None):
+    """Euclid's algorithm on row i by column steps among the columns
+    ``live`` of ``cols`` (lists of ints, changed in place), until at most
+    one has a nonzero entry there: that one's index, or None.  When ``cols``
+    is a transform T and ``inv`` the rows of T^-1, each column step on T is
+    a row step on T^-1 (row k += q * row j), made there too."""
+    while True:
+        nonzero = [j for j in live if cols[j][i]]
+        if len(nonzero) <= 1:
+            return nonzero[0] if nonzero else None
+        k = min(nonzero, key=lambda j: abs(cols[j][i]))
+        for j in nonzero:
+            if j != k:
+                _column_step(cols, j, k, cols[j][i] // cols[k][i], inv)
+
+
+def _hermite(cols, height: int, live, inv=None) -> list:
+    """Column Hermite form of the columns ``live`` of ``cols``, as for
+    ``_euclid``: the indices of its nonzero columns by rising pivot row,
+    with ``live`` left holding the columns reduced to zero.
+
+    Rows are taken from the bottom up, each by ``_euclid`` among the
+    columns without a pivot; the one left is made positive there and
+    reduces the entries of the columns already placed into [0, pivot).
+    So each column's last nonzero entry is a positive pivot, in rising rows
+    from left to right, with the entries right of it in [0, pivot): the
+    convention of Cohen (GTM 138, algorithm 2.4.5) and sympy, in which the
+    form depends only on the lattice.
     """
+    placed = []
+    for i in range(height - 1, -1, -1):
+        k = _euclid(cols, i, live, inv)
+        if k is None:
+            continue
+        live.remove(k)
+        if cols[k][i] < 0:
+            cols[k] = [-x for x in cols[k]]
+            if inv is not None:
+                inv[k] = [-x for x in inv[k]]
+        for j in placed:
+            _column_step(cols, j, k, cols[j][i] // cols[k][i], inv)
+        placed.append(k)
+    placed.reverse()
+    return placed
+
+
+def hnf_columns(rows) -> Matrix:
+    """Canonical column-span Hermite form of an integer matrix of full row
+    rank n, by ``_hermite`` on its columns: upper triangular n x n with
+    positive pivots and off-diagonal entries reduced into [0, pivot)."""
     n = len(rows)
-    pool = [list(map(int, c)) for c in zip(*rows)]
-    h = [None] * n
-    for i in range(n - 1, -1, -1):
-        while True:
-            live = [c for c in pool if c[i]]
-            if len(live) <= 1:
-                break
-            pivot = min(live, key=lambda c: abs(c[i]))
-            for c in live:
-                if c is not pivot:
-                    q = c[i] // pivot[i]
-                    c[:] = [x - q * y for x, y in zip(c, pivot)]
-        if not live:
-            raise SingularInputError("lattice generators do not have full rank")
-        pivot = live[0]
-        pool.remove(pivot)
-        h[i] = pivot if pivot[i] > 0 else [-x for x in pivot]
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            q = h[j][i] // h[i][i]
-            if q:
-                h[j] = [x - q * y for x, y in zip(h[j], h[i])]
-    return transpose(h)
+    cols = [list(map(int, c)) for c in zip(*rows)]
+    placed = _hermite(cols, n, list(range(len(cols))))
+    if len(placed) < n:
+        raise SingularInputError("lattice generators do not have full rank")
+    return transpose(cols[j] for j in placed)
 
 
 def saturated_kernel(rows) -> Tuple[Tuple[Tuple[int, ...], ...], Matrix]:
@@ -396,68 +441,25 @@ def saturated_kernel(rows) -> Tuple[Tuple[Tuple[int, ...], ...], Matrix]:
     a basis of ker(A) intersected with Z^n, and a unimodular s with
     s * basis the leading columns of the identity.
 
-    Column operations clear A row by row, each row by a Euclidean reduction
-    among the columns that hold no pivot yet, and are applied to a
-    transform T; each column step on T is one row step on T^-1, which is
-    tracked beside it.  The columns of T left without a pivot span the
-    kernel, saturated because T is unimodular.  Column steps among them
-    then give the basis in column Hermite form, the convention of
-    ``hnf_columns`` (H. Cohen, GTM 138, algorithm 2.4.5): each column's
-    last nonzero entry is a positive pivot, in rising rows from left to
-    right, and the entries right of a pivot in its row lie in [0, pivot).
-    So the basis depends only on the kernel.  s is the rows of T^-1 that
-    match the basis, followed by the others.
+    ``_euclid`` clears A row by row on the columns of A stacked over a
+    transform T (at first the identity), with T^-1 tracked beside them.
+    The columns of T left without a pivot span the kernel, saturated
+    because T is unimodular, and ``_hermite`` on them, T^-1 still tracked,
+    puts the basis in column Hermite form, which depends only on the
+    kernel.  s is the rows of T^-1 that match the basis, then the others.
     """
-    a = [list(map(int, c)) for c in zip(*rows)]  # columns of A
-    n = len(a)
-    t = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of T
-    t_inv = [[int(i == j) for j in range(n)] for i in range(n)]  # rows of T^-1
-
-    def clear(cols, i, live):
-        """Reduce ``live`` until at most one holds a nonzero entry in row i;
-        that one, or None."""
-        while True:
-            nonzero = [j for j in live if cols[j][i]]
-            if len(nonzero) <= 1:
-                return nonzero[0] if nonzero else None
-            k = min(nonzero, key=lambda j: abs(cols[j][i]))
-            for j in nonzero:
-                if j != k:
-                    subtract(j, k, cols[j][i] // cols[k][i], cols is a)
-
-    def subtract(j, k, q, with_a):  # column j -= q * column k
-        if not q:
-            return
-        if with_a:
-            a[j] = [x - q * y for x, y in zip(a[j], a[k])]
-        t[j] = [x - q * y for x, y in zip(t[j], t[k])]
-        t_inv[k] = [x + q * y for x, y in zip(t_inv[k], t_inv[j])]
-
+    m, n = len(rows), len(rows[0]) if rows else 0
+    cols = [list(map(int, c)) + list(e) for c, e in zip(zip(*rows), identity(n))]
+    t_inv = [list(e) for e in identity(n)]  # rows of T^-1
     live, pivots = list(range(n)), []
-    for i in range(len(rows)):
-        if not live:
-            break
-        k = clear(a, i, live)
+    for i in range(m):
+        k = _euclid(cols, i, live, t_inv)
         if k is not None:
             live.remove(k)
             pivots.append(k)
-    placed = []  # kernel columns by falling pivot row
-    for i in range(n - 1, -1, -1):
-        if not live:
-            break
-        k = clear(t, i, live)
-        if k is None:
-            continue
-        live.remove(k)
-        if t[k][i] < 0:
-            t[k] = [-x for x in t[k]]
-            t_inv[k] = [-x for x in t_inv[k]]
-        for j in placed:
-            subtract(j, k, t[j][i] // t[k][i], False)
-        placed.append(k)
-    placed.reverse()
-    return (tuple(tuple(t[j]) for j in placed),
-            freeze(t_inv[j] for j in placed + pivots))
+    t = [c[m:] for c in cols]
+    placed = _hermite(t, n, live, t_inv)
+    return tuple(tuple(t[j]) for j in placed), freeze(t_inv[j] for j in placed + pivots)
 
 
 def solve_triangular(columns: Sequence[Sequence[int]],

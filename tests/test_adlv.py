@@ -173,6 +173,16 @@ def test_adlv_preconditions():
         adlv_points(b, (2, 0), 2, 1)
 
 
+def test_adlv_points_refuses_a_mu_that_is_not_integral():
+    # (3/2, -1/2) used to give the census of (1, 0)
+    b = MonomialIsocrystal(2, (0, 1), (1, 0))
+    with pytest.raises(PreconditionError, match="integral"):
+        adlv_points(b, (F(3, 2), F(-1, 2)), 2, 1)
+    with pytest.raises(PreconditionError, match="length"):
+        adlv_points(b, (1, 0, 0), 2, 1)
+    assert adlv_points(b, (F(1), 0), 2, 1) == adlv_points(b, (1, 0), 2, 1)
+
+
 def test_adlv_restriction_of_scalars():
     # twisted rank-1 datum: b = (p) over the quadratic extension
     b = MonomialIsocrystal(1, (0,), (1,), frobenius_power=2)

@@ -69,6 +69,27 @@ def test_element_refuses_a_matrix_outside_the_weyl_group():
         element(GL2, (0, 0), ((2, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("lam, match", [((1, 0, 5), "length"), ((1,), "length"),
+                                        ((1.9, 0), "integral"), ((2.0, 0), "integral"),
+                                        ((F(1, 2), 0), "integral"), (("1", 0), "integral")])
+def test_element_refuses_a_cocharacter_of_another_length_or_not_integral(lam, match):
+    # (1, 0, 5) used to give an element whose compose with itself had
+    # lambda = (2, 0), and (1.9, 0) was truncated to (1, 0)
+    with pytest.raises(PreconditionError, match=match):
+        element(GL2, lam)
+
+
+def test_translation_element_refuses_a_cocharacter_that_is_not_integral():
+    # t^(1/2, 0) used to be t^(0, 0)
+    with pytest.raises(PreconditionError, match="integral"):
+        translation_element(GL2, (F(1, 2), 0))
+    with pytest.raises(PreconditionError, match="length"):
+        translation_element(GL2, (1, 0, 0))
+    # an integral Fraction is read as its int, from any iterable
+    x = translation_element(GL2, iter((F(2), -1)))
+    assert x == element(GL2, (2, -1)) and type(x.translation[0]) is int
+
+
 def rotation3():
     # cyclic coordinate rotation: an order-3 automorphism of GL3's lattice
     return ((0, 0, 1), (1, 0, 0), (0, 1, 0))
@@ -270,6 +291,15 @@ def test_admissible_examples():
     assert admissible_set(GL2, (1, 0), "hyperspecial") == ((1, 0),)
     with pytest.raises(PreconditionError):
         admissible_set(GL2, (0, 1), "iwahori")
+
+
+def test_admissible_set_refuses_a_mu_that_is_not_integral():
+    # (3/2, 0) used to be read as (1, 0)
+    with pytest.raises(PreconditionError, match="integral"):
+        admissible_set(GL2, (F(3, 2), 0), "hyperspecial")
+    with pytest.raises(PreconditionError, match="length"):
+        admissible_set(GL2, (1, 0, 0), "hyperspecial")
+    assert admissible_set(GL2, (F(1), 0), "hyperspecial") == ((1, 0),)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

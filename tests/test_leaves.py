@@ -133,6 +133,14 @@ def test_a_mu_of_the_wrong_length_is_refused(mu):
         neutral_acceptable(GL3, translation_element(GL3, (1, 0, 0)), mu)
 
 
+def test_neutral_acceptable_refuses_a_mu_that_is_not_integral():
+    # (3/2, -1/2) used to be read as (1, 0), and answered True
+    x = translation_element(GL2, (1, 0))
+    with pytest.raises(PreconditionError, match="integral"):
+        neutral_acceptable(GL2, x, (F(3, 2), F(-1, 2)))
+    assert neutral_acceptable(GL2, x, (F(1), 0))
+
+
 def test_mu_average_trivial_and_rotation():
     assert mu_average(GL2, (1, 0)) == (1, 0)
     rotation = ((0, 0, 1), (1, 0, 0), (0, 1, 0))

@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
 from centralleaf import lattices, linalg
-from centralleaf.errors import SingularInputError
+from centralleaf.errors import PreconditionError, SingularInputError
 
 
 def sympy_invariant_factors(rows):
@@ -234,6 +234,12 @@ def test_mat_pow_matches_repeated_products(rows, monkeypatch):
         assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
 
 
+def test_mat_pow_refuses_a_negative_power():
+    # k >>= 1 stays at -1, so a negative k used to loop for ever
+    with pytest.raises(PreconditionError, match="k >= 0"):
+        linalg.mat_pow(((1, 1), (0, 1)), -1)
+
+
 @ORACLE_SETTINGS
 @given(fraction_matrices())
 def test_charpoly_matches_sympy(rows):
@@ -381,6 +387,31 @@ def test_kernel_mod_prime_power_matches_smith_construction(case):
     rows, p, k = case
     assert linalg.kernel_mod_prime_power(rows, p, k) == \
         _kernel_mod_prime_power_by_smith(rows, p, k)
+
+
+@ORACLE_SETTINGS
+@given(int_matrices(), st.sampled_from((2, 3, 5)), st.integers(1, 3))
+@example(rows=[[0, 0], [0, 0]], p=2, k=1)  # rank 0: every G refused
+@example(rows=[[2, 4, 6], [1, 2, 3]], p=2, k=3)  # rank 1
+@example(rows=[[4, 6], [0, 9]], p=3, k=2)  # full rank, non-unit pivots
+def test_one_kernel_lattice_by_two_eliminations(rows, p, k):
+    # K = {v : A v == 0 mod q} is the projection to v of ker [q I | A], and
+    # the span of G that of ker [G | -I] to y = G x.  Neither kernel meets
+    # the rows above the projection alone, so its column Hermite form
+    # projects onto that of the image: the p-local elimination and
+    # hnf_columns read off saturated_kernel's basis row for row.
+    q, n, m = p ** k, len(rows), len(rows[0])
+    ident = linalg.identity(n)
+    basis = linalg.saturated_kernel([[q * x for x in e] + row for e, row in zip(ident, rows)])[0]
+    assert linalg.kernel_mod_prime_power(rows, p, k) == \
+        linalg.transpose(col[n:] for col in basis)
+    basis = linalg.saturated_kernel([row + [-x for x in e] for e, row in zip(ident, rows)])[0]
+    images = [col[m:] for col in basis if any(col[m:])]
+    if len(images) < n:
+        with pytest.raises(SingularInputError):
+            linalg.hnf_columns(rows)
+    else:
+        assert linalg.hnf_columns(rows) == linalg.transpose(images)
 
 
 @ORACLE_SETTINGS
