@@ -449,8 +449,8 @@ def saturated_kernel(rows) -> Tuple[Tuple[Tuple[int, ...], ...], Matrix]:
     kernel.  s is the rows of T^-1 that match the basis, then the others.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
-    cols = [list(map(int, c)) + list(e) for c, e in zip(zip(*rows), identity(n))]
-    t_inv = [list(e) for e in identity(n)]  # rows of T^-1
+    t_inv = [[int(i == j) for j in range(n)] for i in range(n)]  # rows of T^-1
+    cols = [list(map(int, c)) + e for c, e in zip(zip(*rows), t_inv)]  # A over T = I
     live, pivots = list(range(n)), []
     for i in range(m):
         k = _euclid(cols, i, live, t_inv)
