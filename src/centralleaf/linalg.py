@@ -212,11 +212,11 @@ def valuation(x, p: int) -> Optional[int]:
     return v
 
 
-def integral_vector(v, length: Optional[int] = None) -> Tuple[int, ...]:
+def integral_vector(v, length: int) -> Tuple[int, ...]:
     """v as a tuple of ints; PreconditionError unless each coordinate is an
     int or an integral Fraction (never a float) and v has the length given."""
     v = tuple(v)
-    if length is not None and len(v) != length:
+    if len(v) != length:
         raise PreconditionError(f"vector has length {len(v)}, expected {length}")
     if not all(isinstance(x, (int, Fraction)) and x == int(x) for x in v):
         raise PreconditionError(f"vector {v!r} is not integral")
@@ -381,9 +381,11 @@ def _column_step(cols, j, k, q, inv):  # column j -= q * column k
 def _euclid(cols, i, live, inv=None):
     """Euclid's algorithm on row i by column steps among the columns
     ``live`` of ``cols`` (lists of ints, changed in place), until at most
-    one has a nonzero entry there: that one's index, or None.  When ``cols``
-    is a transform T and ``inv`` the rows of T^-1, each column step on T is
-    a row step on T^-1 (row k += q * row j), made there too."""
+    one has a nonzero entry there: that one's index, or None.  When ``inv``
+    is given, each column of ``cols`` must end in the rows of a transform T
+    (as A stacked over T does) and ``inv`` must hold the rows of T^-1: each
+    column step on T is then a row step on T^-1 (row k += q * row j), made
+    there too."""
     while True:
         nonzero = [j for j in live if cols[j][i]]
         if len(nonzero) <= 1:
