@@ -15,7 +15,9 @@ slower derivation of something the library computes another way:
 * ``replay_slope_certificate``: an exact slope-divisibility report checked
   from the input matrix, p and the report alone, with Fraction
   determinants, solves and matrix powers (no Smith form, Hensel lift or
-  kernel).
+  kernel);
+* ``canonical_span_mod``: the reduced column echelon form modulo p^m of a
+  saturated summand, from any spanning set, by plain integer steps.
 """
 
 import itertools
@@ -330,3 +332,37 @@ def replay_slope_certificate(matrix, p: int, report) -> Optional[str]:
     if shorter is not None:
         return f"period {period} is not minimal: {shorter} works"
     return None
+
+
+def canonical_span_mod(cols, p: int, m: int) -> Tuple[Tuple[int, ...], ...]:
+    """The canonical basis (columns) modulo p^m of the span of ``cols``, a
+    spanning set of a saturated summand of (Z/p^m)^n.
+
+    Rows are taken from the bottom up.  At each row the first column not
+    yet placed with a unit entry there is scaled to make it 1, and every
+    other column, placed or not, is cleared there.  So each column ends in a
+    1 at its pivot row, every other column is 0 at that row, and the entries
+    lie in [0, p^m); the columns come by rising pivot row.  A summand has
+    such a basis, and only one, so this depends only on the span.  A column
+    left nonzero without a unit pivot means the span is no summand: that
+    raises ConsistencyError.
+    """
+    q = p ** m
+    work = [[x % q for x in col] for col in cols]
+    height = len(work[0]) if work else 0
+    live, placed = list(range(len(work))), []
+    for i in range(height - 1, -1, -1):
+        k = next((j for j in live if work[j][i] % p), None)
+        if k is None:
+            continue
+        live.remove(k)
+        unit = pow(work[k][i], -1, q)
+        work[k] = [x * unit % q for x in work[k]]
+        for j in range(len(work)):
+            f = work[j][i]
+            if j != k and f:
+                work[j] = [(x - f * y) % q for x, y in zip(work[j], work[k])]
+        placed.append(k)
+    if any(x for j in live for x in work[j]):
+        raise ConsistencyError("the columns do not span a saturated summand")
+    return tuple(tuple(work[j]) for j in reversed(placed))

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
@@ -31,7 +32,8 @@ from centralleaf.slopes import (MonomialIsocrystal, RationalIsocrystal, Weighted
                                 slopes_charpoly, slopes_monomial, slopes_via_weights,
                                 standard_rep)
 
-from oracles import decent_representative, replay_slope_certificate, slopes_via_restriction
+from oracles import (canonical_span_mod, decent_representative, replay_slope_certificate,
+                     slopes_via_restriction)
 
 GL2 = build_classical("GL", 2)
 GL3 = build_classical("GL", 3)
@@ -782,6 +784,34 @@ def test_mod_pk_certificates_pinned():
     assert {r.divisible for r in reports} == {True, False}
     assert _certificate_digest(reports) == (
         21, "e75ab568dcc3b0e6af25633006241792a5edf1fba7a21ba89a11653b3f7eba24")
+
+
+def _mod_pk_span_inputs():
+    """``_mod_pk_inputs()``, then the companion_unit and companion_close_roots
+    certify items of seeds 1-5."""
+    certify_cases = _load_certify_cases()
+    inputs = _mod_pk_inputs()
+    for seed in range(1, 6):
+        inputs += [(matrix, p) for family, _, p, matrix, _, _ in
+                   certify_cases(random.Random(seed))
+                   if family in ("companion_unit", "companion_close_roots")]
+    return inputs
+
+
+def test_mod_pk_piece_spans_pinned():
+    # A p-adic piece is known only modulo p^margin, the precision its reason
+    # states; its span modulo that power, in the canonical basis of
+    # canonical_span_mod, does not depend on how the piece was found.
+    rows = []
+    for m, p in _mod_pk_span_inputs():
+        r = is_completely_slope_divisible(RationalIsocrystal(m, p))
+        margin = int(re.search(r"precision (\d+)\)$", r.reason).group(1))
+        rows.append([r.divisible, [str(s) for s in r.slopes], r.period, r.reason,
+                     [canonical_span_mod(linalg.transpose(piece), p, margin)
+                      for piece in r.pieces]])
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    assert (len(rows), hashlib.sha256(blob).hexdigest()) == (
+        261, "7e67b69dc6fe6184ff5403fb60f46a054ed9fdd649f9b7972b025328d6ecb508")
 
 
 def test_monomial_from_rational_round_trip():
