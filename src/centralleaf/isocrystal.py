@@ -17,8 +17,8 @@ that the candidate factors over Q multiply back to the characteristic
 polynomial.  That lift is skipped when a slope is simple and the
 polynomial has no root modulo one of 2, 3, 5, 7 (other than p): its
 linear slope factor cannot then lie in Q[x].  When the factors do not lie
-in Q[x], the slope pieces are kernels mod p^k, found over Z/p^k, lifted
-only at the precisions of ``_HENSEL_SCHEDULE`` whose windows can exceed 2
+in Q[x], the slope pieces are kernels mod p^k, lifted only at the
+precisions of ``_HENSEL_SCHEDULE`` whose windows can exceed 2
 (``_least_deciding_precision``, a bound read off the multiplicities of
 the slopes and the p-denominators of the normalised Frobenius).  The
 saturated slope pieces are exact in the first case and p-adic
@@ -35,8 +35,12 @@ Fractions, which the lift embeds into Z/p^k and the Q[x] check clears to
 a monic integer model.  Exact pieces are saturated kernels of integer
 polynomials in t, found by one integer elimination
 (``linalg.saturated_kernel``) and given in column Hermite form, so they
-depend only on the input; p-adic pieces are kernels over Z/p^k, saturated
-by a Smith form (``_saturate_columns``).  Either way the coordinates of a
+depend only on the input.  A p-adic piece is found by one elimination
+over Z/p^k (``linalg.eliminate_mod_prime_power``), whose pivot valuations
+are the window test and whose transform's unpivoted columns are the piece,
+saturated since the transform is invertible; it is put in reduced echelon
+form (``linalg.echelon_mod_prime_power``) and reported modulo p^margin,
+which depends only on the true piece.  Either way the coordinates of a
 piece's images are read off the unimodular map s that comes with its
 basis, and the orbit walk and the index of the pieces run on Python ints.
 """
@@ -86,25 +90,6 @@ def _csd_monomial(m: MonomialIsocrystal) -> SlopeDivisibilityReport:
         True, tuple(slopes), period, tuple(pieces),
         "monomial datum: cycle basis splits the lattice and the decency "
         "equation certifies the slope grading")
-
-
-def _saturate_columns(cols: Sequence[Sequence]) -> Tuple[List[tuple], Matrix]:
-    """Basis of the saturation in Z^n (Q-span intersected with Z^n) of
-    integer columns (the p-adic pieces, from ``kernel_mod_prime_power``),
-    and a unimodular s with s * basis the leading columns of the identity:
-    s carries a vector of the span to its coordinates in the basis, then
-    zeros.  Exact pieces come saturated from ``linalg.saturated_kernel``.
-
-    With S*A*T = D for the columns A, the basis is the first columns of
-    S^-1, and A*T = S^-1 * D gives them over the integers: the columns of
-    A*T divided by the divisors.
-    """
-    rows = linalg.transpose(cols)
-    divisors, s, t = linalg.smith_full(rows)
-    if sum(1 for d in divisors if d != 0) != len(cols):
-        raise ConsistencyError("saturation input not of full column rank")
-    spans = linalg.transpose(linalg.mat_mul(rows, t))
-    return [tuple(x // d for x in col) for col, d in zip(spans, divisors)], s
 
 
 def _rational_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: int,
@@ -319,11 +304,11 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
     """Approximate slope pieces when the slope subspaces are not Q-rational.
 
     Hensel slope factorisation mod p^prec of ``coeffs``, the charpoly of
-    p^shift * t / t_den, yields approximate saturated lattice pieces.
-    Returns ({slope: (basis columns, s)}, margin), the pieces agreeing with
-    the true ones modulo p^margin, or None to retry when the margin is not
-    above 2; each slope's window is checked before its kernel is built, and
-    below ``_least_deciding_precision`` none is lifted.
+    p^shift * t / t_den, yields approximate saturated lattice pieces, one
+    elimination over Z/p^window each, in reduced echelon form modulo that
+    power.  Returns ({slope: (basis columns, s)}, margin), the pieces
+    agreeing with the true ones modulo p^margin, or None to retry when the
+    margin is not above 2; below ``_least_deciding_precision`` none is lifted.
     The Newton polygon fixes the split degrees at the padded precision, so
     factors whose degrees are not ``expected`` are a fault, not a retry.
     """
@@ -360,36 +345,29 @@ def _approx_slope_pieces(t: Matrix, t_den: int, p: int, expected: dict, shift: i
         approx_window = prec - len(fac) * omega + den_val
         if approx_window <= 4:
             return None
-        factor_vals = linalg.local_exponents(scaled, p)
-        # the last expected[slope] invariant factors are the kernel directions;
-        # at finite precision they show up as junk of huge valuation
-        genuine = factor_vals[:n - expected[slope]]
-        junk = factor_vals[n - expected[slope]:]
-        emax = int(max(genuine, default=0))
-        if emax >= approx_window or any(v < approx_window for v in junk):
+        # the pivots below the window are the genuine invariant factors; the
+        # kernel directions show up as junk of valuation at least the window
+        vals, t_cols, t_inv = linalg.eliminate_mod_prime_power(scaled, p, approx_window)
+        kernel = [j for j in range(n) if vals[j] is None]
+        if len(kernel) != expected[slope]:
             return None
-        kk = approx_window - 1
+        pivots = [j for j in range(n) if vals[j] is not None]
+        emax = max((vals[j] for j in pivots), default=0)
         # the piece agrees with the true one modulo p^window
-        window = kk - emax - omega - den_val
+        window = approx_window - 1 - emax - omega - den_val
         if window <= 2:
             return None
         margin = min(margin, window)
-        kernel = linalg.kernel_mod_prime_power(scaled, p, kk)
-        cols = []
-        for j in range(n):
-            pivot_val = linalg.valuation(kernel[j][j], p)
-            if pivot_val <= kk // 2:
-                cols.append(tuple(kernel[i][j] for i in range(n)))
-        if len(cols) != expected[slope]:
-            return None
-        pieces[slope] = _saturate_columns(cols)
+        pieces[slope] = linalg.echelon_mod_prime_power(
+            [t_cols[j] for j in kernel], [t_inv[j] for j in kernel + pivots], p, approx_window)
     return pieces, margin
 
 
 def _piece_frobenius(t: Matrix, t_den: int, p: int, slope: int, piece,
                      q: Optional[int] = None):
     """(c, x) for a piece (basis, s), s * basis the leading identity
-    columns as ``linalg.saturated_kernel`` and ``_saturate_columns`` give: u =
+    columns as ``linalg.saturated_kernel`` gives (modulo q, as
+    ``linalg.echelon_mod_prime_power`` gives, when q is given): u =
     p^-slope * t / t_den is the normalised Frobenius, c the least exponent
     >= 0 making the images of the basis under p^c * u p-integral, and x the
     integer matrix, in the basis, of p^c * u up to a p-adic unit factor.
@@ -496,7 +474,9 @@ def _slope_report(t: Matrix, t_den: int, p: int, r0: int, slopes, pieces: dict,
         raise ConsistencyError("slope pieces of distinct slopes are dependent")
     if det_val is None or margin is not None and det_val >= margin // 2:
         return None
-    piece_matrices = tuple(linalg.transpose(pieces[s][0]) for s in ordered)
+    q = None if margin is None else p ** margin
+    piece_matrices = tuple(linalg.transpose(
+        [[v % q for v in col] for col in pieces[s][0]] if q else pieces[s][0]) for s in ordered)
     if det_val > 0:
         return SlopeDivisibilityReport(
             False, slopes, None, piece_matrices,
@@ -506,8 +486,7 @@ def _slope_report(t: Matrix, t_den: int, p: int, r0: int, slopes, pieces: dict,
                 f"sublattice (certified at p-adic precision {margin})"))
 
     if margin is not None:
-        frobenius = {s: _piece_frobenius(t, t_den, p, s, pieces[s], p ** margin)
-                     for s in ordered}
+        frobenius = {s: _piece_frobenius(t, t_den, p, s, pieces[s], q) for s in ordered}
         if None in frobenius.values():
             return None
     period = r0

@@ -7,8 +7,9 @@ denominators once, eliminates fraction-free on Python ints (Bareiss) and
 divides once at the end, so Fractions appear only in its results.  The
 p-adic elementary-divisor exponents (all the ADLV census reads per
 lattice) come from integer row operations that scale rows only by p-adic
-units, closed by the gcd and determinant of a last 2x2 block, and kernels
-modulo p^k from the same elimination over Z/p^k.  Smith forms with their
+units, closed by the gcd and determinant of a last 2x2 block; the same
+pivot rule diagonalises over Z/p^k, with the transform and its inverse
+(``eliminate_mod_prime_power``).  Smith forms with their
 transforms come from integer row and column operations; column Hermite
 forms, of lattice generators and of saturated integer kernels with a
 unimodular coordinate map, from one Euclidean column step and one Hermite
@@ -487,28 +488,28 @@ def solve_triangular(columns: Sequence[Sequence[int]],
     return tuple(x)
 
 
-def kernel_mod_prime_power(rows, p: int, k: int) -> Matrix:
-    """Basis (columns) of the lattice {v : A v == 0 mod p^k}, containing p^k Z^m.
+def eliminate_mod_prime_power(rows, p: int, k: int) -> Tuple[list, list, list]:
+    """Diagonalise an integer matrix A over Z/p^k: (vals, t, t_inv) with
+    S*A*T == D mod p^k for some S invertible mod p^k, D zero but for one
+    entry p^vals[j] in each pivot column j (None in a column never pivoted),
+    t the columns of T and t_inv the rows of T^-1, both mod p^k.
 
-    Elimination over Z/p^k with the pivot rule of ``local_exponents``: each
-    step pivots on an entry of least valuation v < k, clears its column
-    with row operations, and clears its row by column operations, which
-    are applied to a transform T only (the pivot row is then dropped).  It
-    has no closing step, because every pivot adds to T.  A then becomes
-    diagonal, with entries p^v, so v = T y lies in the lattice exactly when
-    p^(k - v) divides the y of each pivot column; the result is the Hermite
-    form of the columns of T so scaled, together with p^k Z^m.
+    Each step pivots on an entry of least valuation v < k, clears its column
+    with row operations (not kept) and its row by column operations on T
+    only, T^-1 tracked as ``_euclid`` tracks it, and drops the pivot row.
+    So the v are the exponents below k of the Smith form of A, and the
+    columns of T never pivoted span a summand that A kills mod p^k.
     """
     q = p ** k
     work = [[x % q for x in row] for row in rows]
     m = len(work[0]) if work else 0
-    t = [[int(i == j) for i in range(m)] for j in range(m)]  # columns of T
-    scale = [1] * m
+    t = [[int(i == j) for i in range(m)] for j in range(m)]
+    t_inv, vals = [list(col) for col in t], [None] * m
     while True:
         entries = [(valuation(x, p), i, j)
                    for i, row in enumerate(work) for j, x in enumerate(row) if x]
         if not entries:
-            break
+            return vals, t, t_inv
         best_v, best_i, best_j = min(entries)
         pivot_row = work.pop(best_i)
         unit = p ** best_v
@@ -517,13 +518,32 @@ def kernel_mod_prime_power(rows, p: int, k: int) -> Matrix:
             f = row[best_j] // unit * inverse
             if f:
                 row[:] = [(x - f * y) % q for x, y in zip(row, pivot_row)]
-        col = t[best_j]
+        col, inv = t[best_j], t_inv[best_j]
         for j, x in enumerate(pivot_row):
             if x and j != best_j:
                 f = x // unit * inverse
                 t[j] = [(a - f * b) % q for a, b in zip(t[j], col)]
-        scale[best_j] = p ** (k - best_v)
-    gens = [[t[j][i] * scale[j] for j in range(m)] + [q * (i == j) for j in range(m)]
-            for i in range(m)]
-    return hnf_columns(gens)
+                inv = [(a + f * b) % q for a, b in zip(inv, t_inv[j])]
+        t_inv[best_j], vals[best_j] = inv, best_v
 
+
+def echelon_mod_prime_power(cols, inv, p: int, k: int) -> Tuple[list, list]:
+    """(basis, s): the basis ``cols`` of a saturated summand of (Z/p^k)^n in
+    reduced column echelon form mod p^k, and ``inv`` changed to match (its
+    leading rows are those of T^-1 matching ``cols``, as for ``_euclid``).
+    Rows are taken from the bottom up, as ``_hermite`` takes them: the first
+    column not yet placed with a unit there is scaled to 1 and clears the
+    row in every other column.  The columns come by rising pivot row, with
+    entries in [0, p^k), so the basis depends only on the summand."""
+    q = p ** k
+    cols, inv, placed = [list(c) for c in cols], [list(r) for r in inv], []
+    for i in range(len(cols[0]) - 1, -1, -1):
+        j = next((j for j in range(len(cols)) if j not in placed and cols[j][i] % p), None)
+        if j is not None:
+            unit, inverse, placed = cols[j][i], pow(cols[j][i], -1, q), [j] + placed
+            cols[j], inv[j] = [x * inverse for x in cols[j]], [x * unit for x in inv[j]]
+            for other in range(len(cols)):
+                if other != j:
+                    _column_step(cols, other, j, cols[other][i] % q, inv)
+    return ([tuple(x % q for x in cols[j]) for j in placed],
+            [[x % q for x in inv[j]] for j in placed] + inv[len(cols):])

@@ -340,12 +340,13 @@ def canonical_span_mod(cols, p: int, m: int) -> Tuple[Tuple[int, ...], ...]:
 
     Rows are taken from the bottom up.  At each row the first column not
     yet placed with a unit entry there is scaled to make it 1, and every
-    other column, placed or not, is cleared there.  So each column ends in a
-    1 at its pivot row, every other column is 0 at that row, and the entries
-    lie in [0, p^m); the columns come by rising pivot row.  A summand has
-    such a basis, and only one, so this depends only on the span.  A column
-    left nonzero without a unit pivot means the span is no summand: that
-    raises ConsistencyError.
+    other column, placed or not, is cleared there.  So each column has a 1
+    at its pivot row (its lowest unit entry), every other column is 0 at
+    that row, and the entries lie in [0, p^m); the columns come by rising
+    pivot row.  The pivot rows are those of the span modulo p, and a vector
+    of a summand is fixed by its entries at them, so a summand has one such
+    basis: this depends only on the span.  A column left nonzero without a
+    unit pivot means the span is no summand: that raises ConsistencyError.
     """
     q = p ** m
     work = [[x % q for x in col] for col in cols]

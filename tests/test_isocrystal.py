@@ -776,14 +776,20 @@ def _mod_pk_inputs():
 
 
 def test_mod_pk_certificates_pinned():
-    # Pinned before the quadratic Hensel lift and the mod-p^k elimination:
-    # every input takes the mod-p^k route, with both answers.
-    reports = [is_completely_slope_divisible(RationalIsocrystal(m, p))
-               for m, p in _mod_pk_inputs()]
+    # Every input takes the mod-p^k route, with both answers.  Repinned when
+    # the p-adic pieces came in their canonical basis modulo p^margin, the
+    # precision their reason states; test_mod_pk_piece_spans_pinned holds
+    # their spans to those of the Smith-saturated bases pinned before.
+    inputs = _mod_pk_inputs()
+    reports = [is_completely_slope_divisible(RationalIsocrystal(m, p)) for m, p in inputs]
     assert all("precision" in r.reason for r in reports)
     assert {r.divisible for r in reports} == {True, False}
+    for (_, p), r in zip(inputs, reports):
+        margin = int(re.search(r"precision (\d+)\)$", r.reason).group(1))
+        assert all(canonical_span_mod(linalg.transpose(piece), p, margin) ==
+                   linalg.transpose(piece) for piece in r.pieces)
     assert _certificate_digest(reports) == (
-        21, "e75ab568dcc3b0e6af25633006241792a5edf1fba7a21ba89a11653b3f7eba24")
+        21, "8fa4819023b80f9fbf96bde93cd89a38790f186b6344515a4c6777f0c8c31c2b")
 
 
 def _mod_pk_span_inputs():

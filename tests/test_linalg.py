@@ -15,6 +15,8 @@ from sympy.polys.matrices.normalforms import invariant_factors
 from centralleaf import lattices, linalg
 from centralleaf.errors import PreconditionError, SingularInputError
 
+from oracles import canonical_span_mod
+
 
 def sympy_invariant_factors(rows):
     """Nonzero invariant factors of an integer matrix, computed by sympy."""
@@ -327,14 +329,27 @@ def test_local_exponents_and_rank_mod_p_match_sympy(rows, p):
     assert exps.count(0) == rank_mod_p
 
 
+def _kernel_by_elimination(rows, p, k):
+    """Hermite form of K = {v : A v == 0 mod p^k} rebuilt from
+    ``eliminate_mod_prime_power``: S A T == D mod p^k, so v = T y lies in K
+    exactly when p^(k - v_j) divides the y of each pivot column j; the
+    columns of T are scaled by p^max(0, k - v_j) and p^k Z^m is added."""
+    vals, t, _ = linalg.eliminate_mod_prime_power(rows, p, k)
+    m, q = len(t), p ** k
+    scale = [1 if v is None else p ** max(0, k - v) for v in vals]
+    gens = [[t[j][i] * scale[j] for j in range(m)] + [q * (i == j) for j in range(m)]
+            for i in range(m)]
+    return linalg.hnf_columns(gens)
+
+
 @ORACLE_SETTINGS
 @given(int_matrices(max_n=3), st.sampled_from((2, 3)), st.integers(1, 2))
 def test_kernel_mod_prime_power_by_counting(rows, p, k):
-    # the returned columns lie in K = {v : A v == 0 mod q} and contain q Z^m;
+    # the rebuilt columns lie in K = {v : A v == 0 mod q} and contain q Z^m;
     # an index equal to that of K (counted by brute force) makes them span K
     q = p ** k
     m = len(rows[0])
-    basis = linalg.kernel_mod_prime_power(rows, p, k)
+    basis = _kernel_by_elimination(rows, p, k)
     columns = linalg.transpose(basis)
     for j, col in enumerate(columns):
         assert all(sum(a * b for a, b in zip(r, col)) % q == 0 for r in rows)
@@ -383,10 +398,16 @@ def p_heavy_matrices(draw):
 @example(([[9], [27], [0]], 3, 30))
 def test_kernel_mod_prime_power_matches_smith_construction(case):
     # the Hermite form is canonical for the lattice, so elimination over
-    # Z/p^k must return exactly what the integer Smith route returns
+    # Z/p^k must give exactly what the integer Smith route gives; its
+    # valuations are the Smith exponents below k, and T^-1 inverts T mod p^k
     rows, p, k = case
-    assert linalg.kernel_mod_prime_power(rows, p, k) == \
-        _kernel_mod_prime_power_by_smith(rows, p, k)
+    assert _kernel_by_elimination(rows, p, k) == _kernel_mod_prime_power_by_smith(rows, p, k)
+    vals, t, t_inv = linalg.eliminate_mod_prime_power(rows, p, k)
+    assert sorted(v for v in vals if v is not None) == \
+        [e for e in linalg.local_exponents(rows, p) if e < k]
+    product = linalg.mat_mul(t_inv, linalg.transpose(t))
+    assert [[x % p ** k for x in row] for row in product] == \
+        [list(row) for row in linalg.identity(len(t))]
 
 
 @ORACLE_SETTINGS
@@ -403,8 +424,7 @@ def test_one_kernel_lattice_by_two_eliminations(rows, p, k):
     q, n, m = p ** k, len(rows), len(rows[0])
     ident = linalg.identity(n)
     basis = linalg.saturated_kernel([[q * x for x in e] + row for e, row in zip(ident, rows)])[0]
-    assert linalg.kernel_mod_prime_power(rows, p, k) == \
-        linalg.transpose(col[n:] for col in basis)
+    assert _kernel_by_elimination(rows, p, k) == linalg.transpose(col[n:] for col in basis)
     basis = linalg.saturated_kernel([row + [-x for x in e] for e, row in zip(ident, rows)])[0]
     images = [col[m:] for col in basis if any(col[m:])]
     if len(images) < n:
@@ -412,6 +432,34 @@ def test_one_kernel_lattice_by_two_eliminations(rows, p, k):
             linalg.hnf_columns(rows)
     else:
         assert linalg.hnf_columns(rows) == linalg.transpose(images)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(p_heavy_matrices())
+@example(([[2, 4, 6], [1, 2, 3]], 2, 3))  # rank 1: a summand of rank 2
+@example(([[0, 0], [0, 0]], 3, 2))  # the whole space
+def test_echelon_mod_prime_power_matches_hermite_oracle(case):
+    # The columns of T never pivoted are a basis of a summand of (Z/p^k)^m.
+    # Its reduced echelon form is that of canonical_span_mod, whatever basis
+    # the summand comes in; s still inverts the transform with that basis
+    # put first.
+    rows, p, k = case
+    q = p ** k
+    vals, t, t_inv = linalg.eliminate_mod_prime_power(rows, p, k)
+    kernel = [j for j, v in enumerate(vals) if v is None]
+    if not kernel:
+        return
+    pivots = [j for j, v in enumerate(vals) if v is not None]
+    basis, s = linalg.echelon_mod_prime_power(
+        [t[j] for j in kernel], [t_inv[j] for j in kernel + pivots], p, k)
+    assert tuple(basis) == canonical_span_mod([t[j] for j in kernel], p, k)
+    # another basis of the summand: each column plus the sum of those after it
+    mixed = [[sum(x) for x in zip(*(t[j] for j in kernel[i:]))] for i in range(len(kernel))]
+    assert tuple(basis) == canonical_span_mod(mixed, p, k)
+    m = len(t)
+    product = linalg.mat_mul(s, linalg.transpose(basis + [t[j] for j in pivots]))
+    assert [[x % q for x in row] for row in product] == [list(r) for r in linalg.identity(m)]
 
 
 @ORACLE_SETTINGS
