@@ -399,51 +399,68 @@ def _piece_frobenius(t: Matrix, t_den: int, p: int, slope: int, piece,
     return c, linalg.freeze(coords[:k])
 
 
-def _orbit_bound(x: Matrix, p: int, c: int) -> int:
-    """Pigeonhole bound for the orbit walk of the lattice under u = x / p^c,
-    for an exact integer matrix x whose charpoly has the one slope c."""
+def _orbit_period(x: Matrix, p: int, c: int) -> int:
+    """Least k >= 1 with (x / p^c)^k in GL(Z_p), for an exact integer matrix
+    x whose charpoly has the one slope c: the orbit walk of the lattice L.
+
+    The Z_p[u]-span H = L + uL + ... + u^(m-1)L of u = x / p^c is u-stable
+    (the charpoly of u is p-integral) and u is a unit on it, so u^k L = L
+    exactly when u^k L lies in L, and by pigeonhole some k up to the number
+    of sublattices of H of L's index does it.  The columns of
+    p^(c(m-1)-ci) x^i span p^(c(m-1)) H; their Smith form S * cols * T =
+    diag(p^a) gives a basis B (the leading columns of cols * T) with S B =
+    diag(p^a), in which u is U = diag(p^-a) S u B, in GL_m(Z_p).  Then u^k
+    is integral exactly when p^(a_j - a_i) divides (U^k)_ij, so the walk
+    reads U^k modulo p^(max a - min a), and every step has that size.
+    """
     m = len(x)
-    # Z_p[u]-span of the lattice: L + uL + ... + u^{m-1}L.  The charpoly of u
-    # is p-integral, so the span is u-stable, and the orbit of L under u
-    # lives among its sublattices of fixed index: by pigeonhole some u^k L
-    # is L, within the number of such sublattices.  The columns of
-    # p^(c(m-1)-ci) x^i span p^(c(m-1)) times the span.
     cols = []
     power = linalg.identity(m)
     for i in range(m):
         cols += [[v * p ** (c * (m - 1 - i)) for v in col]
                  for col in linalg.transpose(power)]
         power = linalg.mat_mul(power, x)
-    index_exp = m * c * (m - 1) - sum(linalg.local_exponents(linalg.transpose(cols), p))
+    gens = linalg.transpose(cols)
+    index_exp = m * c * (m - 1) - sum(linalg.local_exponents(gens, p))
     if index_exp < 0:
         raise ConsistencyError("lattice hull has negative index exponent")
+    if not index_exp:
+        return 1  # L is its own hull, so uL = L
     # crude subgroup-count bound for (Z/p^index_exp)^m
     bound = 1
     for _ in range(m):
-        bound *= (index_exp + 1) * p ** (index_exp * (m - 1))
-        if bound > _ORBIT_HARD_CAP:
-            return _ORBIT_HARD_CAP
-    return bound
+        bound = min(bound * (index_exp + 1) * p ** (index_exp * (m - 1)), _ORBIT_HARD_CAP)
+    divisors, s, t = linalg.smith_full(gens)
+    a = [linalg.valuation(d, p) for d in divisors]
+    image = linalg.mat_mul(linalg.mat_mul(s, x), linalg.mat_mul(gens, [row[:m] for row in t]))
+    if any(v % p ** (a[i] + c) for i, row in enumerate(image) for v in row):
+        raise ConsistencyError("normalised Frobenius does not preserve the lattice hull")
+    q = p ** (max(a) - min(a))
+    step = power = [[v // p ** (a[i] + c) % q for v in row] for i, row in enumerate(image)]
+    checks = [(i, j, p ** (a[j] - a[i])) for i in range(m) for j in range(m) if a[j] > a[i]]
+    for k in range(1, bound + 1):
+        if all(power[i][j] % d == 0 for i, j, d in checks):
+            return k
+        power = [[v % q for v in row] for row in linalg.mat_mul(power, step)]
+    raise (InconclusiveError("orbit walk exceeded the hard cap") if bound >= _ORBIT_HARD_CAP
+           else ConsistencyError("orbit of the lattice outran its sublattice count"))
 
 
-def _orbit_return_steps(x: Matrix, p: int, c: int, steps: int,
-                        margin: Optional[int] = None) -> Optional[int]:
-    """Least k <= steps with x^k == 0 mod p^(ck) and x^k / p^(ck) invertible
-    mod p, i.e. (x / p^c)^k in GL(Z_p), for an integer matrix x that is
-    exact or, given ``margin``, known modulo p^margin; then only k with
-    ck < margin can be read off.  None when no such k is found."""
-    q = None if margin is None else p ** margin
+def _orbit_return_steps(x: Matrix, p: int, c: int, margin: int) -> Optional[int]:
+    """Least k with x^k == 0 mod p^(ck) and x^k / p^(ck) invertible mod p,
+    i.e. (x / p^c)^k in GL(Z_p), for an integer matrix x known modulo
+    p^margin; only k with ck < margin, and at most margin of them, can be
+    read off.  None when no such k is found."""
+    q = p ** margin
     power = x
-    for k in range(1, steps + 1):
+    for k in range(1, margin + 1):
         unit = p ** (c * k)
-        if margin is not None and c * k >= margin:
+        if c * k >= margin:
             break
         if (all(v % unit == 0 for row in power for v in row) and linalg.local_exponents(
                 [[v // unit for v in row] for row in power], p).count(0) == len(x)):
             return k
-        power = linalg.mat_mul(power, x)
-        if q is not None:
-            power = [[v % q for v in row] for row in power]
+        power = [[v % q for v in row] for row in linalg.mat_mul(power, x)]
     return None
 
 
@@ -491,14 +508,9 @@ def _slope_report(t: Matrix, t_den: int, p: int, r0: int, slopes, pieces: dict,
             return None
     period = r0
     for c, x in frobenius.values():
-        steps = _orbit_bound(x, p, c) if margin is None else margin
-        k = _orbit_return_steps(x, p, c, steps, margin)
-        if k is None and margin is not None:
-            return None
+        k = _orbit_period(x, p, c) if margin is None else _orbit_return_steps(x, p, c, margin)
         if k is None:
-            raise (InconclusiveError("orbit walk exceeded the hard cap")
-                   if steps >= _ORBIT_HARD_CAP else
-                   ConsistencyError("orbit of the lattice outran its sublattice count"))
+            return None
         period = lcm(period, k * r0)
     return SlopeDivisibilityReport(
         True, slopes, period, piece_matrices,

@@ -267,9 +267,13 @@ def _normalised_power_is_unit(power, cols, p: int, slope: Fraction, steps: int) 
     x = _on_span(power, cols)
     if e.denominator != 1 or x is None:
         return False
-    if any(v and linalg.valuation(v, p) < e for row in x for v in row):
+    # one division by p^e per entry, not one valuation step per digit: the
+    # entries of a long period's power have tens of thousands of digits
+    normalised = [[v / Fraction(p) ** int(e) for v in row] for row in x]
+    if any(v.denominator % p == 0 for row in normalised for v in row):
         return False
-    return linalg.valuation(linalg.det(x), p) == len(cols) * e
+    d = linalg.det(normalised)
+    return d != 0 and d.numerator % p != 0 and d.denominator % p != 0
 
 
 def replay_slope_certificate(matrix, p: int, report) -> Optional[str]:

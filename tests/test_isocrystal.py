@@ -387,6 +387,18 @@ def test_csd_single_slope_orbit_walk():
     assert report2.divisible
 
 
+def test_a_long_exact_orbit_walk_is_read_in_the_lattice_hull():
+    # slopes (2, 2, 2) at p = 5 with period 31,250: walking the exact powers
+    # x^k, whose entries grow like p^(ck), took 36 s; in a basis of the
+    # lattice hull every step is read modulo one fixed power of p
+    iso = RationalIsocrystal(((F(-377, 5), 50, F(252, 5)), (0, 25, 0),
+                              (F(-502, 5), F(252, 5), F(377, 5))), 5)
+    report = is_completely_slope_divisible(iso)
+    assert report.divisible and report.slopes == (2, 2, 2) and report.period == 31_250
+    assert "precision" not in report.reason
+    assert replay_slope_certificate(iso.matrix, 5, report) is None
+
+
 def test_csd_mod_pk_unit_denominator_is_not_certified_false():
     # [[0,1/2],[2,0]] (+) companion(x^2+x+2) at p=2: the normalised Frobenius
     # of the slope-0 piece has a 1/2 entry, yet its square returns the
