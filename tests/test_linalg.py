@@ -439,27 +439,29 @@ def test_one_kernel_lattice_by_two_eliminations(rows, p, k):
 @given(p_heavy_matrices())
 @example(([[2, 4, 6], [1, 2, 3]], 2, 3))  # rank 1: a summand of rank 2
 @example(([[0, 0], [0, 0]], 3, 2))  # the whole space
-def test_echelon_mod_prime_power_matches_hermite_oracle(case):
-    # The columns of T never pivoted are a basis of a summand of (Z/p^k)^m.
-    # Its reduced echelon form is that of canonical_span_mod, whatever basis
-    # the summand comes in; s still inverts the transform with that basis
-    # put first.
+def test_echelon_mod_prime_power_matches_canonical_span_oracle(case):
+    # The columns of T never pivoted are a basis of a summand of (Z/p^k)^m,
+    # and so is each column plus the sum of those after it, whose T^-1 rows
+    # are row i minus row i - 1.  From either basis the echelon form is
+    # canonical_span_mod's, and s still inverts the transform with that
+    # basis put first.
     rows, p, k = case
     q = p ** k
     vals, t, t_inv = linalg.eliminate_mod_prime_power(rows, p, k)
     kernel = [j for j, v in enumerate(vals) if v is None]
+    pivots = [j for j, v in enumerate(vals) if v is not None]
     if not kernel:
         return
-    pivots = [j for j, v in enumerate(vals) if v is not None]
-    basis, s = linalg.echelon_mod_prime_power(
-        [t[j] for j in kernel], [t_inv[j] for j in kernel + pivots], p, k)
-    assert tuple(basis) == canonical_span_mod([t[j] for j in kernel], p, k)
-    # another basis of the summand: each column plus the sum of those after it
-    mixed = [[sum(x) for x in zip(*(t[j] for j in kernel[i:]))] for i in range(len(kernel))]
-    assert tuple(basis) == canonical_span_mod(mixed, p, k)
-    m = len(t)
-    product = linalg.mat_mul(s, linalg.transpose(basis + [t[j] for j in pivots]))
-    assert [[x % q for x in row] for row in product] == [list(r) for r in linalg.identity(m)]
+    cols, inv = [t[j] for j in kernel], [t_inv[j] for j in kernel]
+    mixed = [[sum(x) for x in zip(*cols[i:])] for i in range(len(cols))]
+    mixed_inv = [[a - b for a, b in zip(row, prev)] for row, prev in zip(inv, [[0] * len(t)] + inv)]
+    expected = canonical_span_mod(cols, p, k)
+    for cols, inv in ((cols, inv), (mixed, mixed_inv)):
+        basis, s = linalg.echelon_mod_prime_power(cols, inv + [t_inv[j] for j in pivots], p, k)
+        assert tuple(basis) == expected == canonical_span_mod(cols, p, k)
+        product = linalg.mat_mul(s, linalg.transpose(basis + [t[j] for j in pivots]))
+        assert [[x % q for x in row] for row in product] == \
+            [list(r) for r in linalg.identity(len(t))]
 
 
 @ORACLE_SETTINGS
